@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes are the verdict channel: 0 = YES, 1 = NO, 2 = error.  stdout
-carries only the documented output for each subcommand; traces and
-diagnostics go to stderr.
+Exit codes are the verdict channel: 0 = YES, 1 = NO, 2 = error.  Every
+failure exits 2, internal errors such as a YES that fails certification
+included, so a crash never reads as NO.  stdout carries only the documented
+output for each subcommand; traces and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .directed import DirectedStats, solve_directed, target_tree_from_digraph
@@ -274,6 +276,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

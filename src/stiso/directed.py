@@ -145,7 +145,7 @@ def solve_directed(
     else:
         verdict = _solve_core(d, target, und, k, stats, trace)
     if verdict.is_yes and not certify_directed(d, target, verdict):
-        raise RuntimeError("internal error: YES verdict failed certification")
+        raise RuntimeError("YES verdict failed certification")
     return verdict
 
 

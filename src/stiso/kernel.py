@@ -10,6 +10,11 @@ self-loops are kept; a self-loop counts 2 toward degree), which preserves
 Each surviving edge remembers the original path it contracts (its chain);
 chain endpoints are anchors, interiors are non-anchors, and the interiors
 of distinct chains are disjoint.
+
+Every trim runs before any suppression, because suppressing never lowers a
+degree.  The trimmed vertices therefore form a forest of pendant trees
+hanging off the 2-core, and each one's parent (its last neighbour when it
+was trimmed) is an original neighbour.
 """
 
 from __future__ import annotations
@@ -47,13 +52,18 @@ class Kernel:
 
     ``graph`` uses dense kernel ids; ``delta[kernel_id]`` is the original
     vertex id (so ``anchors == set(delta)``).  ``chains[e]`` is the chain of
-    kernel edge ``e``, written in original ids.
+    kernel edge ``e``, written in original ids.  ``trim_order`` lists the
+    vertices outside the 2-core in the order they were trimmed, so each
+    comes after all of its children in the trim forest; ``trim_parent[v]``
+    is the neighbour ``v`` hung from when trimmed, or -1 for a 2-core vertex.
     """
 
     graph: UGraph
     delta: tuple[int, ...]
     anchors: frozenset[int]
     chains: tuple[AnchorChain, ...]
+    trim_order: tuple[int, ...]
+    trim_parent: tuple[int, ...]
     steps: tuple[tuple[str, int, int, int], ...] | None = None  # (op, vertex, |V|, |E|)
 
     def chain_of(self, kernel_edge_id: int) -> AnchorChain:
@@ -94,6 +104,9 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
     n_alive, m_alive = g.n, g.m
     surplus = m_alive - n_alive
     steps: list[tuple[str, int, int, int]] = []
+    trim_order: list[int] = []
+    trim_parent = [-1] * g.n
+    suppressed = False
 
     heap1 = [v for v in range(g.n) if deg[v] == 1]
     heap2 = [v for v in range(g.n) if deg[v] == 2]
@@ -159,13 +172,18 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
             break
 
         if op == "trim":
+            if suppressed:
+                raise RuntimeError("trim after a suppression: trim parent may not be a neighbour")
             (eid,) = inc[v]
             u = _other_end(ends[eid], v)
+            trim_order.append(v)
+            trim_parent[v] = u
             kill_edge(eid)
             alive_v[v] = 0
             n_alive -= 1
             requeue(u)
         else:
+            suppressed = True
             eids = sorted(inc[v])
             if len(eids) == 1:
                 # lone self-loop: drop vertex and loop together; unreachable
@@ -192,21 +210,29 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
             if m_alive - n_alive != surplus:
                 raise AssertionError("reduction step changed |E| - |V|")
 
-    assert m_alive - n_alive == surplus
+    if m_alive - n_alive != surplus:
+        raise RuntimeError("reduction changed |E| - |V|")
     survivors = [v for v in range(g.n) if alive_v[v]]
-    assert survivors, "core cannot be empty when the surplus is >= 2"
+    if not survivors:
+        raise RuntimeError("core is empty although the surplus is >= 2")
     dense = {orig: i for i, orig in enumerate(survivors)}
     live_eids = sorted(ends)
     kernel_edges = [(dense[ends[e][0]], dense[ends[e][1]]) for e in live_eids]
     kernel_graph = UGraph.multigraph(len(survivors), kernel_edges)
-    assert min(kernel_graph.degree(v) for v in range(kernel_graph.n)) >= 3
-    assert kernel_graph.n <= 2 * k - 2 and kernel_graph.m == kernel_graph.n + k - 1
+    if min(kernel_graph.degree(v) for v in range(kernel_graph.n)) < 3:
+        raise RuntimeError("core has a vertex of degree below 3")
+    if kernel_graph.n > 2 * k - 2 or kernel_graph.m != kernel_graph.n + k - 1:
+        raise RuntimeError(
+            f"core size out of bounds: |V'|={kernel_graph.n}, |E'|={kernel_graph.m}, k={k}"
+        )
     kernel_chains = tuple(AnchorChain(*chains[e]) for e in live_eids)
     return Kernel(
         graph=kernel_graph,
         delta=tuple(survivors),
         anchors=frozenset(survivors),
         chains=kernel_chains,
+        trim_order=tuple(trim_order),
+        trim_parent=tuple(trim_parent),
         steps=tuple(steps) if audit else None,
     )
 

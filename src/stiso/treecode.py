@@ -9,6 +9,7 @@ are isomorphic as rooted trees, so code comparison is the isomorphism test.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 
 from .graphs import DiGraph, UGraph
 
@@ -60,6 +61,27 @@ def subtree_codes(tree: UGraph, root: int) -> list[str]:
         if parent[x] != -1:
             kids[parent[x]].append(codes[x])
     return codes
+
+
+CodeTable = dict[tuple[int, ...], int]  # sorted child ids -> interned id
+
+
+def intern_child_ids(
+    bottom_up: Iterable[int], parent: Sequence[int], table: CodeTable
+) -> dict[int, list[int]]:
+    """Integer canonical codes of a rooted forest (Aho, Hopcroft and Ullman 1974).
+
+    A vertex's id is ``table``'s id for the sorted tuple of its children's
+    ids, interned on first sight, so two subtrees interned in one table are
+    isomorphic iff their ids are equal.  ``bottom_up`` lists the forest's
+    vertices, each after all of its children; ``parent[x]`` may lie outside
+    the forest.  Returns the children's ids of every vertex that has any.
+    """
+    kid_ids: dict[int, list[int]] = {}
+    for x in bottom_up:
+        key = tuple(sorted(kid_ids.get(x, ())))
+        kid_ids.setdefault(parent[x], []).append(table.setdefault(key, len(table)))
+    return kid_ids
 
 
 def rooted_code(tree: UGraph, root: int) -> str:

@@ -21,18 +21,37 @@ neighbors in one of two modes:
   chronological backtracking.  It subsumes every anchor order, so it runs
   one attempt per root, and it is the mode the acceptance corpus verifies
   against the brute-force oracle.
+
+Before any attempt, a root candidate whose pendant check must fail is
+rejected in O(deg v).  With only the root ``v`` matched, its pendant
+components are exactly its children in the kernel's trim forest (whether
+``v`` is in the 2-core or inside a pendant tree: for ``k >= 2`` the
+component toward the core has a cycle).  The attempt's first ``_open``
+binds them greedily to equal-code target children before any anchor-order
+check, so it fails ``pendant-unmatched`` iff the multiset of their integer
+codes does not fit inside the target root's child codes.  The codes are
+interned once per solve for the trim forest and once per target rooting.
+A rejected candidate counts in ``roots_tried`` but not in ``attempts``.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable
 
 from .graphs import UGraph, Verdict
-from .kernel import make_contractible
-from .treecode import TargetTree, code_key, rooted_iso_mapping, tree_centers
+from .kernel import Kernel, make_contractible
+from .treecode import (
+    CodeTable,
+    TargetTree,
+    code_key,
+    intern_child_ids,
+    rooted_iso_mapping,
+    tree_centers,
+)
 
 
 @dataclass
@@ -86,13 +105,13 @@ def solve_undirected(
     elif k == 1:
         verdict = solve_unicyclic(g, target)
     else:
-        verdict = _solve_core(g, ttree, k, fallback, stats, trace)
+        verdict = _solve_core(g, target, k, fallback, stats, trace)
         if fallback and trace is not None:
             # record whether the exhaustive mode was actually required
-            strict = _solve_core(g, ttree, k, False, SolveStats(), None)
+            strict = _solve_core(g, target, k, False, SolveStats(), None)
             trace(f"fallback-needed={'no' if strict.answer == verdict.answer else 'yes'}")
     if verdict.is_yes and not certify_undirected(g, target, verdict):
-        raise RuntimeError("internal error: YES verdict failed certification")
+        raise RuntimeError("YES verdict failed certification")
     return verdict
 
 
@@ -146,7 +165,8 @@ def _cycle_edges(g: UGraph) -> list[int]:
                 queue.append(w)
                 order.append(w)
     extras = [eid for eid in range(g.m) if eid not in tree_eids]
-    assert len(extras) == 1
+    if len(extras) != 1:
+        raise RuntimeError(f"expected one edge outside the BFS tree, found {len(extras)}")
     (closing,) = extras
     u, v = g.edges[closing]
     cycle = [closing]
@@ -540,15 +560,41 @@ class _Engine:
             return None
         if not self._solve_pos(1):
             return None
-        assert all(v >= 0 for v in self.t2g)
-        assert len(self.removed) == self.k
+        if any(v < 0 for v in self.t2g):
+            raise RuntimeError("search finished with an unmatched target vertex")
+        if len(self.removed) != self.k:
+            raise RuntimeError(f"search removed {len(self.removed)} edges, expected {self.k}")
         mapping = {tv: gv for tv, gv in enumerate(self.t2g)}
         return Verdict("YES", mapping=mapping, removed=frozenset(self.removed))
 
 
+def _rootings(target: TargetTree | UGraph) -> list[TargetTree]:
+    """The target rooted at each center, reusing the caller's rooting if it is one."""
+    ttree = _target_graph(target)
+    return [
+        target if isinstance(target, TargetTree) and target.root == c else TargetTree(ttree, c)
+        for c in tree_centers(ttree)
+    ]
+
+
+def _pendant_code_counts(kernel: Kernel, table: CodeTable) -> dict[int, Counter]:
+    """Code-id counts of each vertex's children in the trim forest."""
+    forest = intern_child_ids(kernel.trim_order, kernel.trim_parent, table)
+    return {v: Counter(ids) for v, ids in forest.items()}
+
+
+def _rejected_roots(pendants: dict[int, Counter], tt: TargetTree, table: CodeTable) -> set[int]:
+    """Roots whose pendant codes do not fit inside the target root's child codes."""
+    kids = intern_child_ids(reversed(tt.order[1:]), tt.parent, table)
+    have = Counter(kids.get(tt.root, ()))
+    return {
+        v for v, need in pendants.items() if any(have[c] < m for c, m in need.items())
+    }
+
+
 def _solve_core(
     g: UGraph,
-    ttree: UGraph,
+    target: TargetTree | UGraph,
     k: int,
     fallback: bool,
     stats: SolveStats,
@@ -558,14 +604,20 @@ def _solve_core(
     kernel = make_contractible(g)
     anchors = tuple(sorted(kernel.anchors))
     stats.anchors = len(anchors)
-    rootings = [TargetTree(ttree, c) for c in tree_centers(ttree)]
-    for tt in rootings:
+    table: CodeTable = {}
+    pendants = _pendant_code_counts(kernel, table)
+    for tt in _rootings(target):
         engine = _Engine(g, tt, k, anchors, fallback, stats)
         min_children = len(tt.children[tt.root])
+        rejected = _rejected_roots(pendants, tt, table)
         for v in range(g.n):
             if g.degree(v) < min_children:
                 continue
             stats.roots_tried += 1
+            if v in rejected:
+                if trace is not None:
+                    trace(f"troot={tt.root} root={v} pi=- fail:pendant-unmatched")
+                continue
             perms = _anchor_permutations(anchors, v) if not fallback else [None]
             count = 0
             for pi in perms:

@@ -175,3 +175,15 @@ def test_bench_compare_oracle(files):
     assert len(body) == 2 * 3 * 2 * 2 * 2
     assert {r[4] for r in body} == {"fpt", "oracle"}
     assert all(r[5] in ("YES", "NO") for r in body)
+
+
+def test_internal_error_exits_two(files, monkeypatch, capsys):
+    # a YES that fails certification is an internal error, never a NO
+    import stiso.undirected
+    from stiso.cli import main
+
+    monkeypatch.setattr(stiso.undirected, "certify_undirected", lambda *args: False)
+    _, write = files
+    code = main(["solve", "-g", write("g.txt", C4), "-t", write("t.txt", P4)])
+    assert code == 2
+    assert "internal error:" in capsys.readouterr().err

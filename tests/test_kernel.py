@@ -113,3 +113,38 @@ def test_core_is_idempotent():
 def test_audit_off_by_default():
     kern = make_contractible(THETA)
     assert kern.steps is None
+
+
+def test_trim_forest_of_pendant_path():
+    # THETA with the path 0-5-6 hung on anchor 0: 6 is trimmed first, then 5
+    g = UGraph(7, list(THETA.edges) + [(0, 5), (5, 6)])
+    kern = make_contractible(g)
+    assert kern.trim_order == (6, 5)
+    assert kern.trim_parent == (-1, -1, -1, -1, -1, 0, 5)
+    assert make_contractible(THETA).trim_order == ()
+
+
+def test_trim_forest_invariants_random():
+    trimmed = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = _random_connected(rng.randint(6, 40), rng.randint(2, 6), seed)
+        kern = make_contractible(g)
+        core = set(kern.anchors) | {v for c in kern.chains for v in c.interior}
+        assert sorted(kern.trim_order) == sorted(set(range(g.n)) - core)
+        position = {v: i for i, v in enumerate(kern.trim_order)}
+        for v in range(g.n):
+            parent = kern.trim_parent[v]
+            if v in core:
+                assert parent == -1
+                continue
+            assert parent in g.neighbors(v)
+            # a child is trimmed before its parent, and parent chains reach the core
+            assert parent in core or position[parent] > position[v]
+            x, hops = v, 0
+            while x not in core:
+                x = kern.trim_parent[x]
+                hops += 1
+                assert hops <= g.n
+        trimmed += len(kern.trim_order)
+    assert trimmed > 0

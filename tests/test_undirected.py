@@ -223,3 +223,101 @@ def test_trace_reports_whether_fallback_was_needed():
     lines = []
     solve_undirected(fan, star(4), fallback=True, trace=lines.append)
     assert "fallback-needed=yes" in lines
+
+
+def test_root_prune_is_exact():
+    """A root is rejected iff its attempt fails pendant-unmatched at the first open."""
+    from stiso.kernel import make_contractible
+    from stiso.undirected import (
+        _anchor_permutations,
+        _Engine,
+        _pendant_code_counts,
+        _rejected_roots,
+        _rootings,
+    )
+
+    rejected_total = kept_total = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n, k = rng.randint(6, 30), rng.randint(2, 5)
+        mode = "planted-yes" if seed % 2 else "random"
+        inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
+        g = inst.graph
+        kernel = make_contractible(g)
+        anchors = tuple(sorted(kernel.anchors))
+        table = {}
+        pendants = _pendant_code_counts(kernel, table)
+        for tt in _rootings(inst.target.tree):
+            rejected = _rejected_roots(pendants, tt, table)
+            for fallback in (False, True):
+                for v in range(n):
+                    stats = SolveStats()
+                    engine = _Engine(g, tt, k, anchors, fallback, stats)
+                    pi = None if fallback else next(_anchor_permutations(anchors, v))
+                    verdict = engine.attempt(v, pi)
+                    fails_at_root = (
+                        verdict is None
+                        and engine.fail_reason == "pendant-unmatched"
+                        and stats.nodes_opened == 1
+                    )
+                    assert (v in rejected) == fails_at_root, (seed, tt.root, v, fallback)
+                    rejected_total += v in rejected
+                    kept_total += v not in rejected
+    assert rejected_total > 0 and kept_total > 0
+
+
+def test_root_prune_two_equal_pendants_at_core_root():
+    # K4 with two leaves on vertex 0; the target's center 0 has one leaf child
+    # and two two-vertex paths, so root 0 cannot place its second leaf
+    g = UGraph(6, list(complete(4).edges) + [(0, 4), (0, 5)])
+    target = UGraph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)])
+    for fallback in (False, True):
+        lines = []
+        stats = SolveStats()
+        v = solve_undirected(g, target, fallback=fallback, stats=stats, trace=lines.append)
+        assert v.answer == oracle_undirected(g, target).answer == "NO"
+        root0 = [line for line in lines if line.startswith("troot=0 root=0 ")]
+        assert root0 == ["troot=0 root=0 pi=- fail:pendant-unmatched"]
+        if fallback:  # one attempt per root, and only root 0 is rejected
+            assert stats.attempts == stats.roots_tried - 1
+
+
+def test_root_prune_inside_a_pendant_tree():
+    # K4 with the pendant tree 0-4-5 and leaves 6, 7, 8 on 5: root 5's pendant
+    # components are its three leaves, the side toward the core is cyclic
+    from stiso.kernel import make_contractible
+    from stiso.undirected import _pendant_code_counts
+
+    g = UGraph(9, list(complete(4).edges) + [(0, 4), (4, 5), (5, 6), (5, 7), (5, 8)])
+    table = {}
+    pendants = _pendant_code_counts(make_contractible(g), table)
+    leaf = table[()]
+    assert pendants[5] == {leaf: 3}
+    assert sum(pendants[4].values()) == sum(pendants[0].values()) == 1
+    lines = []
+    stats = SolveStats()
+    v = solve_undirected(g, path(9), fallback=True, stats=stats, trace=lines.append)
+    assert not v.is_yes
+    assert "troot=4 root=5 pi=- fail:pendant-unmatched" in lines
+    # roots 0-5 have degree >= 2; 0, 4 and 5 hang a pendant tree that is no P4
+    assert (stats.roots_tried, stats.attempts) == (6, 3)
+
+
+def test_caller_rooting_is_reused():
+    from stiso.undirected import _rootings
+
+    tree = path(6)  # centers 2 and 3
+    caller = TargetTree(tree, 3)
+    rootings = _rootings(caller)
+    assert [tt.root for tt in rootings] == [2, 3]
+    assert rootings[1] is caller
+    assert [tt.root for tt in _rootings(tree)] == [2, 3]
+
+
+def test_unfinished_search_raises_under_any_optimisation_level(monkeypatch):
+    # the post-condition is an explicit raise, so ``python -O`` keeps it
+    from stiso.undirected import _Engine
+
+    monkeypatch.setattr(_Engine, "_solve_pos", lambda self, i: True)
+    with pytest.raises(RuntimeError, match="unmatched target vertex"):
+        solve_undirected(THETA, path(5), fallback=True)
