@@ -9,6 +9,16 @@ chain vertex with the in-degree an out-arborescence forces on it.  Each
 resulting candidate arc set is checked directly: delete, test for a spanning
 out-arborescence at the root, compare canonical codes.
 
+The roots that reach every vertex come from one linear pass
+(:func:`~stiso.graphs.roots_reaching_all`), not a search per root.  The code
+comparison is by integer: the target is interned once per solve
+(Aho-Hopcroft-Ullman ids, :func:`~stiso.treecode.intern_child_ids`), and a
+spanning witness is only looked up in that table
+(:func:`~stiso.treecode.lookup_root_id`), bottom-up along the search that
+found it, stopping at the first subtree the target has no copy of.  Equal
+root ids mean isomorphic arborescences, so the string-code mapping is built
+once, for the hit that is returned.
+
 The chain-local candidate rule: deleting arc ``a`` must leave every interior
 chain vertex with exactly one incoming chain arc, except the vertex through
 which the root first meets the chain (if any), which must end up with zero.
@@ -22,9 +32,16 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .graphs import DiGraph, UGraph, Verdict, reachable_all
+from .graphs import DiGraph, UGraph, Verdict, cycle_edges, reachable_all, roots_reaching_all
 from .kernel import AnchorChain, Kernel, make_contractible
-from .treecode import TargetTree, arborescence_root, rooted_iso_mapping
+from .treecode import (
+    CodeTable,
+    TargetTree,
+    arborescence_root,
+    intern_child_ids,
+    lookup_root_id,
+    rooted_iso_mapping,
+)
 
 
 @dataclass
@@ -101,7 +118,8 @@ def chain_candidates(d: DiGraph, chain: AnchorChain, root_entry: int | None = No
             ok = bad == [pos] and indeg[pos] == target[pos] + 1
         if ok:
             cands.append(aid)
-    assert len(cands) <= 2
+    if len(cands) > 2:
+        raise RuntimeError(f"{len(cands)} candidate arcs on one chain, expected at most 2")
     return ChainCandidates(
         chain=chain,
         root_entry=root_entry,
@@ -198,38 +216,8 @@ def _check_whole_graph(d: DiGraph, target: TargetTree) -> Verdict:
     return Verdict("YES", mapping=mapping, removed=frozenset())
 
 
-def _weak_cycle_arcs(und: UGraph) -> list[int]:
-    """Arc ids on the unique cycle of the underlying multigraph (m = n)."""
-    parent = [-1] * und.n
-    parent_eid = [-1] * und.n
-    depth = [-1] * und.n
-    depth[0] = 0
-    stack = [0]
-    tree_eids = set()
-    while stack:
-        x = stack.pop()
-        for eid, w in und.incidence[x]:
-            if depth[w] == -1:
-                depth[w] = depth[x] + 1
-                parent[w] = x
-                parent_eid[w] = eid
-                tree_eids.add(eid)
-                stack.append(w)
-    extras = [eid for eid in range(und.m) if eid not in tree_eids]
-    assert len(extras) == 1
-    (closing,) = extras
-    u, v = und.edges[closing]
-    cycle = [closing]
-    while u != v:
-        if depth[u] < depth[v]:
-            u, v = v, u
-        cycle.append(parent_eid[u])
-        u = parent[u]
-    return sorted(cycle)
-
-
 def _solve_weak_unicyclic(d: DiGraph, target: TargetTree, und: UGraph) -> Verdict:
-    for aid in _weak_cycle_arcs(und):
+    for aid in cycle_edges(und):
         kept = [a for i, a in enumerate(d.arcs) if i != aid]
         f = DiGraph(d.n, kept)
         roots = [v for v in range(f.n) if f.in_degree(v) == 0]
@@ -288,10 +276,13 @@ def _solve_core(d, target, und, k, stats, trace) -> Verdict:
     subsets = _colex_subsets(list(range(len(chains))), k)
     indeg = [d.in_degree(v) for v in range(d.n)]
     base_excess = [v for v in range(d.n) if indeg[v] != 1]
+    admissible = roots_reaching_all(d)
+    table: CodeTable = {}
+    (target_id,) = intern_child_ids(reversed(target.order), target.parent, table)[-1]
 
     for r in range(d.n):
         stats.roots_tried += 1
-        if not reachable_all(d, r):
+        if not admissible[r]:
             if trace is not None:
                 trace(f"root={r} unreachable")
             continue
@@ -321,19 +312,24 @@ def _solve_core(d, target, und, k, stats, trace) -> Verdict:
                 deleted = set(combo)
                 if not _indeg_ok(d, indeg, base_excess, deleted, r):
                     continue
-                if not _reaches_all_without(d, r, deleted):
+                witness = _arborescence_without(d, r, deleted)
+                if witness is None:
                     continue
                 surviving += 1
                 stats.arborescence_hits += 1
+                order, parent = witness
+                if lookup_root_id(reversed(order), parent, table) != target_id:
+                    continue
                 mapping = _extract_mapping(d, frozenset(deleted), r, target)
-                if mapping is not None:
-                    stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
-                    if trace is not None:
-                        trace(
-                            f"root={r} subsets={subsets_this_root} "
-                            f"plans={plans_this_root} surviving={surviving} yes"
-                        )
-                    return Verdict("YES", mapping=mapping, removed=frozenset(deleted))
+                if mapping is None:
+                    raise RuntimeError("witness has the target's integer code but no mapping")
+                stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
+                if trace is not None:
+                    trace(
+                        f"root={r} subsets={subsets_this_root} "
+                        f"plans={plans_this_root} surviving={surviving} yes"
+                    )
+                return Verdict("YES", mapping=mapping, removed=frozenset(deleted))
         stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
         if trace is not None:
             trace(
@@ -362,20 +358,23 @@ def _indeg_ok(d: DiGraph, indeg, base_excess, deleted: set[int], r: int) -> bool
     return True
 
 
-def _reaches_all_without(d: DiGraph, r: int, deleted: set[int]) -> bool:
+def _arborescence_without(
+    d: DiGraph, r: int, deleted: set[int]
+) -> tuple[list[int], list[int]] | None:
+    """BFS order from ``r`` over the arcs not in ``deleted``, and each
+    vertex's parent along its kept in-arc; None unless every vertex is reached."""
+    parent = [-1] * d.n
     seen = bytearray(d.n)
     seen[r] = 1
-    stack = [r]
-    reached = 1
-    while stack:
-        x = stack.pop()
+    order = [r]
+    for x in order:  # the list grows while it is walked: a BFS queue
         for aid, w in d.out_inc[x]:
             if aid in deleted or seen[w]:
                 continue
             seen[w] = 1
-            reached += 1
-            stack.append(w)
-    return reached == d.n
+            parent[w] = x
+            order.append(w)
+    return (order, parent) if len(order) == d.n else None
 
 
 def target_tree_from_digraph(t: DiGraph) -> TargetTree:

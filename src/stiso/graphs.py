@@ -48,7 +48,8 @@ class UGraph:
         self.incidence = tuple(tuple(pairs) for pairs in inc)
         self.is_multigraph = _allow_multi
         # handshaking: every edge contributes exactly two incidence entries
-        assert sum(len(p) for p in self.incidence) == 2 * self.m
+        if sum(len(p) for p in self.incidence) != 2 * self.m:
+            raise RuntimeError("incidence lists break the handshake lemma")
 
     @classmethod
     def multigraph(cls, n: int, edges: list[tuple[int, int]]) -> "UGraph":
@@ -268,6 +269,81 @@ def reachable_all(d: DiGraph, r: int) -> bool:
                 reached += 1
                 queue.append(w)
     return reached == d.n
+
+
+def roots_reaching_all(d: DiGraph) -> list[bool]:
+    """``[reachable_all(d, r) for r in range(d.n)]`` in linear time.
+
+    Searching from every vertex not yet seen, in id order, the root of the
+    last search (a "mother vertex" if any exists) is the only candidate
+    that can reach all: a vertex that reaches all would otherwise have been
+    seen by, or started, a later search.  When it does reach all, the
+    vertices that reach every vertex are exactly those that reach it,
+    found by one search over the reversed arcs.
+    """
+    if d.n == 0:
+        return []
+    seen = bytearray(d.n)
+    last = 0
+    for s in range(d.n):
+        if seen[s]:
+            continue
+        last = s
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for _, w in d.out_inc[x]:
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+    if not reachable_all(d, last):
+        return [False] * d.n
+    admissible = [False] * d.n
+    admissible[last] = True
+    stack = [last]
+    while stack:
+        x = stack.pop()
+        for _, w in d.in_inc[x]:
+            if not admissible[w]:
+                admissible[w] = True
+                stack.append(w)
+    return admissible
+
+
+def cycle_edges(g: UGraph) -> list[int]:
+    """Edge ids of the unique cycle of a connected graph with m = n, sorted.
+
+    Raises RuntimeError unless exactly one edge lies outside the search
+    tree.  Parallel edges (a 2-cycle) are allowed.
+    """
+    parent_eid = [-1] * g.n
+    parent = [-1] * g.n
+    depth = [-1] * g.n
+    depth[0] = 0
+    stack = [0]
+    tree_eids = set()
+    while stack:
+        x = stack.pop()
+        for eid, w in g.incidence[x]:
+            if depth[w] == -1:
+                depth[w] = depth[x] + 1
+                parent[w] = x
+                parent_eid[w] = eid
+                tree_eids.add(eid)
+                stack.append(w)
+    extras = [eid for eid in range(g.m) if eid not in tree_eids]
+    if len(extras) != 1:
+        raise RuntimeError(f"expected one edge outside the search tree, found {len(extras)}")
+    (closing,) = extras
+    u, v = g.edges[closing]
+    cycle = [closing]
+    while u != v:
+        if depth[u] < depth[v]:
+            u, v = v, u
+        cycle.append(parent_eid[u])
+        u = parent[u]
+    return sorted(cycle)
 
 
 def classify_neighbors(g: UGraph, v: int) -> tuple[set[int], set[int]]:

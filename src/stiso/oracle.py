@@ -52,7 +52,8 @@ def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         if unrooted_code(h) != target_code:
             continue
         mapping = _bijection_search_undirected(ttree, h)
-        assert mapping is not None
+        if mapping is None:
+            raise RuntimeError("equal tree codes but no bijection found")
         return Verdict("YES", mapping=mapping, removed=removed)
     return Verdict("NO")
 

@@ -32,8 +32,16 @@ def _check_tree(tree: UGraph) -> None:
         raise NotATreeError(f"not a tree: n={tree.n}, m={tree.m}")
 
 
-def _order_and_parents(tree: UGraph, root: int) -> tuple[list[int], list[int]]:
-    """BFS order and parent array of a tree from ``root``."""
+def _rooted_order(tree: UGraph, root: int) -> tuple[list[int], list[int]]:
+    """BFS order and parent array of ``tree`` from ``root``.
+
+    Raises NotATreeError unless ``tree`` is a tree; the BFS that builds the
+    order is also the connectivity check.
+    """
+    if tree.n == 0 or tree.m != tree.n - 1:
+        raise NotATreeError(f"not a tree: n={tree.n}, m={tree.m}")
+    if not 0 <= root < tree.n:
+        raise ValueError(f"root {root} out of range")
     parent = [-1] * tree.n
     order = [root]
     parent[root] = root
@@ -46,21 +54,26 @@ def _order_and_parents(tree: UGraph, root: int) -> tuple[list[int], list[int]]:
                 order.append(w)
                 queue.append(w)
     parent[root] = -1
+    if len(order) != tree.n:
+        raise NotATreeError(f"not a tree: n={tree.n}, m={tree.m}")
     return order, parent
 
 
-def subtree_codes(tree: UGraph, root: int) -> list[str]:
-    """Canonical code of every vertex's subtree in ``tree`` rooted at ``root``."""
-    _check_tree(tree)
-    order, parent = _order_and_parents(tree, root)
-    codes: list[str] = [""] * tree.n
-    kids: list[list[str]] = [[] for _ in range(tree.n)]
+def _codes(order: Sequence[int], parent: Sequence[int]) -> list[str]:
+    """Every vertex's subtree code, given a top-down order and parent array."""
+    codes: list[str] = [""] * len(order)
+    kids: list[list[str]] = [[] for _ in order]
     for x in reversed(order):
         kids[x].sort(key=code_key)
         codes[x] = "(" + "".join(kids[x]) + ")"
         if parent[x] != -1:
             kids[parent[x]].append(codes[x])
     return codes
+
+
+def subtree_codes(tree: UGraph, root: int) -> list[str]:
+    """Canonical code of every vertex's subtree in ``tree`` rooted at ``root``."""
+    return _codes(*_rooted_order(tree, root))
 
 
 CodeTable = dict[tuple[int, ...], int]  # sorted child ids -> interned id
@@ -82,6 +95,26 @@ def intern_child_ids(
         key = tuple(sorted(kid_ids.get(x, ())))
         kid_ids.setdefault(parent[x], []).append(table.setdefault(key, len(table)))
     return kid_ids
+
+
+def lookup_root_id(
+    bottom_up: Iterable[int], parent: Sequence[int], table: CodeTable
+) -> int | None:
+    """The id :func:`intern_child_ids` would give a rooted tree's root, by lookups alone.
+
+    ``bottom_up`` lists the tree's vertices, each after all of its children,
+    and ends at the root.  Returns None at the first vertex whose sorted
+    child ids ``table`` never produced: no subtree interned there is
+    isomorphic to it, so neither is the root.  ``table`` is never changed.
+    """
+    kid_ids: dict[int, list[int]] = {}
+    vid = None
+    for x in bottom_up:
+        vid = table.get(tuple(sorted(kid_ids.get(x, ()))))
+        if vid is None:
+            return None
+        kid_ids.setdefault(parent[x], []).append(vid)
+    return vid
 
 
 def rooted_code(tree: UGraph, root: int) -> str:
@@ -193,13 +226,10 @@ class TargetTree:
     __slots__ = ("tree", "root", "order", "parent", "children", "subtree_size", "code")
 
     def __init__(self, tree: UGraph, root: int):
-        _check_tree(tree)
-        if not 0 <= root < tree.n:
-            raise ValueError(f"root {root} out of range")
+        bfs, self.parent = _rooted_order(tree, root)
         self.tree = tree
         self.root = root
-        self.code = subtree_codes(tree, root)
-        _, self.parent = _order_and_parents(tree, root)
+        self.code = _codes(bfs, self.parent)
         kids: list[list[int]] = [[] for _ in range(tree.n)]
         for v in range(tree.n):
             if self.parent[v] != -1:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable
 
-from .graphs import UGraph, Verdict
+from .graphs import UGraph, Verdict, cycle_edges
 from .kernel import Kernel, make_contractible
 from .treecode import (
     CodeTable,
@@ -134,7 +134,7 @@ def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     if g.m - (g.n - 1) != 1:
         raise ValueError("solve_unicyclic requires redundant size exactly 1")
-    for eid in _cycle_edges(g):
+    for eid in cycle_edges(g):
         rest = [e for i, e in enumerate(g.edges) if i != eid]
         h = UGraph(g.n, rest)
         for rt in tree_centers(ttree):
@@ -143,39 +143,6 @@ def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
                 if mapping is not None:
                     return Verdict("YES", mapping=mapping, removed=frozenset({eid}))
     return Verdict("NO")
-
-
-def _cycle_edges(g: UGraph) -> list[int]:
-    """Edge ids of the unique cycle of a connected graph with m = n."""
-    parent_eid = [-1] * g.n
-    parent = [-1] * g.n
-    depth = [-1] * g.n
-    depth[0] = 0
-    order = [0]
-    queue = [0]
-    tree_eids = set()
-    while queue:
-        x = queue.pop()
-        for eid, w in g.incidence[x]:
-            if depth[w] == -1:
-                depth[w] = depth[x] + 1
-                parent[w] = x
-                parent_eid[w] = eid
-                tree_eids.add(eid)
-                queue.append(w)
-                order.append(w)
-    extras = [eid for eid in range(g.m) if eid not in tree_eids]
-    if len(extras) != 1:
-        raise RuntimeError(f"expected one edge outside the BFS tree, found {len(extras)}")
-    (closing,) = extras
-    u, v = g.edges[closing]
-    cycle = [closing]
-    while u != v:
-        if depth[u] < depth[v]:
-            u, v = v, u
-        cycle.append(parent_eid[u])
-        u = parent[u]
-    return sorted(cycle)
 
 
 def certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict) -> bool:

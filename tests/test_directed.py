@@ -3,12 +3,14 @@ from math import comb
 
 import pytest
 
+import stiso.directed
 from stiso import (
     AnchorChain,
     DiGraph,
     DirectedStats,
     GenSpec,
     NotArborescenceError,
+    UGraph,
     Verdict,
     certify_directed,
     chain_candidates,
@@ -16,9 +18,11 @@ from stiso import (
     is_spanning_arborescence,
     make_contractible,
     oracle_directed,
+    rooted_iso_mapping,
     solve_directed,
     target_tree_from_digraph,
 )
+from stiso.treecode import intern_child_ids, lookup_root_id
 
 
 def _chain(verts, eids):
@@ -269,3 +273,39 @@ def test_exhaustive_orientations_agree_with_oracle(und_edges):
             assert v.answer == oracle_directed(d, target).answer, (arcs, target.root)
             if v.is_yes:
                 assert certify_directed(d, target, v)
+
+
+def test_integer_code_hit_test_is_exact(monkeypatch):
+    """For every plan whose kept arcs span, the integer-code check against
+    the target passes iff the string-code mapping exists."""
+    spans = []
+    search = stiso.directed._arborescence_without
+
+    def recording(d, r, deleted):
+        witness = search(d, r, deleted)
+        if witness is not None:
+            spans.append((d, r, frozenset(deleted), witness))
+        return witness
+
+    monkeypatch.setattr(stiso.directed, "_arborescence_without", recording)
+    outcomes = set()
+    for seed in range(80):
+        k = 2 + seed % 4
+        mode = "planted-yes" if seed % 2 == 0 else "random"
+        spec = GenSpec(n=max(k + 4, 8 + seed % 23), k=k, seed=seed, mode=mode, directed=True)
+        inst = gen_instance(spec)
+        target = inst.target
+        spans.clear()
+        solve_directed(inst.graph, target)
+        table = {}
+        (target_id,) = intern_child_ids(reversed(target.order), target.parent, table)[-1]
+        size = len(table)
+        for d, r, deleted, (order, parent) in spans:
+            hit = lookup_root_id(reversed(order), parent, table) == target_id
+            kept = [a for i, a in enumerate(d.arcs) if i not in deleted]
+            witness = UGraph.multigraph(d.n, kept)
+            assert hit == (rooted_iso_mapping(target.tree, target.root, witness, r) is not None)
+            outcomes.add(hit)
+        assert len(table) == size
+    assert outcomes == {True, False}
+

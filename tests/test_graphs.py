@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from stiso import (
     redundant_size,
 )
 
+from stiso.graphs import cycle_edges, roots_reaching_all
 from util import complete, cycle, path, star
 
 
@@ -109,6 +112,78 @@ def test_reachable_all_examples():
     assert not reachable_all(p3, 2)
     d = DiGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
     assert reachable_all(d, 1)  # 1 -> 2 -> 0
+
+
+def _random_digraph(n: int, m: int, rnd: random.Random, base=()) -> DiGraph:
+    arcs = list(base)
+    seen = set(arcs)
+    while len(arcs) < m:
+        u, v = rnd.randrange(n), rnd.randrange(n)
+        if u != v and (u, v) not in seen:
+            seen.add((u, v))
+            arcs.append((u, v))
+    return DiGraph(n, arcs)
+
+
+def _per_root(d: DiGraph) -> list[bool]:
+    return [reachable_all(d, r) for r in range(d.n)]
+
+
+def test_roots_reaching_all_matches_per_root_search():
+    rnd = random.Random(20261018)
+    admissible_seen = 0
+    for _ in range(400):
+        n = rnd.randint(1, 12)
+        m = rnd.randint(0, min(n * (n - 1), 3 * n))
+        d = _random_digraph(n, m, rnd)
+        assert roots_reaching_all(d) == _per_root(d)
+        admissible_seen += any(roots_reaching_all(d))
+    assert admissible_seen > 50
+    assert roots_reaching_all(DiGraph(0, [])) == []
+
+
+def test_roots_reaching_all_strongly_connected():
+    rnd = random.Random(7)
+    for n in range(2, 15):
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        d = _random_digraph(n, min(n * (n - 1), n + rnd.randint(0, n)), rnd, base=ring)
+        assert roots_reaching_all(d) == [True] * n == _per_root(d)
+
+
+def test_roots_reaching_all_two_source_components():
+    # cycles {0,1,2} and {3,4} both feed 5 -> 6; nothing reaches both cycles
+    d = DiGraph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (2, 5), (4, 5), (5, 6)])
+    assert roots_reaching_all(d) == [False] * 7 == _per_root(d)
+    rnd = random.Random(11)
+    for _ in range(50):
+        # sources 0 and 1 have no in-arcs, so no vertex reaches both
+        n = rnd.randint(4, 12)
+        rest = [(u, v) for u in range(n) for v in range(2, n) if u != v]
+        arcs = rnd.sample(rest, rnd.randint(2, len(rest)))
+        d = DiGraph(n, arcs)
+        assert roots_reaching_all(d) == [False] * n == _per_root(d)
+
+
+def test_roots_reaching_all_cycle_through_arborescence_root():
+    # out-arborescence 0->1->2, 0->3->4 plus the arc 2->0 closing a cycle
+    # through the root: exactly the cycle {0, 1, 2} reaches every vertex
+    d = DiGraph(5, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 0)])
+    assert roots_reaching_all(d) == [True, True, True, False, False] == _per_root(d)
+
+
+def test_cycle_edges_unique_cycle():
+    # triangle 1-2-3 with pendant path 0-1 and leaf 4 on 3
+    g = UGraph(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)])
+    assert cycle_edges(g) == [1, 2, 3]
+    assert cycle_edges(cycle(6)) == list(range(6))
+    # an antiparallel arc pair underlies a 2-cycle of parallel edges
+    assert cycle_edges(UGraph.multigraph(3, [(0, 1), (1, 2), (2, 1)])) == [1, 2]
+
+
+def test_cycle_edges_raises_on_two_extra_edges():
+    g = UGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    with pytest.raises(RuntimeError, match="found 2"):
+        cycle_edges(g)
 
 
 def test_classify_neighbors_star_center():

@@ -21,6 +21,7 @@ from stiso import (
     unrooted_iso,
 )
 
+from stiso.treecode import intern_child_ids, lookup_root_id, subtree_codes
 from util import brute_iso, path, star
 
 
@@ -215,3 +216,41 @@ def test_unrooted_code_brute_force_spot_check():
     t1 = gen_tree(7, 1)
     t2 = gen_tree(7, 2)
     assert (unrooted_code(t1) == unrooted_code(t2)) == brute_iso(t1, t2)
+
+
+def _target_table(tt: TargetTree):
+    table = {}
+    (root_id,) = intern_child_ids(reversed(tt.order), tt.parent, table)[-1]
+    return table, root_id
+
+
+def _bottom_up(tree: UGraph, root: int):
+    tt = TargetTree(tree, root)
+    return list(reversed(tt.order)), tt.parent
+
+
+def test_lookup_root_id_matches_interning_without_growing_the_table():
+    target = TargetTree(gen_tree(12, 3), 0)
+    table, root_id = _target_table(target)
+    size = len(table)
+    perm = list(range(12))
+    random.Random(5).shuffle(perm)
+    same = target.tree.relabeled(perm)
+    assert lookup_root_id(*_bottom_up(same, perm[0]), table) == root_id
+    # a non-isomorphic tree: a key the target never produced ends the walk
+    assert lookup_root_id(*_bottom_up(star(12), 0), table) is None
+    # every key known (a proper subtree of the target) but a different root id
+    assert lookup_root_id(*_bottom_up(path(2), 0), table) not in (None, root_id)
+    assert len(table) == size
+
+
+def test_target_tree_codes_match_subtree_codes():
+    for seed in range(10):
+        t = gen_tree(15, seed)
+        for root in (0, 7, 14):
+            tt = TargetTree(t, root)
+            assert tt.code == subtree_codes(t, root)
+    with pytest.raises(ValueError):
+        TargetTree(path(3), 3)
+    with pytest.raises(NotATreeError):
+        TargetTree(UGraph(4, [(0, 1), (1, 2), (2, 0)]), 0)
