@@ -22,12 +22,11 @@ from .graphs import (
     GraphFormatError,
     UGraph,
     Verdict,
-    classify_neighbors,
     parse_graph,
     reachable_all,
     redundant_size,
 )
-from .kernel import AnchorChain, Kernel, KernelError, first_anchor_from, make_contractible
+from .kernel import AnchorChain, Kernel, KernelError, make_contractible
 from .oracle import (
     InvalidNeighborReport,
     OracleScaleError,
@@ -39,11 +38,8 @@ from .treecode import (
     NotArborescenceError,
     NotATreeError,
     TargetTree,
-    arborescence_iso,
     arborescence_root,
-    dfs_order,
     rooted_code,
-    rooted_iso,
     rooted_iso_mapping,
     tree_centers,
     unrooted_code,
@@ -69,14 +65,10 @@ __all__ = [
     "TargetTree",
     "UGraph",
     "Verdict",
-    "arborescence_iso",
     "arborescence_root",
     "certify_directed",
     "certify_undirected",
     "chain_candidates",
-    "classify_neighbors",
-    "dfs_order",
-    "first_anchor_from",
     "gen_instance",
     "gen_tree",
     "invalid_neighbors",
@@ -88,7 +80,6 @@ __all__ = [
     "reachable_all",
     "redundant_size",
     "rooted_code",
-    "rooted_iso",
     "rooted_iso_mapping",
     "solve_directed",
     "solve_undirected",

@@ -72,7 +72,7 @@ def cmd_solve(args) -> int:
         if args.oracle:
             verdict = oracle_undirected(g, target)
         else:
-            verdict = solve_undirected(g, target, fallback=args.fallback, trace=trace)
+            verdict = solve_undirected(g, target, trace=trace)
     print(verdict.answer)
     if verdict.note:
         print(verdict.note, file=sys.stderr)
@@ -168,9 +168,7 @@ def cmd_bench(args) -> int:
         else:
             stats_u = SolveStats()
             t0 = time.perf_counter()
-            verdict = solve_undirected(
-                inst.graph, inst.target, fallback=args.compare_oracle, stats=stats_u
-            )
+            verdict = solve_undirected(inst.graph, inst.target, stats=stats_u)
             dt = time.perf_counter() - t0
             work = stats_u.branches_examined
         rows.append(
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fallback",
         action="store_true",
-        help="exhaustive child-assignment search (undirected only)",
+        help="accepted for compatibility; no effect",
     )
     p.set_defaults(func=cmd_solve)
 
@@ -274,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, AssertionError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

@@ -186,4 +186,4 @@ def _assert_extras_on_chains(d: DiGraph, extra_ids: tuple[int, ...]) -> None:
         on_chains.update(chain.edge_ids)
     missing = [a for a in extra_ids if a not in on_chains]
     if missing:
-        raise AssertionError(f"planted redundant arcs off every chain: {missing}")
+        raise RuntimeError(f"planted redundant arcs off every chain: {missing}")

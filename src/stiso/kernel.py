@@ -208,7 +208,7 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
         if audit:
             steps.append((op, v, n_alive, m_alive))
             if m_alive - n_alive != surplus:
-                raise AssertionError("reduction step changed |E| - |V|")
+                raise RuntimeError("reduction step changed |E| - |V|")
 
     if m_alive - n_alive != surplus:
         raise RuntimeError("reduction changed |E| - |V|")
@@ -241,23 +241,3 @@ def _other_end(endpoints: tuple[int, int], v: int) -> int:
     u, w = endpoints
     return w if v == u else u
 
-
-def first_anchor_from(g: UGraph, kernel: Kernel, v: int, u: int) -> tuple[int, int] | None:
-    """First anchor met walking from ``u`` away from ``v``.
-
-    Depth-first with ascending-id tie-breaking; ``u`` itself counts as hop 1.
-    Returns ``None`` when the walk exhausts an anchor-free region.
-    """
-    if u not in g.neighbors(v):
-        raise ValueError(f"{u} is not a neighbor of {v}")
-    anchors = kernel.anchors
-    seen = {v, u}
-    stack = [(u, 1)]
-    while stack:
-        x, hops = stack.pop()
-        if x in anchors:
-            return x, hops
-        for w in sorted(set(g.neighbors(x)) - seen, reverse=True):
-            seen.add(w)
-            stack.append((w, hops + 1))
-    return None

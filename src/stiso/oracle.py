@@ -13,17 +13,13 @@ from math import comb
 
 from .directed import is_spanning_arborescence
 from .graphs import DiGraph, UGraph, Verdict
-from .treecode import TargetTree, unrooted_code
+from .treecode import TargetTree, target_graph, unrooted_code
 
 SUBSET_GUARD = 10**7
 
 
 class OracleScaleError(ValueError):
     """Instance too large for exhaustive subset enumeration."""
-
-
-def _target_graph(target: TargetTree | UGraph) -> UGraph:
-    return target.tree if isinstance(target, TargetTree) else target
 
 
 def _guard(m: int, k: int) -> None:
@@ -36,7 +32,7 @@ def _guard(m: int, k: int) -> None:
 def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     """Try every k-subset of edges; YES iff some removal leaves a spanning
     tree isomorphic to the target."""
-    ttree = _target_graph(target)
+    ttree = target_graph(target)
     if g.n != ttree.n:
         raise ValueError(f"vertex counts differ: graph {g.n}, target {ttree.n}")
     if not g.is_connected():

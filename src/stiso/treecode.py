@@ -258,6 +258,6 @@ class TargetTree:
         return f"TargetTree(n={self.n}, root={self.root})"
 
 
-def dfs_order(t: TargetTree) -> tuple[int, ...]:
-    """Deterministic DFS preorder of the target tree (``t.order``)."""
-    return t.order
+def target_graph(target: TargetTree | UGraph) -> UGraph:
+    """The unrooted tree behind a target given rooted or plain."""
+    return target.tree if isinstance(target, TargetTree) else target

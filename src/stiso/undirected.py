@@ -10,27 +10,20 @@ At each matched pair the search first binds pendant components forced to
 hang there (a component of the unvisited remainder that is a tree and
 touches the matched region only through the current vertex must become one
 child subtree, and equal-code children are interchangeable, so greedy
-binding is safe).  The remaining children are filled from the remaining
-neighbors in one of two modes:
-
-* strict mode enumerates permutations of the contracted core's vertices
-  (anchors) and accepts neighbors only when the next anchor reached through
-  them continues the permutation; there is no backtracking inside an
-  attempt.
-* exhaustive mode tries every remaining neighbor for every child with
-  chronological backtracking.  It subsumes every anchor order, so it runs
-  one attempt per root, and it is the mode the acceptance corpus verifies
-  against the brute-force oracle.
+binding is safe).  The remaining children are then filled by trying every
+remaining neighbor for every child with chronological backtracking, one
+attempt per root.  The search is complete, and the acceptance corpus
+checks it against the brute-force oracle.
 
 Before any attempt, a root candidate whose pendant check must fail is
 rejected in O(deg v).  With only the root ``v`` matched, its pendant
 components are exactly its children in the kernel's trim forest (whether
 ``v`` is in the 2-core or inside a pendant tree: for ``k >= 2`` the
 component toward the core has a cycle).  The attempt's first ``_open``
-binds them greedily to equal-code target children before any anchor-order
-check, so it fails ``pendant-unmatched`` iff the multiset of their integer
-codes does not fit inside the target root's child codes.  The codes are
-interned once per solve for the trim forest and once per target rooting.
+binds them greedily to equal-code target children, so it fails
+``pendant-unmatched`` iff the multiset of their integer codes does not fit
+inside the target root's child codes.  The codes are interned once per
+solve for the trim forest and once per target rooting.
 A rejected candidate counts in ``roots_tried`` but not in ``attempts``.
 """
 
@@ -39,7 +32,6 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Callable
 
 from .graphs import UGraph, Verdict, cycle_edges
@@ -50,6 +42,7 @@ from .treecode import (
     code_key,
     intern_child_ids,
     rooted_iso_mapping,
+    target_graph,
     tree_centers,
 )
 
@@ -61,18 +54,12 @@ class SolveStats:
     k: int = 0
     roots_tried: int = 0
     attempts: int = 0
-    permutations_max_per_root: int = 0
     nodes_opened: int = 0
     branches_examined: int = 0
-    fallback: bool = False
     anchors: int = 0
 
 
 TraceFn = Callable[[str], None]
-
-
-def _target_graph(target: TargetTree | UGraph) -> UGraph:
-    return target.tree if isinstance(target, TargetTree) else target
 
 
 def solve_undirected(
@@ -87,15 +74,14 @@ def solve_undirected(
 
     The target's root, if any, is ignored: the answer concerns the unrooted
     tree.  YES verdicts carry a certified (mapping, removed-edges) pair.
-    ``fallback`` selects the exhaustive search mode for ``k >= 2``.
+    ``fallback`` is accepted for compatibility and has no effect.
     """
-    ttree = _target_graph(target)
+    ttree = target_graph(target)
     if g.n != ttree.n:
         raise ValueError(f"vertex counts differ: graph {g.n}, target {ttree.n}")
     if g.is_multigraph:
         raise ValueError("input graph must be simple")
     stats = stats if stats is not None else SolveStats()
-    stats.fallback = fallback
     if not g.is_connected():
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
@@ -105,11 +91,7 @@ def solve_undirected(
     elif k == 1:
         verdict = solve_unicyclic(g, target)
     else:
-        verdict = _solve_core(g, target, k, fallback, stats, trace)
-        if fallback and trace is not None:
-            # record whether the exhaustive mode was actually required
-            strict = _solve_core(g, target, k, False, SolveStats(), None)
-            trace(f"fallback-needed={'no' if strict.answer == verdict.answer else 'yes'}")
+        verdict = _solve_core(g, target, k, stats, trace)
     if verdict.is_yes and not certify_undirected(g, target, verdict):
         raise RuntimeError("YES verdict failed certification")
     return verdict
@@ -127,7 +109,7 @@ def _solve_tree(g: UGraph, ttree: UGraph) -> Verdict:
 
 def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     """k = 1: remove each edge of the unique cycle and test tree isomorphism."""
-    ttree = _target_graph(target)
+    ttree = target_graph(target)
     if g.n != ttree.n:
         raise ValueError(f"vertex counts differ: graph {g.n}, target {ttree.n}")
     if not g.is_connected():
@@ -149,7 +131,7 @@ def certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict)
     """Independently check a YES certificate; False on any violation."""
     if not verdict.is_yes or verdict.mapping is None or verdict.removed is None:
         return False
-    ttree = _target_graph(target)
+    ttree = target_graph(target)
     n = g.n
     if ttree.n != n:
         return False
@@ -182,25 +164,13 @@ class _Node:
 
     avail: list[int] = field(default_factory=list)
     used: set[int] = field(default_factory=set)
-    planned: list[tuple[int, int]] = field(default_factory=list)  # (anchor pos, neighbor)
-    next_plan: int = 0
 
 
 class _Engine:
-    def __init__(
-        self,
-        g: UGraph,
-        tt: TargetTree,
-        k: int,
-        anchors: tuple[int, ...],
-        fallback: bool,
-        stats: SolveStats,
-    ):
+    def __init__(self, g: UGraph, tt: TargetTree, k: int, stats: SolveStats):
         self.g = g
         self.tt = tt
         self.k = k
-        self.anchors = frozenset(anchors)
-        self.fallback = fallback
         self.stats = stats
         self.eid_of = {}
         for eid, (u, v) in enumerate(g.edges):
@@ -212,8 +182,6 @@ class _Engine:
         self.removed: set[int] = set()
         self.trail: list[tuple] = []
         self.nodes: dict[int, _Node] = {}
-        self.pos_g = 0
-        self.pi_pos: dict[int, int] = {}
         self.fail_reason = ""
 
     # -- state plumbing ----------------------------------------------------
@@ -233,15 +201,10 @@ class _Engine:
             else:  # "node"
                 del self.nodes[op[1]]
 
-    def _bind(self, tv: int, gv: int) -> bool:
-        if not self.fallback and gv in self.anchors:
-            if self.pi_pos[gv] != self.pos_g + 1:
-                return self._fail("anchor-order")
-            self.pos_g += 1
+    def _bind(self, tv: int, gv: int) -> None:
         self.t2g[tv] = gv
         self.g2t[gv] = tv
         self.trail.append(("bind", tv, gv))
-        return True
 
     def _enter(self, gv: int, parent_eid: int) -> bool:
         """Drop edges from a newly matched vertex back into the matched region."""
@@ -345,21 +308,17 @@ class _Engine:
             kids[x].sort(key=lambda w: (code_key(codes[w]), w))
         return codes, kids
 
-    def _bulk_bind(self, comp_root: int, t_root: int, kids: dict[int, list[int]]) -> bool:
+    def _bulk_bind(self, comp_root: int, t_root: int, kids: dict[int, list[int]]) -> None:
         """Bind a pendant component onto an equal-code target subtree.
 
         Sibling subtrees with equal codes are interchangeable, so pairing the
-        i-th child of each sorted list is a valid isomorphism; binding runs in
-        target preorder so anchor-order checks fire in traversal order.
+        i-th child of each sorted list is a valid isomorphism.
         """
         stack = [(comp_root, t_root)]
         while stack:
             gx, tx = stack.pop()
-            if not self._bind(tx, gx):
-                return False
-            pairs = list(zip(kids[gx], self.tt.children[tx]))
-            stack.extend(reversed(pairs))
-        return True
+            self._bind(tx, gx)
+            stack.extend(zip(kids[gx], self.tt.children[tx]))
 
     # -- node opening --------------------------------------------------------
 
@@ -386,58 +345,17 @@ class _Engine:
             if w is None:
                 self._fail("pendant-unmatched")
                 return None
-            if not self._bulk_bind(u, w, kids):
-                return None
+            self._bulk_bind(u, w, kids)
         unmatched = [c for c in self.tt.children[rt] if self.t2g[c] < 0]
 
-        node = _Node(avail=avail)
-        x, y = len(avail), len(unmatched)
-        if x < y:
+        if len(avail) < len(unmatched):
             self._fail("fewer-neighbors-than-children")
             return None
-        if y == 0:
+        if not unmatched:
             for u in avail:
                 if not self._drop(self.eid_of[(rg, u)]):
                     return None
-            return node
-        if self.fallback:
-            return node
-
-        # strict mode: plan the child bindings from the anchor order
-        fetched: list[tuple[int, int]] = []
-        for u in avail:
-            fid = self._fetch(rg, u)
-            if fid is None:
-                self._fail("no-anchor-ahead")
-                return None
-            fetched.append((fid, u))
-        fetched.sort()
-        prefix, suffix = fetched[:y], fetched[y:]
-        if [fid for fid, _ in prefix] != list(range(self.pos_g + 1, self.pos_g + 1 + y)):
-            self._fail("anchor-order")
-            return None
-        for _, u in suffix:
-            if not self._drop(self.eid_of[(rg, u)]):
-                return None
-        node.planned = prefix
-        return node
-
-    def _fetch(self, rg: int, u: int) -> int | None:
-        """Permutation position of the first anchor reachable through ``u``."""
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x in self.anchors:
-                return self.pi_pos[x]
-            nxt = []
-            for eid, w in self.g.incidence[x]:
-                if eid in self.removed or self.g2t[w] >= 0 or w in seen:
-                    continue
-                seen.add(w)
-                nxt.append(w)
-            stack.extend(sorted(nxt, reverse=True))
-        return None
+        return _Node(avail=avail)
 
     # -- main recursion ------------------------------------------------------
 
@@ -462,21 +380,6 @@ class _Engine:
             if self.t2g[w] >= 0:
                 return self._solve_pos(i + 1)
 
-        if not self.fallback:
-            if node.next_plan >= len(node.planned):
-                return self._fail("plan-exhausted")
-            fid, u = node.planned[node.next_plan]
-            node.next_plan += 1
-            if self.g2t[u] >= 0:
-                return self._fail("planned-neighbor-taken")
-            if fid != self.pos_g + 1:
-                return self._fail("anchor-order")
-            self.stats.branches_examined += 1
-            eid = self.eid_of[(pg, u)]
-            if not self._bind(w, u) or not self._enter(u, eid):
-                return False
-            return self._solve_pos(i + 1)
-
         for u in node.avail:
             if u in node.used or self.g2t[u] >= 0:
                 continue
@@ -484,9 +387,9 @@ class _Engine:
             ck = self._checkpoint()
             node.used.add(u)
             eid = self.eid_of[(pg, u)]
+            self._bind(w, u)
             if (
-                self._bind(w, u)
-                and self._enter(u, eid)
+                self._enter(u, eid)
                 and self._room_for_children(u, w)
                 and self._solve_pos(i + 1)
             ):
@@ -509,7 +412,7 @@ class _Engine:
 
     # -- attempts ------------------------------------------------------------
 
-    def attempt(self, root_g: int, pi: tuple[int, ...] | None) -> Verdict | None:
+    def attempt(self, root_g: int) -> Verdict | None:
         self.stats.attempts += 1
         n = self.g.n
         self.t2g = [-1] * n
@@ -517,12 +420,8 @@ class _Engine:
         self.removed = set()
         self.trail = []
         self.nodes = {}
-        self.pos_g = 0
         self.fail_reason = ""
-        if pi is not None:
-            self.pi_pos = {a: i + 1 for i, a in enumerate(pi)}
-        if not self._bind(self.tt.root, root_g):
-            return None
+        self._bind(self.tt.root, root_g)
         if not self._enter(root_g, -1):
             return None
         if not self._solve_pos(1):
@@ -537,7 +436,7 @@ class _Engine:
 
 def _rootings(target: TargetTree | UGraph) -> list[TargetTree]:
     """The target rooted at each center, reusing the caller's rooting if it is one."""
-    ttree = _target_graph(target)
+    ttree = target_graph(target)
     return [
         target if isinstance(target, TargetTree) and target.root == c else TargetTree(ttree, c)
         for c in tree_centers(ttree)
@@ -563,18 +462,16 @@ def _solve_core(
     g: UGraph,
     target: TargetTree | UGraph,
     k: int,
-    fallback: bool,
     stats: SolveStats,
     trace: TraceFn | None,
 ) -> Verdict:
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * g.n + 1000))
     kernel = make_contractible(g)
-    anchors = tuple(sorted(kernel.anchors))
-    stats.anchors = len(anchors)
+    stats.anchors = len(kernel.anchors)
     table: CodeTable = {}
     pendants = _pendant_code_counts(kernel, table)
     for tt in _rootings(target):
-        engine = _Engine(g, tt, k, anchors, fallback, stats)
+        engine = _Engine(g, tt, k, stats)
         min_children = len(tt.children[tt.root])
         rejected = _rejected_roots(pendants, tt, table)
         for v in range(g.n):
@@ -585,33 +482,10 @@ def _solve_core(
                 if trace is not None:
                     trace(f"troot={tt.root} root={v} pi=- fail:pendant-unmatched")
                 continue
-            perms = _anchor_permutations(anchors, v) if not fallback else [None]
-            count = 0
-            for pi in perms:
-                count += 1
-                verdict = engine.attempt(v, pi)
-                if trace is not None:
-                    outcome = "yes" if verdict else f"fail:{engine.fail_reason or 'exhausted'}"
-                    pi_str = ",".join(map(str, pi)) if pi else "-"
-                    trace(f"troot={tt.root} root={v} pi={pi_str} {outcome}")
-                if verdict is not None:
-                    stats.permutations_max_per_root = max(
-                        stats.permutations_max_per_root, count
-                    )
-                    return verdict
-            stats.permutations_max_per_root = max(stats.permutations_max_per_root, count)
+            verdict = engine.attempt(v)
+            if trace is not None:
+                outcome = "yes" if verdict else f"fail:{engine.fail_reason or 'exhausted'}"
+                trace(f"troot={tt.root} root={v} pi=- {outcome}")
+            if verdict is not None:
+                return verdict
     return Verdict("NO")
-
-
-def _anchor_permutations(anchors: tuple[int, ...], v: int):
-    """Anchor orders hypothesized for a search rooted at ``v``.
-
-    When the root is itself an anchor it is necessarily the first anchor
-    reached, so only permutations starting with it are enumerated.
-    """
-    if v in anchors:
-        rest = tuple(a for a in anchors if a != v)
-        for p in permutations(rest):
-            yield (v,) + p
-    else:
-        yield from permutations(anchors)

@@ -13,6 +13,8 @@ K13 = "4 3 U\n0 1\n0 2\n0 3\n"
 THETA = "5 6 U\n0 2\n2 1\n0 3\n3 1\n0 4\n4 1\n"
 DC4 = "4 4 D\n0 1\n1 2\n2 3\n3 0\n"
 DP4 = "4 3 D\n0 1\n1 2\n2 3\n"
+P5 = "5 4 U\n0 1\n1 2\n2 3\n3 4\n"
+FAN = "4 5 U\n0 3\n1 3\n2 3\n0 1\n0 2\n"
 
 
 def run_cli(*args, cwd=None):
@@ -108,6 +110,21 @@ def test_trace_goes_to_stderr(files):
     assert "root=" not in res.stdout
 
 
+def test_fallback_flag_has_no_effect(files):
+    _, write = files
+    for graph, target in ((THETA, P5), (FAN, K13)):
+        g, t = write("g.txt", graph), write("t.txt", target)
+        args = ("solve", "-g", g, "-t", t, "--cert", "--trace")
+        plain = run_cli(*args)
+        flagged = run_cli(*args, "--fallback")
+        assert plain.returncode == 0 and plain.stdout.splitlines()[0] == "YES"
+        assert (plain.stdout, plain.stderr, plain.returncode) == (
+            flagged.stdout,
+            flagged.stderr,
+            flagged.returncode,
+        )
+
+
 def test_explain_prints_codes_on_stderr(files):
     _, write = files
     res = run_cli("solve", "-g", write("g.txt", C4), "-t", write("t.txt", P4), "--explain")
@@ -177,6 +194,18 @@ def test_bench_compare_oracle(files):
     assert all(r[5] in ("YES", "NO") for r in body)
 
 
+def test_bench_times_one_search_with_or_without_oracle(files):
+    tmp, _ = files
+    runs = []
+    for extra in ((), ("--compare-oracle",)):
+        out = str(tmp / "bench.csv")
+        res = run_cli("bench", "--nmax", "7", "--kmax", "3", "--reps", "2", "--csv", out, *extra)
+        assert res.returncode == 0, res.stderr
+        with open(out) as fh:
+            runs.append([(r[:6], r[7]) for r in csv.reader(fh) if r[4] == "fpt"])
+    assert runs[0] == runs[1]
+
+
 def test_internal_error_exits_two(files, monkeypatch, capsys):
     # a YES that fails certification is an internal error, never a NO
     import stiso.undirected
@@ -187,3 +216,18 @@ def test_internal_error_exits_two(files, monkeypatch, capsys):
     code = main(["solve", "-g", write("g.txt", C4), "-t", write("t.txt", P4)])
     assert code == 2
     assert "internal error:" in capsys.readouterr().err
+
+
+def test_failed_internal_check_is_an_internal_error(files, monkeypatch, capsys):
+    # the planted generator checks its own output; a failed check is a fault
+    # of the program, reported as such and never as a user error
+    from types import SimpleNamespace
+
+    import stiso.generate
+    from stiso.cli import main
+
+    monkeypatch.setattr(stiso.generate, "make_contractible", lambda g: SimpleNamespace(chains=()))
+    tmp, _ = files
+    args = ["gen", "--n", "8", "--k", "2", "--seed", "1", "--planted", "--directed", "-o", str(tmp)]
+    assert main(args) == 2
+    assert "internal error: RuntimeError: planted redundant arcs" in capsys.readouterr().err

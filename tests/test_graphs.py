@@ -7,14 +7,13 @@ from stiso import (
     DiGraph,
     GraphFormatError,
     UGraph,
-    classify_neighbors,
     gen_tree,
     parse_graph,
     reachable_all,
     redundant_size,
 )
 
-from stiso.graphs import cycle_edges, roots_reaching_all
+from stiso.graphs import classify_neighbors, cycle_edges, roots_reaching_all
 from util import complete, cycle, path, star
 
 

@@ -5,7 +5,6 @@ import pytest
 from stiso import (
     KernelError,
     UGraph,
-    first_anchor_from,
     gen_instance,
     GenSpec,
     make_contractible,
@@ -52,18 +51,6 @@ def test_rejects_low_surplus_and_disconnection():
         make_contractible(cycle(5))  # k = 1
     with pytest.raises(KernelError):
         make_contractible(UGraph(4, [(0, 1), (2, 3)]))
-
-
-def test_first_anchor_from_examples():
-    kern = make_contractible(THETA)
-    assert first_anchor_from(THETA, kern, 0, 2) == (1, 2)  # walk a -> x -> b
-    assert first_anchor_from(THETA, kern, 2, 0) == (0, 1)  # neighbor is an anchor
-    # hang a pendant leaf on vertex 0: the walk into it finds no anchor
-    g = UGraph(6, list(THETA.edges) + [(0, 5)])
-    kern2 = make_contractible(g)
-    assert first_anchor_from(g, kern2, 0, 5) is None
-    with pytest.raises(ValueError):
-        first_anchor_from(THETA, kern, 0, 1)  # not a neighbor
 
 
 def _random_connected(n, k, seed):

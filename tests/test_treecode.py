@@ -9,19 +9,22 @@ from stiso import (
     NotATreeError,
     TargetTree,
     UGraph,
-    arborescence_iso,
     arborescence_root,
-    dfs_order,
     gen_tree,
     rooted_code,
-    rooted_iso,
     rooted_iso_mapping,
     tree_centers,
     unrooted_code,
     unrooted_iso,
 )
 
-from stiso.treecode import intern_child_ids, lookup_root_id, subtree_codes
+from stiso.treecode import (
+    arborescence_iso,
+    intern_child_ids,
+    lookup_root_id,
+    rooted_iso,
+    subtree_codes,
+)
 from util import brute_iso, path, star
 
 
@@ -169,19 +172,19 @@ def test_arborescence_iso_implies_underlying_iso():
 
 def test_dfs_order_examples():
     p3 = TargetTree(path(3), 0)
-    assert dfs_order(p3) == (0, 1, 2)
+    assert p3.order == (0, 1, 2)
     s4 = TargetTree(star(4), 0)
-    assert dfs_order(s4) == (0, 1, 2, 3)
+    assert s4.order == (0, 1, 2, 3)
     # root 0 with leaf child 1 and path child 2-3: leaf code sorts first
     spider = TargetTree(UGraph(4, [(0, 1), (0, 2), (2, 3)]), 0)
-    assert dfs_order(spider) == (0, 1, 2, 3)
+    assert spider.order == (0, 1, 2, 3)
 
 
 def test_dfs_order_is_preorder_permutation():
     for seed in range(20):
         t = gen_tree(11, seed)
         tt = TargetTree(t, tree_centers(t)[0])
-        order = dfs_order(tt)
+        order = tt.order
         assert sorted(order) == list(range(11))
         assert order[0] == tt.root
         # every vertex appears after its parent
@@ -209,7 +212,7 @@ def test_dfs_order_deterministic():
     t = gen_tree(14, 5)
     a = TargetTree(t, 3)
     b = TargetTree(t, 3)
-    assert dfs_order(a) == dfs_order(b)
+    assert a.order == b.order
 
 
 def test_unrooted_code_brute_force_spot_check():

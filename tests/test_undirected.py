@@ -1,5 +1,4 @@
 import random
-from math import factorial
 
 import pytest
 
@@ -33,10 +32,9 @@ def test_cycle_vs_star_no():
 def test_k4_cases():
     k4 = complete(4)
     for target in (star(4), path(4)):
-        for fallback in (False, True):
-            v = solve_undirected(k4, target, fallback=fallback)
-            assert v.is_yes
-            assert certify_undirected(k4, target, v)
+        v = solve_undirected(k4, target, fallback=True)
+        assert v.is_yes
+        assert certify_undirected(k4, target, v)
 
 
 def test_theta_vs_path_yes():
@@ -48,16 +46,6 @@ def test_theta_vs_path_yes():
     from stiso import unrooted_iso
 
     assert unrooted_iso(witness, p5)
-
-
-def test_theta_strict_mode_anchor_order():
-    # from anchor root 0 every neighbor reaches the other anchor next, so the
-    # hypothesized order (0, 1) dies there; a later root still succeeds
-    lines = []
-    v = solve_undirected(THETA, path(5), fallback=False, trace=lines.append)
-    assert v.is_yes and certify_undirected(THETA, path(5), v)
-    assert lines[0] == "troot=2 root=0 pi=0,1 fail:anchor-order"
-    assert lines[-1].endswith("yes")
 
 
 def test_identical_trees_k0():
@@ -127,43 +115,19 @@ def test_certify_rejects_tampering():
 
 
 def test_strict_mode_misses_fan_instance():
-    """Known gap of the strict anchor-order mode, resolved by the exhaustive mode.
+    """Regression for the gap of the retired strict mode: the fan is YES.
 
     In the star-plus-two-edges fan every neighbor of the hub reaches the same
-    next anchor through the not-yet-dropped extra edges, so the consecutive
-    anchor check rejects every permutation even though removing both extras
-    leaves the star.
+    core vertex through the not-yet-dropped extra edges, so the strict
+    anchor-order search rejected it, although removing both extras leaves the
+    star.  The default solve answers YES, with or without ``fallback``.
     """
     fan = UGraph(4, [(0, 3), (1, 3), (2, 3), (0, 1), (0, 2)])
     target = star(4)
     assert oracle_undirected(fan, target).is_yes
-    assert not solve_undirected(fan, target, fallback=False).is_yes
-    v = solve_undirected(fan, target, fallback=True)
-    assert v.is_yes and certify_undirected(fan, target, v)
-
-
-def test_strict_mode_stays_sound_on_random_corpus():
-    for seed in range(60):
-        spec = GenSpec(n=5 + seed % 6, k=2 + seed % 2, seed=seed, mode="random")
-        inst = gen_instance(spec)
-        v = solve_undirected(inst.graph, inst.target, fallback=False)
-        if v.is_yes:
-            assert certify_undirected(inst.graph, inst.target, v)
-            assert oracle_undirected(inst.graph, inst.target).is_yes
-
-
-def test_permutation_budget():
-    for seed in range(20):
-        k = 2 + seed % 2
-        spec = GenSpec(n=8, k=k, seed=seed, mode="random")
-        inst = gen_instance(spec)
-        stats = SolveStats()
-        solve_undirected(inst.graph, inst.target, fallback=False, stats=stats)
-        assert stats.anchors <= 2 * k - 2
-        assert stats.permutations_max_per_root <= factorial(2 * k - 2)
-        fstats = SolveStats()
-        solve_undirected(inst.graph, inst.target, fallback=True, stats=fstats)
-        assert fstats.permutations_max_per_root <= 1
+    for kwargs in ({}, {"fallback": False}, {"fallback": True}):
+        v = solve_undirected(fan, target, **kwargs)
+        assert v.is_yes and certify_undirected(fan, target, v)
 
 
 def test_planted_instances_always_yes():
@@ -215,21 +179,10 @@ def test_exhaustive_oracle_agreement_n5():
     assert solves == (205 + 120) * 3
 
 
-def test_trace_reports_whether_fallback_was_needed():
-    lines = []
-    solve_undirected(THETA, path(5), fallback=True, trace=lines.append)
-    assert "fallback-needed=no" in lines
-    fan = UGraph(4, [(0, 3), (1, 3), (2, 3), (0, 1), (0, 2)])
-    lines = []
-    solve_undirected(fan, star(4), fallback=True, trace=lines.append)
-    assert "fallback-needed=yes" in lines
-
-
 def test_root_prune_is_exact():
     """A root is rejected iff its attempt fails pendant-unmatched at the first open."""
     from stiso.kernel import make_contractible
     from stiso.undirected import (
-        _anchor_permutations,
         _Engine,
         _pendant_code_counts,
         _rejected_roots,
@@ -244,25 +197,22 @@ def test_root_prune_is_exact():
         inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
         g = inst.graph
         kernel = make_contractible(g)
-        anchors = tuple(sorted(kernel.anchors))
         table = {}
         pendants = _pendant_code_counts(kernel, table)
         for tt in _rootings(inst.target.tree):
             rejected = _rejected_roots(pendants, tt, table)
-            for fallback in (False, True):
-                for v in range(n):
-                    stats = SolveStats()
-                    engine = _Engine(g, tt, k, anchors, fallback, stats)
-                    pi = None if fallback else next(_anchor_permutations(anchors, v))
-                    verdict = engine.attempt(v, pi)
-                    fails_at_root = (
-                        verdict is None
-                        and engine.fail_reason == "pendant-unmatched"
-                        and stats.nodes_opened == 1
-                    )
-                    assert (v in rejected) == fails_at_root, (seed, tt.root, v, fallback)
-                    rejected_total += v in rejected
-                    kept_total += v not in rejected
+            for v in range(n):
+                stats = SolveStats()
+                engine = _Engine(g, tt, k, stats)
+                verdict = engine.attempt(v)
+                fails_at_root = (
+                    verdict is None
+                    and engine.fail_reason == "pendant-unmatched"
+                    and stats.nodes_opened == 1
+                )
+                assert (v in rejected) == fails_at_root, (seed, tt.root, v)
+                rejected_total += v in rejected
+                kept_total += v not in rejected
     assert rejected_total > 0 and kept_total > 0
 
 
@@ -271,15 +221,14 @@ def test_root_prune_two_equal_pendants_at_core_root():
     # and two two-vertex paths, so root 0 cannot place its second leaf
     g = UGraph(6, list(complete(4).edges) + [(0, 4), (0, 5)])
     target = UGraph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)])
-    for fallback in (False, True):
-        lines = []
-        stats = SolveStats()
-        v = solve_undirected(g, target, fallback=fallback, stats=stats, trace=lines.append)
-        assert v.answer == oracle_undirected(g, target).answer == "NO"
-        root0 = [line for line in lines if line.startswith("troot=0 root=0 ")]
-        assert root0 == ["troot=0 root=0 pi=- fail:pendant-unmatched"]
-        if fallback:  # one attempt per root, and only root 0 is rejected
-            assert stats.attempts == stats.roots_tried - 1
+    lines = []
+    stats = SolveStats()
+    v = solve_undirected(g, target, fallback=True, stats=stats, trace=lines.append)
+    assert v.answer == oracle_undirected(g, target).answer == "NO"
+    root0 = [line for line in lines if line.startswith("troot=0 root=0 ")]
+    assert root0 == ["troot=0 root=0 pi=- fail:pendant-unmatched"]
+    # one attempt per root, and only root 0 is rejected
+    assert stats.attempts == stats.roots_tried - 1
 
 
 def test_root_prune_inside_a_pendant_tree():
