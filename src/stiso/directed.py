@@ -1,52 +1,55 @@
 """Directed spanning-tree isomorphism solver.
 
-For redundant-arc count ``k >= 2`` the pipeline contracts the underlying
-multigraph (one edge per arc, so antiparallel pairs survive as parallel
-edges), maps every core edge to the original path it contracts, and then for
-each root that reaches every vertex enumerates k-subsets of core edges and,
-per chosen chain, the at-most-two arcs whose deletion leaves every interior
-chain vertex with the in-degree an out-arborescence forces on it.  Each
-resulting candidate arc set is checked directly: delete, test for a spanning
-out-arborescence at the root, compare canonical codes.
+A spanning out-arborescence rooted at ``r`` keeps no in-arc of ``r`` and
+exactly one in-arc of every other vertex (the branching view of Edmonds
+1967), so the in-arcs alone fix every candidate deletion set.  For each
+root that reaches every vertex the solver deletes all of the root's
+in-arcs and, for every other vertex of in-degree at least 2, all in-arcs
+but one, trying each choice of the kept one.  The in-degrees sum to
+``n - 1 + k`` and every other vertex has in-degree at least 1, so a root
+has in-degree at most ``k`` and forms at most ``2^(k - indeg r)`` plans.
+A vertex of in-degree 0 is the only root that can reach every vertex, and
+two of them leave none.
 
 The roots that reach every vertex come from one linear pass
-(:func:`~stiso.graphs.roots_reaching_all`), not a search per root.  The code
-comparison is by integer: the target is interned once per solve
-(Aho-Hopcroft-Ullman ids, :func:`~stiso.treecode.intern_child_ids`), and a
-spanning witness is only looked up in that table
-(:func:`~stiso.treecode.lookup_root_id`), bottom-up along the search that
-found it, stopping at the first subtree the target has no copy of.  Equal
-root ids mean isomorphic arborescences, so the string-code mapping is built
-once, for the hit that is returned.
+(:func:`~stiso.graphs.roots_reaching_all`), not a search per root.  Each
+plan is checked by one search from the root over the kept arcs; when it
+spans, the witness is compared with the target by integer code: the target
+is interned once per solve (Aho-Hopcroft-Ullman ids,
+:func:`~stiso.treecode.intern_child_ids`), and the witness is only looked
+up in that table (:func:`~stiso.treecode.lookup_root_id`), bottom-up along
+the search, stopping at the first subtree the target has no copy of.
+Equal root ids mean isomorphic arborescences, and the vertex mapping pairs
+the children of matched vertices in ``(id, vertex)`` order on both sides.
 
-The chain-local candidate rule: deleting arc ``a`` must leave every interior
-chain vertex with exactly one incoming chain arc, except the vertex through
-which the root first meets the chain (if any), which must end up with zero.
-Pendant in-arcs can feed only that entry vertex in a valid arborescence, so
-counting chain arcs alone never excludes a deletable arc.
+:func:`chain_candidates` states the same in-degree rule per anchor chain of
+the contracted core (the paper's lemma): deleting arc ``a`` must leave
+every interior chain vertex with exactly one incoming chain arc, except the
+vertex through which the root first meets the chain (if any), which must
+end up with zero.  Pendant in-arcs can feed only that entry vertex in a
+valid arborescence, so counting chain arcs alone never excludes a
+deletable arc.  The solver itself applies the rule to all in-arcs at once.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
-from .graphs import DiGraph, UGraph, Verdict, cycle_edges, reachable_all, roots_reaching_all
-from .kernel import AnchorChain, Kernel, make_contractible
-from .treecode import (
-    CodeTable,
-    TargetTree,
-    arborescence_root,
-    intern_child_ids,
-    lookup_root_id,
-    rooted_iso_mapping,
-)
+from .graphs import DiGraph, UGraph, Verdict, reachable_all, roots_reaching_all
+from .kernel import AnchorChain
+from .treecode import CodeTable, TargetTree, arborescence_root, intern_child_ids, lookup_root_id
 
 
 @dataclass
 class DirectedStats:
-    """Search effort counters for one directed solve call."""
+    """Search effort counters for one directed solve call.
+
+    ``plans_examined`` counts in-arc choices tried, ``plans_max_per_root``
+    the most at one root.  ``subsets_examined`` has nothing left to count
+    and stays 0; it is kept because ``perfbench/decide.py`` reads counters
+    by field name.
+    """
 
     k: int = 0
     roots_tried: int = 0
@@ -151,17 +154,12 @@ def solve_directed(
     if d.n != target.n:
         raise ValueError(f"vertex counts differ: graph {d.n}, target {target.n}")
     stats = stats if stats is not None else DirectedStats()
-    und = d.underlying()
-    if not und.is_connected():
+    admissible = roots_reaching_all(d)
+    # a root that reaches every vertex proves weak connectivity
+    if not any(admissible) and not d.underlying().is_connected():
         return Verdict("NO", note="graph is weakly disconnected: no spanning tree exists")
-    k = d.m - (d.n - 1)
-    stats.k = k
-    if k == 0:
-        verdict = _check_whole_graph(d, target)
-    elif k == 1:
-        verdict = _solve_weak_unicyclic(d, target, und)
-    else:
-        verdict = _solve_core(d, target, und, k, stats, trace)
+    stats.k = d.m - (d.n - 1)
+    verdict = _search(d, target, admissible, stats, trace)
     if verdict.is_yes and not certify_directed(d, target, verdict):
         raise RuntimeError("YES verdict failed certification")
     return verdict
@@ -195,90 +193,17 @@ def certify_directed(d: DiGraph, target: TargetTree, verdict: Verdict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dispatch cases
+# in-arc choice search
 
 
-def _extract_mapping(d: DiGraph, removed: frozenset[int], root: int, target: TargetTree):
-    f_und = UGraph.multigraph(d.n, [a for i, a in enumerate(d.arcs) if i not in removed])
-    return rooted_iso_mapping(target.tree, target.root, f_und, root)
-
-
-def _check_whole_graph(d: DiGraph, target: TargetTree) -> Verdict:
-    roots = [v for v in range(d.n) if d.in_degree(v) == 0]
-    if len(roots) != 1 or any(d.in_degree(v) != 1 for v in range(d.n) if v != roots[0]):
-        return Verdict("NO")
-    r = roots[0]
-    if not reachable_all(d, r):
-        return Verdict("NO")
-    mapping = _extract_mapping(d, frozenset(), r, target)
-    if mapping is None:
-        return Verdict("NO")
-    return Verdict("YES", mapping=mapping, removed=frozenset())
-
-
-def _solve_weak_unicyclic(d: DiGraph, target: TargetTree, und: UGraph) -> Verdict:
-    for aid in cycle_edges(und):
-        kept = [a for i, a in enumerate(d.arcs) if i != aid]
-        f = DiGraph(d.n, kept)
-        roots = [v for v in range(f.n) if f.in_degree(v) == 0]
-        if len(roots) != 1:
-            continue
-        r = roots[0]
-        if not is_spanning_arborescence(f, r):
-            continue
-        mapping = _extract_mapping(d, frozenset({aid}), r, target)
-        if mapping is not None:
-            return Verdict("YES", mapping=mapping, removed=frozenset({aid}))
-    return Verdict("NO")
-
-
-# ---------------------------------------------------------------------------
-# core enumeration (k >= 2)
-
-
-def _root_entries(d: DiGraph, und: UGraph, kernel: Kernel) -> list[tuple[int, int] | None]:
-    """Per vertex: (chain id, interior position) of the chain the root first
-    meets through an interior vertex, or None when it meets an anchor first."""
-    interior_at: dict[int, tuple[int, int]] = {}
-    core = set(kernel.anchors)
-    for cid, chain in enumerate(kernel.chains):
-        for pos in range(1, len(chain.vertices) - 1):
-            interior_at[chain.vertices[pos]] = (cid, pos)
-            core.add(chain.vertices[pos])
-    entry: list[tuple[int, int] | None] = [None] * d.n
-    seen = bytearray(d.n)
-    queue = deque()
-    for v in core:
-        seen[v] = 1
-        entry[v] = interior_at.get(v)
-        queue.append(v)
-    while queue:
-        x = queue.popleft()
-        for _, w in und.incidence[x]:
-            if not seen[w]:
-                seen[w] = 1
-                entry[w] = entry[x]
-                queue.append(w)
-    return entry
-
-
-def _colex_subsets(items: list[int], k: int) -> list[tuple[int, ...]]:
-    subs = list(combinations(items, k))
-    subs.sort(key=lambda s: tuple(reversed(s)))
-    return subs
-
-
-def _solve_core(d, target, und, k, stats, trace) -> Verdict:
-    kernel = make_contractible(und)
-    chains = kernel.chains
-    case2 = [chain_candidates(d, chain, None) for chain in chains]
-    entries = _root_entries(d, und, kernel)
-    subsets = _colex_subsets(list(range(len(chains))), k)
-    indeg = [d.in_degree(v) for v in range(d.n)]
-    base_excess = [v for v in range(d.n) if indeg[v] != 1]
-    admissible = roots_reaching_all(d)
+def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace) -> Verdict:
     table: CodeTable = {}
-    (target_id,) = intern_child_ids(reversed(target.order), target.parent, table)[-1]
+    target_ids = [0] * d.n
+    intern_child_ids(reversed(target.order), target.parent, table, target_ids)
+    target_id = target_ids[target.root]
+    witness_ids = [0] * d.n
+    in_arcs = [[aid for aid, _ in pairs] for pairs in d.in_inc]
+    multi = [v for v in range(d.n) if len(in_arcs[v]) >= 2]
 
     for r in range(d.n):
         stats.roots_tried += 1
@@ -287,75 +212,54 @@ def _solve_core(d, target, und, k, stats, trace) -> Verdict:
                 trace(f"root={r} unreachable")
             continue
         stats.roots_reachable += 1
-        subsets_this_root = 0
+        # r keeps no in-arc and every other vertex keeps exactly one
+        choices = [in_arcs[v] for v in multi if v != r]
+        pool = set(in_arcs[r]).union(*choices)
         plans_this_root = 0
         surviving = 0
-        entry = entries[r]
-        case1: ChainCandidates | None = None
-        if entry is not None:
-            cid, pos = entry
-            case1 = chain_candidates(d, chains[cid], pos)
-        for subset in subsets:
-            subsets_this_root += 1
-            stats.subsets_examined += 1
-            cand_sets = []
-            for cid in subset:
-                if entry is not None and cid == entry[0]:
-                    cand_sets.append(sorted(case1.candidates))
-                else:
-                    cand_sets.append(sorted(case2[cid].candidates))
-            if any(not cs for cs in cand_sets):
+        for kept in product(*choices):
+            plans_this_root += 1
+            stats.plans_examined += 1
+            deleted = pool.difference(kept)
+            witness = _arborescence_without(d, r, deleted)
+            if witness is None:
                 continue
-            for combo in product(*cand_sets):
-                plans_this_root += 1
-                stats.plans_examined += 1
-                deleted = set(combo)
-                if not _indeg_ok(d, indeg, base_excess, deleted, r):
-                    continue
-                witness = _arborescence_without(d, r, deleted)
-                if witness is None:
-                    continue
-                surviving += 1
-                stats.arborescence_hits += 1
-                order, parent = witness
-                if lookup_root_id(reversed(order), parent, table) != target_id:
-                    continue
-                mapping = _extract_mapping(d, frozenset(deleted), r, target)
-                if mapping is None:
-                    raise RuntimeError("witness has the target's integer code but no mapping")
-                stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
-                if trace is not None:
-                    trace(
-                        f"root={r} subsets={subsets_this_root} "
-                        f"plans={plans_this_root} surviving={surviving} yes"
-                    )
-                return Verdict("YES", mapping=mapping, removed=frozenset(deleted))
+            surviving += 1
+            stats.arborescence_hits += 1
+            order, parent = witness
+            if lookup_root_id(reversed(order), parent, table, witness_ids) != target_id:
+                continue
+            stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
+            if trace is not None:
+                trace(f"root={r} plans={plans_this_root} surviving={surviving} yes")
+            mapping = _witness_mapping(target, target_ids, r, parent, witness_ids)
+            return Verdict("YES", mapping=mapping, removed=frozenset(deleted))
         stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
         if trace is not None:
-            trace(
-                f"root={r} subsets={subsets_this_root} "
-                f"plans={plans_this_root} surviving={surviving} no"
-            )
+            trace(f"root={r} plans={plans_this_root} surviving={surviving} no")
     return Verdict("NO")
 
 
-def _indeg_ok(d: DiGraph, indeg, base_excess, deleted: set[int], r: int) -> bool:
-    """After deleting ``deleted``, in-degree must be 0 at ``r`` and 1 elsewhere."""
-    delta: dict[int, int] = {}
-    for aid in deleted:
-        head = d.arcs[aid][1]
-        delta[head] = delta.get(head, 0) + 1
-    for v in base_excess:
-        want = 0 if v == r else 1
-        if indeg[v] - delta.get(v, 0) != want:
-            return False
-    for v in delta:
-        want = 0 if v == r else 1
-        if indeg[v] - delta[v] != want:
-            return False
-    if r not in delta and indeg[r] != 0:
-        return False
-    return True
+def _witness_mapping(
+    target: TargetTree, target_ids: list[int], r: int, parent: list[int], witness_ids: list[int]
+) -> dict[int, int]:
+    """Target vertex -> witness vertex for a witness rooted at ``r`` whose
+    root id equals the target's.  Equal ids mean isomorphic subtrees, so the
+    children of each matched pair are paired in ``(id, vertex)`` order."""
+    kids: list[list[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p != -1:
+            kids[p].append(v)
+    mapping = {target.root: r}
+    stack = [(target.root, r)]
+    while stack:
+        a, b = stack.pop()
+        kids_a = sorted(target.children[a], key=lambda w: (target_ids[w], w))
+        kids_b = sorted(kids[b], key=lambda w: (witness_ids[w], w))
+        for x, y in zip(kids_a, kids_b):
+            mapping[x] = y
+            stack.append((x, y))
+    return mapping
 
 
 def _arborescence_without(

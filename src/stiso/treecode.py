@@ -9,9 +9,9 @@ are isomorphic as rooted trees, so code comparison is the isomorphism test.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, MutableSequence, Sequence
 
-from .graphs import DiGraph, UGraph
+from .graphs import DiGraph, UGraph, reachable_all
 
 
 class NotATreeError(ValueError):
@@ -80,7 +80,10 @@ CodeTable = dict[tuple[int, ...], int]  # sorted child ids -> interned id
 
 
 def intern_child_ids(
-    bottom_up: Iterable[int], parent: Sequence[int], table: CodeTable
+    bottom_up: Iterable[int],
+    parent: Sequence[int],
+    table: CodeTable,
+    ids: MutableSequence[int] | None = None,
 ) -> dict[int, list[int]]:
     """Integer canonical codes of a rooted forest (Aho, Hopcroft and Ullman 1974).
 
@@ -88,17 +91,23 @@ def intern_child_ids(
     ids, interned on first sight, so two subtrees interned in one table are
     isomorphic iff their ids are equal.  ``bottom_up`` lists the forest's
     vertices, each after all of its children; ``parent[x]`` may lie outside
-    the forest.  Returns the children's ids of every vertex that has any.
+    the forest.  Returns the children's ids of every vertex that has any;
+    when ``ids`` is given, ``ids[x]`` also receives each vertex's own id.
     """
     kid_ids: dict[int, list[int]] = {}
     for x in bottom_up:
-        key = tuple(sorted(kid_ids.get(x, ())))
-        kid_ids.setdefault(parent[x], []).append(table.setdefault(key, len(table)))
+        vid = table.setdefault(tuple(sorted(kid_ids.get(x, ()))), len(table))
+        if ids is not None:
+            ids[x] = vid
+        kid_ids.setdefault(parent[x], []).append(vid)
     return kid_ids
 
 
 def lookup_root_id(
-    bottom_up: Iterable[int], parent: Sequence[int], table: CodeTable
+    bottom_up: Iterable[int],
+    parent: Sequence[int],
+    table: CodeTable,
+    ids: MutableSequence[int] | None = None,
 ) -> int | None:
     """The id :func:`intern_child_ids` would give a rooted tree's root, by lookups alone.
 
@@ -106,6 +115,8 @@ def lookup_root_id(
     and ends at the root.  Returns None at the first vertex whose sorted
     child ids ``table`` never produced: no subtree interned there is
     isomorphic to it, so neither is the root.  ``table`` is never changed.
+    When ``ids`` is given, ``ids[x]`` receives the id of each vertex looked
+    up, so after a non-None answer it holds the id of every vertex.
     """
     kid_ids: dict[int, list[int]] = {}
     vid = None
@@ -113,6 +124,8 @@ def lookup_root_id(
         vid = table.get(tuple(sorted(kid_ids.get(x, ()))))
         if vid is None:
             return None
+        if ids is not None:
+            ids[x] = vid
         kid_ids.setdefault(parent[x], []).append(vid)
     return vid
 
@@ -192,11 +205,10 @@ def rooted_iso_mapping(t1: UGraph, r1: int, t2: UGraph, r2: int) -> dict[int, in
 def arborescence_root(d: DiGraph) -> int:
     """Root of an out-arborescence: the unique in-degree-0 vertex.
 
-    Certifies the input: underlying graph a tree, exactly one in-degree-0
-    vertex, every other vertex of in-degree 1.
+    Certifies the input: n - 1 arcs, exactly one in-degree-0 vertex, every
+    other vertex of in-degree 1, and every vertex reachable from the root.
     """
-    und = d.underlying()
-    if und.m != und.n - 1 or not und.is_connected():
+    if d.m != d.n - 1:
         raise NotArborescenceError("underlying graph is not a tree")
     roots = [v for v in range(d.n) if d.in_degree(v) == 0]
     if len(roots) != 1:
@@ -204,6 +216,8 @@ def arborescence_root(d: DiGraph) -> int:
     bad = [v for v in range(d.n) if v != roots[0] and d.in_degree(v) != 1]
     if bad:
         raise NotArborescenceError(f"vertex {bad[0]} has in-degree {d.in_degree(bad[0])}")
+    if not reachable_all(d, roots[0]):
+        raise NotArborescenceError(f"some vertex is unreachable from the root {roots[0]}")
     return roots[0]
 
 

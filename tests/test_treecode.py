@@ -109,6 +109,9 @@ def test_arborescence_root_examples():
         arborescence_root(DiGraph(3, [(0, 1), (2, 1)]))
     with pytest.raises(NotArborescenceError):
         arborescence_root(DiGraph(4, [(0, 1), (1, 2)]))  # disconnected underlying
+    with pytest.raises(NotArborescenceError):
+        # right in-degrees and n - 1 arcs, but the cycle 2 <-> 3 is unreachable
+        arborescence_root(DiGraph(4, [(0, 1), (2, 3), (3, 2)]))
 
 
 def test_arborescence_iso_examples():
@@ -257,3 +260,19 @@ def test_target_tree_codes_match_subtree_codes():
         TargetTree(path(3), 3)
     with pytest.raises(NotATreeError):
         TargetTree(UGraph(4, [(0, 1), (1, 2), (2, 0)]), 0)
+
+
+def test_per_vertex_ids_agree_between_interning_and_lookup():
+    target = TargetTree(gen_tree(14, 4), 0)
+    table = {}
+    ids = [None] * 14
+    kid_ids = intern_child_ids(reversed(target.order), target.parent, table, ids)
+    for v in range(14):
+        assert sorted(kid_ids.get(v, ())) == sorted(ids[w] for w in target.children[v])
+        assert table[tuple(sorted(kid_ids.get(v, ())))] == ids[v]
+    perm = list(range(14))
+    random.Random(8).shuffle(perm)
+    same = target.tree.relabeled(perm)
+    looked_up = [None] * 14
+    assert lookup_root_id(*_bottom_up(same, perm[0]), table, looked_up) == ids[0]
+    assert looked_up == [ids[perm.index(v)] for v in range(14)]
