@@ -82,6 +82,11 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
     """
     if not g.is_connected():
         raise KernelError("kernelization requires a connected graph")
+    return _contract(g, audit)
+
+
+def _contract(g: UGraph, audit: bool = False) -> Kernel:
+    """:func:`make_contractible` for a graph the caller has found connected."""
     k = g.m - (g.n - 1)
     if k < 2:
         raise KernelError(f"kernelization requires redundant size >= 2, got {k}")

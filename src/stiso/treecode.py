@@ -9,7 +9,7 @@ are isomorphic as rooted trees, so code comparison is the isomorphism test.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, MutableSequence, Sequence
+from collections.abc import Iterable, Mapping, MutableMapping, MutableSequence, Sequence
 
 from .graphs import DiGraph, UGraph, reachable_all
 
@@ -105,9 +105,9 @@ def intern_child_ids(
 
 def lookup_root_id(
     bottom_up: Iterable[int],
-    parent: Sequence[int],
+    parent: Sequence[int] | Mapping[int, int],
     table: CodeTable,
-    ids: MutableSequence[int] | None = None,
+    ids: MutableSequence[int] | MutableMapping[int, int] | None = None,
 ) -> int | None:
     """The id :func:`intern_child_ids` would give a rooted tree's root, by lookups alone.
 

@@ -6,41 +6,54 @@ runs the core search: contract the graph, then for every target rooting and
 every graph root try to grow the target tree through the graph in the
 target's DFS order.
 
-At each matched pair the search first binds pendant components forced to
-hang there (a component of the unvisited remainder that is a tree and
-touches the matched region only through the current vertex must become one
-child subtree, and equal-code children are interchangeable, so greedy
-binding is safe).  The remaining children are then filled by trying every
-remaining neighbor for every child with chronological backtracking, one
-attempt per root.  The search is complete, and the acceptance corpus
-checks it against the brute-force oracle.
+At each matched vertex ``rg`` the search first binds the pendant
+components forced to hang there: a component of the unvisited remainder
+that is a tree and meets the matched region only by one edge at ``rg``
+must become one child subtree, and equal-code children are
+interchangeable, so greedy binding is safe.  The remaining children are
+then filled by trying every remaining neighbor for every child with
+chronological backtracking, one attempt per root.  The search is
+complete, and the acceptance corpus checks it against the brute-force
+oracle.
+
+The pendants are read off the kernel's trim forest (the trees peeled off
+the 2-core), whose Aho–Hopcroft–Ullman ids are interned once per solve
+into the table that takes the target's ids once per rooting.  The matched
+region is connected and every removed edge has a matched end, so a trim
+subtree without a matched vertex is untouched.  Each unmatched neighbour
+``u`` of ``rg`` falls under one of three rules.  (1) ``u`` is a trim child
+of ``rg``: its subtree is a pendant of known id.  (2) ``u`` is the trim
+parent of ``rg``: the matched region lies in ``rg``'s subtree, so ``u``'s
+side is the rest of the graph, which holds the 2-core's cycles; no
+pendant.  (3) Otherwise ``rg`` and ``u`` are in the 2-core, and a walk of
+the remainder visits 2-core vertices only, counting an unmatched trim
+child as its whole subtree.  A pendant it finds is looked up in the shared
+table.  A pendant takes the first unmatched target child of equal id, and
+children bind in ``(id, vertex)`` order on both sides.
 
 Before any attempt, a root candidate whose pendant check must fail is
-rejected in O(deg v).  With only the root ``v`` matched, its pendant
-components are exactly its children in the kernel's trim forest (whether
-``v`` is in the 2-core or inside a pendant tree: for ``k >= 2`` the
-component toward the core has a cycle).  The attempt's first ``_open``
-binds them greedily to equal-code target children, so it fails
-``pendant-unmatched`` iff the multiset of their integer codes does not fit
-inside the target root's child codes.  The codes are interned once per
-solve for the trim forest and once per target rooting.
-A rejected candidate counts in ``roots_tried`` but not in ``attempts``.
+rejected in O(deg v): with only the root ``v`` matched, its pendants are
+its trim children (a pendant at a 2-core neighbour would have been
+trimmed), so its first ``_open`` fails ``pendant-unmatched`` iff the
+multiset of their ids does not fit inside the target root's child ids.  A
+rejected candidate counts in ``roots_tried`` but not in ``attempts``.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Callable
 
 from .graphs import UGraph, Verdict, cycle_edges
-from .kernel import Kernel, make_contractible
+from .kernel import _contract
 from .treecode import (
     CodeTable,
     TargetTree,
-    code_key,
     intern_child_ids,
+    lookup_root_id,
     rooted_iso_mapping,
     target_graph,
     tree_centers,
@@ -158,44 +171,57 @@ def certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict)
 # core search (k >= 2)
 
 
-@dataclass
-class _Node:
-    """Per-vertex state created when the search starts filling its children."""
+class _Forest:
+    """A rooted forest, listed children first, with its ids interned in ``table``.
 
-    avail: list[int] = field(default_factory=list)
-    used: set[int] = field(default_factory=set)
+    ``kids[x]`` lists ``x``'s children by ``(ids[c], c)``, also for an ``x`` outside the
+    forest that roots some of its trees; ``size[x]`` counts ``x``'s subtree.
+    """
+
+    def __init__(self, bottom_up: Sequence[int], parent: Sequence[int], table: CodeTable):
+        self.parent = parent
+        self.table = table
+        self.ids = ids = [-1] * len(parent)
+        intern_child_ids(bottom_up, parent, table, ids)
+        self.kids: list[list[int]] = [[] for _ in parent]
+        self.size = [1] * len(parent)
+        for x in bottom_up:
+            if parent[x] != -1:
+                self.size[parent[x]] += self.size[x]
+        for x in sorted(bottom_up, key=lambda c: (ids[c], c)):
+            if parent[x] != -1:
+                self.kids[parent[x]].append(x)
 
 
 class _Engine:
-    def __init__(self, g: UGraph, tt: TargetTree, k: int, stats: SolveStats):
+    def __init__(
+        self, g: UGraph, tt: TargetTree, k: int, stats: SolveStats, trim: _Forest | None = None
+    ):
         self.g = g
         self.tt = tt
         self.k = k
         self.stats = stats
-        self.eid_of = {}
-        for eid, (u, v) in enumerate(g.edges):
-            self.eid_of[(u, v)] = eid
-            self.eid_of[(v, u)] = eid
+        if trim is None:
+            kernel = _contract(g)
+            trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
+        self.trim = trim
+        self.target = _Forest(tt.order[::-1], tt.parent, trim.table)
         # attempt state
         self.t2g: list[int] = []
         self.g2t: list[int] = []
         self.removed: set[int] = set()
         self.trail: list[tuple] = []
-        self.nodes: dict[int, _Node] = {}
+        self.nodes: dict[int, list[tuple[int, int]]] = {}  # opened vertex -> (neighbour, edge id)
         self.fail_reason = ""
 
     # -- state plumbing ----------------------------------------------------
-
-    def _checkpoint(self) -> int:
-        return len(self.trail)
 
     def _rollback(self, ck: int) -> None:
         while len(self.trail) > ck:
             op = self.trail.pop()
             if op[0] == "bind":
-                _, tv, gv = op
-                self.t2g[tv] = -1
-                self.g2t[gv] = -1
+                self.t2g[op[1]] = -1
+                self.g2t[op[2]] = -1
             elif op[0] == "rm":
                 self.removed.discard(op[1])
             else:  # "node"
@@ -209,13 +235,8 @@ class _Engine:
     def _enter(self, gv: int, parent_eid: int) -> bool:
         """Drop edges from a newly matched vertex back into the matched region."""
         for eid, w in self.g.incidence[gv]:
-            if eid == parent_eid or eid in self.removed:
-                continue
-            if self.g2t[w] >= 0:
-                self.removed.add(eid)
-                self.trail.append(("rm", eid))
-                if len(self.removed) > self.k:
-                    return self._fail("budget")
+            if eid != parent_eid and self.g2t[w] >= 0 and not self._drop(eid):
+                return False
         return True
 
     def _drop(self, eid: int) -> bool:
@@ -233,129 +254,119 @@ class _Engine:
 
     # -- classification ----------------------------------------------------
 
-    def _components_at(self, rg: int):
-        """Components of the unvisited remainder adjacent to ``rg``.
+    def _walk(self, u: int, rg: int, comp_of: dict[int, list[tuple[int, int]]]) -> bool:
+        """Mark the 2-core vertices of ``u``'s component of the remainder in ``comp_of``.
 
-        Returns (comps, rg_edges) where each comp is a dict with vertex list,
-        acyclicity flag, and attachment count, and rg_edges maps comp index
-        to the (eid, neighbor) pairs leaving ``rg`` into it.
+        True iff the component is a tree that meets the matched region only at ``rg``.
         """
-        g2t = self.g2t
-        removed = self.removed
-        comp_of: dict[int, int] = {}
-        comps: list[dict] = []
-        rg_edges: list[list[tuple[int, int]]] = []
-        for eid, u in self.g.incidence[rg]:
-            if eid in removed or g2t[u] >= 0:
-                continue
-            if u in comp_of:
-                rg_edges[comp_of[u]].append((eid, u))
-                continue
-            cid = len(comps)
-            members = [u]
-            comp_of[u] = cid
-            half = 0
-            attach = 0
-            stack = [u]
-            while stack:
-                x = stack.pop()
-                for e2, w in self.g.incidence[x]:
-                    if e2 in removed:
-                        continue
-                    if g2t[w] >= 0:
-                        if w != rg:
-                            attach += 1
-                        continue
-                    half += 1
-                    if w not in comp_of:
-                        comp_of[w] = cid
-                        members.append(w)
-                        stack.append(w)
-            comps.append(
-                {
-                    "members": members,
-                    "acyclic": half // 2 == len(members) - 1,
-                    "attach": attach,
-                }
-            )
-            rg_edges.append([(eid, u)])
-        return comps, rg_edges
-
-    def _comp_codes(self, members: list[int], root: int):
-        """Subtree codes and sorted child lists of a pendant component."""
-        member_set = set(members)
-        parent = {root: -1}
-        order = [root]
-        queue = [root]
-        while queue:
-            x = queue.pop()
+        g2t, removed, tparent, size = self.g2t, self.removed, self.trim.parent, self.trim.size
+        edges = comp_of[u]
+        stack = [u]
+        verts, half, attach = 1, 0, 0
+        while stack:
+            x = stack.pop()
             for eid, w in self.g.incidence[x]:
-                if eid in self.removed or w not in member_set or w in parent:
+                if eid in removed:
                     continue
-                parent[w] = x
-                order.append(w)
-                queue.append(w)
-        codes: dict[int, str] = {}
-        kid_codes: dict[int, list[str]] = {x: [] for x in order}
-        kids: dict[int, list[int]] = {x: [] for x in order}
-        for x in reversed(order):
-            kid_codes[x].sort(key=code_key)
-            codes[x] = "(" + "".join(kid_codes[x]) + ")"
-            if parent[x] != -1:
-                kid_codes[parent[x]].append(codes[x])
-                kids[parent[x]].append(x)
-        for x in order:
-            kids[x].sort(key=lambda w: (code_key(codes[w]), w))
-        return codes, kids
+                if g2t[w] >= 0:
+                    attach += w != rg
+                    continue
+                half += 1
+                if tparent[w] == x:  # w's subtree: size[w] vertices, size[w] edges with (x, w)
+                    verts += size[w]
+                    half += 2 * size[w] - 1
+                elif w not in comp_of:
+                    comp_of[w] = edges
+                    verts += 1
+                    stack.append(w)
+        return attach == 0 and half // 2 == verts - 1
 
-    def _bulk_bind(self, comp_root: int, t_root: int, kids: dict[int, list[int]]) -> None:
-        """Bind a pendant component onto an equal-code target subtree.
+    def _pendant_code(self, u: int) -> tuple[int | None, dict[int, list[int]]]:
+        """Id of the tree the remainder hangs at ``u``, and its children lists.
 
-        Sibling subtrees with equal codes are interchangeable, so pairing the
-        i-th child of each sorted list is a valid isomorphism.
+        The id is None when no target subtree has the tree's code.  Each vertex's
+        children are listed by ``(id, vertex)``.
         """
-        stack = [(comp_root, t_root)]
+        inc, removed, g2t = self.g.incidence, self.removed, self.g2t
+        parent = {u: -1}
+        kids: dict[int, list[int]] = {}
+        order = [u]
+        for x in order:
+            kids[x] = [w for e, w in inc[x] if e not in removed and g2t[w] < 0 and w != parent[x]]
+            for w in kids[x]:
+                parent[w] = x
+            order.extend(kids[x])
+        ids: dict[int, int] = {}
+        code = lookup_root_id(reversed(order), parent, self.trim.table, ids)
+        if code is not None:
+            for ks in kids.values():
+                ks.sort(key=lambda c: (ids[c], c))
+        return code, kids
+
+    def _bind_tree(self, gu: int, tw: int, kids: Sequence[list[int]] | dict) -> None:
+        """Bind the tree hanging at ``gu`` onto the equal-id target subtree at ``tw``.
+
+        Both sides list children by ``(id, vertex)``, and equal-id siblings are
+        interchangeable, so pairing the i-th children is an isomorphism.
+        """
+        stack = [(gu, tw)]
         while stack:
             gx, tx = stack.pop()
             self._bind(tx, gx)
-            stack.extend(zip(kids[gx], self.tt.children[tx]))
+            stack.extend(zip(kids[gx], self.target.kids[tx]))
 
     # -- node opening --------------------------------------------------------
 
-    def _open(self, rg: int, rt: int) -> _Node | None:
+    def _open(self, rg: int, rt: int) -> list[tuple[int, int]] | None:
+        """Bind the pendants at ``rg``; the neighbours left to branch on, or None."""
         self.stats.nodes_opened += 1
-        comps, rg_edges = self._components_at(rg)
-        pendants: list[tuple[int, int]] = []  # (neighbor, comp index)
-        avail: list[int] = []
-        for cid, comp in enumerate(comps):
-            if comp["acyclic"] and comp["attach"] == 0 and len(rg_edges[cid]) == 1:
-                pendants.append((rg_edges[cid][0][1], cid))
+        tparent = self.trim.parent
+        pendants: list[int] = []
+        avail: list[tuple[int, int]] = []
+        comp_of: dict[int, list[tuple[int, int]]] = {}  # rg's edges into the vertex's component
+        walked: list[tuple[bool, list[tuple[int, int]]]] = []
+        for eid, u in self.g.incidence[rg]:
+            if eid in self.removed or self.g2t[u] >= 0:
+                continue
+            if tparent[u] == rg:  # rule (1)
+                pendants.append(u)
+            elif tparent[rg] == u:  # rule (2)
+                avail.append((u, eid))
+            elif u in comp_of:  # rule (3), a component already walked
+                comp_of[u].append((u, eid))
             else:
-                avail.extend(u for _, u in rg_edges[cid])
-        pendants.sort()
+                comp_of[u] = [(u, eid)]
+                walked.append((self._walk(u, rg, comp_of), comp_of[u]))
+        for is_tree, edges in walked:
+            if is_tree and len(edges) == 1:
+                pendants.append(edges[0][0])
+            else:
+                avail.extend(edges)
         avail.sort()
 
-        unmatched = [c for c in self.tt.children[rt] if self.t2g[c] < 0]
-        for u, cid in pendants:
-            codes, kids = self._comp_codes(comps[cid]["members"], u)
-            w = next(
-                (c for c in unmatched if self.t2g[c] < 0 and self.tt.code[c] == codes[u]),
-                None,
-            )
-            if w is None:
+        free: dict[int, list[int]] = {}  # rt's children by id, first one last; none is matched
+        for c in reversed(self.tt.children[rt]):
+            free.setdefault(self.target.ids[c], []).append(c)
+        need = len(self.tt.children[rt]) - len(pendants)
+        for u in sorted(pendants):
+            if tparent[u] == rg:
+                code, kids = self.trim.ids[u], self.trim.kids
+            else:
+                code, kids = self._pendant_code(u)
+            bucket = free.get(code)
+            if not bucket:
                 self._fail("pendant-unmatched")
                 return None
-            self._bulk_bind(u, w, kids)
-        unmatched = [c for c in self.tt.children[rt] if self.t2g[c] < 0]
+            self._bind_tree(u, bucket.pop(), kids)
 
-        if len(avail) < len(unmatched):
+        if len(avail) < need:
             self._fail("fewer-neighbors-than-children")
             return None
-        if not unmatched:
-            for u in avail:
-                if not self._drop(self.eid_of[(rg, u)]):
+        if need == 0:
+            for _, eid in avail:
+                if not self._drop(eid):
                     return None
-        return _Node(avail=avail)
+        return avail
 
     # -- main recursion ------------------------------------------------------
 
@@ -368,34 +379,27 @@ class _Engine:
         w = order[i]
         pt = self.tt.parent[w]
         pg = self.t2g[pt]
-        node = self.nodes.get(pg)
-        if node is None:
-            ck = self._checkpoint()
-            node = self._open(pg, pt)
-            if node is None:
+        avail = self.nodes.get(pg)
+        if avail is None:
+            ck = len(self.trail)
+            avail = self._open(pg, pt)
+            if avail is None:
                 self._rollback(ck)
                 return False
-            self.nodes[pg] = node
+            self.nodes[pg] = avail
             self.trail.append(("node", pg))
             if self.t2g[w] >= 0:
                 return self._solve_pos(i + 1)
 
-        for u in node.avail:
-            if u in node.used or self.g2t[u] >= 0:
+        for u, eid in avail:
+            if self.g2t[u] >= 0:
                 continue
             self.stats.branches_examined += 1
-            ck = self._checkpoint()
-            node.used.add(u)
-            eid = self.eid_of[(pg, u)]
+            ck = len(self.trail)
             self._bind(w, u)
-            if (
-                self._enter(u, eid)
-                and self._room_for_children(u, w)
-                and self._solve_pos(i + 1)
-            ):
+            if self._enter(u, eid) and self._room_for_children(u, w) and self._solve_pos(i + 1):
                 return True
             self._rollback(ck)
-            node.used.discard(u)
         return False
 
     def _room_for_children(self, gv: int, tv: int) -> bool:
@@ -430,8 +434,7 @@ class _Engine:
             raise RuntimeError("search finished with an unmatched target vertex")
         if len(self.removed) != self.k:
             raise RuntimeError(f"search removed {len(self.removed)} edges, expected {self.k}")
-        mapping = {tv: gv for tv, gv in enumerate(self.t2g)}
-        return Verdict("YES", mapping=mapping, removed=frozenset(self.removed))
+        return Verdict("YES", mapping=dict(enumerate(self.t2g)), removed=frozenset(self.removed))
 
 
 def _rootings(target: TargetTree | UGraph) -> list[TargetTree]:
@@ -443,19 +446,15 @@ def _rootings(target: TargetTree | UGraph) -> list[TargetTree]:
     ]
 
 
-def _pendant_code_counts(kernel: Kernel, table: CodeTable) -> dict[int, Counter]:
+def _pendant_code_counts(trim: _Forest) -> dict[int, Counter]:
     """Code-id counts of each vertex's children in the trim forest."""
-    forest = intern_child_ids(kernel.trim_order, kernel.trim_parent, table)
-    return {v: Counter(ids) for v, ids in forest.items()}
+    return {v: Counter(trim.ids[c] for c in kids) for v, kids in enumerate(trim.kids) if kids}
 
 
-def _rejected_roots(pendants: dict[int, Counter], tt: TargetTree, table: CodeTable) -> set[int]:
+def _rejected_roots(pendants: dict[int, Counter], target: _Forest, root: int) -> set[int]:
     """Roots whose pendant codes do not fit inside the target root's child codes."""
-    kids = intern_child_ids(reversed(tt.order[1:]), tt.parent, table)
-    have = Counter(kids.get(tt.root, ()))
-    return {
-        v for v, need in pendants.items() if any(have[c] < m for c, m in need.items())
-    }
+    have = Counter(target.ids[c] for c in target.kids[root])
+    return {v for v, need in pendants.items() if any(have[c] < m for c, m in need.items())}
 
 
 def _solve_core(
@@ -466,14 +465,14 @@ def _solve_core(
     trace: TraceFn | None,
 ) -> Verdict:
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * g.n + 1000))
-    kernel = make_contractible(g)
+    kernel = _contract(g)
     stats.anchors = len(kernel.anchors)
-    table: CodeTable = {}
-    pendants = _pendant_code_counts(kernel, table)
+    trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
+    pendants = _pendant_code_counts(trim)
     for tt in _rootings(target):
-        engine = _Engine(g, tt, k, stats)
+        engine = _Engine(g, tt, k, stats, trim)
         min_children = len(tt.children[tt.root])
-        rejected = _rejected_roots(pendants, tt, table)
+        rejected = _rejected_roots(pendants, engine.target, tt.root)
         for v in range(g.n):
             if g.degree(v) < min_children:
                 continue

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from stiso import (
     solve_unicyclic,
 )
 
-from util import THETA, complete, cycle, path, star
+from util import THETA, complete, cycle, end_chord_path, hub_with_leaves, path, star
 
 
 def test_cycle_vs_path_yes():
@@ -184,6 +185,7 @@ def test_root_prune_is_exact():
     from stiso.kernel import make_contractible
     from stiso.undirected import (
         _Engine,
+        _Forest,
         _pendant_code_counts,
         _rejected_roots,
         _rootings,
@@ -197,10 +199,11 @@ def test_root_prune_is_exact():
         inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
         g = inst.graph
         kernel = make_contractible(g)
-        table = {}
-        pendants = _pendant_code_counts(kernel, table)
+        trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
+        pendants = _pendant_code_counts(trim)
         for tt in _rootings(inst.target.tree):
-            rejected = _rejected_roots(pendants, tt, table)
+            target = _Engine(g, tt, k, SolveStats(), trim).target
+            rejected = _rejected_roots(pendants, target, tt.root)
             for v in range(n):
                 stats = SolveStats()
                 engine = _Engine(g, tt, k, stats)
@@ -235,12 +238,13 @@ def test_root_prune_inside_a_pendant_tree():
     # K4 with the pendant tree 0-4-5 and leaves 6, 7, 8 on 5: root 5's pendant
     # components are its three leaves, the side toward the core is cyclic
     from stiso.kernel import make_contractible
-    from stiso.undirected import _pendant_code_counts
+    from stiso.undirected import _Forest, _pendant_code_counts
 
     g = UGraph(9, list(complete(4).edges) + [(0, 4), (4, 5), (5, 6), (5, 7), (5, 8)])
-    table = {}
-    pendants = _pendant_code_counts(make_contractible(g), table)
-    leaf = table[()]
+    kernel = make_contractible(g)
+    trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
+    pendants = _pendant_code_counts(trim)
+    leaf = trim.table[()]
     assert pendants[5] == {leaf: 3}
     assert sum(pendants[4].values()) == sum(pendants[0].values()) == 1
     lines = []
@@ -270,3 +274,217 @@ def test_unfinished_search_raises_under_any_optimisation_level(monkeypatch):
     monkeypatch.setattr(_Engine, "_solve_pos", lambda self, i: True)
     with pytest.raises(RuntimeError, match="unmatched target vertex"):
         solve_undirected(THETA, path(5), fallback=True)
+
+
+# SHA-256 of answers, witnesses, removed sets, SolveStats and trace lines over
+# the grid below.  The constant was printed by the same grid run on the solver
+# that walked the whole unvisited remainder at every opened node; classifying
+# by the trim forest is exact, so it must keep every byte.
+PINNED_SEARCH_SHA256 = "54f768e6b6550855d03401b7db505d9f7350e8f2640ccf04db9e50310ba3d62e"
+
+
+def test_search_hash_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for n in (5, 10, 20, 50, 100, 200):
+        for k in range(7):
+            for mode in ("planted-yes", "random"):
+                for s in range(3):
+                    seed = 5000 + 100 * n + 10 * k + s
+                    inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
+                    rng = random.Random(seed)
+                    edges = list(inst.graph.edges)
+                    rng.shuffle(edges)
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    g = UGraph(n, edges).relabeled(perm)
+                    rng.shuffle(perm)
+                    target = inst.target.tree.relabeled(perm)
+                    stats = SolveStats()
+                    lines = []
+                    v = solve_undirected(g, target, stats=stats, trace=lines.append)
+                    mapping = sorted(v.mapping.items()) if v.is_yes else None
+                    removed = sorted(v.removed) if v.is_yes else None
+                    counters = (
+                        stats.k,
+                        stats.roots_tried,
+                        stats.attempts,
+                        stats.nodes_opened,
+                        stats.branches_examined,
+                        stats.anchors,
+                    )
+                    h.update(f"{n} {k} {mode} {seed} {v.answer} {mapping} {removed}\n".encode())
+                    h.update(f"{counters}\n".encode())
+                    h.update("".join(line + "\n" for line in lines).encode())
+                    count += 1
+    assert count == 252
+    assert h.hexdigest() == PINNED_SEARCH_SHA256
+
+
+def _full_walk(engine, rg):
+    """Components of the unvisited remainder next to ``rg``, found by walking all of it."""
+    g2t, removed = engine.g2t, engine.removed
+    comp_of, comps = {}, []
+    for eid, u in engine.g.incidence[rg]:
+        if eid in removed or g2t[u] >= 0:
+            continue
+        if u in comp_of:
+            comps[comp_of[u]]["edges"].append((u, eid))
+            continue
+        comp_of[u] = len(comps)
+        members, half, attach, stack = [u], 0, 0, [u]
+        while stack:
+            x = stack.pop()
+            for e2, w in engine.g.incidence[x]:
+                if e2 in removed:
+                    continue
+                if g2t[w] >= 0:
+                    attach += w != rg
+                    continue
+                half += 1
+                if w not in comp_of:
+                    comp_of[w] = comp_of[u]
+                    members.append(w)
+                    stack.append(w)
+        acyclic = half // 2 == len(members) - 1
+        edges = [(u, eid)]
+        comps.append({"members": members, "acyclic": acyclic, "attach": attach, "edges": edges})
+    return comps
+
+
+def _reference_open(engine, rg, rt):
+    """``_open`` by a full walk and string codes.
+
+    Pendants bind in neighbour order to the first unmatched target child of
+    equal code, and children pair in ``(code, vertex)`` order.
+    """
+    from stiso.treecode import code_key
+
+    tt = engine.tt
+    comps = _full_walk(engine, rg)
+    pendants, avail = [], []
+    for c in comps:
+        if c["acyclic"] and c["attach"] == 0 and len(c["edges"]) == 1:
+            pendants.append((c["edges"][0][0], c["members"]))
+        else:
+            avail.extend(c["edges"])
+    avail.sort()
+    for u, members in sorted(pendants):
+        member_set = set(members)
+        parent, order = {u: -1}, [u]
+        for x in order:
+            for eid, w in engine.g.incidence[x]:
+                if eid not in engine.removed and w in member_set and w not in parent:
+                    parent[w] = x
+                    order.append(w)
+        codes, kids = {}, {x: [] for x in order}
+        for x in reversed(order):
+            kids[x].sort(key=lambda w: (code_key(codes[w]), w))
+            codes[x] = "(" + "".join(codes[w] for w in kids[x]) + ")"
+            if parent[x] != -1:
+                kids[parent[x]].append(x)
+        w = next(
+            (c for c in tt.children[rt] if engine.t2g[c] < 0 and tt.code[c] == codes[u]), None
+        )
+        if w is None:
+            engine._fail("pendant-unmatched")
+            return None
+        stack = [(u, w)]
+        while stack:
+            gx, tx = stack.pop()
+            engine._bind(tx, gx)
+            stack.extend(zip(kids[gx], tt.children[tx]))
+    need = sum(engine.t2g[c] < 0 for c in tt.children[rt])
+    if len(avail) < need:
+        engine._fail("fewer-neighbors-than-children")
+        return None
+    if need == 0:
+        for _, eid in avail:
+            if not engine._drop(eid):
+                return None
+    return avail
+
+
+def test_open_matches_full_walk(monkeypatch):
+    """At every node a search opens, the trim-forest rules agree with a full walk.
+
+    Compared: the pendant/avail split, the bound pendants, the fail reason and the
+    edges dropped, and ``_walk``'s tree flag for every 2-core neighbour's component.
+    """
+    from stiso.undirected import _Engine
+
+    real_open = _Engine._open
+    seen = {"trim child": 0, "trim parent": 0, "core pendant": 0, "core branch": 0}
+
+    def checked_open(engine, rg, rt):
+        ck, reason = len(engine.trail), engine.fail_reason
+        comps = _full_walk(engine, rg)
+        for c in comps:
+            u = c["edges"][0][0]
+            is_tree = c["acyclic"] and c["attach"] == 0
+            if engine.trim.parent[u] == rg:
+                assert is_tree and len(c["edges"]) == 1
+                seen["trim child"] += 1
+            elif engine.trim.parent[rg] == u:
+                assert not c["acyclic"]
+                seen["trim parent"] += 1
+            else:
+                assert engine._walk(u, rg, {u: []}) == is_tree
+                seen["core pendant" if is_tree and len(c["edges"]) == 1 else "core branch"] += 1
+        want = _reference_open(engine, rg, rt)
+        state = (want, list(engine.t2g), set(engine.removed), engine.fail_reason)
+        engine._rollback(ck)
+        engine.fail_reason = reason
+        got = real_open(engine, rg, rt)
+        assert (got, engine.t2g, engine.removed, engine.fail_reason) == state
+        return got
+
+    monkeypatch.setattr(_Engine, "_open", checked_open)
+    for seed in range(120):
+        rng = random.Random(seed)
+        n, k = rng.randint(6, 60), rng.randint(2, 6)
+        mode = "planted-yes" if seed % 2 else "random"
+        inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
+        solve_undirected(inst.graph, inst.target.tree)
+    for n in (12, 40):
+        solve_undirected(end_chord_path(n), path(n))
+        solve_undirected(hub_with_leaves(n), gen_tree(n, n))
+    assert all(seen.values()), seen
+
+
+def test_end_chord_path_at_twenty_thousand():
+    # a walk of the remainder at every opened node made this quadratic in n
+    n = 20_001
+    g = end_chord_path(n)
+    stats = SolveStats()
+    v = solve_undirected(g, path(n), stats=stats)
+    assert v.is_yes and certify_undirected(g, path(n), v)
+    assert stats.attempts == 4
+
+
+def test_hub_with_ten_thousand_leaves():
+    # matching each leaf by scanning the hub's target children was quadratic
+    n = 10_000
+    g = hub_with_leaves(n)
+    target = UGraph(n, [(0, 1), (1, 2), (2, 3)] + [(0, v) for v in range(4, n)])
+    stats = SolveStats()
+    v = solve_undirected(g, target, stats=stats)
+    assert v.is_yes and certify_undirected(g, target, v)
+    assert stats.attempts == 1
+
+
+def test_connectivity_checked_once_per_solve(monkeypatch):
+    g = hub_with_leaves(30)
+    target = UGraph(30, [(0, 1), (1, 2), (2, 3)] + [(0, v) for v in range(4, 30)])
+    calls = []
+    real = UGraph.is_connected
+
+    def counted(self, *args, **kwargs):
+        if self is g:
+            calls.append(bool(args or kwargs))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(UGraph, "is_connected", counted)
+    assert solve_undirected(g, target).is_yes
+    # once by the solver; the certifier's check of the witness skips removed edges
+    assert calls == [False, True]

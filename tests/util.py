@@ -92,3 +92,13 @@ def complete(n: int) -> UGraph:
 
 THETA = UGraph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])  # a=0 b=1 x=2 y=3 z=4
 FIGURE_EIGHT = UGraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])  # shared vertex 0
+
+
+def end_chord_path(n: int) -> UGraph:
+    """The path 0..n-1 with the chords (0, 2) and (0, 3): k = 2, 2-core {0, 1, 2, 3}."""
+    return UGraph(n, [(i, i + 1) for i in range(n - 1)] + [(0, 2), (0, 3)])
+
+
+def hub_with_leaves(n: int) -> UGraph:
+    """K4 on 0..3 with the n - 4 other vertices as leaves of vertex 0: k = 3."""
+    return UGraph(n, list(complete(4).edges) + [(0, v) for v in range(4, n)])
