@@ -4,12 +4,20 @@ Planted instances are built as a known spanning tree plus ``k`` extra edges
 (arcs), so their answer is YES by construction and the planted extras form a
 known redundant set.  Random instances pair an independent tree-plus-extras
 graph with an independent target, leaving the truth to the oracle.
+
+The ``k`` extras are drawn uniformly from the pairs (arcs) the tree does not
+use, without listing them: each pair has a rank in lexicographic pair order,
+the tree's ranks are sorted once, and the i-th free rank is found by bisection
+and unranked to a pair.  The draw takes O(n log n + k log n) time and O(n)
+memory, and its output is byte-identical to drawing from the explicit list of
+free pairs (the O(n^2) list earlier versions built).
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -113,6 +121,44 @@ def _orient_from_root(n: int, edges: list[tuple[int, int]], root: int) -> list[t
     return arcs
 
 
+def _pair_rank(n: int, u: int, v: int, directed: bool) -> int:
+    """Rank of ``(u, v)`` in lexicographic order of all arcs, or of all pairs u < v."""
+    if directed:
+        return u * (n - 1) + v - (v > u)
+    return u * n - u * (u + 1) // 2 + v - u - 1
+
+
+def _pair_unrank(n: int, r: int, directed: bool) -> tuple[int, int]:
+    """The pair (arc) of rank ``r``: the inverse of :func:`_pair_rank`."""
+    if directed:
+        u, j = divmod(r, n - 1)
+        return u, j + (j >= u)
+    # row u starts at rank u*n - u(u+1)/2, which grows with u
+    u = bisect_right(range(n - 1), r, key=lambda x: x * n - x * (x + 1) // 2) - 1
+    return u, r - (u * n - u * (u + 1) // 2) + u + 1
+
+
+def _draw_free_pairs(
+    n: int, tree: list[tuple[int, int]], k: int, rng: random.Random, directed: bool
+) -> list[tuple[int, int]]:
+    """``k`` distinct pairs (arcs) off ``tree``, drawn uniformly by ``rng``."""
+    if directed:
+        taken = sorted(_pair_rank(n, u, v, True) for u, v in tree)
+        total = n * (n - 1)
+    else:
+        taken = sorted(_pair_rank(n, min(u, v), max(u, v), False) for u, v in tree)
+        total = n * (n - 1) // 2
+    # ``random.sample`` reads only ``len(population)`` and ``population[j]``
+    # (also its small-population branch, which copies the population into a
+    # pool), so sampling ``range`` draws the same indices, with the same RNG
+    # calls, as sampling the explicit list of free pairs in rank order.
+    picks = rng.sample(range(total - len(taken)), k)
+    # free ranks below taken[m] number taken[m] - m, so the i-th free rank
+    # skips every taken rank whose count is <= i
+    below = [r - m for m, r in enumerate(taken)]
+    return [_pair_unrank(n, i + bisect_right(below, i), directed) for i in picks]
+
+
 def gen_instance(spec: GenSpec) -> GenInstance:
     """Generate the instance a spec describes (identical spec, identical bytes)."""
     rng = random.Random(spec.seed)
@@ -121,21 +167,10 @@ def gen_instance(spec: GenSpec) -> GenInstance:
     if spec.directed:
         root = rng.randrange(n)
         base = _orient_from_root(n, tree_edges, root)
-        existing = set(base)
-        candidates = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and (u, v) not in existing
-        ]
-        extras = rng.sample(candidates, k)
+        extras = _draw_free_pairs(n, base, k, rng, directed=True)
         graph: UGraph | DiGraph = DiGraph(n, base + extras)
     else:
-        existing = {(min(u, v), max(u, v)) for u, v in tree_edges}
-        candidates = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in existing
-        ]
-        extras = rng.sample(candidates, k)
+        extras = _draw_free_pairs(n, tree_edges, k, rng, directed=False)
         graph = UGraph(n, tree_edges + extras)
     extra_ids = tuple(range(n - 1, n - 1 + k))
 

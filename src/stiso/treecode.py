@@ -138,6 +138,11 @@ def rooted_code(tree: UGraph, root: int) -> str:
 def tree_centers(tree: UGraph) -> list[int]:
     """The 1 or 2 center vertices of a tree, found by leaf peeling."""
     _check_tree(tree)
+    return _centers(tree)
+
+
+def _centers(tree: UGraph) -> list[int]:
+    """:func:`tree_centers` for a tree the caller has already validated."""
     if tree.n <= 2:
         return list(range(tree.n))
     deg = [tree.degree(v) for v in range(tree.n)]

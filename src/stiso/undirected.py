@@ -52,6 +52,7 @@ from .kernel import _contract
 from .treecode import (
     CodeTable,
     TargetTree,
+    _centers,
     intern_child_ids,
     lookup_root_id,
     rooted_iso_mapping,
@@ -439,10 +440,11 @@ class _Engine:
 
 def _rootings(target: TargetTree | UGraph) -> list[TargetTree]:
     """The target rooted at each center, reusing the caller's rooting if it is one."""
-    ttree = target_graph(target)
+    if not isinstance(target, TargetTree):
+        return [TargetTree(target, c) for c in tree_centers(target)]
+    # a TargetTree was validated when it was built
     return [
-        target if isinstance(target, TargetTree) and target.root == c else TargetTree(ttree, c)
-        for c in tree_centers(ttree)
+        target if target.root == c else TargetTree(target.tree, c) for c in _centers(target.tree)
     ]
 
 

@@ -488,3 +488,22 @@ def test_connectivity_checked_once_per_solve(monkeypatch):
     assert solve_undirected(g, target).is_yes
     # once by the solver; the certifier's check of the witness skips removed edges
     assert calls == [False, True]
+
+
+def test_target_tree_not_revalidated_per_solve(monkeypatch):
+    # a path has two centers, so the solver roots the target a second time
+    cases = [(complete(4), path(4), True), (hub_with_leaves(30), path(30), False)]
+    real = UGraph.is_connected
+    for g, tree, answer in cases:
+        target = TargetTree(tree, 1)
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            if self is tree:
+                calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(UGraph, "is_connected", counted)
+        assert solve_undirected(g, target).is_yes is answer
+        monkeypatch.setattr(UGraph, "is_connected", real)
+        assert calls == []
