@@ -38,7 +38,14 @@ from itertools import product
 
 from .graphs import DiGraph, UGraph, Verdict, reachable_all, roots_reaching_all
 from .kernel import AnchorChain
-from .treecode import CodeTable, TargetTree, arborescence_root, intern_child_ids, lookup_root_id
+from .treecode import (
+    CodeTable,
+    TargetTree,
+    _pair_children,
+    arborescence_root,
+    intern_child_ids,
+    lookup_root_id,
+)
 
 
 @dataclass
@@ -232,34 +239,12 @@ def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace
             stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
             if trace is not None:
                 trace(f"root={r} plans={plans_this_root} surviving={surviving} yes")
-            mapping = _witness_mapping(target, target_ids, r, parent, witness_ids)
+            mapping = _pair_children(target.root, target.parent, target_ids, r, parent, witness_ids)
             return Verdict("YES", mapping=mapping, removed=frozenset(deleted))
         stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
         if trace is not None:
             trace(f"root={r} plans={plans_this_root} surviving={surviving} no")
     return Verdict("NO")
-
-
-def _witness_mapping(
-    target: TargetTree, target_ids: list[int], r: int, parent: list[int], witness_ids: list[int]
-) -> dict[int, int]:
-    """Target vertex -> witness vertex for a witness rooted at ``r`` whose
-    root id equals the target's.  Equal ids mean isomorphic subtrees, so the
-    children of each matched pair are paired in ``(id, vertex)`` order."""
-    kids: list[list[int]] = [[] for _ in parent]
-    for v, p in enumerate(parent):
-        if p != -1:
-            kids[p].append(v)
-    mapping = {target.root: r}
-    stack = [(target.root, r)]
-    while stack:
-        a, b = stack.pop()
-        kids_a = sorted(target.children[a], key=lambda w: (target_ids[w], w))
-        kids_b = sorted(kids[b], key=lambda w: (witness_ids[w], w))
-        for x, y in zip(kids_a, kids_b):
-            mapping[x] = y
-            stack.append((x, y))
-    return mapping
 
 
 def _arborescence_without(

@@ -344,47 +344,3 @@ def cycle_edges(g: UGraph) -> list[int]:
         cycle.append(parent_eid[u])
         u = parent[u]
     return sorted(cycle)
-
-
-def classify_neighbors(g: UGraph, v: int) -> tuple[set[int], set[int]]:
-    """Partition ``N(v)`` into tree-like and non-tree-like neighbors.
-
-    A neighbor ``u`` is tree-like when its component in ``g - {v}`` is a tree
-    whose only vertex adjacent to ``v`` is ``u`` itself.
-    """
-    comp_of = [-1] * g.n
-    comps: list[tuple[int, int]] = []  # (vertex count, edge count)
-    comp_nbrs: list[list[int]] = []
-    nbrs = set(g.neighbors(v))
-    for start in range(g.n):
-        if start == v or comp_of[start] != -1:
-            continue
-        cid = len(comps)
-        stack = [start]
-        comp_of[start] = cid
-        nv, half_edges = 0, 0
-        members_in_nbrs: list[int] = []
-        while stack:
-            x = stack.pop()
-            nv += 1
-            if x in nbrs:
-                members_in_nbrs.append(x)
-            for _, w in g.incidence[x]:
-                if w == v:
-                    continue
-                half_edges += 1
-                if comp_of[w] == -1:
-                    comp_of[w] = cid
-                    stack.append(w)
-        comps.append((nv, half_edges // 2))
-        comp_nbrs.append(members_in_nbrs)
-    tree_like: set[int] = set()
-    non_tree_like: set[int] = set()
-    for u in nbrs:
-        cid = comp_of[u]
-        nv, ne = comps[cid]
-        if ne == nv - 1 and comp_nbrs[cid] == [u]:
-            tree_like.add(u)
-        else:
-            non_tree_like.add(u)
-    return tree_like, non_tree_like

@@ -11,10 +11,22 @@ Each surviving edge remembers the original path it contracts (its chain);
 chain endpoints are anchors, interiors are non-anchors, and the interiors
 of distinct chains are disjoint.
 
-Every trim runs before any suppression, because suppressing never lowers a
-degree.  The trimmed vertices therefore form a forest of pendant trees
-hanging off the 2-core, and each one's parent (its last neighbour when it
-was trimmed) is an original neighbour.
+The order is fixed: the lowest-id degree-1 vertex first, else the lowest-id
+degree-2 vertex, and each new edge takes the next edge id.  Suppressing
+never changes a degree, so every trim runs before any suppression, and the
+suppressions then take the core's degree-2 vertices in increasing id.  The
+result is therefore computed in two linear passes instead of step by step:
+
+1. *Peel*: a lowest-id leaf heap trims the graph to its 2-core.  The
+   trimmed vertices form a forest of pendant trees hanging off the 2-core,
+   and each one's parent (its last neighbour when it was trimmed) is an
+   original neighbour.
+2. *Walk*: the anchors are the core vertices of degree at least 3.  From
+   each, every unused core edge is followed through degree-2 vertices to
+   the next anchor; that path is one chain.  The reduction would have made
+   its kernel edge when the chain's largest interior vertex was
+   suppressed, which fixes the chain's position and orientation
+   (:func:`_chain_in_reduction_order`).
 """
 
 from __future__ import annotations
@@ -77,8 +89,14 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
 
     Requires a connected graph with surplus ``k = m - (n-1) >= 2`` (smaller
     surpluses are handled by the solvers' special cases and have empty or
-    degenerate cores).  Reduction order is deterministic: the lowest-id
-    degree-1 vertex first, else the lowest-id degree-2 vertex.
+    degenerate cores).  The result is that of the deterministic reduction
+    order: the lowest-id degree-1 vertex first, else the lowest-id degree-2
+    vertex.  It is computed in two linear passes: peel the leaves from a
+    lowest-id heap, then walk the chains between anchors.  Suppressing never
+    changes a degree, so that order runs every trim first and then
+    suppresses the core's degree-2 vertices in increasing id; a chain's
+    kernel edge is therefore made when its largest interior vertex is
+    suppressed, which fixes the chain's edge id and orientation.
     """
     if not g.is_connected():
         raise KernelError("kernelization requires a connected graph")
@@ -91,158 +109,99 @@ def _contract(g: UGraph, audit: bool = False) -> Kernel:
     if k < 2:
         raise KernelError(f"kernelization requires redundant size >= 2, got {k}")
 
-    alive_v = bytearray([1] * g.n)
-    inc: list[set[int]] = [set() for _ in range(g.n)]
-    ends: dict[int, tuple[int, int]] = {}
-    deg = [0] * g.n
-    for eid, (u, v) in enumerate(g.edges):
-        ends[eid] = (u, v)
-        inc[u].add(eid)
-        inc[v].add(eid)
-        deg[u] += 1
-        deg[v] += 1
-    # chain paths for live edges, stored as (vertex path, original edge ids)
-    chains: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
-        eid: ((u, v), (eid,)) for eid, (u, v) in enumerate(g.edges)
-    }
-    next_eid = g.m
-    n_alive, m_alive = g.n, g.m
-    surplus = m_alive - n_alive
-    steps: list[tuple[str, int, int, int]] = []
+    # pass 1: peel the lowest-id leaf until none is left
+    deg = [len(pairs) for pairs in g.incidence]
+    alive = bytearray([1] * g.n)
     trim_order: list[int] = []
     trim_parent = [-1] * g.n
-    suppressed = False
+    heap = [v for v in range(g.n) if deg[v] == 1]
+    while heap:
+        v = heapq.heappop(heap)
+        if not alive[v] or deg[v] != 1:
+            continue
+        u = next(w for _, w in g.incidence[v] if alive[w])
+        alive[v] = 0
+        trim_order.append(v)
+        trim_parent[v] = u
+        deg[u] -= 1
+        if deg[u] == 1:
+            heapq.heappush(heap, u)
 
-    heap1 = [v for v in range(g.n) if deg[v] == 1]
-    heap2 = [v for v in range(g.n) if deg[v] == 2]
-    heapq.heapify(heap1)
-    heapq.heapify(heap2)
-
-    def orient(eid: int, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        path, eids = chains[eid]
-        if path[0] == start:
-            return path, eids
-        return path[::-1], eids[::-1]
-
-    def kill_edge(eid: int) -> None:
-        nonlocal m_alive
-        u, v = ends.pop(eid)
-        inc[u].discard(eid)
-        inc[v].discard(eid)
-        deg[u] -= 1 if u != v else 2
-        if u != v:
-            deg[v] -= 1
-        del chains[eid]
-        m_alive -= 1
-
-    def add_edge(u: int, v: int, chain: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
-        nonlocal next_eid, m_alive
-        eid = next_eid
-        next_eid += 1
-        ends[eid] = (u, v)
-        inc[u].add(eid)
-        inc[v].add(eid)
-        deg[u] += 1 if u != v else 2
-        if u != v:
-            deg[v] += 1
-        chains[eid] = chain
-        m_alive += 1
-
-    def requeue(v: int) -> None:
-        if alive_v[v]:
-            if deg[v] == 1:
-                heapq.heappush(heap1, v)
-            elif deg[v] == 2:
-                heapq.heappush(heap2, v)
-
-    while True:
-        v = -1
-        op = ""
-        while heap1:
-            cand = heap1[0]
-            if alive_v[cand] and deg[cand] == 1:
-                v, op = cand, "trim"
-                heapq.heappop(heap1)
-                break
-            heapq.heappop(heap1)
-        if v == -1:
-            while heap2:
-                cand = heap2[0]
-                if alive_v[cand] and deg[cand] == 2:
-                    v, op = cand, "suppress"
-                    heapq.heappop(heap2)
+    # pass 2: walk each chain from an anchor through degree-2 vertices
+    anchors = [v for v in range(g.n) if alive[v] and deg[v] >= 3]
+    used = bytearray(g.m)
+    keyed: list[tuple[tuple[int, int], AnchorChain]] = []
+    for a in anchors:
+        for eid, w in g.incidence[a]:
+            if used[eid] or not alive[w]:
+                continue
+            path, eids = [a], []
+            while True:
+                used[eid] = 1
+                path.append(w)
+                eids.append(eid)
+                if deg[w] != 2:
                     break
-                heapq.heappop(heap2)
-        if v == -1:
-            break
+                eid, w = next((e, x) for e, x in g.incidence[w] if e != eid and alive[x])
+            keyed.append(_chain_in_reduction_order(g, path, eids))
+    keyed.sort(key=lambda item: item[0])
+    chains = tuple(chain for _, chain in keyed)
 
-        if op == "trim":
-            if suppressed:
-                raise RuntimeError("trim after a suppression: trim parent may not be a neighbour")
-            (eid,) = inc[v]
-            u = _other_end(ends[eid], v)
-            trim_order.append(v)
-            trim_parent[v] = u
-            kill_edge(eid)
-            alive_v[v] = 0
-            n_alive -= 1
-            requeue(u)
-        else:
-            suppressed = True
-            eids = sorted(inc[v])
-            if len(eids) == 1:
-                # lone self-loop: drop vertex and loop together; unreachable
-                # for surplus >= 2 on a connected graph, kept for totality
-                kill_edge(eids[0])
-                alive_v[v] = 0
-                n_alive -= 1
-            else:
-                e1, e2 = eids
-                u = _other_end(ends[e1], v)
-                w = _other_end(ends[e2], v)
-                path1, ids1 = orient(e1, u)
-                path2, ids2 = orient(e2, v)
-                merged = (path1 + path2[1:], ids1 + ids2)
-                kill_edge(e1)
-                kill_edge(e2)
-                alive_v[v] = 0
-                n_alive -= 1
-                add_edge(u, w, merged)
-                requeue(u)
-                requeue(w)
-        if audit:
-            steps.append((op, v, n_alive, m_alive))
-            if m_alive - n_alive != surplus:
-                raise RuntimeError("reduction step changed |E| - |V|")
-
-    if m_alive - n_alive != surplus:
+    if sum(len(c.edge_ids) for c in chains) != g.m - len(trim_order):
+        raise RuntimeError("chains do not use every core edge exactly once")
+    if len(chains) - len(anchors) != g.m - g.n:
         raise RuntimeError("reduction changed |E| - |V|")
-    survivors = [v for v in range(g.n) if alive_v[v]]
-    if not survivors:
+    if not anchors:
         raise RuntimeError("core is empty although the surplus is >= 2")
-    dense = {orig: i for i, orig in enumerate(survivors)}
-    live_eids = sorted(ends)
-    kernel_edges = [(dense[ends[e][0]], dense[ends[e][1]]) for e in live_eids]
-    kernel_graph = UGraph.multigraph(len(survivors), kernel_edges)
+    dense = {orig: i for i, orig in enumerate(anchors)}
+    kernel_graph = UGraph.multigraph(
+        len(anchors), [(dense[c.vertices[0]], dense[c.vertices[-1]]) for c in chains]
+    )
     if min(kernel_graph.degree(v) for v in range(kernel_graph.n)) < 3:
         raise RuntimeError("core has a vertex of degree below 3")
     if kernel_graph.n > 2 * k - 2 or kernel_graph.m != kernel_graph.n + k - 1:
         raise RuntimeError(
             f"core size out of bounds: |V'|={kernel_graph.n}, |E'|={kernel_graph.m}, k={k}"
         )
-    kernel_chains = tuple(AnchorChain(*chains[e]) for e in live_eids)
+    steps = None
+    if audit:
+        # every trim and every suppression removes one vertex and one edge
+        ops = [("trim", v) for v in trim_order]
+        ops += [("suppress", v) for v in range(g.n) if alive[v] and deg[v] == 2]
+        steps = tuple((op, v, g.n - i, g.m - i) for i, (op, v) in enumerate(ops, 1))
     return Kernel(
         graph=kernel_graph,
-        delta=tuple(survivors),
-        anchors=frozenset(survivors),
-        chains=kernel_chains,
+        delta=tuple(anchors),
+        anchors=frozenset(anchors),
+        chains=chains,
         trim_order=tuple(trim_order),
         trim_parent=tuple(trim_parent),
-        steps=tuple(steps) if audit else None,
+        steps=steps,
     )
 
 
-def _other_end(endpoints: tuple[int, int], v: int) -> int:
-    u, w = endpoints
-    return w if v == u else u
+def _chain_in_reduction_order(
+    g: UGraph, path: list[int], eids: list[int]
+) -> tuple[tuple[int, int], AnchorChain]:
+    """Sort key and orientation that the reduction order gives a walked chain.
 
+    An original edge ``e`` keeps ``g.edges[e]`` and sorts first, by ``e``.
+    Any other chain got its kernel edge when its largest interior vertex
+    ``v*`` was suppressed, so it sorts by ``v*``; it starts at the end on
+    the side of ``v*`` whose edge then had the smaller id.  An original
+    edge has a smaller id than any merged one, and a merged side got its id
+    when its own largest interior vertex was suppressed.
+    """
+    if len(eids) == 1:
+        return (0, eids[0]), AnchorChain(g.edges[eids[0]], (eids[0],))
+    interior = path[1:-1]
+    top = max(interior)
+    j = interior.index(top) + 1
+    before = path[1:j]
+    after = path[j + 1 : -1]
+    first = (1, max(before)) if before else (0, eids[0])
+    last = (1, max(after)) if after else (0, eids[-1])
+    if last < first:
+        path.reverse()
+        eids.reverse()
+    return (1, top), AnchorChain(tuple(path), tuple(eids))

@@ -4,6 +4,9 @@ A rooted tree is encoded as a balanced parenthesis string: a leaf is ``()``
 and an internal vertex wraps the concatenation of its children's codes,
 sorted by ``(length, bytes)``.  Two rooted trees have equal codes iff they
 are isomorphic as rooted trees, so code comparison is the isomorphism test.
+Interning each vertex's sorted child ids in a shared table
+(:func:`intern_child_ids`) gives the same test on integers without building
+strings; the solvers and :func:`rooted_iso_mapping` use those ids.
 """
 
 from __future__ import annotations
@@ -184,27 +187,52 @@ def unrooted_iso(t1: UGraph, t2: UGraph) -> bool:
 def rooted_iso_mapping(t1: UGraph, r1: int, t2: UGraph, r2: int) -> dict[int, int] | None:
     """One isomorphism ``V(t1) -> V(t2)`` with ``r1 -> r2``, or None.
 
-    Children with equal subtree codes are interchangeable, so pairing the
-    i-th child of each code class on both sides yields a valid bijection.
+    Both trees are interned into one table, so their roots have equal ids
+    iff the rooted trees are isomorphic; the children are then paired by
+    :func:`_pair_children`.
     """
-    codes1 = subtree_codes(t1, r1)
-    codes2 = subtree_codes(t2, r2)
-    if codes1[r1] != codes2[r2]:
+    table: CodeTable = {}
+    sides = []
+    for tree, root in ((t1, r1), (t2, r2)):
+        order, parent = _rooted_order(tree, root)
+        ids = [0] * tree.n
+        intern_child_ids(reversed(order), parent, table, ids)
+        sides.append((parent, ids))
+    (parent1, ids1), (parent2, ids2) = sides
+    if ids1[r1] != ids2[r2]:
         return None
+    return _pair_children(r1, parent1, ids1, r2, parent2, ids2)
+
+
+def _pair_children(
+    r1: int, parent1: Sequence[int], ids1: Sequence[int],
+    r2: int, parent2: Sequence[int], ids2: Sequence[int],
+) -> dict[int, int]:
+    """The isomorphism ``r1 -> r2`` between two rooted trees whose vertex
+    ids come from one table and whose root ids are equal.
+
+    Children with equal ids are interchangeable, so pairing the children of
+    each matched pair in ``(id, vertex)`` order on both sides is a valid
+    bijection.
+    """
+    kids1 = _children_by_id(parent1, ids1)
+    kids2 = _children_by_id(parent2, ids2)
     mapping = {r1: r2}
-    stack = [(r1, r2, -1, -1)]
+    stack = [(r1, r2)]
     while stack:
-        a, b, pa, pb = stack.pop()
-        kids_a = sorted(
-            (w for _, w in t1.incidence[a] if w != pa), key=lambda w: (code_key(codes1[w]), w)
-        )
-        kids_b = sorted(
-            (w for _, w in t2.incidence[b] if w != pb), key=lambda w: (code_key(codes2[w]), w)
-        )
-        for ka, kb in zip(kids_a, kids_b):
-            mapping[ka] = kb
-            stack.append((ka, kb, a, b))
+        a, b = stack.pop()
+        for x, y in zip(kids1[a], kids2[b]):
+            mapping[x] = y
+            stack.append((x, y))
     return mapping
+
+
+def _children_by_id(parent: Sequence[int], ids: Sequence[int]) -> list[list[int]]:
+    kids: list[list[int]] = [[] for _ in parent]
+    for v in sorted(range(len(parent)), key=lambda v: (ids[v], v)):
+        if parent[v] != -1:
+            kids[parent[v]].append(v)
+    return kids
 
 
 def arborescence_root(d: DiGraph) -> int:

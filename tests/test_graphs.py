@@ -13,7 +13,7 @@ from stiso import (
     redundant_size,
 )
 
-from stiso.graphs import classify_neighbors, cycle_edges, roots_reaching_all
+from stiso.graphs import cycle_edges, roots_reaching_all
 from util import complete, cycle, path, star
 
 
@@ -183,37 +183,6 @@ def test_cycle_edges_raises_on_two_extra_edges():
     g = UGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     with pytest.raises(RuntimeError, match="found 2"):
         cycle_edges(g)
-
-
-def test_classify_neighbors_star_center():
-    g = star(5)
-    tree_like, non_tree_like = classify_neighbors(g, 0)
-    assert tree_like == {1, 2, 3, 4} and non_tree_like == set()
-
-
-def test_classify_neighbors_cycle():
-    g = cycle(4)
-    for v in range(4):
-        tree_like, non_tree_like = classify_neighbors(g, v)
-        assert tree_like == set()
-        assert non_tree_like == {(v - 1) % 4, (v + 1) % 4}
-
-
-def test_classify_neighbors_triangle_with_pendant():
-    # triangle {0,1,2} with leaf 3 hanging on 0
-    g = UGraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-    tree_like, non_tree_like = classify_neighbors(g, 0)
-    assert tree_like == {3}
-    assert non_tree_like == {1, 2}
-
-
-@given(st.integers(2, 20), st.integers(0, 2**32))
-def test_classify_neighbors_partitions(n, seed):
-    g = gen_tree(n, seed)
-    for v in range(n):
-        tree_like, non_tree_like = classify_neighbors(g, v)
-        assert tree_like | non_tree_like == set(g.neighbors(v))
-        assert tree_like & non_tree_like == set()
 
 
 def test_relabeled_rejects_non_permutation():

@@ -1,8 +1,11 @@
+import heapq
 import random
 
 import pytest
 
 from stiso import (
+    AnchorChain,
+    Kernel,
     KernelError,
     UGraph,
     gen_instance,
@@ -10,7 +13,7 @@ from stiso import (
     make_contractible,
 )
 
-from util import FIGURE_EIGHT, THETA, complete, cycle
+from util import FIGURE_EIGHT, THETA, chorded_path, complete, cycle, end_chord_path
 
 
 def test_k4_is_its_own_core():
@@ -135,3 +138,215 @@ def test_trim_forest_invariants_random():
                 assert hops <= g.n
         trimmed += len(kern.trim_order)
     assert trimmed > 0
+
+
+# The reducer as it ran before the two-pass kernel: one heap of leaves, one
+# of degree-2 vertices, an edge per merge.  Copied unchanged.
+def _heap_reducer(g: UGraph, audit: bool = False) -> Kernel:
+    """The step-by-step reducer that the two-pass kernel replaced, kept as the reference."""
+    k = g.m - (g.n - 1)
+    if k < 2:
+        raise KernelError(f"kernelization requires redundant size >= 2, got {k}")
+
+    alive_v = bytearray([1] * g.n)
+    inc: list[set[int]] = [set() for _ in range(g.n)]
+    ends: dict[int, tuple[int, int]] = {}
+    deg = [0] * g.n
+    for eid, (u, v) in enumerate(g.edges):
+        ends[eid] = (u, v)
+        inc[u].add(eid)
+        inc[v].add(eid)
+        deg[u] += 1
+        deg[v] += 1
+    # chain paths for live edges, stored as (vertex path, original edge ids)
+    chains: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
+        eid: ((u, v), (eid,)) for eid, (u, v) in enumerate(g.edges)
+    }
+    next_eid = g.m
+    n_alive, m_alive = g.n, g.m
+    surplus = m_alive - n_alive
+    steps: list[tuple[str, int, int, int]] = []
+    trim_order: list[int] = []
+    trim_parent = [-1] * g.n
+    suppressed = False
+
+    heap1 = [v for v in range(g.n) if deg[v] == 1]
+    heap2 = [v for v in range(g.n) if deg[v] == 2]
+    heapq.heapify(heap1)
+    heapq.heapify(heap2)
+
+    def orient(eid: int, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        path, eids = chains[eid]
+        if path[0] == start:
+            return path, eids
+        return path[::-1], eids[::-1]
+
+    def kill_edge(eid: int) -> None:
+        nonlocal m_alive
+        u, v = ends.pop(eid)
+        inc[u].discard(eid)
+        inc[v].discard(eid)
+        deg[u] -= 1 if u != v else 2
+        if u != v:
+            deg[v] -= 1
+        del chains[eid]
+        m_alive -= 1
+
+    def add_edge(u: int, v: int, chain: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
+        nonlocal next_eid, m_alive
+        eid = next_eid
+        next_eid += 1
+        ends[eid] = (u, v)
+        inc[u].add(eid)
+        inc[v].add(eid)
+        deg[u] += 1 if u != v else 2
+        if u != v:
+            deg[v] += 1
+        chains[eid] = chain
+        m_alive += 1
+
+    def requeue(v: int) -> None:
+        if alive_v[v]:
+            if deg[v] == 1:
+                heapq.heappush(heap1, v)
+            elif deg[v] == 2:
+                heapq.heappush(heap2, v)
+
+    while True:
+        v = -1
+        op = ""
+        while heap1:
+            cand = heap1[0]
+            if alive_v[cand] and deg[cand] == 1:
+                v, op = cand, "trim"
+                heapq.heappop(heap1)
+                break
+            heapq.heappop(heap1)
+        if v == -1:
+            while heap2:
+                cand = heap2[0]
+                if alive_v[cand] and deg[cand] == 2:
+                    v, op = cand, "suppress"
+                    heapq.heappop(heap2)
+                    break
+                heapq.heappop(heap2)
+        if v == -1:
+            break
+
+        if op == "trim":
+            if suppressed:
+                raise RuntimeError("trim after a suppression: trim parent may not be a neighbour")
+            (eid,) = inc[v]
+            u = _other_end(ends[eid], v)
+            trim_order.append(v)
+            trim_parent[v] = u
+            kill_edge(eid)
+            alive_v[v] = 0
+            n_alive -= 1
+            requeue(u)
+        else:
+            suppressed = True
+            eids = sorted(inc[v])
+            if len(eids) == 1:
+                # lone self-loop: drop vertex and loop together; unreachable
+                # for surplus >= 2 on a connected graph, kept for totality
+                kill_edge(eids[0])
+                alive_v[v] = 0
+                n_alive -= 1
+            else:
+                e1, e2 = eids
+                u = _other_end(ends[e1], v)
+                w = _other_end(ends[e2], v)
+                path1, ids1 = orient(e1, u)
+                path2, ids2 = orient(e2, v)
+                merged = (path1 + path2[1:], ids1 + ids2)
+                kill_edge(e1)
+                kill_edge(e2)
+                alive_v[v] = 0
+                n_alive -= 1
+                add_edge(u, w, merged)
+                requeue(u)
+                requeue(w)
+        if audit:
+            steps.append((op, v, n_alive, m_alive))
+            if m_alive - n_alive != surplus:
+                raise RuntimeError("reduction step changed |E| - |V|")
+
+    if m_alive - n_alive != surplus:
+        raise RuntimeError("reduction changed |E| - |V|")
+    survivors = [v for v in range(g.n) if alive_v[v]]
+    if not survivors:
+        raise RuntimeError("core is empty although the surplus is >= 2")
+    dense = {orig: i for i, orig in enumerate(survivors)}
+    live_eids = sorted(ends)
+    kernel_edges = [(dense[ends[e][0]], dense[ends[e][1]]) for e in live_eids]
+    kernel_graph = UGraph.multigraph(len(survivors), kernel_edges)
+    if min(kernel_graph.degree(v) for v in range(kernel_graph.n)) < 3:
+        raise RuntimeError("core has a vertex of degree below 3")
+    if kernel_graph.n > 2 * k - 2 or kernel_graph.m != kernel_graph.n + k - 1:
+        raise RuntimeError(
+            f"core size out of bounds: |V'|={kernel_graph.n}, |E'|={kernel_graph.m}, k={k}"
+        )
+    kernel_chains = tuple(AnchorChain(*chains[e]) for e in live_eids)
+    return Kernel(
+        graph=kernel_graph,
+        delta=tuple(survivors),
+        anchors=frozenset(survivors),
+        chains=kernel_chains,
+        trim_order=tuple(trim_order),
+        trim_parent=tuple(trim_parent),
+        steps=tuple(steps) if audit else None,
+    )
+
+
+def _other_end(endpoints: tuple[int, int], v: int) -> int:
+    u, w = endpoints
+    return w if v == u else u
+
+
+def _reference_grid():
+    """Seeded graphs on which both kernels must agree, audit trail included."""
+    yield FIGURE_EIGHT  # two self-loop chains on one anchor
+    yield THETA
+    yield UGraph.multigraph(2, [(0, 1), (0, 1), (0, 1)])  # parallel anchor-anchor edges
+    yield UGraph.multigraph(1, [(0, 0), (0, 0)])  # self-loops on a lone anchor
+    yield UGraph.multigraph(4, list(complete(4).edges) + [(2, 1), (0, 3)])
+    for n in range(4, 12):
+        yield complete(n)
+    for n in (7, 12, 30, 101):
+        yield chorded_path(n)
+        yield end_chord_path(n)
+    for n in range(5, 47):
+        for k in range(2, 7):
+            for seed in range(4):
+                for directed in (False, True):
+                    for mode in ("random", "planted-yes"):
+                        inst = gen_instance(
+                            GenSpec(n=n, k=k, seed=seed, mode=mode, directed=directed)
+                        )
+                        g = inst.graph.underlying() if directed else inst.graph
+                        rng = random.Random(f"{n} {k} {seed} {directed} {mode}")
+                        perm = list(range(n))
+                        rng.shuffle(perm)
+                        yield g
+                        yield g.relabeled(perm)
+                        # one edge doubled: a parallel pair, often between anchors
+                        yield UGraph.multigraph(n, list(g.edges) + [rng.choice(g.edges)])
+
+
+def test_matches_heap_reducer():
+    count = 0
+    for g in _reference_grid():
+        assert make_contractible(g, audit=True) == _heap_reducer(g, audit=True), g.edges
+        count += 1
+    assert count >= 10_000
+
+
+def test_long_chorded_path_contracts():
+    # the heap reducer rebuilt each growing chain on every merge: quadratic here
+    n = 100_000
+    a, b = n // 3, n // 2
+    kern = make_contractible(chorded_path(n), audit=True)
+    assert kern.delta == (a, b)
+    assert sorted(len(c.edge_ids) for c in kern.chains) == sorted([b - a, a + 1, n - b])
+    assert len(kern.steps) == n - 2

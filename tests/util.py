@@ -99,6 +99,11 @@ def end_chord_path(n: int) -> UGraph:
     return UGraph(n, [(i, i + 1) for i in range(n - 1)] + [(0, 2), (0, 3)])
 
 
+def chorded_path(n: int) -> UGraph:
+    """The path 0..n-1 with the chords (0, n // 2) and (n // 3, n - 1): k = 2, no pendants."""
+    return UGraph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n // 2), (n // 3, n - 1)])
+
+
 def hub_with_leaves(n: int) -> UGraph:
     """K4 on 0..3 with the n - 4 other vertices as leaves of vertex 0: k = 3."""
     return UGraph(n, list(complete(4).edges) + [(0, v) for v in range(4, n)])
