@@ -31,6 +31,17 @@ child as its whole subtree.  A pendant it finds is looked up in the shared
 table.  A pendant takes the first unmatched target child of equal id, and
 children bind in ``(id, vertex)`` order on both sides.
 
+The walk runs only while some removed edge has an unmatched end (a cut
+edge; only an ``_open`` that fills all of a vertex's children drops one).
+Without a cut edge rule (3) finds no pendant, by a degree count.  Say
+``u``'s component C is a tree whose one edge to the matched region is
+``(rg, u)``.  Its 2-core part is connected, since a trim subtree touches
+the rest only at its attachment, so it is a tree on c vertices with c - 1
+kept edges.  Each 2-core vertex has 2-core degree >= 2, so at least two
+more 2-core edge ends lie in C.  A kept edge leaving C goes to the matched
+region, and only ``(rg, u)`` does, so some edge at C is removed, and its
+end in C is unmatched.
+
 Before any attempt, a root candidate whose pendant check must fail is
 rejected in O(deg v): with only the root ``v`` matched, its pendants are
 its trim children (a pendant at a 2-core neighbour would have been
@@ -63,7 +74,12 @@ from .treecode import (
 
 @dataclass
 class SolveStats:
-    """Search effort counters for one solve call."""
+    """Search effort counters for one solve call.
+
+    ``walks`` counts the walks of the unvisited remainder from a 2-core
+    neighbour (rule (3) of the module docstring); an opened node walks only
+    while some removed edge has an unmatched end.
+    """
 
     k: int = 0
     roots_tried: int = 0
@@ -71,6 +87,7 @@ class SolveStats:
     nodes_opened: int = 0
     branches_examined: int = 0
     anchors: int = 0
+    walks: int = 0
 
 
 TraceFn = Callable[[str], None]
@@ -260,6 +277,7 @@ class _Engine:
 
         True iff the component is a tree that meets the matched region only at ``rg``.
         """
+        self.stats.walks += 1
         g2t, removed, tparent, size = self.g2t, self.removed, self.trim.parent, self.trim.size
         edges = comp_of[u]
         stack = [u]
@@ -326,12 +344,14 @@ class _Engine:
         avail: list[tuple[int, int]] = []
         comp_of: dict[int, list[tuple[int, int]]] = {}  # rg's edges into the vertex's component
         walked: list[tuple[bool, list[tuple[int, int]]]] = []
+        g2t, edges = self.g2t, self.g.edges
+        cut = any(g2t[a] < 0 or g2t[b] < 0 for a, b in map(edges.__getitem__, self.removed))
         for eid, u in self.g.incidence[rg]:
-            if eid in self.removed or self.g2t[u] >= 0:
+            if eid in self.removed or g2t[u] >= 0:
                 continue
             if tparent[u] == rg:  # rule (1)
                 pendants.append(u)
-            elif tparent[rg] == u:  # rule (2)
+            elif tparent[rg] == u or not cut:  # rule (2), or rule (3) with no cut edge
                 avail.append((u, eid))
             elif u in comp_of:  # rule (3), a component already walked
                 comp_of[u].append((u, eid))

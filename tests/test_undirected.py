@@ -17,7 +17,16 @@ from stiso import (
     solve_unicyclic,
 )
 
-from util import THETA, complete, cycle, end_chord_path, hub_with_leaves, path, star
+from util import (
+    THETA,
+    chorded_path,
+    complete,
+    cycle,
+    end_chord_path,
+    hub_with_leaves,
+    path,
+    star,
+)
 
 
 def test_cycle_vs_path_yes():
@@ -450,6 +459,77 @@ def test_open_matches_full_walk(monkeypatch):
         solve_undirected(end_chord_path(n), path(n))
         solve_undirected(hub_with_leaves(n), gen_tree(n, n))
     assert all(seen.values()), seen
+
+
+def _has_cut_edge(engine):
+    """Some removed edge has an unmatched end."""
+    ends = (engine.g.edges[eid] for eid in engine.removed)
+    return any(engine.g2t[a] < 0 or engine.g2t[b] < 0 for a, b in ends)
+
+
+def _core_components_per_node(monkeypatch):
+    """Per opened node of the full-walk grid: cut edge?, and its 2-core components.
+
+    Each component is a flag: it is a rule-(3) pendant (a tree whose only edge
+    to the matched region is one edge at the opened vertex).  Also returns the
+    summed ``walks`` counter of the grid's solves.
+    """
+    from stiso.undirected import _Engine
+
+    real_open = _Engine._open
+    nodes = []
+
+    def recording_open(engine, rg, rt):
+        flags = []
+        for c in _full_walk(engine, rg):
+            u = c["edges"][0][0]
+            if engine.trim.parent[u] != rg and engine.trim.parent[rg] != u:
+                flags.append(c["acyclic"] and c["attach"] == 0 and len(c["edges"]) == 1)
+        nodes.append((_has_cut_edge(engine), flags))
+        return real_open(engine, rg, rt)
+
+    monkeypatch.setattr(_Engine, "_open", recording_open)
+    cases = []
+    for seed in range(120):  # the grid of test_open_matches_full_walk
+        rng = random.Random(seed)
+        n, k = rng.randint(6, 60), rng.randint(2, 6)
+        mode = "planted-yes" if seed % 2 else "random"
+        inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
+        cases.append((inst.graph, inst.target.tree))
+    cases += [(chorded_path(n), path(n)) for n in (12, 40)]
+    walks = 0
+    for g, target in cases:
+        stats = SolveStats()
+        solve_undirected(g, target, stats=stats)
+        walks += stats.walks
+    return nodes, walks
+
+
+def test_no_core_pendant_without_cut_edge(monkeypatch):
+    """Rule (3) finds a pendant only while some removed edge has an unmatched end."""
+    nodes, _ = _core_components_per_node(monkeypatch)
+    assert not any(any(flags) for cut, flags in nodes if not cut)
+    assert any(any(flags) for cut, flags in nodes if cut)
+
+
+def test_walk_counter(monkeypatch):
+    """``walks`` counts one walk per 2-core component at nodes with a cut edge, none elsewhere."""
+    nodes, walks = _core_components_per_node(monkeypatch)
+    assert walks == sum(len(flags) for cut, flags in nodes if cut) > 0
+    assert any(flags for cut, flags in nodes if not cut)
+
+
+def test_chorded_path_walks_nothing():
+    # every opened node walked the remainder, which made this cubic in n
+    n = 401
+    g, target = chorded_path(n), path(n)
+    stats = SolveStats()
+    v = solve_undirected(g, target, stats=stats)
+    assert v.is_yes and certify_undirected(g, target, v)
+    assert (stats.attempts, stats.nodes_opened, stats.walks) == (134, 175830, 0)
+    stats = SolveStats()
+    assert solve_undirected(end_chord_path(n), path(n), stats=stats).is_yes
+    assert stats.walks == 0  # 22 when every opened node walked
 
 
 def test_end_chord_path_at_twenty_thousand():
