@@ -67,7 +67,8 @@ def _codes(order: Sequence[int], parent: Sequence[int]) -> list[str]:
     codes: list[str] = [""] * len(order)
     kids: list[list[str]] = [[] for _ in order]
     for x in reversed(order):
-        kids[x].sort(key=code_key)
+        if len(kids[x]) > 1:
+            kids[x].sort(key=code_key)
         codes[x] = "(" + "".join(kids[x]) + ")"
         if parent[x] != -1:
             kids[parent[x]].append(codes[x])
@@ -148,7 +149,7 @@ def _centers(tree: UGraph) -> list[int]:
     """:func:`tree_centers` for a tree the caller has already validated."""
     if tree.n <= 2:
         return list(range(tree.n))
-    deg = [tree.degree(v) for v in range(tree.n)]
+    deg = [len(pairs) for pairs in tree.incidence]
     layer = [v for v in range(tree.n) if deg[v] == 1]
     alive = tree.n
     while alive > 2:
@@ -281,21 +282,12 @@ class TargetTree:
         for v in range(tree.n):
             if self.parent[v] != -1:
                 kids[self.parent[v]].append(v)
-        for v in range(tree.n):
-            kids[v].sort(key=lambda w: (code_key(self.code[w]), w))
-        self.children = tuple(tuple(c) for c in kids)
-        order: list[int] = []
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            stack.extend(reversed(self.children[x]))
-        self.order = tuple(order)
-        size = [1] * tree.n
-        for v in reversed(order):
-            if self.parent[v] != -1:
-                size[self.parent[v]] += size[v]
-        self.subtree_size = tuple(size)
+        # a code holds one pair of parentheses per vertex of its subtree
+        self.subtree_size = size = tuple(len(c) // 2 for c in self.code)
+        self.children = tuple(
+            _by_code(ks, self.code, size) if len(ks) > 1 else tuple(ks) for ks in kids
+        )
+        self.order = _preorder(root, self.children)
 
     @property
     def n(self) -> int:
@@ -303,6 +295,39 @@ class TargetTree:
 
     def __repr__(self) -> str:
         return f"TargetTree(n={self.n}, root={self.root})"
+
+
+def _by_code(kids: Iterable[int], code: Sequence[str], size: Sequence[int]) -> tuple[int, ...]:
+    """``kids`` by ``(code_key(code[w]), w)``: stable sorts by vertex, code, then size."""
+    ordered = sorted(kids)
+    ordered.sort(key=code.__getitem__)
+    ordered.sort(key=size.__getitem__)
+    return tuple(ordered)
+
+
+def _preorder(root: int, children: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    order, stack = [], [root]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(reversed(children[order[-1]]))
+    return tuple(order)
+
+
+def _rerooted(tt: TargetTree, c: int) -> TargetTree:
+    """``TargetTree(tt.tree, c)`` for a child ``c`` of ``tt.root``.  Only the ends of
+    the edge ``(tt.root, c)`` change parent, children, code and size."""
+    r, new = tt.root, TargetTree.__new__(TargetTree)
+    new.tree, new.root, new.parent, new.code = tt.tree, c, list(tt.parent), list(tt.code)
+    new.parent[r], new.parent[c] = c, -1
+    children, size = list(tt.children), list(tt.subtree_size)
+    size[r], size[c] = tt.n - size[c], tt.n
+    children[r] = tuple(w for w in tt.children[r] if w != c)
+    new.code[r] = "(" + "".join(new.code[w] for w in children[r]) + ")"
+    children[c] = _by_code([*tt.children[c], r], new.code, size)
+    new.code[c] = "(" + "".join(new.code[w] for w in children[c]) + ")"
+    new.children, new.subtree_size = tuple(children), tuple(size)
+    new.order = _preorder(c, new.children)
+    return new
 
 
 def target_graph(target: TargetTree | UGraph) -> UGraph:

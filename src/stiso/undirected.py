@@ -42,12 +42,13 @@ more 2-core edge ends lie in C.  A kept edge leaving C goes to the matched
 region, and only ``(rg, u)`` does, so some edge at C is removed, and its
 end in C is unmatched.
 
-Before any attempt, a root candidate whose pendant check must fail is
-rejected in O(deg v): with only the root ``v`` matched, its pendants are
-its trim children (a pendant at a 2-core neighbour would have been
-trimmed), so its first ``_open`` fails ``pendant-unmatched`` iff the
-multiset of their ids does not fit inside the target root's child ids.  A
-rejected candidate counts in ``roots_tried`` but not in ``attempts``.
+Before any attempt, the root scan rejects each candidate ``v`` whose
+pendant check must fail, in O(deg v) and with no per-solve table: with
+only ``v`` matched, its pendants are its trim children (a pendant at a
+2-core neighbour would have been trimmed), so its first ``_open`` fails
+``pendant-unmatched`` iff a run of equal ids among them (they are sorted by
+id) outnumbers that id among the target root's children, counted per rooting.
+A rejected candidate counts in ``roots_tried`` but not in ``attempts``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .treecode import (
     CodeTable,
     TargetTree,
     _centers,
+    _rerooted,
     intern_child_ids,
     lookup_root_id,
     rooted_iso_mapping,
@@ -118,7 +120,7 @@ def solve_undirected(
     k = g.m - (g.n - 1)
     stats.k = k
     if k == 0:
-        verdict = _solve_tree(g, ttree)
+        verdict = _solve_tree(g, ttree, _centers_of(target))
     elif k == 1:
         verdict = solve_unicyclic(g, target)
     else:
@@ -128,10 +130,10 @@ def solve_undirected(
     return verdict
 
 
-def _solve_tree(g: UGraph, ttree: UGraph) -> Verdict:
+def _solve_tree(g: UGraph, ttree: UGraph, target_centers: list[int]) -> Verdict:
     """k = 0: the graph is itself the only spanning tree candidate."""
-    for rt in tree_centers(ttree):
-        for rg in tree_centers(g):
+    for rt in target_centers:
+        for rg in _centers(g):  # connected with n - 1 edges: a tree
             mapping = rooted_iso_mapping(ttree, rt, g, rg)
             if mapping is not None:
                 return Verdict("YES", mapping=mapping, removed=frozenset())
@@ -147,11 +149,12 @@ def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     if g.m - (g.n - 1) != 1:
         raise ValueError("solve_unicyclic requires redundant size exactly 1")
+    target_centers = _centers_of(target)
     for eid in cycle_edges(g):
         rest = [e for i, e in enumerate(g.edges) if i != eid]
-        h = UGraph(g.n, rest)
-        for rt in tree_centers(ttree):
-            for rh in tree_centers(h):
+        h = UGraph(g.n, rest)  # a spanning tree: connected, with n - 1 edges
+        for rt in target_centers:
+            for rh in _centers(h):
                 mapping = rooted_iso_mapping(ttree, rt, h, rh)
                 if mapping is not None:
                     return Verdict("YES", mapping=mapping, removed=frozenset({eid}))
@@ -193,37 +196,37 @@ class _Forest:
     """A rooted forest, listed children first, with its ids interned in ``table``.
 
     ``kids[x]`` lists ``x``'s children by ``(ids[c], c)``, also for an ``x`` outside the
-    forest that roots some of its trees; ``size[x]`` counts ``x``'s subtree.
+    forest that roots some of its trees.  A given ``kids`` must list equal-id children
+    by vertex.  Else ``kids`` is derived, which needs a parent for every listed vertex,
+    and ``size[x]`` counts ``x``'s subtree.
     """
 
-    def __init__(self, bottom_up: Sequence[int], parent: Sequence[int], table: CodeTable):
-        self.parent = parent
-        self.table = table
+    def __init__(
+        self, bottom_up: Sequence[int], parent: Sequence[int], table: CodeTable,
+        kids: Sequence[Sequence[int]] | None = None,
+    ):
+        self.parent, self.table = parent, table
         self.ids = ids = [-1] * len(parent)
         intern_child_ids(bottom_up, parent, table, ids)
-        self.kids: list[list[int]] = [[] for _ in parent]
-        self.size = [1] * len(parent)
-        for x in bottom_up:
-            if parent[x] != -1:
+        if kids is None:
+            kids, self.size = [[] for _ in parent], [1] * len(parent)
+            for x in bottom_up:
                 self.size[parent[x]] += self.size[x]
-        for x in sorted(bottom_up, key=lambda c: (ids[c], c)):
-            if parent[x] != -1:
-                self.kids[parent[x]].append(x)
+            for x in sorted(bottom_up):
+                kids[parent[x]].append(x)
+        self.kids = [sorted(ks, key=ids.__getitem__) if len(ks) > 1 else ks for ks in kids]
 
 
 class _Engine:
-    def __init__(
-        self, g: UGraph, tt: TargetTree, k: int, stats: SolveStats, trim: _Forest | None = None
-    ):
+    def __init__(self, g: UGraph, tt: TargetTree, k: int, stats: SolveStats, trim: _Forest):
         self.g = g
         self.tt = tt
         self.k = k
         self.stats = stats
-        if trim is None:
-            kernel = _contract(g)
-            trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
         self.trim = trim
-        self.target = _Forest(tt.order[::-1], tt.parent, trim.table)
+        # equal ids mean equal codes, which ``tt.children`` lists by vertex
+        self.target = _Forest(tt.order[::-1], tt.parent, trim.table, tt.children)
+        self.root_ids = Counter(self.target.ids[c] for c in tt.children[tt.root])
         # attempt state
         self.t2g: list[int] = []
         self.g2t: list[int] = []
@@ -437,6 +440,16 @@ class _Engine:
 
     # -- attempts ------------------------------------------------------------
 
+    def root_fits(self, v: int) -> bool:
+        """False iff an attempt at root ``v`` must fail ``pendant-unmatched`` at once:
+        some id's run among ``v``'s trim children outnumbers the target root's."""
+        ids, prev, run = self.trim.ids, -1, 0
+        for c in self.trim.kids[v]:
+            prev, run = ids[c], run + 1 if ids[c] == prev else 1
+            if run > self.root_ids[prev]:
+                return False
+        return True
+
     def attempt(self, root_g: int) -> Verdict | None:
         self.stats.attempts += 1
         n = self.g.n
@@ -458,25 +471,18 @@ class _Engine:
         return Verdict("YES", mapping=dict(enumerate(self.t2g)), removed=frozenset(self.removed))
 
 
+def _centers_of(target: TargetTree | UGraph) -> list[int]:
+    """The target's centers; a TargetTree was validated when it was built."""
+    return _centers(target.tree) if isinstance(target, TargetTree) else tree_centers(target)
+
+
 def _rootings(target: TargetTree | UGraph) -> list[TargetTree]:
-    """The target rooted at each center, reusing the caller's rooting if it is one."""
-    if not isinstance(target, TargetTree):
-        return [TargetTree(target, c) for c in tree_centers(target)]
-    # a TargetTree was validated when it was built
-    return [
-        target if target.root == c else TargetTree(target.tree, c) for c in _centers(target.tree)
-    ]
-
-
-def _pendant_code_counts(trim: _Forest) -> dict[int, Counter]:
-    """Code-id counts of each vertex's children in the trim forest."""
-    return {v: Counter(trim.ids[c] for c in kids) for v, kids in enumerate(trim.kids) if kids}
-
-
-def _rejected_roots(pendants: dict[int, Counter], target: _Forest, root: int) -> set[int]:
-    """Roots whose pendant codes do not fit inside the target root's child codes."""
-    have = Counter(target.ids[c] for c in target.kids[root])
-    return {v for v, need in pendants.items() if any(have[c] < m for c, m in need.items())}
+    """The target rooted at each center, reusing the caller's rooting if it is one;
+    two centers are adjacent, so the second rooting is derived from the first."""
+    centers = _centers_of(target)
+    if not isinstance(target, TargetTree) or target.root not in centers:
+        target = TargetTree(target_graph(target), centers[0])
+    return [target if c == target.root else _rerooted(target, c) for c in centers]
 
 
 def _solve_core(
@@ -490,16 +496,14 @@ def _solve_core(
     kernel = _contract(g)
     stats.anchors = len(kernel.anchors)
     trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
-    pendants = _pendant_code_counts(trim)
     for tt in _rootings(target):
         engine = _Engine(g, tt, k, stats, trim)
         min_children = len(tt.children[tt.root])
-        rejected = _rejected_roots(pendants, engine.target, tt.root)
-        for v in range(g.n):
-            if g.degree(v) < min_children:
+        for v, pairs in enumerate(g.incidence):
+            if len(pairs) < min_children:
                 continue
             stats.roots_tried += 1
-            if v in rejected:
+            if not engine.root_fits(v):
                 if trace is not None:
                     trace(f"troot={tt.root} root={v} pi=- fail:pendant-unmatched")
                 continue

@@ -262,6 +262,30 @@ def test_target_tree_codes_match_subtree_codes():
         TargetTree(UGraph(4, [(0, 1), (1, 2), (2, 0)]), 0)
 
 
+def test_rerooted_target_equals_a_fresh_rooting():
+    # the solver derives a tree's second center rooting from its first
+    from stiso.treecode import _rerooted, code_key
+
+    trees = [gen_tree(n, seed) for n in range(2, 61) for seed in range(4)]
+    trees += [gen_tree(1000, seed) for seed in range(3)]
+    trees += [path(n) for n in (2, 3, 4, 9, 10, 1000)] + [star(7)]
+    fields = ("root", "parent", "order", "children", "subtree_size", "code")
+    cases = 0
+    for t in trees:
+        for r in tree_centers(t):
+            tt = TargetTree(t, r)
+            for v in range(t.n):
+                kids = tt.children[v]
+                assert list(kids) == sorted(kids, key=lambda w: (code_key(tt.code[w]), w))
+            for _, c in t.incidence[r]:
+                derived, fresh = _rerooted(tt, c), TargetTree(t, c)
+                assert derived.tree is t
+                for field in fields:
+                    assert getattr(derived, field) == getattr(fresh, field), (t.edges, r, c, field)
+                cases += 1
+    assert cases > 1000
+
+
 def test_per_vertex_ids_agree_between_interning_and_lookup():
     target = TargetTree(gen_tree(14, 4), 0)
     table = {}

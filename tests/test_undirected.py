@@ -192,13 +192,7 @@ def test_exhaustive_oracle_agreement_n5():
 def test_root_prune_is_exact():
     """A root is rejected iff its attempt fails pendant-unmatched at the first open."""
     from stiso.kernel import make_contractible
-    from stiso.undirected import (
-        _Engine,
-        _Forest,
-        _pendant_code_counts,
-        _rejected_roots,
-        _rootings,
-    )
+    from stiso.undirected import _Engine, _Forest, _rootings
 
     rejected_total = kept_total = 0
     for seed in range(60):
@@ -209,13 +203,12 @@ def test_root_prune_is_exact():
         g = inst.graph
         kernel = make_contractible(g)
         trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
-        pendants = _pendant_code_counts(trim)
         for tt in _rootings(inst.target.tree):
-            target = _Engine(g, tt, k, SolveStats(), trim).target
-            rejected = _rejected_roots(pendants, target, tt.root)
+            scan = _Engine(g, tt, k, SolveStats(), trim)
+            rejected = {v for v in range(n) if not scan.root_fits(v)}
             for v in range(n):
                 stats = SolveStats()
-                engine = _Engine(g, tt, k, stats)
+                engine = _Engine(g, tt, k, stats, trim)
                 verdict = engine.attempt(v)
                 fails_at_root = (
                     verdict is None
@@ -247,15 +240,17 @@ def test_root_prune_inside_a_pendant_tree():
     # K4 with the pendant tree 0-4-5 and leaves 6, 7, 8 on 5: root 5's pendant
     # components are its three leaves, the side toward the core is cyclic
     from stiso.kernel import make_contractible
-    from stiso.undirected import _Forest, _pendant_code_counts
+    from stiso.undirected import _Engine, _Forest
 
     g = UGraph(9, list(complete(4).edges) + [(0, 4), (4, 5), (5, 6), (5, 7), (5, 8)])
     kernel = make_contractible(g)
     trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
-    pendants = _pendant_code_counts(trim)
     leaf = trim.table[()]
-    assert pendants[5] == {leaf: 3}
-    assert sum(pendants[4].values()) == sum(pendants[0].values()) == 1
+    assert [trim.ids[c] for c in trim.kids[5]] == [leaf] * 3
+    assert len(trim.kids[4]) == len(trim.kids[0]) == 1
+    # the path's center 4 has two P4 children: no leaf, and no star at 4 or 0
+    scan = _Engine(g, TargetTree(path(9), 4), 3, SolveStats(), trim)
+    assert [v for v in range(9) if not scan.root_fits(v)] == [0, 4, 5]
     lines = []
     stats = SolveStats()
     v = solve_undirected(g, path(9), fallback=True, stats=stats, trace=lines.append)
@@ -571,19 +566,42 @@ def test_connectivity_checked_once_per_solve(monkeypatch):
 
 
 def test_target_tree_not_revalidated_per_solve(monkeypatch):
-    # a path has two centers, so the solver roots the target a second time
-    cases = [(complete(4), path(4), True), (hub_with_leaves(30), path(30), False)]
-    real = UGraph.is_connected
+    # k = 0, 1, and >= 2, the target rooted at vertex 1 and at a center.  A path
+    # has two centers, so the k >= 2 search roots the target a second time,
+    # derived from the caller's rooting if that is at a center; a rooting off
+    # center costs one fresh rooting at a center
+    from stiso import treecode
+
+    cases = [
+        (path(4), path(4), True),
+        (cycle(4), path(4), True),
+        (cycle(4), star(4), False),
+        (complete(4), path(4), True),
+        (hub_with_leaves(30), path(30), False),
+    ]
+    real, real_codes = UGraph.is_connected, treecode._codes
     for g, tree, answer in cases:
-        target = TargetTree(tree, 1)
-        calls = []
+        centers = treecode.tree_centers(tree)
+        for root in (1, centers[-1]):
+            target = TargetTree(tree, root)
+            calls, codes = [], []
 
-        def counted(self, *args, **kwargs):
-            if self is tree:
-                calls.append(self)
-            return real(self, *args, **kwargs)
+            def counted(self, *args, **kwargs):
+                if self is tree:
+                    calls.append(self)
+                return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(UGraph, "is_connected", counted)
-        assert solve_undirected(g, target).is_yes is answer
-        monkeypatch.setattr(UGraph, "is_connected", real)
-        assert calls == []
+            def counted_codes(*args):
+                codes.append(args)
+                return real_codes(*args)
+
+            monkeypatch.setattr(UGraph, "is_connected", counted)
+            monkeypatch.setattr(treecode, "_codes", counted_codes)
+            lines = []
+            assert solve_undirected(g, target, trace=lines.append).is_yes is answer
+            monkeypatch.setattr(UGraph, "is_connected", real)
+            monkeypatch.setattr(treecode, "_codes", real_codes)
+            assert calls == []
+            assert len(codes) == (g.m - g.n >= 1 and root not in centers), (tree.n, root)
+            if not answer and g.m - g.n >= 1:  # a k >= 2 NO scans every rooting
+                assert {line.split()[0] for line in lines} == {f"troot={c}" for c in centers}
