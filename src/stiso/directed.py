@@ -12,13 +12,25 @@ A vertex of in-degree 0 is the only root that can reach every vertex, and
 two of them leave none.
 
 The roots that reach every vertex come from one linear pass
-(:func:`~stiso.graphs.roots_reaching_all`), not a search per root.  Each
-plan is checked by one search from the root over the kept arcs; when it
-spans, the witness is compared with the target by integer code: the target
-is interned once per solve (Aho-Hopcroft-Ullman ids,
-:func:`~stiso.treecode.intern_child_ids`), and the witness is only looked
-up in that table (:func:`~stiso.treecode.lookup_root_id`), bottom-up along
-the search, stopping at the first subtree the target has no copy of.
+(:func:`~stiso.graphs.roots_reaching_all`), not a search per root.
+
+Isomorphic arborescences have equal out-degree multisets, and a plan
+lowers the out-degree of at most ``k`` tails, those of its deleted arcs.
+So the solver counts once per solve how the graph's out-degree histogram
+differs from the target's (in at most ``2k`` entries, as the graph has
+``k`` arcs more), and rejects in O(k) each plan whose deletions do not
+cancel that difference exactly (:func:`~stiso.graphs.degree_shift`).  The
+test is only necessary, and plans keep their order, so the first plan to
+pass the full check, and with it the answer, is unchanged; only the plans
+it keeps are searched and count as ``arborescence_hits``.
+
+Each plan left is checked by one search from the root over the kept arcs;
+when it spans, the witness is compared with the target by integer code: the
+target is interned once per solve, at the first spanning witness
+(Aho-Hopcroft-Ullman ids, :func:`~stiso.treecode.intern_child_ids`), and
+the witness is only looked up in that table
+(:func:`~stiso.treecode.lookup_root_id`), bottom-up along the search,
+stopping at the first subtree the target has no copy of.
 Equal root ids mean isomorphic arborescences, and the vertex mapping pairs
 the children of matched vertices in ``(id, vertex)`` order on both sides.
 
@@ -36,7 +48,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .graphs import DiGraph, UGraph, Verdict, reachable_all, roots_reaching_all
+from .graphs import (
+    DiGraph,
+    UGraph,
+    Verdict,
+    degree_gap,
+    degree_shift,
+    reachable_all,
+    roots_reaching_all,
+)
 from .kernel import AnchorChain
 from .treecode import (
     CodeTable,
@@ -53,7 +73,8 @@ class DirectedStats:
     """Search effort counters for one directed solve call.
 
     ``plans_examined`` counts in-arc choices tried, ``plans_max_per_root``
-    the most at one root.  ``subsets_examined`` has nothing left to count
+    the most at one root, and ``arborescence_hits`` the plans that pass the
+    out-degree test and span.  ``subsets_examined`` has nothing left to count
     and stays 0; it is kept because ``perfbench/decide.py`` reads counters
     by field name.
     """
@@ -142,11 +163,12 @@ def is_spanning_arborescence(f: DiGraph, r: int) -> bool:
     """n-1 arcs, in-degree 0 at ``r``, 1 elsewhere, everything reachable from ``r``."""
     if f.m != f.n - 1 or not 0 <= r < f.n:
         return False
-    if f.in_degree(r) != 0:
-        return False
-    if any(f.in_degree(v) != 1 for v in range(f.n) if v != r):
-        return False
-    return reachable_all(f, r)
+    return _heads_fit(list(map(len, f.in_inc)), r) and reachable_all(f, r)
+
+
+def _heads_fit(indeg: list[int], r: int) -> bool:
+    """In-degree 0 at ``r`` and 1 at every other vertex."""
+    return indeg[r] == 0 and indeg.count(1) == len(indeg) - 1
 
 
 def solve_directed(
@@ -185,10 +207,14 @@ def certify_directed(d: DiGraph, target: TargetTree, verdict: Verdict) -> bool:
     mapping = verdict.mapping
     if sorted(mapping) != list(range(n)) or sorted(mapping.values()) != list(range(n)):
         return False
-    kept = [a for i, a in enumerate(d.arcs) if i not in removed]
-    f = DiGraph(n, kept)
+    kept = [arc for a, arc in enumerate(d.arcs) if a not in removed]
     root = mapping[target.root]
-    if not is_spanning_arborescence(f, root):
+    indeg = [0] * n
+    for _, head in kept:
+        indeg[head] += 1
+    if len(kept) != n - 1 or not _heads_fit(indeg, root):
+        return False
+    if _arborescence_without(d, root, removed) is None:
         return False
     kept_set = set(kept)
     mapped = set()
@@ -205,12 +231,12 @@ def certify_directed(d: DiGraph, target: TargetTree, verdict: Verdict) -> bool:
 
 def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace) -> Verdict:
     table: CodeTable = {}
-    target_ids = [0] * d.n
-    intern_child_ids(reversed(target.order), target.parent, table, target_ids)
-    target_id = target_ids[target.root]
+    target_ids: list[int] = []  # interned at the first spanning witness; most solves have none
     witness_ids = [0] * d.n
-    in_arcs = [[aid for aid, _ in pairs] for pairs in d.in_inc]
-    multi = [v for v in range(d.n) if len(in_arcs[v]) >= 2]
+    multi = {v: [aid for aid, _ in pairs] for v, pairs in enumerate(d.in_inc) if len(pairs) >= 2}
+    out_deg = list(map(len, d.out_inc))
+    gap = degree_gap(out_deg, map(len, target.children))
+    arcs = d.arcs
 
     for r in range(d.n):
         stats.roots_tried += 1
@@ -220,21 +246,27 @@ def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace
             continue
         stats.roots_reachable += 1
         # r keeps no in-arc and every other vertex keeps exactly one
-        choices = [in_arcs[v] for v in multi if v != r]
-        pool = set(in_arcs[r]).union(*choices)
+        choices = [arcs_in for v, arcs_in in multi.items() if v != r]
+        pool = {aid for aid, _ in d.in_inc[r]}.union(*choices)
         plans_this_root = 0
         surviving = 0
         for kept in product(*choices):
             plans_this_root += 1
             stats.plans_examined += 1
             deleted = pool.difference(kept)
+            if degree_shift(out_deg, [arcs[a][0] for a in deleted]) != gap:
+                continue
             witness = _arborescence_without(d, r, deleted)
             if witness is None:
                 continue
             surviving += 1
             stats.arborescence_hits += 1
             order, parent = witness
-            if lookup_root_id(reversed(order), parent, table, witness_ids) != target_id:
+            if not target_ids:
+                target_ids = [0] * d.n
+                intern_child_ids(reversed(target.order), target.parent, table, target_ids)
+            witness_id = lookup_root_id(reversed(order), parent, table, witness_ids)
+            if witness_id != target_ids[target.root]:
                 continue
             stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
             if trace is not None:

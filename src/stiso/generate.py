@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphs import DiGraph, UGraph
-from .kernel import make_contractible
+from .kernel import _contract
 from .treecode import TargetTree, tree_centers
 
 PLANTED = "planted-yes"
@@ -214,8 +214,12 @@ def gen_instance(spec: GenSpec) -> GenInstance:
 
 
 def _assert_extras_on_chains(d: DiGraph, extra_ids: tuple[int, ...]) -> None:
-    """Planted redundant arcs must sit on anchor chains of the contracted core."""
-    kernel = make_contractible(d.underlying())
+    """Planted redundant arcs must sit on anchor chains of the contracted core.
+
+    The graph was built connected (a spanning arborescence plus extras), so the
+    kernel is computed without :func:`~stiso.kernel.make_contractible`'s check.
+    """
+    kernel = _contract(d.underlying())
     on_chains: set[int] = set()
     for chain in kernel.chains:
         on_chains.update(chain.edge_ids)

@@ -13,7 +13,8 @@ contributes 2 to its endpoint's degree.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 
@@ -309,6 +310,30 @@ def roots_reaching_all(d: DiGraph) -> list[bool]:
                 admissible[w] = True
                 stack.append(w)
     return admissible
+
+
+def degree_gap(have: Iterable[int], want: Iterable[int]) -> dict[int, int]:
+    """How the histogram of the degrees ``have`` must change to become that of
+    ``want``: per degree, its count in ``want`` minus its count in ``have``,
+    zeros left out."""
+    gap = Counter(want)
+    gap.subtract(have)
+    return {x: c for x, c in gap.items() if c}
+
+
+def degree_shift(degree: Sequence[int], losers: Iterable[int]) -> dict[int, int]:
+    """How the histogram of ``degree`` changes when each vertex in ``losers``
+    loses one degree per listing, in the form of :func:`degree_gap`.
+
+    Isomorphic graphs have equal degree multisets, so a deletion whose shift
+    differs from the gap to a target leaves no copy of it; the test costs
+    O(len(losers)).
+    """
+    shift: dict[int, int] = {}
+    for v, c in Counter(losers).items():
+        shift[degree[v]] = shift.get(degree[v], 0) - 1
+        shift[degree[v] - c] = shift.get(degree[v] - c, 0) + 1
+    return {x: c for x, c in shift.items() if c}
 
 
 def cycle_edges(g: UGraph) -> list[int]:

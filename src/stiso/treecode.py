@@ -230,7 +230,7 @@ def _pair_children(
 
 def _children_by_id(parent: Sequence[int], ids: Sequence[int]) -> list[list[int]]:
     kids: list[list[int]] = [[] for _ in parent]
-    for v in sorted(range(len(parent)), key=lambda v: (ids[v], v)):
+    for v in sorted(range(len(parent)), key=ids.__getitem__):  # stable: ties by vertex
         if parent[v] != -1:
             kids[parent[v]].append(v)
     return kids
@@ -244,12 +244,13 @@ def arborescence_root(d: DiGraph) -> int:
     """
     if d.m != d.n - 1:
         raise NotArborescenceError("underlying graph is not a tree")
-    roots = [v for v in range(d.n) if d.in_degree(v) == 0]
+    indeg = list(map(len, d.in_inc))
+    roots = [v for v in range(d.n) if indeg[v] == 0]
     if len(roots) != 1:
         raise NotArborescenceError(f"{len(roots)} vertices of in-degree 0, expected 1")
-    bad = [v for v in range(d.n) if v != roots[0] and d.in_degree(v) != 1]
+    bad = [v for v in range(d.n) if v != roots[0] and indeg[v] != 1]
     if bad:
-        raise NotArborescenceError(f"vertex {bad[0]} has in-degree {d.in_degree(bad[0])}")
+        raise NotArborescenceError(f"vertex {bad[0]} has in-degree {indeg[bad[0]]}")
     if not reachable_all(d, roots[0]):
         raise NotArborescenceError(f"some vertex is unreachable from the root {roots[0]}")
     return roots[0]

@@ -1,10 +1,10 @@
 """Undirected spanning-tree isomorphism solver.
 
 Dispatch by redundant-set size ``k = m - (n-1)``: ``k = 0`` is a plain tree
-isomorphism check, ``k = 1`` removes each cycle edge in turn, and ``k >= 2``
-runs the core search: contract the graph, then for every target rooting and
-every graph root try to grow the target tree through the graph in the
-target's DFS order.
+isomorphism check, ``k = 1`` removes in turn each cycle edge whose removal
+leaves the target's degree multiset, and ``k >= 2`` runs the core search:
+contract the graph, then for every target rooting and every graph root try
+to grow the target tree through the graph in the target's DFS order.
 
 At each matched vertex ``rg`` the search first binds the pendant
 components forced to hang there: a component of the unvisited remainder
@@ -59,16 +59,17 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import UGraph, Verdict, cycle_edges
+from .graphs import UGraph, Verdict, cycle_edges, degree_gap, degree_shift
 from .kernel import _contract
 from .treecode import (
     CodeTable,
     TargetTree,
     _centers,
+    _pair_children,
     _rerooted,
+    _rooted_order,
     intern_child_ids,
     lookup_root_id,
-    rooted_iso_mapping,
     target_graph,
     tree_centers,
 )
@@ -132,16 +133,19 @@ def solve_undirected(
 
 def _solve_tree(g: UGraph, ttree: UGraph, target_centers: list[int]) -> Verdict:
     """k = 0: the graph is itself the only spanning tree candidate."""
-    for rt in target_centers:
-        for rg in _centers(g):  # connected with n - 1 edges: a tree
-            mapping = rooted_iso_mapping(ttree, rt, g, rg)
-            if mapping is not None:
-                return Verdict("YES", mapping=mapping, removed=frozenset())
-    return Verdict("NO")
+    mapping = _tree_matcher(ttree, target_centers)(g)  # connected with n - 1 edges: a tree
+    if mapping is None:
+        return Verdict("NO")
+    return Verdict("YES", mapping=mapping, removed=frozenset())
 
 
 def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
-    """k = 1: remove each edge of the unique cycle and test tree isomorphism."""
+    """k = 1: remove each edge of the unique cycle and test tree isomorphism.
+
+    Dropping edge ``(u, v)`` lowers the degrees of ``u`` and ``v`` by one, so
+    an edge whose drop leaves a degree multiset other than the target's is
+    rejected in O(1), before its tree is built.
+    """
     ttree = target_graph(target)
     if g.n != ttree.n:
         raise ValueError(f"vertex counts differ: graph {g.n}, target {ttree.n}")
@@ -149,16 +153,46 @@ def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     if g.m - (g.n - 1) != 1:
         raise ValueError("solve_unicyclic requires redundant size exactly 1")
-    target_centers = _centers_of(target)
+    match = _tree_matcher(ttree, _centers_of(target))
+    degree = list(map(len, g.incidence))
+    gap = degree_gap(degree, map(len, ttree.incidence))
     for eid in cycle_edges(g):
+        if degree_shift(degree, g.edges[eid]) != gap:
+            continue
         rest = [e for i, e in enumerate(g.edges) if i != eid]
-        h = UGraph(g.n, rest)  # a spanning tree: connected, with n - 1 edges
-        for rt in target_centers:
-            for rh in _centers(h):
-                mapping = rooted_iso_mapping(ttree, rt, h, rh)
-                if mapping is not None:
-                    return Verdict("YES", mapping=mapping, removed=frozenset({eid}))
+        mapping = match(UGraph(g.n, rest))  # a spanning tree: connected, with n - 1 edges
+        if mapping is not None:
+            return Verdict("YES", mapping=mapping, removed=frozenset({eid}))
     return Verdict("NO")
+
+
+def _tree_matcher(
+    ttree: UGraph, target_centers: list[int]
+) -> Callable[[UGraph], dict[int, int] | None]:
+    """Intern the target once at each centre; the returned function maps it onto a
+    tree on the same vertices, trying each pair of centres in turn, or returns None.
+
+    The mapping is :func:`~stiso.treecode.rooted_iso_mapping`'s for the first
+    pair that matches: both pair children by ``(id, vertex)``.
+    """
+    table: CodeTable = {}
+    rootings = []
+    for rt in target_centers:
+        order, parent = _rooted_order(ttree, rt)
+        ids = [0] * ttree.n
+        intern_child_ids(reversed(order), parent, table, ids)
+        rootings.append((rt, parent, ids))
+
+    def match(h: UGraph) -> dict[int, int] | None:
+        for rt, tparent, tids in rootings:
+            for rh in _centers(h):
+                order, parent = _rooted_order(h, rh)
+                ids = [0] * h.n
+                if lookup_root_id(reversed(order), parent, table, ids) == tids[rt]:
+                    return _pair_children(rt, tparent, tids, rh, parent, ids)
+        return None
+
+    return match
 
 
 def certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict) -> bool:

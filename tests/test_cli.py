@@ -226,7 +226,7 @@ def test_failed_internal_check_is_an_internal_error(files, monkeypatch, capsys):
     import stiso.generate
     from stiso.cli import main
 
-    monkeypatch.setattr(stiso.generate, "make_contractible", lambda g: SimpleNamespace(chains=()))
+    monkeypatch.setattr(stiso.generate, "_contract", lambda g: SimpleNamespace(chains=()))
     tmp, _ = files
     args = ["gen", "--n", "8", "--k", "2", "--seed", "1", "--planted", "--directed", "-o", str(tmp)]
     assert main(args) == 2

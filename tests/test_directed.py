@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -26,8 +26,9 @@ from stiso import (
     solve_directed,
     target_tree_from_digraph,
 )
-from stiso.graphs import roots_reaching_all
-from stiso.treecode import intern_child_ids, lookup_root_id
+from stiso.directed import _arborescence_without
+from stiso.graphs import degree_gap, degree_shift, roots_reaching_all
+from stiso.treecode import _pair_children, intern_child_ids, lookup_root_id
 
 
 def _chain(verts, eids):
@@ -138,6 +139,10 @@ def test_certify_rejects_tampering():
     mapping[ks[0]], mapping[ks[1]] = mapping[ks[1]], mapping[ks[0]]
     assert not certify_directed(c4, target, Verdict("YES", mapping=mapping, removed=v.removed))
     assert not certify_directed(c4, target, Verdict("NO"))
+    # removing another arc, none, or one out of range breaks the certificate
+    for removed in ({(a + 1) % 4 for a in v.removed}, set(), {7}, {0, 1}):
+        tampered = Verdict("YES", mapping=v.mapping, removed=frozenset(removed))
+        assert not certify_directed(c4, target, tampered), removed
 
 
 def test_one_redundant_arc_per_chain():
@@ -426,3 +431,89 @@ def test_verdict_hash_past_oracle_scale():
                     count += 1
     assert count == 336
     assert h.hexdigest() == PINNED_VERDICT_SHA256
+
+
+def _plans_unfiltered(d: DiGraph, target):
+    """Every in-arc plan in the solver's order, checked in full whether or not
+    its out-degrees fit: yields (root, deleted arcs, passes the degree test,
+    witness parent array or None, witness ids, root id equals the target's)."""
+    table = {}
+    target_ids = [0] * d.n
+    intern_child_ids(reversed(target.order), target.parent, table, target_ids)
+    out_deg = [d.out_degree(v) for v in range(d.n)]
+    gap = degree_gap(out_deg, [len(c) for c in target.children])
+    admissible = roots_reaching_all(d)
+    multi = [v for v in range(d.n) if d.in_degree(v) >= 2]
+    for r in range(d.n):
+        if not admissible[r]:
+            continue
+        choices = [[a for a, _ in d.in_inc[v]] for v in multi if v != r]
+        pool = {a for a, _ in d.in_inc[r]}.union(*choices)
+        for kept in product(*choices):
+            deleted = pool.difference(kept)
+            passes = degree_shift(out_deg, [d.arcs[a][0] for a in deleted]) == gap
+            witness = _arborescence_without(d, r, deleted)
+            parent, ids, hit = None, [0] * d.n, False
+            if witness is not None:
+                order, parent = witness
+                hit = lookup_root_id(reversed(order), parent, table, ids) == target_ids[target.root]
+            yield r, deleted, passes, parent, ids, hit, target_ids
+
+
+def _small_directed_grid():
+    for seed in range(60):
+        k = 2 + seed % 5
+        mode = "planted-yes" if seed % 2 == 0 else "random"
+        n = min(40, k + 4 + seed % 31)
+        yield gen_instance(GenSpec(n=n, k=k, seed=4000 + seed, mode=mode, directed=True))
+
+
+def test_out_degree_filter_is_exact():
+    """A plan the out-degree test rejects never spans a copy of the target, and
+    the O(k) test agrees with comparing the sorted out-degrees in full."""
+    rejected = passed = 0
+    for inst in _small_directed_grid():
+        d, target = inst.graph, inst.target
+        want = sorted(len(c) for c in target.children)
+        for r, deleted, passes, parent, _, hit, _ in _plans_unfiltered(d, target):
+            out = [0] * d.n
+            for a, (u, _) in enumerate(d.arcs):
+                out[u] += a not in deleted
+            assert passes == (sorted(out) == want), (inst.spec, r, deleted)
+            assert passes or not hit, (inst.spec, r, deleted)
+            rejected += not passes
+            passed += passes
+    assert rejected > passed > 0
+
+
+def test_filtered_search_matches_unfiltered_reference():
+    """The answer, mapping and removed set equal those of the first plan, in
+    product order, that passes the full check without the out-degree test."""
+    answers = set()
+    for inst in _small_directed_grid():
+        d, target = inst.graph, inst.target
+        expected = Verdict("NO")
+        for r, deleted, _, parent, ids, hit, target_ids in _plans_unfiltered(d, target):
+            if hit:
+                mapping = _pair_children(target.root, target.parent, target_ids, r, parent, ids)
+                expected = Verdict("YES", mapping=mapping, removed=frozenset(deleted))
+                break
+        stats = DirectedStats()
+        v = solve_directed(d, target, stats=stats)
+        assert (v.answer, v.mapping, v.removed) == (expected.answer, expected.mapping, expected.removed)
+        assert stats.arborescence_hits <= stats.plans_examined
+        answers.add(v.answer)
+    assert answers == {"YES", "NO"}
+
+
+def test_rare_giant_searches_no_plan():
+    """Every plan of this instance spans (the extra arcs feed the admissible
+    roots); the out-degree test rejects all of them before the search."""
+    inst = gen_instance(GenSpec(n=500, k=6, seed=546, mode="random", directed=True))
+    stats = DirectedStats()
+    lines = []
+    v = solve_directed(inst.graph, inst.target, stats=stats, trace=lines.append)
+    assert not v.is_yes
+    assert stats.plans_examined == 1088
+    assert stats.arborescence_hits == 0
+    assert all("surviving=0 no" in line for line in lines if "plans=" in line)

@@ -86,6 +86,27 @@ def test_unicyclic_cases():
     assert not solve_unicyclic(g2, star(5)).is_yes
 
 
+def test_unicyclic_degree_test_skips_every_tree(monkeypatch):
+    """A cycle against a star: no cycle edge leaves the star's degrees, so no
+    spanning tree is looked up; against a path the first edge passes."""
+    import stiso.undirected
+
+    lookups = []
+    real = stiso.undirected.lookup_root_id
+
+    def counted(*args):
+        lookups.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stiso.undirected, "lookup_root_id", counted)
+    n = 1000
+    assert not solve_undirected(cycle(n), star(n)).is_yes
+    assert lookups == []
+    v = solve_undirected(cycle(n), path(n))
+    assert v.is_yes and v.removed == {0}
+    assert len(lookups) == 1
+
+
 def test_unicyclic_rejects_wrong_surplus():
     with pytest.raises(ValueError):
         solve_unicyclic(path(4), path(4))
