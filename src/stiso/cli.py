@@ -88,7 +88,7 @@ def cmd_solve(args) -> int:
 def _explain(g, target: TargetTree, verdict, directed: bool) -> None:
     """Print the canonical codes behind the verdict on stderr."""
     if directed:
-        print(f"target-code {target.code[target.root]}", file=sys.stderr)
+        print(f"target-code {rooted_code(target.tree, target.root)}", file=sys.stderr)
     else:
         print(f"target-code {unrooted_code(target.tree)}", file=sys.stderr)
     if verdict.is_yes:

@@ -25,10 +25,9 @@ pass the full check, and with it the answer, is unchanged; only the plans
 it keeps are searched and count as ``arborescence_hits``.
 
 Each plan left is checked by one search from the root over the kept arcs;
-when it spans, the witness is compared with the target by integer code: the
-target is interned once per solve, at the first spanning witness
-(Aho-Hopcroft-Ullman ids, :func:`~stiso.treecode.intern_child_ids`), and
-the witness is only looked up in that table
+when it spans, the witness is compared with the target by integer code: it
+is only looked up in the table of Aho-Hopcroft-Ullman ids the
+:class:`~stiso.treecode.TargetTree` carries
 (:func:`~stiso.treecode.lookup_root_id`), bottom-up along the search,
 stopping at the first subtree the target has no copy of.
 Equal root ids mean isomorphic arborescences, and the vertex mapping pairs
@@ -58,14 +57,7 @@ from .graphs import (
     roots_reaching_all,
 )
 from .kernel import AnchorChain
-from .treecode import (
-    CodeTable,
-    TargetTree,
-    _pair_children,
-    arborescence_root,
-    intern_child_ids,
-    lookup_root_id,
-)
+from .treecode import TargetTree, _pair_children, arborescence_root, lookup_root_id
 
 
 @dataclass
@@ -230,8 +222,6 @@ def certify_directed(d: DiGraph, target: TargetTree, verdict: Verdict) -> bool:
 
 
 def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace) -> Verdict:
-    table: CodeTable = {}
-    target_ids: list[int] = []  # interned at the first spanning witness; most solves have none
     witness_ids = [0] * d.n
     multi = {v: [aid for aid, _ in pairs] for v, pairs in enumerate(d.in_inc) if len(pairs) >= 2}
     out_deg = list(map(len, d.out_inc))
@@ -262,16 +252,13 @@ def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace
             surviving += 1
             stats.arborescence_hits += 1
             order, parent = witness
-            if not target_ids:
-                target_ids = [0] * d.n
-                intern_child_ids(reversed(target.order), target.parent, table, target_ids)
-            witness_id = lookup_root_id(reversed(order), parent, table, witness_ids)
-            if witness_id != target_ids[target.root]:
+            witness_id = lookup_root_id(reversed(order), parent, target.table, witness_ids)
+            if witness_id != target.ids[target.root]:
                 continue
             stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
             if trace is not None:
                 trace(f"root={r} plans={plans_this_root} surviving={surviving} yes")
-            mapping = _pair_children(target.root, target.parent, target_ids, r, parent, witness_ids)
+            mapping = _pair_children(target.root, target.parent, target.ids, r, parent, witness_ids)
             return Verdict("YES", mapping=mapping, removed=frozenset(deleted))
         stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
         if trace is not None:

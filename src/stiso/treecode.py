@@ -4,15 +4,18 @@ A rooted tree is encoded as a balanced parenthesis string: a leaf is ``()``
 and an internal vertex wraps the concatenation of its children's codes,
 sorted by ``(length, bytes)``.  Two rooted trees have equal codes iff they
 are isomorphic as rooted trees, so code comparison is the isomorphism test.
-Interning each vertex's sorted child ids in a shared table
-(:func:`intern_child_ids`) gives the same test on integers without building
-strings; the solvers and :func:`rooted_iso_mapping` use those ids.
+
+The solvers run the same test on integers (Aho, Hopcroft and Ullman 1974).
+:class:`TargetTree` interns each vertex's sorted child ids in a table, once
+per target; a candidate tree is only looked up in that table
+(:func:`lookup_root_id`), so no solve changes the target.  Strings are built
+only by :func:`subtree_codes` and the functions on top of it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Mapping, MutableMapping, MutableSequence, Sequence
+from functools import cmp_to_key
 
 from .graphs import DiGraph, UGraph, reachable_all
 
@@ -48,14 +51,11 @@ def _rooted_order(tree: UGraph, root: int) -> tuple[list[int], list[int]]:
     parent = [-1] * tree.n
     order = [root]
     parent[root] = root
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
+    for x in order:  # the list grows while it is walked: a BFS queue
         for _, w in tree.incidence[x]:
             if parent[w] == -1:
                 parent[w] = x
                 order.append(w)
-                queue.append(w)
     parent[root] = -1
     if len(order) != tree.n:
         raise NotATreeError(f"not a tree: n={tree.n}, m={tree.m}")
@@ -83,37 +83,13 @@ def subtree_codes(tree: UGraph, root: int) -> list[str]:
 CodeTable = dict[tuple[int, ...], int]  # sorted child ids -> interned id
 
 
-def intern_child_ids(
-    bottom_up: Iterable[int],
-    parent: Sequence[int],
-    table: CodeTable,
-    ids: MutableSequence[int] | None = None,
-) -> dict[int, list[int]]:
-    """Integer canonical codes of a rooted forest (Aho, Hopcroft and Ullman 1974).
-
-    A vertex's id is ``table``'s id for the sorted tuple of its children's
-    ids, interned on first sight, so two subtrees interned in one table are
-    isomorphic iff their ids are equal.  ``bottom_up`` lists the forest's
-    vertices, each after all of its children; ``parent[x]`` may lie outside
-    the forest.  Returns the children's ids of every vertex that has any;
-    when ``ids`` is given, ``ids[x]`` also receives each vertex's own id.
-    """
-    kid_ids: dict[int, list[int]] = {}
-    for x in bottom_up:
-        vid = table.setdefault(tuple(sorted(kid_ids.get(x, ()))), len(table))
-        if ids is not None:
-            ids[x] = vid
-        kid_ids.setdefault(parent[x], []).append(vid)
-    return kid_ids
-
-
 def lookup_root_id(
     bottom_up: Iterable[int],
     parent: Sequence[int] | Mapping[int, int],
     table: CodeTable,
     ids: MutableSequence[int] | MutableMapping[int, int] | None = None,
 ) -> int | None:
-    """The id :func:`intern_child_ids` would give a rooted tree's root, by lookups alone.
+    """The id a rooted tree's root has in ``table``, found by lookups alone.
 
     ``bottom_up`` lists the tree's vertices, each after all of its children,
     and ends at the root.  Returns None at the first vertex whose sorted
@@ -188,21 +164,16 @@ def unrooted_iso(t1: UGraph, t2: UGraph) -> bool:
 def rooted_iso_mapping(t1: UGraph, r1: int, t2: UGraph, r2: int) -> dict[int, int] | None:
     """One isomorphism ``V(t1) -> V(t2)`` with ``r1 -> r2``, or None.
 
-    Both trees are interned into one table, so their roots have equal ids
-    iff the rooted trees are isomorphic; the children are then paired by
-    :func:`_pair_children`.
+    ``t2`` is looked up in the table of ``TargetTree(t1, r1)``, so the roots have
+    equal ids iff the rooted trees are isomorphic; the children are then paired
+    by :func:`_pair_children`.
     """
-    table: CodeTable = {}
-    sides = []
-    for tree, root in ((t1, r1), (t2, r2)):
-        order, parent = _rooted_order(tree, root)
-        ids = [0] * tree.n
-        intern_child_ids(reversed(order), parent, table, ids)
-        sides.append((parent, ids))
-    (parent1, ids1), (parent2, ids2) = sides
-    if ids1[r1] != ids2[r2]:
+    tt = TargetTree(t1, r1)
+    order, parent = _rooted_order(t2, r2)
+    ids = [0] * t2.n
+    if lookup_root_id(reversed(order), parent, tt.table, ids) != tt.ids[r1]:
         return None
-    return _pair_children(r1, parent1, ids1, r2, parent2, ids2)
+    return _pair_children(r1, tt.parent, tt.ids, r2, parent, ids)
 
 
 def _pair_children(
@@ -265,29 +236,42 @@ def arborescence_iso(d1: DiGraph, d2: DiGraph) -> bool:
 
 
 class TargetTree:
-    """Rooted target tree with its canonical DFS preorder.
+    """Rooted target tree with its canonical DFS preorder and integer codes.
 
-    Children are visited in ascending ``(subtree code, vertex id)`` order, so
-    isomorphic sibling subtrees are adjacent in the order and the order is
-    identical across runs.
+    ``ids[v]`` is the Aho-Hopcroft-Ullman id of ``v``'s subtree: ``table`` maps
+    the sorted ids of a vertex's children to its id, so two subtrees have equal
+    ids iff they are isomorphic, and a candidate is compared with the target by
+    looking it up in ``table``.
+
+    Children are visited in ascending ``(subtree code, vertex id)`` order, found
+    without building the codes (:func:`_by_code`), so isomorphic sibling subtrees
+    are adjacent in the order and the order is identical across runs.
     """
 
-    __slots__ = ("tree", "root", "order", "parent", "children", "subtree_size", "code")
+    __slots__ = ("tree", "root", "order", "parent", "children", "subtree_size", "ids", "table")
 
     def __init__(self, tree: UGraph, root: int):
-        bfs, self.parent = _rooted_order(tree, root)
+        bfs, parent = _rooted_order(tree, root)
         self.tree = tree
+        self.parent = parent
         self.root = root
-        self.code = _codes(bfs, self.parent)
+        self.table: CodeTable = {}
+        table = self.table
+        ids, size = [0] * tree.n, [1] * tree.n
         kids: list[list[int]] = [[] for _ in range(tree.n)]
-        for v in range(tree.n):
-            if self.parent[v] != -1:
-                kids[self.parent[v]].append(v)
-        # a code holds one pair of parentheses per vertex of its subtree
-        self.subtree_size = size = tuple(len(c) // 2 for c in self.code)
-        self.children = tuple(
-            _by_code(ks, self.code, size) if len(ks) > 1 else tuple(ks) for ks in kids
-        )
+        kid_ids: list[list[int]] = [[] for _ in range(tree.n)]
+        for x in reversed(bfs):  # children first, so theirs are sorted when x is
+            if len(kids[x]) > 1:
+                kid_ids[x].sort()
+                _by_code(kids[x], size, ids, kids)
+            ids[x] = vid = table.setdefault(tuple(kid_ids[x]), len(table))
+            p = parent[x]
+            if p != -1:
+                kids[p].append(x)
+                kid_ids[p].append(vid)
+                size[p] += size[x]
+        self.ids, self.subtree_size = tuple(ids), tuple(size)
+        self.children = tuple(map(tuple, kids))
         self.order = _preorder(root, self.children)
 
     @property
@@ -298,35 +282,69 @@ class TargetTree:
         return f"TargetTree(n={self.n}, root={self.root})"
 
 
-def _by_code(kids: Iterable[int], code: Sequence[str], size: Sequence[int]) -> tuple[int, ...]:
-    """``kids`` by ``(code_key(code[w]), w)``: stable sorts by vertex, code, then size."""
-    ordered = sorted(kids)
-    ordered.sort(key=code.__getitem__)
-    ordered.sort(key=size.__getitem__)
-    return tuple(ordered)
+def _by_code(
+    kids: list[int], size: Sequence[int], ids: Sequence[int], children: Sequence[Sequence[int]]
+) -> list[int]:
+    """Sort ``kids`` in place into ``(code_key(code[w]), w)`` order, without the codes.
+
+    A code holds one pair of parentheses per vertex, so ``code_key`` sorts by size
+    first, and equal ids mean equal codes.  Only siblings of equal size whose ids
+    differ need the codes' byte order, which :func:`_code_cmp` gives.
+    """
+    kids.sort()
+    kids.sort(key=ids.__getitem__)
+    kids.sort(key=size.__getitem__)  # stable sorts: by size, id, then vertex
+    if len(set(map(ids.__getitem__, kids))) > len(set(map(size.__getitem__, kids))):
+        # equal ids compare equal, so the stable sort keeps their vertex order
+        by_bytes = cmp_to_key(lambda a, b: size[a] - size[b] or _code_cmp(a, b, ids, children))
+        kids.sort(key=by_bytes)
+    return kids
+
+
+def _code_cmp(a: int, b: int, ids: Sequence[int], children: Sequence[Sequence[int]]) -> int:
+    """-1, 0 or 1 as the code of ``a`` sorts before, equal to or after that of ``b``
+    as a string, given ids interned in one table and children listed in code order.
+
+    A code is one balanced block and no block is a proper prefix of another, so
+    two codes first differ inside the first pair of children whose ids differ.
+    When one child list is a proper prefix of the other, the longer list sorts
+    first, because ``(`` < ``)``.
+    """
+    if ids[a] == ids[b]:
+        return 0
+    while True:
+        ka, kb = children[a], children[b]
+        for x, y in zip(ka, kb):
+            if ids[x] != ids[y]:
+                a, b = x, y
+                break
+        else:
+            return -1 if len(ka) > len(kb) else 1
 
 
 def _preorder(root: int, children: Sequence[Sequence[int]]) -> tuple[int, ...]:
     order, stack = [], [root]
     while stack:
-        order.append(stack.pop())
-        stack.extend(reversed(children[order[-1]]))
+        x = stack.pop()
+        order.append(x)
+        stack.extend(children[x][::-1])
     return tuple(order)
 
 
 def _rerooted(tt: TargetTree, c: int) -> TargetTree:
-    """``TargetTree(tt.tree, c)`` for a child ``c`` of ``tt.root``.  Only the ends of
-    the edge ``(tt.root, c)`` change parent, children, code and size."""
+    """``TargetTree(tt.tree, c)`` for a child ``c`` of ``tt.root``, up to the values of
+    the ids.  Only the ends of the edge ``(tt.root, c)`` change parent, children, id
+    and size; their ids go into a copy of ``tt.table``, which keeps every id of it."""
     r, new = tt.root, TargetTree.__new__(TargetTree)
-    new.tree, new.root, new.parent, new.code = tt.tree, c, list(tt.parent), list(tt.code)
+    new.tree, new.root, new.parent, new.table = tt.tree, c, list(tt.parent), dict(tt.table)
     new.parent[r], new.parent[c] = c, -1
-    children, size = list(tt.children), list(tt.subtree_size)
+    children, size, ids = list(tt.children), list(tt.subtree_size), list(tt.ids)
     size[r], size[c] = tt.n - size[c], tt.n
     children[r] = tuple(w for w in tt.children[r] if w != c)
-    new.code[r] = "(" + "".join(new.code[w] for w in children[r]) + ")"
-    children[c] = _by_code([*tt.children[c], r], new.code, size)
-    new.code[c] = "(" + "".join(new.code[w] for w in children[c]) + ")"
-    new.children, new.subtree_size = tuple(children), tuple(size)
+    ids[r] = new.table.setdefault(tuple(sorted(ids[w] for w in children[r])), len(new.table))
+    children[c] = tuple(_by_code([*tt.children[c], r], size, ids, children))
+    ids[c] = new.table.setdefault(tuple(sorted(ids[w] for w in children[c])), len(new.table))
+    new.children, new.subtree_size, new.ids = tuple(children), tuple(size), tuple(ids)
     new.order = _preorder(c, new.children)
     return new
 

@@ -17,8 +17,9 @@ complete, and the acceptance corpus checks it against the brute-force
 oracle.
 
 The pendants are read off the kernel's trim forest (the trees peeled off
-the 2-core), whose Aho–Hopcroft–Ullman ids are interned once per solve
-into the table that takes the target's ids once per rooting.  The matched
+the 2-core), whose subtrees are looked up once per solve in the table of
+Aho–Hopcroft–Ullman ids that the target's rootings carry; a shape the
+target lacks gets the id -1, which no target child has.  The matched
 region is connected and every removed edge has a matched end, so a trim
 subtree without a matched vertex is untouched.  Each unmatched neighbour
 ``u`` of ``rg`` falls under one of three rules.  (1) ``u`` is a trim child
@@ -27,7 +28,7 @@ parent of ``rg``: the matched region lies in ``rg``'s subtree, so ``u``'s
 side is the rest of the graph, which holds the 2-core's cycles; no
 pendant.  (3) Otherwise ``rg`` and ``u`` are in the 2-core, and a walk of
 the remainder visits 2-core vertices only, counting an unmatched trim
-child as its whole subtree.  A pendant it finds is looked up in the shared
+child as its whole subtree.  A pendant it finds is looked up in the same
 table.  A pendant takes the first unmatched target child of equal id, and
 children bind in ``(id, vertex)`` order on both sides.
 
@@ -68,7 +69,6 @@ from .treecode import (
     _pair_children,
     _rerooted,
     _rooted_order,
-    intern_child_ids,
     lookup_root_id,
     target_graph,
     tree_centers,
@@ -121,7 +121,7 @@ def solve_undirected(
     k = g.m - (g.n - 1)
     stats.k = k
     if k == 0:
-        verdict = _solve_tree(g, ttree, _centers_of(target))
+        verdict = _solve_tree(g, target)
     elif k == 1:
         verdict = solve_unicyclic(g, target)
     else:
@@ -131,9 +131,9 @@ def solve_undirected(
     return verdict
 
 
-def _solve_tree(g: UGraph, ttree: UGraph, target_centers: list[int]) -> Verdict:
+def _solve_tree(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     """k = 0: the graph is itself the only spanning tree candidate."""
-    mapping = _tree_matcher(ttree, target_centers)(g)  # connected with n - 1 edges: a tree
+    mapping = _tree_matcher(target)(g)  # connected with n - 1 edges: a tree
     if mapping is None:
         return Verdict("NO")
     return Verdict("YES", mapping=mapping, removed=frozenset())
@@ -153,7 +153,7 @@ def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     if g.m - (g.n - 1) != 1:
         raise ValueError("solve_unicyclic requires redundant size exactly 1")
-    match = _tree_matcher(ttree, _centers_of(target))
+    match = _tree_matcher(target)
     degree = list(map(len, g.incidence))
     gap = degree_gap(degree, map(len, ttree.incidence))
     for eid in cycle_edges(g):
@@ -166,30 +166,23 @@ def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     return Verdict("NO")
 
 
-def _tree_matcher(
-    ttree: UGraph, target_centers: list[int]
-) -> Callable[[UGraph], dict[int, int] | None]:
-    """Intern the target once at each centre; the returned function maps it onto a
-    tree on the same vertices, trying each pair of centres in turn, or returns None.
+def _tree_matcher(target: TargetTree | UGraph) -> Callable[[UGraph], dict[int, int] | None]:
+    """The returned function maps the target onto a tree on the same vertices,
+    trying each pair of centres in turn, or returns None.
 
-    The mapping is :func:`~stiso.treecode.rooted_iso_mapping`'s for the first
-    pair that matches: both pair children by ``(id, vertex)``.
+    The tree is looked up in each rooting's table (:func:`_rootings`), and the
+    mapping is :func:`~stiso.treecode.rooted_iso_mapping`'s for the first pair
+    that matches: both pair children by ``(id, vertex)``.
     """
-    table: CodeTable = {}
-    rootings = []
-    for rt in target_centers:
-        order, parent = _rooted_order(ttree, rt)
-        ids = [0] * ttree.n
-        intern_child_ids(reversed(order), parent, table, ids)
-        rootings.append((rt, parent, ids))
+    rootings = _rootings(target)
 
     def match(h: UGraph) -> dict[int, int] | None:
-        for rt, tparent, tids in rootings:
+        for tt in rootings:
             for rh in _centers(h):
                 order, parent = _rooted_order(h, rh)
                 ids = [0] * h.n
-                if lookup_root_id(reversed(order), parent, table, ids) == tids[rt]:
-                    return _pair_children(rt, tparent, tids, rh, parent, ids)
+                if lookup_root_id(reversed(order), parent, tt.table, ids) == tt.ids[tt.root]:
+                    return _pair_children(tt.root, tt.parent, tt.ids, rh, parent, ids)
         return None
 
     return match
@@ -227,27 +220,24 @@ def certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict)
 
 
 class _Forest:
-    """A rooted forest, listed children first, with its ids interned in ``table``.
+    """A rooted forest, listed children first, with its ids looked up in a target's
+    ``table``, which it never changes.
 
+    ``ids[x]`` is -1 when no subtree interned in ``table`` is isomorphic to ``x``'s.
     ``kids[x]`` lists ``x``'s children by ``(ids[c], c)``, also for an ``x`` outside the
-    forest that roots some of its trees.  A given ``kids`` must list equal-id children
-    by vertex.  Else ``kids`` is derived, which needs a parent for every listed vertex,
-    and ``size[x]`` counts ``x``'s subtree.
+    forest that roots some of its trees, and ``size[x]`` counts ``x``'s subtree.
     """
 
-    def __init__(
-        self, bottom_up: Sequence[int], parent: Sequence[int], table: CodeTable,
-        kids: Sequence[Sequence[int]] | None = None,
-    ):
+    def __init__(self, bottom_up: Sequence[int], parent: Sequence[int], table: CodeTable):
         self.parent, self.table = parent, table
         self.ids = ids = [-1] * len(parent)
-        intern_child_ids(bottom_up, parent, table, ids)
-        if kids is None:
-            kids, self.size = [[] for _ in parent], [1] * len(parent)
-            for x in bottom_up:
-                self.size[parent[x]] += self.size[x]
-            for x in sorted(bottom_up):
-                kids[parent[x]].append(x)
+        self.size = size = [1] * len(parent)
+        kids: list[list[int]] = [[] for _ in parent]
+        for x in sorted(bottom_up):
+            kids[parent[x]].append(x)
+        for x in bottom_up:
+            ids[x] = table.get(tuple(sorted([ids[c] for c in kids[x]])), -1)
+            size[parent[x]] += size[x]
         self.kids = [sorted(ks, key=ids.__getitem__) if len(ks) > 1 else ks for ks in kids]
 
 
@@ -258,9 +248,11 @@ class _Engine:
         self.k = k
         self.stats = stats
         self.trim = trim
+        # children by (id, vertex), as the trim forest and the pendants list theirs;
         # equal ids mean equal codes, which ``tt.children`` lists by vertex
-        self.target = _Forest(tt.order[::-1], tt.parent, trim.table, tt.children)
-        self.root_ids = Counter(self.target.ids[c] for c in tt.children[tt.root])
+        by_id = tt.ids.__getitem__
+        self.target_kids = [sorted(ks, key=by_id) if len(ks) > 1 else ks for ks in tt.children]
+        self.root_ids = Counter(tt.ids[c] for c in tt.children[tt.root])
         # attempt state
         self.t2g: list[int] = []
         self.g2t: list[int] = []
@@ -369,7 +361,7 @@ class _Engine:
         while stack:
             gx, tx = stack.pop()
             self._bind(tx, gx)
-            stack.extend(zip(kids[gx], self.target.kids[tx]))
+            stack.extend(zip(kids[gx], self.target_kids[tx]))
 
     # -- node opening --------------------------------------------------------
 
@@ -404,7 +396,7 @@ class _Engine:
 
         free: dict[int, list[int]] = {}  # rt's children by id, first one last; none is matched
         for c in reversed(self.tt.children[rt]):
-            free.setdefault(self.target.ids[c], []).append(c)
+            free.setdefault(self.tt.ids[c], []).append(c)
         need = len(self.tt.children[rt]) - len(pendants)
         for u in sorted(pendants):
             if tparent[u] == rg:
@@ -505,15 +497,13 @@ class _Engine:
         return Verdict("YES", mapping=dict(enumerate(self.t2g)), removed=frozenset(self.removed))
 
 
-def _centers_of(target: TargetTree | UGraph) -> list[int]:
-    """The target's centers; a TargetTree was validated when it was built."""
-    return _centers(target.tree) if isinstance(target, TargetTree) else tree_centers(target)
-
-
 def _rootings(target: TargetTree | UGraph) -> list[TargetTree]:
     """The target rooted at each center, reusing the caller's rooting if it is one;
     two centers are adjacent, so the second rooting is derived from the first."""
-    centers = _centers_of(target)
+    if isinstance(target, TargetTree):
+        centers = _centers(target.tree)  # validated when it was built
+    else:
+        centers = tree_centers(target)
     if not isinstance(target, TargetTree) or target.root not in centers:
         target = TargetTree(target_graph(target), centers[0])
     return [target if c == target.root else _rerooted(target, c) for c in centers]
@@ -529,8 +519,11 @@ def _solve_core(
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * g.n + 1000))
     kernel = _contract(g)
     stats.anchors = len(kernel.anchors)
-    trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
-    for tt in _rootings(target):
+    rootings = _rootings(target)
+    # a derived rooting's table extends the one it came from, so it serves both
+    table = max((tt.table for tt in rootings), key=len)
+    trim = _Forest(kernel.trim_order, kernel.trim_parent, table)
+    for tt in rootings:
         engine = _Engine(g, tt, k, stats, trim)
         min_children = len(tt.children[tt.root])
         for v, pairs in enumerate(g.incidence):

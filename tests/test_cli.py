@@ -136,6 +136,16 @@ def test_explain_prints_codes_on_stderr(files):
     assert target.split()[1] == witness.split()[1]
 
 
+def test_explain_prints_directed_codes_on_stderr(files):
+    _, write = files
+    g = write("g.txt", "5 6 D\n0 1\n0 2\n2 3\n2 4\n1 3\n3 4\n")
+    t = write("t.txt", "5 4 D\n3 1\n3 0\n0 2\n0 4\n")
+    res = run_cli("solve", "-g", g, "-t", t, "--directed", "--explain")
+    assert res.returncode == 0
+    assert res.stdout.splitlines() == ["YES"]
+    assert res.stderr == "target-code (()(()()))\nwitness-code (()(()()))\n"
+
+
 def test_kernel_theta(files):
     _, write = files
     res = run_cli("kernel", "-g", write("g.txt", THETA))

@@ -28,7 +28,7 @@ from stiso import (
 )
 from stiso.directed import _arborescence_without
 from stiso.graphs import degree_gap, degree_shift, roots_reaching_all
-from stiso.treecode import _pair_children, intern_child_ids, lookup_root_id
+from stiso.treecode import _pair_children, lookup_root_id
 
 
 def _chain(verts, eids):
@@ -307,8 +307,7 @@ def test_integer_code_hit_test_is_exact(monkeypatch):
         target = inst.target
         spans.clear()
         solve_directed(inst.graph, target)
-        table = {}
-        (target_id,) = intern_child_ids(reversed(target.order), target.parent, table)[-1]
+        table, target_id = target.table, target.ids[target.root]
         size = len(table)
         for d, r, deleted, (order, parent) in spans:
             hit = lookup_root_id(reversed(order), parent, table) == target_id
@@ -437,9 +436,7 @@ def _plans_unfiltered(d: DiGraph, target):
     """Every in-arc plan in the solver's order, checked in full whether or not
     its out-degrees fit: yields (root, deleted arcs, passes the degree test,
     witness parent array or None, witness ids, root id equals the target's)."""
-    table = {}
-    target_ids = [0] * d.n
-    intern_child_ids(reversed(target.order), target.parent, table, target_ids)
+    table, target_ids = target.table, target.ids
     out_deg = [d.out_degree(v) for v in range(d.n)]
     gap = degree_gap(out_deg, [len(c) for c in target.children])
     admissible = roots_reaching_all(d)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -20,12 +21,11 @@ from stiso import (
 
 from stiso.treecode import (
     arborescence_iso,
-    intern_child_ids,
     lookup_root_id,
     rooted_iso,
     subtree_codes,
 )
-from util import brute_iso, path, star
+from util import brute_iso, complete, path, star
 
 
 def test_rooted_code_base_cases():
@@ -224,12 +224,6 @@ def test_unrooted_code_brute_force_spot_check():
     assert (unrooted_code(t1) == unrooted_code(t2)) == brute_iso(t1, t2)
 
 
-def _target_table(tt: TargetTree):
-    table = {}
-    (root_id,) = intern_child_ids(reversed(tt.order), tt.parent, table)[-1]
-    return table, root_id
-
-
 def _bottom_up(tree: UGraph, root: int):
     tt = TargetTree(tree, root)
     return list(reversed(tt.order)), tt.parent
@@ -237,7 +231,7 @@ def _bottom_up(tree: UGraph, root: int):
 
 def test_lookup_root_id_matches_interning_without_growing_the_table():
     target = TargetTree(gen_tree(12, 3), 0)
-    table, root_id = _target_table(target)
+    table, root_id = target.table, target.ids[0]
     size = len(table)
     perm = list(range(12))
     random.Random(5).shuffle(perm)
@@ -250,12 +244,22 @@ def test_lookup_root_id_matches_interning_without_growing_the_table():
     assert len(table) == size
 
 
+def _assert_ids_match_codes(tt: TargetTree, codes: list[str]) -> None:
+    """Equal ids iff equal codes; each id is the table's for its children's ids."""
+    assert len(set(tt.ids)) == len(set(codes)) == len(set(zip(tt.ids, codes)))
+    for v, kids in enumerate(tt.children):
+        assert tt.table[tuple(sorted(tt.ids[w] for w in kids))] == tt.ids[v]
+
+
 def test_target_tree_codes_match_subtree_codes():
     for seed in range(10):
         t = gen_tree(15, seed)
         for root in (0, 7, 14):
             tt = TargetTree(t, root)
-            assert tt.code == subtree_codes(t, root)
+            codes = subtree_codes(t, root)
+            _assert_ids_match_codes(tt, codes)
+            assert len(tt.table) == len(set(codes))
+            assert tt.subtree_size == tuple(len(c) // 2 for c in codes)
     with pytest.raises(ValueError):
         TargetTree(path(3), 3)
     with pytest.raises(NotATreeError):
@@ -269,31 +273,118 @@ def test_rerooted_target_equals_a_fresh_rooting():
     trees = [gen_tree(n, seed) for n in range(2, 61) for seed in range(4)]
     trees += [gen_tree(1000, seed) for seed in range(3)]
     trees += [path(n) for n in (2, 3, 4, 9, 10, 1000)] + [star(7)]
-    fields = ("root", "parent", "order", "children", "subtree_size", "code")
+    fields = ("root", "parent", "order", "children", "subtree_size")
     cases = 0
     for t in trees:
         for r in tree_centers(t):
             tt = TargetTree(t, r)
+            codes = subtree_codes(t, r)
             for v in range(t.n):
                 kids = tt.children[v]
-                assert list(kids) == sorted(kids, key=lambda w: (code_key(tt.code[w]), w))
+                assert list(kids) == sorted(kids, key=lambda w: (code_key(codes[w]), w))
+            table = dict(tt.table)
             for _, c in t.incidence[r]:
                 derived, fresh = _rerooted(tt, c), TargetTree(t, c)
                 assert derived.tree is t
                 for field in fields:
                     assert getattr(derived, field) == getattr(fresh, field), (t.edges, r, c, field)
+                # the ids may differ from a fresh rooting's, but mean the same codes
+                _assert_ids_match_codes(derived, subtree_codes(t, c))
+                assert derived.table.items() >= table.items()
+                assert tt.table == table
                 cases += 1
     assert cases > 1000
 
 
+def test_target_tree_orders_equal_size_siblings_by_code_bytes():
+    """Siblings of one size but different shape follow their codes' byte order,
+    which the ids alone do not give.  Every free tree on 7 vertices, in every
+    rooting, hangs from one root, under two labellings; the tree is also rooted
+    inside those subtrees."""
+    from stiso.treecode import code_key
+    from util import all_free_trees
+
+    edges, n = [], 1
+    for t in all_free_trees(7)[7]:
+        for r in range(7):
+            edges += [(n + a, n + b) for a, b in t.edges] + [(0, n + r)]
+            n += 7
+    big = UGraph(n, edges)
+    perm = list(range(n))
+    random.Random(3).shuffle(perm)
+    prefix_pairs = 0
+    for tree, roots in ((big, range(0, n, 5)), (big.relabeled(perm), (perm[0], perm[1]))):
+        for root in roots:
+            tt = TargetTree(tree, root)
+            codes = subtree_codes(tree, root)
+            for v in range(n):
+                kids = tt.children[v]
+                assert list(kids) == sorted(kids, key=lambda w: (code_key(codes[w]), w))
+                for a, b in zip(kids, kids[1:]):
+                    if len(codes[a]) == len(codes[b]) and codes[a] != codes[b]:
+                        i = next(i for i, (x, y) in enumerate(zip(codes[a], codes[b])) if x != y)
+                        # a vertex that already closed a child ends where the other opens one
+                        prefix_pairs += codes[a][i - 1] == ")"
+    assert prefix_pairs > 0
+
+
+def test_solves_leave_the_target_tree_unchanged():
+    """Both solvers only look candidates up in the caller's table.  Undirected
+    k = 0, 1 and >= 2 against a two-centre target whose second rooting interns
+    new shapes, then the directed solver; a second solve gives the same verdict."""
+    from stiso import GenSpec, gen_instance, solve_directed, solve_undirected
+
+    def snapshot(tt):
+        fields = {f: copy.deepcopy(getattr(tt, f)) for f in TargetTree.__slots__ if f != "tree"}
+        return fields, list(tt.tree.edges), len(tt.table)
+
+    def solve_twice(solve, g, target):
+        before = snapshot(target)
+        verdicts = []
+        for _ in range(2):
+            v = solve(g, target)
+            verdicts.append((v.answer, v.mapping, v.removed))
+            assert snapshot(target) == before
+        assert verdicts[0] == verdicts[1]
+
+    # 2 - 0 - 1 - 4 and a leaf 3 on 0: centres 0 and 1
+    tree = UGraph(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
+    extra = [(2, 3), (3, 4), (2, 4)]
+    cases = [
+        (UGraph(5, list(tree.edges) + extra[:k]), TargetTree(tree, r))
+        for k in (0, 1, 3)
+        for r in (0, 1, 4)
+    ]
+    for k in (0, 1, 2, 4):
+        for mode in ("planted-yes", "random"):
+            inst = gen_instance(GenSpec(n=30, k=k, seed=k, mode=mode))
+            t = inst.target.tree
+            cases += [(inst.graph, TargetTree(t, r)) for r in (0, *tree_centers(t))]
+    # K4 with a 3-leaf star hanging from 0: a trim shape that the path, rooted
+    # at its one centre, does not have
+    star_on_k4 = list(complete(4).edges) + [(0, 4), (4, 5), (4, 6), (4, 7), (1, 8)]
+    cases.append((UGraph(9, star_on_k4), TargetTree(path(9), 4)))
+    for g, target in cases:
+        solve_twice(solve_undirected, g, target)
+    for seed in range(6):
+        mode = "planted-yes" if seed % 2 else "random"
+        inst = gen_instance(GenSpec(n=20, k=3, seed=seed, mode=mode, directed=True))
+        solve_twice(solve_directed, inst.graph, inst.target)
+
+
+def test_target_tree_on_a_long_path():
+    n = 10**5
+    tt = TargetTree(path(n), n // 2)
+    assert tt.subtree_size[n // 2] == n
+    # the right half (one vertex fewer) is visited first
+    assert tt.order == (n // 2, *range(n // 2 + 1, n), *range(n // 2 - 1, -1, -1))
+    assert len(tt.table) == n // 2 + 1
+
+
 def test_per_vertex_ids_agree_between_interning_and_lookup():
     target = TargetTree(gen_tree(14, 4), 0)
-    table = {}
-    ids = [None] * 14
-    kid_ids = intern_child_ids(reversed(target.order), target.parent, table, ids)
-    for v in range(14):
-        assert sorted(kid_ids.get(v, ())) == sorted(ids[w] for w in target.children[v])
-        assert table[tuple(sorted(kid_ids.get(v, ())))] == ids[v]
+    table, ids = target.table, target.ids
+    _assert_ids_match_codes(target, subtree_codes(target.tree, 0))
     perm = list(range(14))
     random.Random(8).shuffle(perm)
     same = target.tree.relabeled(perm)

@@ -223,8 +223,11 @@ def test_root_prune_is_exact():
         inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
         g = inst.graph
         kernel = make_contractible(g)
-        trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
-        for tt in _rootings(inst.target.tree):
+        rootings = _rootings(inst.target.tree)
+        # as the solver does: the derived rooting's table serves both rootings
+        table = max((tt.table for tt in rootings), key=len)
+        trim = _Forest(kernel.trim_order, kernel.trim_parent, table)
+        for tt in rootings:
             scan = _Engine(g, tt, k, SolveStats(), trim)
             rejected = {v for v in range(n) if not scan.root_fits(v)}
             for v in range(n):
@@ -265,12 +268,13 @@ def test_root_prune_inside_a_pendant_tree():
 
     g = UGraph(9, list(complete(4).edges) + [(0, 4), (4, 5), (5, 6), (5, 7), (5, 8)])
     kernel = make_contractible(g)
-    trim = _Forest(kernel.trim_order, kernel.trim_parent, {})
+    tt = TargetTree(path(9), 4)
+    trim = _Forest(kernel.trim_order, kernel.trim_parent, tt.table)
     leaf = trim.table[()]
     assert [trim.ids[c] for c in trim.kids[5]] == [leaf] * 3
     assert len(trim.kids[4]) == len(trim.kids[0]) == 1
     # the path's center 4 has two P4 children: no leaf, and no star at 4 or 0
-    scan = _Engine(g, TargetTree(path(9), 4), 3, SolveStats(), trim)
+    scan = _Engine(g, tt, 3, SolveStats(), trim)
     assert [v for v in range(9) if not scan.root_fits(v)] == [0, 4, 5]
     lines = []
     stats = SolveStats()
@@ -299,6 +303,20 @@ def test_unfinished_search_raises_under_any_optimisation_level(monkeypatch):
     monkeypatch.setattr(_Engine, "_solve_pos", lambda self, i: True)
     with pytest.raises(RuntimeError, match="unmatched target vertex"):
         solve_undirected(THETA, path(5), fallback=True)
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips asserts, so no invariant of the package may be one
+    import ast
+    from pathlib import Path
+
+    import stiso
+
+    files = sorted(Path(stiso.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    for f in files:
+        tree = ast.parse(f.read_text(), filename=str(f))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], f
 
 
 # SHA-256 of answers, witnesses, removed sets, SolveStats and trace lines over
@@ -383,9 +401,10 @@ def _reference_open(engine, rg, rt):
     Pendants bind in neighbour order to the first unmatched target child of
     equal code, and children pair in ``(code, vertex)`` order.
     """
-    from stiso.treecode import code_key
+    from stiso.treecode import code_key, subtree_codes
 
     tt = engine.tt
+    tcodes = subtree_codes(tt.tree, tt.root)
     comps = _full_walk(engine, rg)
     pendants, avail = [], []
     for c in comps:
@@ -409,7 +428,7 @@ def _reference_open(engine, rg, rt):
             if parent[x] != -1:
                 kids[parent[x]].append(x)
         w = next(
-            (c for c in tt.children[rt] if engine.t2g[c] < 0 and tt.code[c] == codes[u]), None
+            (c for c in tt.children[rt] if engine.t2g[c] < 0 and tcodes[c] == codes[u]), None
         )
         if w is None:
             engine._fail("pendant-unmatched")
@@ -588,9 +607,9 @@ def test_connectivity_checked_once_per_solve(monkeypatch):
 
 def test_target_tree_not_revalidated_per_solve(monkeypatch):
     # k = 0, 1, and >= 2, the target rooted at vertex 1 and at a center.  A path
-    # has two centers, so the k >= 2 search roots the target a second time,
-    # derived from the caller's rooting if that is at a center; a rooting off
-    # center costs one fresh rooting at a center
+    # has two centers, so the search roots the target a second time, derived
+    # from the caller's rooting if that is at a center; a rooting off center
+    # costs one fresh rooting at a center.  No solve builds a string code
     from stiso import treecode
 
     cases = [
@@ -600,12 +619,12 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
         (complete(4), path(4), True),
         (hub_with_leaves(30), path(30), False),
     ]
-    real, real_codes = UGraph.is_connected, treecode._codes
+    real, real_codes, real_order = UGraph.is_connected, treecode._codes, treecode._rooted_order
     for g, tree, answer in cases:
         centers = treecode.tree_centers(tree)
         for root in (1, centers[-1]):
             target = TargetTree(tree, root)
-            calls, codes = [], []
+            calls, codes, rootings = [], [], []
 
             def counted(self, *args, **kwargs):
                 if self is tree:
@@ -616,13 +635,20 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
                 codes.append(args)
                 return real_codes(*args)
 
+            def counted_order(t, r):
+                if t is tree:
+                    rootings.append(r)
+                return real_order(t, r)
+
             monkeypatch.setattr(UGraph, "is_connected", counted)
             monkeypatch.setattr(treecode, "_codes", counted_codes)
+            monkeypatch.setattr(treecode, "_rooted_order", counted_order)
             lines = []
             assert solve_undirected(g, target, trace=lines.append).is_yes is answer
             monkeypatch.setattr(UGraph, "is_connected", real)
             monkeypatch.setattr(treecode, "_codes", real_codes)
-            assert calls == []
-            assert len(codes) == (g.m - g.n >= 1 and root not in centers), (tree.n, root)
+            monkeypatch.setattr(treecode, "_rooted_order", real_order)
+            assert calls == [] and codes == []
+            assert rootings == ([centers[0]] if root not in centers else []), (tree.n, root)
             if not answer and g.m - g.n >= 1:  # a k >= 2 NO scans every rooting
                 assert {line.split()[0] for line in lines} == {f"troot={c}" for c in centers}
