@@ -11,8 +11,9 @@ has in-degree at most ``k`` and forms at most ``2^(k - indeg r)`` plans.
 A vertex of in-degree 0 is the only root that can reach every vertex, and
 two of them leave none.
 
-The roots that reach every vertex come from one linear pass
-(:func:`~stiso.graphs.roots_reaching_all`), not a search per root.
+The roots that reach every vertex are found in linear time
+(:func:`~stiso.graphs.roots_reaching_all`), not by a search per root; with
+one vertex of in-degree 0, one search from it decides.
 
 Isomorphic arborescences have equal out-degree multisets, and a plan
 lowers the out-degree of at most ``k`` tails, those of its deleted arcs.
@@ -22,7 +23,10 @@ differs from the target's (in at most ``2k`` entries, as the graph has
 cancel that difference exactly (:func:`~stiso.graphs.degree_shift`).  The
 test is only necessary, and plans keep their order, so the first plan to
 pass the full check, and with it the answer, is unchanged; only the plans
-it keeps are searched and count as ``arborescence_hits``.
+it keeps are searched and count as ``arborescence_hits``.  The target's
+out-degrees are its tree degrees less one at every vertex but the root, so
+the test reads no canonical code, and a NO that it decides never builds
+the target's (:class:`~stiso.treecode.TargetTree` builds them on first read).
 
 Each plan left is checked by one search from the root over the kept arcs;
 when it spans, the witness is compared with the target by integer code: it
@@ -225,7 +229,10 @@ def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace
     witness_ids = [0] * d.n
     multi = {v: [aid for aid, _ in pairs] for v, pairs in enumerate(d.in_inc) if len(pairs) >= 2}
     out_deg = list(map(len, d.out_inc))
-    gap = degree_gap(out_deg, map(len, target.children))
+    # out-degree: tree degree less the in-arc every vertex but the root has
+    want = [len(pairs) - 1 for pairs in target.tree.incidence]
+    want[target.root] += 1
+    gap = degree_gap(out_deg, want)
     arcs = d.arcs
 
     for r in range(d.n):

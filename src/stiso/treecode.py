@@ -7,9 +7,11 @@ are isomorphic as rooted trees, so code comparison is the isomorphism test.
 
 The solvers run the same test on integers (Aho, Hopcroft and Ullman 1974).
 :class:`TargetTree` interns each vertex's sorted child ids in a table, once
-per target; a candidate tree is only looked up in that table
-(:func:`lookup_root_id`), so no solve changes the target.  Strings are built
-only by :func:`subtree_codes` and the functions on top of it.
+per target and only on the first read of its codes, so an answer that never
+compares a candidate with the target never builds them; a candidate tree is
+only looked up in that table (:func:`lookup_root_id`), so no solve changes
+the target.  Strings are built only by :func:`subtree_codes` and the
+functions on top of it.
 """
 
 from __future__ import annotations
@@ -246,20 +248,32 @@ class TargetTree:
     Children are visited in ascending ``(subtree code, vertex id)`` order, found
     without building the codes (:func:`_by_code`), so isomorphic sibling subtrees
     are adjacent in the order and the order is identical across runs.
+
+    Construction validates the tree and keeps the parent array; the canonical
+    layer (``ids``, ``table``, ``children``, ``subtree_size`` and ``order``) is
+    built on the first read of any of its fields, so a caller whose answer
+    never needs it, such as a NO that the directed out-degree screen decides,
+    never pays for it.
     """
 
-    __slots__ = ("tree", "root", "order", "parent", "children", "subtree_size", "ids", "table")
+    __slots__ = (
+        "tree", "root", "parent", "_bfs", "order", "children", "subtree_size", "ids", "table"
+    )
 
     def __init__(self, tree: UGraph, root: int):
-        bfs, parent = _rooted_order(tree, root)
+        self._bfs, self.parent = _rooted_order(tree, root)
         self.tree = tree
-        self.parent = parent
         self.root = root
+        self.__class__ = _Unbuilt  # until the first read of a canonical field
+
+    def _build(self) -> None:
+        self.__class__ = TargetTree  # from an _Unbuilt: the fields are plain slots again
+        bfs, parent, n = self._bfs, self.parent, self.tree.n
         self.table: CodeTable = {}
         table = self.table
-        ids, size = [0] * tree.n, [1] * tree.n
-        kids: list[list[int]] = [[] for _ in range(tree.n)]
-        kid_ids: list[list[int]] = [[] for _ in range(tree.n)]
+        ids, size = [0] * n, [1] * n
+        kids: list[list[int]] = [[] for _ in range(n)]
+        kid_ids: list[list[int]] = [[] for _ in range(n)]
         for x in reversed(bfs):  # children first, so theirs are sorted when x is
             if len(kids[x]) > 1:
                 kid_ids[x].sort()
@@ -272,7 +286,7 @@ class TargetTree:
                 size[p] += size[x]
         self.ids, self.subtree_size = tuple(ids), tuple(size)
         self.children = tuple(map(tuple, kids))
-        self.order = _preorder(root, self.children)
+        self.order = _preorder(self.root, self.children)
 
     @property
     def n(self) -> int:
@@ -280,6 +294,34 @@ class TargetTree:
 
     def __repr__(self) -> str:
         return f"TargetTree(n={self.n}, root={self.root})"
+
+
+def _built_field(name: str) -> property:
+    """A property that builds a target's canonical layer, then reads ``name``."""
+
+    def read(tt: TargetTree):
+        tt._build()
+        return getattr(tt, name)
+
+    return property(read)
+
+
+class _Unbuilt(TargetTree):
+    """A :class:`TargetTree` whose canonical layer is not built yet.
+
+    Its canonical fields are properties that build the layer, which turns the
+    object into a plain ``TargetTree``, and then read the field.  Properties,
+    not ``__getattr__``: CPython reads every attribute of a class with
+    ``__getattr__`` slower, and the solvers read an unbuilt target's other
+    fields too.
+    """
+
+    __slots__ = ()
+    order = _built_field("order")
+    children = _built_field("children")
+    subtree_size = _built_field("subtree_size")
+    ids = _built_field("ids")
+    table = _built_field("table")
 
 
 def _by_code(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +14,9 @@ from stiso import (
     redundant_size,
 )
 
+from stiso import graphs
 from stiso.graphs import cycle_edges, roots_reaching_all
-from util import complete, cycle, path, star
+from util import complete, cycle, path, reference_incidence, reference_parse, star
 
 
 def test_parse_undirected_path():
@@ -84,6 +86,185 @@ def test_roundtrip_random_trees(n, seed):
     assert parse_graph(g.serialize()) == g
 
 
+def _fields(g: UGraph | DiGraph) -> tuple:
+    if isinstance(g, UGraph):
+        return ("U", g.n, g.edges, g.incidence, g.is_multigraph)
+    return ("D", g.n, g.arcs, g.out_inc, g.in_inc)
+
+
+def _parsed(parse, text: str) -> tuple:
+    try:
+        return _fields(parse(text))
+    except GraphFormatError as exc:
+        return ("error", str(exc))
+
+
+# tokens the line-by-line path treats differently from plain ASCII digits:
+# int() takes signs, underscores, leading zeros and non-ASCII digits
+ODD_TOKENS = st.sampled_from(["+1", "1_0", "-1", "\u0663", "007", "x", "0", "9", "U", "D", "#"])
+
+
+@st.composite
+def format_texts(draw) -> str:
+    """Graph texts built from the format's pieces, some of them perturbed; about
+    half are laid out as ``serialize`` writes them, comments first."""
+    n = draw(st.integers(0, 5))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=6))
+    m = len(pairs) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    rows = [[str(n), str(m), draw(st.sampled_from("UD"))]] + [[str(u), str(v)] for u, v in pairs]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if action == "insert" or not row:
+            row.insert(draw(st.integers(0, len(row))), draw(ODD_TOKENS))
+        elif action == "replace":
+            row[draw(st.integers(0, len(row) - 1))] = draw(ODD_TOKENS)
+        else:
+            del row[draw(st.integers(0, len(row) - 1))]
+    plain = not draw(st.booleans())
+    spacing = st.just(" ") if plain else st.sampled_from([" ", "\t", "  "])
+    lines = draw(st.lists(st.sampled_from(["# n=5 m=4 type=U k=0", "", " \t", "#"]), max_size=2))
+    for row in rows:
+        line = draw(spacing).join(row)
+        if not plain and draw(st.integers(0, 4)) == 0:
+            line += " # inline"
+        lines.append(line)
+        if not plain and draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "#", "# comment", " # indented"])))
+    eol = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if plain or draw(st.booleans()) else "")
+
+
+@given(format_texts())
+def test_parse_matches_the_line_by_line_reference(text):
+    assert _parsed(parse_graph, text) == _parsed(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 1 U\n\u0660 1\n",  # a non-ASCII zero, which int() reads
+        "2 1 U\n+0 1\n",
+        "1_0 1 U\n0 1\n",
+        "2 1 D\r\n0 1\r\n",
+        "# c\x85 2 1 U\n2 1 U\n0 1\n",  # the comment ends at NEL, as splitlines has it
+        "2 1 U\n0 1",
+        "2 1 U\n# a comment after the header\n0 1\n",
+        "2 2 U\n0 1\n",
+        "2 0 U\n0 1\n",
+        "2 1 U\n" + "9" * 5000 + " 1\n",  # past int()'s digit limit
+        "3 2 U\n0 3\n1 2\n",
+        "3 2 D\n0 1\n0 1\n",
+    ],
+)
+def test_parse_edge_cases_match_the_reference(text):
+    assert _parsed(parse_graph, text) == _parsed(reference_parse, text)
+
+
+def test_serialized_instances_take_the_one_pass_path(monkeypatch):
+    from stiso import GenSpec, gen_instance
+
+    graphs_out = [UGraph(0, []), UGraph(1, []), DiGraph(1, []), path(2)]
+    for seed in range(12):
+        for n in (5, 40):
+            spec = GenSpec(n=n, k=seed % 5, seed=seed, mode="planted-yes" if seed % 2 else "random",
+                           directed=seed % 3 == 0)
+            inst = gen_instance(spec)
+            graphs_out += [inst.graph, inst.target_graph]
+    texts = [g.serialize() for g in graphs_out]
+
+    def refuse(text):
+        raise AssertionError("line-by-line path taken")
+
+    monkeypatch.setattr(graphs, "_parse_lines", refuse)
+    for g, text in zip(graphs_out, texts):
+        assert _fields(parse_graph(text)) == _fields(g)
+    with pytest.raises(AssertionError, match="line-by-line"):
+        parse_graph(texts[-1].replace("\n", "\r\n"))
+
+
+def _built(n, pairs, kind) -> tuple:
+    try:
+        if kind == "D":
+            return _fields(DiGraph(n, pairs))
+        return _fields(UGraph(n, pairs) if kind == "U" else UGraph.multigraph(n, pairs))
+    except Exception as exc:  # the exception itself is compared
+        return (type(exc), str(exc))
+
+
+def _reference_built(n, pairs, kind) -> tuple:
+    try:
+        done = reference_incidence(n, pairs, directed=kind == "D", simple=kind != "multi")
+    except Exception as exc:  # the exception itself is compared
+        return (type(exc), str(exc))
+    return ("D", n, *done) if kind == "D" else ("U", n, *done, kind == "multi")
+
+
+def _faulty_pairs(rnd: random.Random) -> tuple[int, list]:
+    """A random simple edge list with 0 to 3 faults injected at random places;
+    about a third are long enough for the constructors' whole-list checks."""
+    n = rnd.randint(1, 9) if rnd.random() < 0.67 else rnd.randint(30, 60)
+    pairs: list = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randint(0, 3 * n))]
+    pairs = base = [p for i, p in enumerate(pairs) if p[0] != p[1] and p not in pairs[:i]]
+    for _ in range(rnd.randint(0, 3)):
+        u, v = rnd.randrange(n), rnd.randrange(n)
+        fault = rnd.choice(["range", "negative", "loop", "dup", "reversed", "arity", "list"])
+        if fault == "range":
+            bad = (n + rnd.randrange(3), v) if rnd.random() < 0.5 else (u, n + rnd.randrange(3))
+        elif fault == "negative":
+            bad = (-1 - rnd.randrange(3), v) if rnd.random() < 0.5 else (u, -1 - rnd.randrange(3))
+        elif fault == "loop":
+            bad = (u, u)
+        elif fault in ("dup", "reversed") and base:
+            a, b = rnd.choice(base)
+            bad = (a, b) if fault == "dup" else (b, a)
+        elif fault == "arity":
+            bad = rnd.choice([(u,), (u, v, u), ()])
+        else:
+            bad = [u, v]  # a list is taken like a tuple
+        pairs = pairs[:] if pairs is base else pairs
+        pairs.insert(rnd.randint(0, len(pairs)), bad)
+    return n, pairs
+
+
+def test_constructors_match_the_per_edge_reference():
+    rnd = random.Random(20261019)
+    raised = set()
+    for _ in range(3000):
+        n, pairs = _faulty_pairs(rnd)
+        long = len(pairs) >= graphs._BULK_MIN
+        for kind in ("U", "D", "multi"):
+            got = _built(n, pairs, kind)
+            assert got == _reference_built(n, pairs, kind), (n, pairs, kind)
+            if isinstance(got[0], type):
+                raised.add((long, kind, got[0], got[1].split()[2] if kind != "multi" else ""))
+    # every kind of fault was met by every constructor that rejects it, in short and long lists
+    for long in (False, True):
+        for kind in ("U", "D"):
+            words = {w for g, k, t, w in raised if (g, k, t) == (long, kind, GraphFormatError)}
+            assert words == {"endpoint", "is", "duplicates"}, (long, kind, words)
+            assert (long, kind, ValueError, "values") in raised  # wrong arity: a failed unpacking
+        assert (long, "multi", GraphFormatError, "") in raised
+    chain_70 = [(i, i + 1) for i in range(70)]
+    odd_lists = [(-1, []), (-1, [(0, 1)]), (3, [(0, "1")]), (3, [(0, 1), 7])]
+    odd_lists += [(71, chain_70 + [(0, "1")]), (71, chain_70 + [7]), (71, chain_70 + [(0, 1.5)])]
+    for n, pairs in odd_lists:
+        for kind in ("U", "D", "multi"):
+            assert _built(n, pairs, kind) == _reference_built(n, pairs, kind), (n, pairs[-1], kind)
+    assert UGraph.multigraph(2, [(0, 0), (0, 1), (1, 0)]).incidence == (
+        ((0, 0), (0, 0), (1, 1), (2, 1)), ((1, 0), (2, 0)))
+
+
+def test_underlying_equals_the_multigraph_constructor():
+    rnd = random.Random(5)
+    for _ in range(300):
+        n = rnd.randint(0, 15)
+        d = _random_digraph(n, rnd.randint(0, min(n * (n - 1), 3 * n)), rnd) if n else DiGraph(0, [])
+        want = UGraph.multigraph(d.n, list(d.arcs))
+        assert _fields(d.underlying()) == _fields(want)
+
+
 def test_handshake_is_checked_on_construction():
     g = complete(5)
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
@@ -128,17 +309,44 @@ def _per_root(d: DiGraph) -> list[bool]:
     return [reachable_all(d, r) for r in range(d.n)]
 
 
+def _source_kind(d: DiGraph) -> str:
+    sources = [v for v in range(d.n) if d.in_degree(v) == 0]
+    if len(sources) == 1:
+        return "one reaching all" if reachable_all(d, sources[0]) else "one short"
+    return "none" if not sources else "several"
+
+
 def test_roots_reaching_all_matches_per_root_search():
+    """Digraphs with no in-degree-0 vertex, one that reaches all, one that does
+    not, and two or more, each against a search from every root."""
     rnd = random.Random(20261018)
     admissible_seen = 0
+    kinds = Counter()
     for _ in range(400):
         n = rnd.randint(1, 12)
         m = rnd.randint(0, min(n * (n - 1), 3 * n))
         d = _random_digraph(n, m, rnd)
         assert roots_reaching_all(d) == _per_root(d)
         admissible_seen += any(roots_reaching_all(d))
+        kinds[_source_kind(d)] += 1
     assert admissible_seen > 50
     assert roots_reaching_all(DiGraph(0, [])) == []
+    # an arborescence plus arcs that avoid its root: the root alone reaches all
+    for n in range(2, 15):
+        tree = [(rnd.randrange(v), v) for v in range(1, n)]
+        d = _random_digraph(n, min(n * (n - 1) - (n - 1), n + 3), rnd, base=tree)
+        d = DiGraph(n, [a for a in d.arcs if a[1] != 0])
+        kinds[_source_kind(d)] += 1
+        assert roots_reaching_all(d) == [True] + [False] * (n - 1) == _per_root(d)
+    # the source 0 feeds the ring 1..a; the ring a+1..n-1 feeds that one, unseen
+    for n in range(5, 15):
+        a = rnd.randint(2, n - 3)
+        rings = [(v, v % a + 1) for v in range(1, a + 1)]
+        rings += [(v, a + 1 + (v - a) % (n - a - 1)) for v in range(a + 1, n)]
+        d = DiGraph(n, [(0, 1), *rings, (rnd.randint(a + 1, n - 1), rnd.randint(1, a))])
+        kinds[_source_kind(d)] += 1
+        assert roots_reaching_all(d) == [False] * n == _per_root(d)
+    assert min(kinds[k] for k in ("none", "one reaching all", "one short", "several")) >= 20, kinds
 
 
 def test_roots_reaching_all_strongly_connected():

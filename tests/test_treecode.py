@@ -391,3 +391,55 @@ def test_per_vertex_ids_agree_between_interning_and_lookup():
     looked_up = [None] * 14
     assert lookup_root_id(*_bottom_up(same, perm[0]), table, looked_up) == ids[0]
     assert looked_up == [ids[perm.index(v)] for v in range(14)]
+
+
+def _canonical(tt: TargetTree) -> tuple:
+    return tuple(getattr(tt, f) for f in ("root", "parent", "order", "children", "subtree_size", "ids", "table"))
+
+
+def test_canonical_layer_is_built_on_first_read(monkeypatch):
+    """The codes are built once, on the first read of any of their fields, and
+    only when an answer needs them."""
+    from stiso import DirectedStats, GenSpec, gen_instance, solve_directed, solve_undirected
+    from stiso.treecode import _rerooted
+
+    built: list[int] = []
+    build = TargetTree._build
+    monkeypatch.setattr(TargetTree, "_build", lambda tt: (built.append(id(tt)), build(tt)))
+
+    with pytest.raises(NotATreeError):  # validation stays at construction
+        TargetTree(UGraph(4, [(0, 1), (1, 2), (2, 0)]), 0)
+    with pytest.raises(ValueError):
+        TargetTree(path(3), 3)
+    tt = TargetTree(gen_tree(30, 1), 0)
+    assert built == [] and not hasattr(tt, "no_such_field")
+    for field in ("ids", "table", "children", "subtree_size", "order"):
+        getattr(tt, field)
+    assert built == [id(tt)]
+    _canonical(_rerooted(tt, tt.children[0][0]))  # a derived rooting has every field set
+    assert built == [id(tt)]
+
+    screened = hits = 0
+    for seed in range(20):
+        for mode in ("random", "planted-yes"):
+            inst = gen_instance(GenSpec(n=40, k=3, seed=seed, mode=mode, directed=True))
+            target, stats = TargetTree(inst.target.tree, inst.target.root), DirectedStats()
+            built.clear()
+            verdict = solve_directed(inst.graph, target, stats=stats)
+            # only a plan that passes the out-degree screen and spans reads the codes
+            assert len(built) == (stats.arborescence_hits > 0)
+            screened += stats.arborescence_hits == 0 and not verdict.is_yes
+            hits += verdict.is_yes
+            assert _canonical(target) == _canonical(TargetTree(target.tree, target.root))
+    assert screened >= 5 and hits >= 20
+
+    for seed in range(12):
+        inst = gen_instance(GenSpec(n=30, k=seed % 5, seed=seed, mode="random" if seed % 2 else "planted-yes"))
+        t = inst.target.tree
+        for r in (0, *tree_centers(t)):
+            target = TargetTree(t, r)
+            built.clear()
+            solve_undirected(inst.graph, target)
+            # the caller's rooting, or a fresh one at a centre; a derived rooting never
+            assert len(built) == len(set(built)) <= 1
+            assert _canonical(target) == _canonical(TargetTree(t, r))

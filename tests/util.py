@@ -2,12 +2,14 @@
 
 These share no machinery with the package: isomorphism is decided by
 backtracking over adjacency-preserving bijections, and the free-tree
-catalogue is built by leaf extension with pairwise brute-force dedup.
+catalogue is built by leaf extension with pairwise brute-force dedup.  The
+graph constructors and the text parser are judged against straightforward
+one-edge-at-a-time and one-line-at-a-time versions.
 """
 
 from __future__ import annotations
 
-from stiso import UGraph
+from stiso import DiGraph, GraphFormatError, UGraph
 
 
 def brute_iso(t1: UGraph, t2: UGraph, fixed: tuple[int, int] | None = None) -> bool:
@@ -107,3 +109,68 @@ def chorded_path(n: int) -> UGraph:
 def hub_with_leaves(n: int) -> UGraph:
     """K4 on 0..3 with the n - 4 other vertices as leaves of vertex 0: k = 3."""
     return UGraph(n, list(complete(4).edges) + [(0, v) for v in range(4, n)])
+
+
+def reference_incidence(n: int, pairs, *, directed: bool, simple: bool = True):
+    """The graph constructors' work one edge at a time: the checked pairs and
+    the incidence lists (``(out, in)`` when ``directed``), or the
+    GraphFormatError (or unpacking error) for the first offending edge."""
+    what = "arc" if directed else "edge"
+    if n < 0:
+        raise GraphFormatError("vertex count must be non-negative")
+    seen: set[tuple[int, int]] = set()
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"{what} {i} endpoint out of range: ({u}, {v})")
+        if simple:
+            if u == v:
+                raise GraphFormatError(f"{what} {i} is a self-loop: ({u}, {v})")
+            key = (u, v) if directed or u < v else (v, u)
+            if key in seen:
+                raise GraphFormatError(f"{what} {i} duplicates ({u}, {v})")
+            seen.add(key)
+        if directed:
+            out[u].append((i, v))
+        else:
+            inc[u].append((i, v))
+        inc[v].append((i, u))
+    frozen = tuple(tuple(p) for p in inc)
+    edges = tuple((u, v) for u, v in pairs)
+    return (edges, tuple(tuple(p) for p in out), frozen) if directed else (edges, frozen)
+
+
+def reference_parse(text: str) -> UGraph | DiGraph:
+    """The text format read one line at a time."""
+    rows: list[list[str]] = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line.split())
+    if not rows:
+        raise GraphFormatError("empty input")
+    header = rows[0]
+    if len(header) != 3 or header[2] not in ("U", "D"):
+        raise GraphFormatError(f"malformed header: {' '.join(header)!r}")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise GraphFormatError(f"malformed header: {' '.join(header)!r}") from exc
+    if n < 0 or m < 0:
+        raise GraphFormatError("negative count in header")
+    body = rows[1:]
+    if len(body) != m:
+        raise GraphFormatError(f"header says m={m} but found {len(body)} edge lines")
+    pairs: list[tuple[int, int]] = []
+    for i, row in enumerate(body):
+        if len(row) != 2:
+            raise GraphFormatError(f"malformed edge line {i}: {' '.join(row)!r}")
+        try:
+            u, v = int(row[0]), int(row[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"malformed edge line {i}: {' '.join(row)!r}") from exc
+        pairs.append((u, v))
+    if header[2] == "U":
+        return UGraph(n, pairs)
+    return DiGraph(n, pairs)
