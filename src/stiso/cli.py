@@ -13,6 +13,7 @@ import csv
 import sys
 import time
 import traceback
+from math import comb
 from pathlib import Path
 
 from .directed import DirectedStats, solve_directed, target_tree_from_digraph
@@ -175,13 +176,9 @@ def cmd_bench(args) -> int:
             (spec.n, spec.k, mode_tag, spec.seed, "fpt", verdict.answer, int(dt * 1e6), work)
         )
         if args.compare_oracle:
+            oracle = oracle_directed if spec.directed else oracle_undirected
             t0 = time.perf_counter()
-            if spec.directed:
-                overdict = oracle_directed(inst.graph, inst.target)
-                osubsets = _oracle_subsets(inst.graph.m, spec.k)
-            else:
-                overdict = oracle_undirected(inst.graph, inst.target)
-                osubsets = _oracle_subsets(inst.graph.m, spec.k)
+            overdict = oracle(inst.graph, inst.target)
             dt = time.perf_counter() - t0
             rows.append(
                 (
@@ -192,7 +189,7 @@ def cmd_bench(args) -> int:
                     "oracle",
                     overdict.answer,
                     int(dt * 1e6),
-                    osubsets,
+                    comb(inst.graph.m, spec.k),
                 )
             )
             if overdict.answer != verdict.answer:
@@ -212,12 +209,6 @@ def cmd_bench(args) -> int:
         print(f"{disagreements} verdict disagreements", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_YES
-
-
-def _oracle_subsets(m: int, k: int) -> int:
-    from math import comb
-
-    return comb(m, k)
 
 
 def build_parser() -> argparse.ArgumentParser:

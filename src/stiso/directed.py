@@ -28,12 +28,11 @@ out-degrees are its tree degrees less one at every vertex but the root, so
 the test reads no canonical code, and a NO that it decides never builds
 the target's (:class:`~stiso.treecode.TargetTree` builds them on first read).
 
-Each plan left is checked by one search from the root over the kept arcs;
-when it spans, the witness is compared with the target by integer code: it
-is only looked up in the table of Aho-Hopcroft-Ullman ids the
-:class:`~stiso.treecode.TargetTree` carries
-(:func:`~stiso.treecode.lookup_root_id`), bottom-up along the search,
-stopping at the first subtree the target has no copy of.
+Each plan left is checked by one search from the root over the kept arcs
+(:func:`~stiso.graphs.bfs`); when it spans, the witness is compared with
+the target by :meth:`~stiso.treecode.TargetTree.match`: it is only looked
+up in the table of Aho-Hopcroft-Ullman ids the target carries, bottom-up
+along the search, stopping at the first subtree the target has no copy of.
 Equal root ids mean isomorphic arborescences, and the vertex mapping pairs
 the children of matched vertices in ``(id, vertex)`` order on both sides.
 
@@ -53,15 +52,15 @@ from itertools import product
 
 from .graphs import (
     DiGraph,
-    UGraph,
     Verdict,
+    bfs,
     degree_gap,
     degree_shift,
     reachable_all,
     roots_reaching_all,
 )
 from .kernel import AnchorChain
-from .treecode import TargetTree, _pair_children, arborescence_root, lookup_root_id
+from .treecode import TargetTree, arborescence_root
 
 
 @dataclass
@@ -226,7 +225,6 @@ def certify_directed(d: DiGraph, target: TargetTree, verdict: Verdict) -> bool:
 
 
 def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace) -> Verdict:
-    witness_ids = [0] * d.n
     multi = {v: [aid for aid, _ in pairs] for v, pairs in enumerate(d.in_inc) if len(pairs) >= 2}
     out_deg = list(map(len, d.out_inc))
     # out-degree: tree degree less the in-arc every vertex but the root has
@@ -258,14 +256,12 @@ def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace
                 continue
             surviving += 1
             stats.arborescence_hits += 1
-            order, parent = witness
-            witness_id = lookup_root_id(reversed(order), parent, target.table, witness_ids)
-            if witness_id != target.ids[target.root]:
+            mapping = target.match(*witness)
+            if mapping is None:
                 continue
             stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
             if trace is not None:
                 trace(f"root={r} plans={plans_this_root} surviving={surviving} yes")
-            mapping = _pair_children(target.root, target.parent, target.ids, r, parent, witness_ids)
             return Verdict("YES", mapping=mapping, removed=frozenset(deleted))
         stats.plans_max_per_root = max(stats.plans_max_per_root, plans_this_root)
         if trace is not None:
@@ -278,21 +274,11 @@ def _arborescence_without(
 ) -> tuple[list[int], list[int]] | None:
     """BFS order from ``r`` over the arcs not in ``deleted``, and each
     vertex's parent along its kept in-arc; None unless every vertex is reached."""
-    parent = [-1] * d.n
-    seen = bytearray(d.n)
-    seen[r] = 1
-    order = [r]
-    for x in order:  # the list grows while it is walked: a BFS queue
-        for aid, w in d.out_inc[x]:
-            if aid in deleted or seen[w]:
-                continue
-            seen[w] = 1
-            parent[w] = x
-            order.append(w)
+    order, parent = bfs(d.out_inc, r, deleted)
     return (order, parent) if len(order) == d.n else None
 
 
 def target_tree_from_digraph(t: DiGraph) -> TargetTree:
     """Validate a digraph as an out-arborescence and wrap it as a rooted target."""
     root = arborescence_root(t)
-    return TargetTree(UGraph(t.n, list(t.arcs)), root)
+    return TargetTree(t.underlying(), root)

@@ -181,7 +181,7 @@ def gen_instance(spec: GenSpec) -> GenInstance:
             target_graph: UGraph | DiGraph = DiGraph(
                 n, [(perm[u], perm[v]) for u, v in base]
             )
-            target = TargetTree(UGraph(n, list(target_graph.arcs)), perm[root])
+            target = TargetTree(target_graph.underlying(), perm[root])
         else:
             ttree = UGraph(n, [(perm[u], perm[v]) for u, v in tree_edges])
             target_graph = ttree
@@ -195,7 +195,7 @@ def gen_instance(spec: GenSpec) -> GenInstance:
             t_root = rng.randrange(n)
             t_arcs = _orient_from_root(n, t_edges, t_root)
             target_graph = DiGraph(n, t_arcs)
-            target = TargetTree(UGraph(n, t_arcs), t_root)
+            target = TargetTree(target_graph.underlying(), t_root)
         else:
             ttree = UGraph(n, t_edges)
             target_graph = ttree

@@ -1,4 +1,4 @@
-"""Graph data model, text format, and basic traversals.
+"""Graph data model, text format, and the shared graph walks.
 
 Vertices are dense non-negative integers in ``[0, n)``.  Edges and arcs get
 dense ids assigned in construction order, and those ids are stable for the
@@ -17,12 +17,16 @@ by edge, which also names the first bad edge.  :func:`parse_graph` reads text in
 comments, CRLF line ends, signs, a wrong edge count, ...) goes line by
 line, and that path alone words the :class:`GraphFormatError` messages
 about text.
+
+Every breadth-first search in the package is :func:`bfs`, and every leaf
+peel is :func:`peel_leaves`.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import add, eq
@@ -122,27 +126,9 @@ class UGraph:
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]
 
-    def other(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        return w if v == u else u
-
     def is_connected(self, skip_edges: frozenset[int] | set[int] = frozenset()) -> bool:
         """True iff the graph minus ``skip_edges`` is connected (n=0 counts)."""
-        if self.n == 0:
-            return True
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        reached = 1
-        while queue:
-            x = queue.popleft()
-            for eid, w in self.incidence[x]:
-                if eid in skip_edges or seen[w]:
-                    continue
-                seen[w] = 1
-                reached += 1
-                queue.append(w)
-        return reached == self.n
+        return self.n == 0 or len(bfs(self.incidence, 0, skip_edges)[0]) == self.n
 
     def relabeled(self, perm: list[int]) -> "UGraph":
         """Image under the vertex bijection ``v -> perm[v]`` (edge order kept)."""
@@ -340,20 +326,32 @@ def redundant_size(g: UGraph) -> int:
     return g.m - (g.n - 1)
 
 
+def bfs(
+    adjacency: Sequence[Sequence[tuple[int, int]]],
+    root: int,
+    skip: frozenset[int] | set[int] = frozenset(),
+) -> tuple[list[int], list[int]]:
+    """Breadth-first search from ``root`` over ``(id, neighbour)`` lists,
+    not crossing an edge or arc whose id is in ``skip``.
+
+    Returns the reached vertices in visiting order, and each vertex's parent
+    in the search: -1 at ``root`` and at every vertex not reached.
+    """
+    parent = [-1] * len(adjacency)
+    parent[root] = root  # marks the root reached until the walk ends
+    order = [root]
+    for x in order:  # the list grows while it is walked: a BFS queue
+        for eid, w in adjacency[x]:
+            if parent[w] == -1 and eid not in skip:
+                parent[w] = x
+                order.append(w)
+    parent[root] = -1
+    return order, parent
+
+
 def reachable_all(d: DiGraph, r: int) -> bool:
     """True iff every vertex of ``d`` is reachable from ``r`` by directed paths."""
-    seen = bytearray(d.n)
-    seen[r] = 1
-    queue = deque([r])
-    reached = 1
-    while queue:
-        x = queue.popleft()
-        for _, w in d.out_inc[x]:
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                queue.append(w)
-    return reached == d.n
+    return len(bfs(d.out_inc, r)[0]) == d.n
 
 
 def roots_reaching_all(d: DiGraph) -> list[bool]:
@@ -392,17 +390,10 @@ def roots_reaching_all(d: DiGraph) -> list[bool]:
                 if not seen[w]:
                     seen[w] = 1
                     stack.append(w)
-    if not reachable_all(d, last):
-        return [False] * d.n
     admissible = [False] * d.n
-    admissible[last] = True
-    stack = [last]
-    while stack:
-        x = stack.pop()
-        for _, w in d.in_inc[x]:
-            if not admissible[w]:
-                admissible[w] = True
-                stack.append(w)
+    if reachable_all(d, last):
+        for v in bfs(d.in_inc, last)[0]:
+            admissible[v] = True
     return admissible
 
 
@@ -430,36 +421,45 @@ def degree_shift(degree: Sequence[int], losers: Iterable[int]) -> dict[int, int]
     return {x: c for x, c in shift.items() if c}
 
 
-def cycle_edges(g: UGraph) -> list[int]:
-    """Edge ids of the unique cycle of a connected graph with m = n, sorted.
+def peel_leaves(g: UGraph) -> tuple[list[int], list[int], list[int]]:
+    """Trim ``g`` to its 2-core by removing the lowest-id degree-1 vertex until
+    none is left.
 
-    Raises RuntimeError unless exactly one edge lies outside the search
-    tree.  Parallel edges (a 2-cycle) are allowed.
+    Returns the trimmed vertices in trim order, so each comes after all of
+    its children in the trim forest; each vertex's trim parent, the
+    neighbour it hung from when trimmed, or -1 for a vertex left in the
+    2-core; and the degrees at the end, in which a trimmed vertex keeps 1
+    and a self-loop counts 2.  A tree keeps one vertex, of degree 0.
     """
-    parent_eid = [-1] * g.n
-    parent = [-1] * g.n
-    depth = [-1] * g.n
-    depth[0] = 0
-    stack = [0]
-    tree_eids = set()
-    while stack:
-        x = stack.pop()
-        for eid, w in g.incidence[x]:
-            if depth[w] == -1:
-                depth[w] = depth[x] + 1
-                parent[w] = x
-                parent_eid[w] = eid
-                tree_eids.add(eid)
-                stack.append(w)
-    extras = [eid for eid in range(g.m) if eid not in tree_eids]
-    if len(extras) != 1:
-        raise RuntimeError(f"expected one edge outside the search tree, found {len(extras)}")
-    (closing,) = extras
-    u, v = g.edges[closing]
-    cycle = [closing]
-    while u != v:
-        if depth[u] < depth[v]:
-            u, v = v, u
-        cycle.append(parent_eid[u])
-        u = parent[u]
-    return sorted(cycle)
+    deg = [len(pairs) for pairs in g.incidence]
+    alive = bytearray([1] * g.n)
+    trim_order: list[int] = []
+    trim_parent = [-1] * g.n
+    heap = [v for v in range(g.n) if deg[v] == 1]
+    while heap:
+        v = heapq.heappop(heap)
+        if not alive[v] or deg[v] != 1:
+            continue
+        for _, u in g.incidence[v]:  # the one neighbour left
+            if alive[u]:
+                break
+        alive[v] = 0
+        trim_order.append(v)
+        trim_parent[v] = u
+        deg[u] -= 1
+        if deg[u] == 1:
+            heapq.heappush(heap, u)
+    return trim_order, trim_parent, deg
+
+
+def cycle_edges(g: UGraph) -> list[int]:
+    """Edge ids of the unique cycle of a connected graph with m = n, sorted:
+    the edges with both ends in the 2-core.
+
+    Raises RuntimeError unless m = n.  Parallel edges (a 2-cycle) and a
+    self-loop are allowed.
+    """
+    if g.m != g.n:
+        raise RuntimeError(f"expected one edge outside a spanning tree, found {g.m - g.n + 1}")
+    trim_parent = peel_leaves(g)[1]
+    return [e for e, (u, v) in enumerate(g.edges) if trim_parent[u] == trim_parent[v] == -1]

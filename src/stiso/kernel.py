@@ -17,10 +17,12 @@ never changes a degree, so every trim runs before any suppression, and the
 suppressions then take the core's degree-2 vertices in increasing id.  The
 result is therefore computed in two linear passes instead of step by step:
 
-1. *Peel*: a lowest-id leaf heap trims the graph to its 2-core.  The
-   trimmed vertices form a forest of pendant trees hanging off the 2-core,
-   and each one's parent (its last neighbour when it was trimmed) is an
-   original neighbour.
+1. *Peel* (:func:`~stiso.graphs.peel_leaves`): a lowest-id leaf heap
+   trims the graph to its 2-core.  The trimmed vertices form a forest of
+   pendant trees hanging off the 2-core, and each one's parent (its last
+   neighbour when it was trimmed) is an original neighbour.  The
+   undirected solver reads this forest from the same function without
+   building the rest of the kernel.
 2. *Walk*: the anchors are the core vertices of degree at least 3.  From
    each, every unused core edge is followed through degree-2 vertices to
    the next anchor; that path is one chain.  The reduction would have made
@@ -31,10 +33,9 @@ result is therefore computed in two linear passes instead of step by step:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
-from .graphs import UGraph
+from .graphs import UGraph, peel_leaves
 
 
 class KernelError(ValueError):
@@ -109,23 +110,9 @@ def _contract(g: UGraph, audit: bool = False) -> Kernel:
     if k < 2:
         raise KernelError(f"kernelization requires redundant size >= 2, got {k}")
 
-    # pass 1: peel the lowest-id leaf until none is left
-    deg = [len(pairs) for pairs in g.incidence]
-    alive = bytearray([1] * g.n)
-    trim_order: list[int] = []
-    trim_parent = [-1] * g.n
-    heap = [v for v in range(g.n) if deg[v] == 1]
-    while heap:
-        v = heapq.heappop(heap)
-        if not alive[v] or deg[v] != 1:
-            continue
-        u = next(w for _, w in g.incidence[v] if alive[w])
-        alive[v] = 0
-        trim_order.append(v)
-        trim_parent[v] = u
-        deg[u] -= 1
-        if deg[u] == 1:
-            heapq.heappush(heap, u)
+    # pass 1: peel the lowest-id leaf until none is left; every trimmed vertex has a parent
+    trim_order, trim_parent, deg = peel_leaves(g)
+    alive = [p == -1 for p in trim_parent]
 
     # pass 2: walk each chain from an anchor through degree-2 vertices
     anchors = [v for v in range(g.n) if alive[v] and deg[v] >= 3]

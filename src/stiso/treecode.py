@@ -8,10 +8,13 @@ are isomorphic as rooted trees, so code comparison is the isomorphism test.
 The solvers run the same test on integers (Aho, Hopcroft and Ullman 1974).
 :class:`TargetTree` interns each vertex's sorted child ids in a table, once
 per target and only on the first read of its codes, so an answer that never
-compares a candidate with the target never builds them; a candidate tree is
-only looked up in that table (:func:`lookup_root_id`), so no solve changes
-the target.  Strings are built only by :func:`subtree_codes` and the
-functions on top of it.
+compares a candidate with the target never builds them.  A candidate
+tree, or a pendant subtree in the undirected search, is only looked up in
+that table (:func:`lookup_root_id`), so no solve changes the target.  A
+whole candidate tree is compared with the target by
+:meth:`TargetTree.match`, which pairs the children on equal root ids.
+Strings are built only by :func:`subtree_codes` and the functions on top
+of it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, MutableMapping, MutableSequence, Sequence
 from functools import cmp_to_key
 
-from .graphs import DiGraph, UGraph, reachable_all
+from .graphs import DiGraph, UGraph, bfs, reachable_all
 
 
 class NotATreeError(ValueError):
@@ -35,11 +38,6 @@ def code_key(code: str) -> tuple[int, str]:
     return (len(code), code)
 
 
-def _check_tree(tree: UGraph) -> None:
-    if tree.n == 0 or tree.m != tree.n - 1 or not tree.is_connected():
-        raise NotATreeError(f"not a tree: n={tree.n}, m={tree.m}")
-
-
 def _rooted_order(tree: UGraph, root: int) -> tuple[list[int], list[int]]:
     """BFS order and parent array of ``tree`` from ``root``.
 
@@ -50,15 +48,7 @@ def _rooted_order(tree: UGraph, root: int) -> tuple[list[int], list[int]]:
         raise NotATreeError(f"not a tree: n={tree.n}, m={tree.m}")
     if not 0 <= root < tree.n:
         raise ValueError(f"root {root} out of range")
-    parent = [-1] * tree.n
-    order = [root]
-    parent[root] = root
-    for x in order:  # the list grows while it is walked: a BFS queue
-        for _, w in tree.incidence[x]:
-            if parent[w] == -1:
-                parent[w] = x
-                order.append(w)
-    parent[root] = -1
+    order, parent = bfs(tree.incidence, root)
     if len(order) != tree.n:
         raise NotATreeError(f"not a tree: n={tree.n}, m={tree.m}")
     return order, parent
@@ -119,7 +109,7 @@ def rooted_code(tree: UGraph, root: int) -> str:
 
 def tree_centers(tree: UGraph) -> list[int]:
     """The 1 or 2 center vertices of a tree, found by leaf peeling."""
-    _check_tree(tree)
+    _rooted_order(tree, 0)  # raises NotATreeError unless a tree
     return _centers(tree)
 
 
@@ -157,25 +147,16 @@ def rooted_iso(t1: UGraph, r1: int, t2: UGraph, r2: int) -> bool:
 def unrooted_iso(t1: UGraph, t2: UGraph) -> bool:
     """Unrooted-tree isomorphism: root both at their centers and compare."""
     if t1.n != t2.n:
-        _check_tree(t1)
-        _check_tree(t2)
+        _rooted_order(t1, 0)  # each raises NotATreeError unless a tree
+        _rooted_order(t2, 0)
         return False
     return unrooted_code(t1) == unrooted_code(t2)
 
 
 def rooted_iso_mapping(t1: UGraph, r1: int, t2: UGraph, r2: int) -> dict[int, int] | None:
-    """One isomorphism ``V(t1) -> V(t2)`` with ``r1 -> r2``, or None.
-
-    ``t2`` is looked up in the table of ``TargetTree(t1, r1)``, so the roots have
-    equal ids iff the rooted trees are isomorphic; the children are then paired
-    by :func:`_pair_children`.
-    """
-    tt = TargetTree(t1, r1)
-    order, parent = _rooted_order(t2, r2)
-    ids = [0] * t2.n
-    if lookup_root_id(reversed(order), parent, tt.table, ids) != tt.ids[r1]:
-        return None
-    return _pair_children(r1, tt.parent, tt.ids, r2, parent, ids)
+    """One isomorphism ``V(t1) -> V(t2)`` with ``r1 -> r2``, or None
+    (:meth:`TargetTree.match`)."""
+    return TargetTree(t1, r1).match(*_rooted_order(t2, r2))
 
 
 def _pair_children(
@@ -287,6 +268,20 @@ class TargetTree:
         self.ids, self.subtree_size = tuple(ids), tuple(size)
         self.children = tuple(map(tuple, kids))
         self.order = _preorder(self.root, self.children)
+
+    def match(self, order: Sequence[int], parent: Sequence[int]) -> dict[int, int] | None:
+        """An isomorphism from this rooted tree onto the candidate tree whose
+        vertices ``order`` lists from its root, each after its parent, with
+        ``parent`` -1 at that root; None unless the rooted trees are isomorphic.
+
+        The candidate is looked up in ``table``, so the roots have equal ids iff
+        the trees are isomorphic; the children are then paired by
+        :func:`_pair_children`.
+        """
+        ids = [0] * len(parent)
+        if lookup_root_id(reversed(order), parent, self.table, ids) != self.ids[self.root]:
+            return None
+        return _pair_children(self.root, self.parent, self.ids, order[0], parent, ids)
 
     @property
     def n(self) -> int:

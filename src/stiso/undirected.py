@@ -3,8 +3,9 @@
 Dispatch by redundant-set size ``k = m - (n-1)``: ``k = 0`` is a plain tree
 isomorphism check, ``k = 1`` removes in turn each cycle edge whose removal
 leaves the target's degree multiset, and ``k >= 2`` runs the core search:
-contract the graph, then for every target rooting and every graph root try
-to grow the target tree through the graph in the target's DFS order.
+peel the graph's leaves down to its 2-core, then for every target rooting
+and every graph root try to grow the target tree through the graph in the
+target's DFS order.
 
 At each matched vertex ``rg`` the search first binds the pendant
 components forced to hang there: a component of the unvisited remainder
@@ -16,8 +17,9 @@ chronological backtracking, one attempt per root.  The search is
 complete, and the acceptance corpus checks it against the brute-force
 oracle.
 
-The pendants are read off the kernel's trim forest (the trees peeled off
-the 2-core), whose subtrees are looked up once per solve in the table of
+The pendants are read off the trim forest (the trees
+:func:`~stiso.graphs.peel_leaves` cuts off the 2-core; no kernel is built
+per solve), whose subtrees are looked up once per solve in the table of
 Aho–Hopcroft–Ullman ids that the target's rootings carry; a shape the
 target lacks gets the id -1, which no target child has.  The matched
 region is connected and every removed edge has a matched end, so a trim
@@ -60,13 +62,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import UGraph, Verdict, cycle_edges, degree_gap, degree_shift
-from .kernel import _contract
+from .graphs import UGraph, Verdict, cycle_edges, degree_gap, degree_shift, peel_leaves
 from .treecode import (
     CodeTable,
     TargetTree,
     _centers,
-    _pair_children,
     _rerooted,
     _rooted_order,
     lookup_root_id,
@@ -170,19 +170,17 @@ def _tree_matcher(target: TargetTree | UGraph) -> Callable[[UGraph], dict[int, i
     """The returned function maps the target onto a tree on the same vertices,
     trying each pair of centres in turn, or returns None.
 
-    The tree is looked up in each rooting's table (:func:`_rootings`), and the
-    mapping is :func:`~stiso.treecode.rooted_iso_mapping`'s for the first pair
-    that matches: both pair children by ``(id, vertex)``.
+    Each rooting (:func:`_rootings`) is matched against the tree rooted at
+    each of its centres by :meth:`~stiso.treecode.TargetTree.match`.
     """
     rootings = _rootings(target)
 
     def match(h: UGraph) -> dict[int, int] | None:
         for tt in rootings:
             for rh in _centers(h):
-                order, parent = _rooted_order(h, rh)
-                ids = [0] * h.n
-                if lookup_root_id(reversed(order), parent, tt.table, ids) == tt.ids[tt.root]:
-                    return _pair_children(tt.root, tt.parent, tt.ids, rh, parent, ids)
+                mapping = tt.match(*_rooted_order(h, rh))
+                if mapping is not None:
+                    return mapping
         return None
 
     return match
@@ -517,12 +515,12 @@ def _solve_core(
     trace: TraceFn | None,
 ) -> Verdict:
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * g.n + 1000))
-    kernel = _contract(g)
-    stats.anchors = len(kernel.anchors)
+    trim_order, trim_parent, deg = peel_leaves(g)
+    stats.anchors = sum(d >= 3 for d in deg)  # the kernel's vertices
     rootings = _rootings(target)
     # a derived rooting's table extends the one it came from, so it serves both
     table = max((tt.table for tt in rootings), key=len)
-    trim = _Forest(kernel.trim_order, kernel.trim_parent, table)
+    trim = _Forest(trim_order, trim_parent, table)
     for tt in rootings:
         engine = _Engine(g, tt, k, stats, trim)
         min_children = len(tt.children[tt.root])

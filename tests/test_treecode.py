@@ -74,6 +74,19 @@ def test_tree_centers():
     assert tree_centers(UGraph(2, [(0, 1)])) == [0, 1]
 
 
+def test_centers_and_unrooted_iso_reject_non_trees():
+    # empty, cyclic, and n - 1 edges that leave a vertex out
+    triangle = [(0, 1), (1, 2), (2, 0)]
+    for bad in (UGraph(0, []), UGraph(3, triangle), UGraph(4, triangle)):
+        with pytest.raises(NotATreeError):
+            tree_centers(bad)
+        with pytest.raises(NotATreeError):
+            unrooted_iso(path(5), bad)
+        with pytest.raises(NotATreeError):
+            unrooted_iso(bad, path(5))
+    assert not unrooted_iso(path(3), path(4))
+
+
 def test_transitivity_on_sampled_triples():
     for seed in range(25):
         a = gen_tree(8, seed)

@@ -88,17 +88,18 @@ def test_unicyclic_cases():
 
 def test_unicyclic_degree_test_skips_every_tree(monkeypatch):
     """A cycle against a star: no cycle edge leaves the star's degrees, so no
-    spanning tree is looked up; against a path the first edge passes."""
-    import stiso.undirected
+    spanning tree is looked up; against a path the first edge passes.  The
+    lookup is the one ``TargetTree.match`` makes."""
+    import stiso.treecode
 
     lookups = []
-    real = stiso.undirected.lookup_root_id
+    real = stiso.treecode.lookup_root_id
 
     def counted(*args):
         lookups.append(args)
         return real(*args)
 
-    monkeypatch.setattr(stiso.undirected, "lookup_root_id", counted)
+    monkeypatch.setattr(stiso.treecode, "lookup_root_id", counted)
     n = 1000
     assert not solve_undirected(cycle(n), star(n)).is_yes
     assert lookups == []
@@ -586,6 +587,22 @@ def test_hub_with_ten_thousand_leaves():
     v = solve_undirected(g, target, stats=stats)
     assert v.is_yes and certify_undirected(g, target, v)
     assert stats.attempts == 1
+
+
+def test_anchor_count_is_the_kernels():
+    """The solver counts anchors from the leaf peel alone; the count equals the
+    kernel's."""
+    from stiso.kernel import make_contractible
+
+    graphs = [THETA, complete(5), chorded_path(30), end_chord_path(20), hub_with_leaves(12)]
+    for seed in range(40):
+        k = 2 + seed % 5
+        mode = "planted-yes" if seed % 2 == 0 else "random"
+        graphs.append(gen_instance(GenSpec(n=k + 4 + seed % 30, k=k, seed=seed, mode=mode)).graph)
+    for g in graphs:
+        stats = SolveStats()
+        solve_undirected(g, gen_tree(g.n, g.m), stats=stats)
+        assert stats.k >= 2 and stats.anchors == len(make_contractible(g).anchors), g.edges
 
 
 def test_connectivity_checked_once_per_solve(monkeypatch):
