@@ -321,7 +321,7 @@ class _Unbuilt(TargetTree):
 
 def _by_code(
     kids: list[int], size: Sequence[int], ids: Sequence[int], children: Sequence[Sequence[int]]
-) -> list[int]:
+) -> None:
     """Sort ``kids`` in place into ``(code_key(code[w]), w)`` order, without the codes.
 
     A code holds one pair of parentheses per vertex, so ``code_key`` sorts by size
@@ -335,7 +335,6 @@ def _by_code(
         # equal ids compare equal, so the stable sort keeps their vertex order
         by_bytes = cmp_to_key(lambda a, b: size[a] - size[b] or _code_cmp(a, b, ids, children))
         kids.sort(key=by_bytes)
-    return kids
 
 
 def _code_cmp(a: int, b: int, ids: Sequence[int], children: Sequence[Sequence[int]]) -> int:
@@ -366,24 +365,6 @@ def _preorder(root: int, children: Sequence[Sequence[int]]) -> tuple[int, ...]:
         order.append(x)
         stack.extend(children[x][::-1])
     return tuple(order)
-
-
-def _rerooted(tt: TargetTree, c: int) -> TargetTree:
-    """``TargetTree(tt.tree, c)`` for a child ``c`` of ``tt.root``, up to the values of
-    the ids.  Only the ends of the edge ``(tt.root, c)`` change parent, children, id
-    and size; their ids go into a copy of ``tt.table``, which keeps every id of it."""
-    r, new = tt.root, TargetTree.__new__(TargetTree)
-    new.tree, new.root, new.parent, new.table = tt.tree, c, list(tt.parent), dict(tt.table)
-    new.parent[r], new.parent[c] = c, -1
-    children, size, ids = list(tt.children), list(tt.subtree_size), list(tt.ids)
-    size[r], size[c] = tt.n - size[c], tt.n
-    children[r] = tuple(w for w in tt.children[r] if w != c)
-    ids[r] = new.table.setdefault(tuple(sorted(ids[w] for w in children[r])), len(new.table))
-    children[c] = tuple(_by_code([*tt.children[c], r], size, ids, children))
-    ids[c] = new.table.setdefault(tuple(sorted(ids[w] for w in children[c])), len(new.table))
-    new.children, new.subtree_size, new.ids = tuple(children), tuple(size), tuple(ids)
-    new.order = _preorder(c, new.children)
-    return new
 
 
 def target_graph(target: TargetTree | UGraph) -> UGraph:

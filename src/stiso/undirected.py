@@ -3,9 +3,10 @@
 Dispatch by redundant-set size ``k = m - (n-1)``: ``k = 0`` is a plain tree
 isomorphism check, ``k = 1`` removes in turn each cycle edge whose removal
 leaves the target's degree multiset, and ``k >= 2`` runs the core search:
-peel the graph's leaves down to its 2-core, then for every target rooting
-and every graph root try to grow the target tree through the graph in the
-target's DFS order.
+peel the graph's leaves down to its 2-core, root the target at its first
+centre, and for every graph root try to grow the target tree through the
+graph in the target's DFS order.  Any witness maps that centre to some graph
+vertex, and every vertex is tried, so one rooting of the target suffices.
 
 At each matched vertex ``rg`` the search first binds the pendant
 components forced to hang there: a component of the unvisited remainder
@@ -20,7 +21,7 @@ oracle.
 The pendants are read off the trim forest (the trees
 :func:`~stiso.graphs.peel_leaves` cuts off the 2-core; no kernel is built
 per solve), whose subtrees are looked up once per solve in the table of
-Aho–Hopcroft–Ullman ids that the target's rootings carry; a shape the
+Aho–Hopcroft–Ullman ids that the target's rooting carries; a shape the
 target lacks gets the id -1, which no target child has.  The matched
 region is connected and every removed edge has a matched end, so a trim
 subtree without a matched vertex is untouched.  Each unmatched neighbour
@@ -50,7 +51,7 @@ pendant check must fail, in O(deg v) and with no per-solve table: with
 only ``v`` matched, its pendants are its trim children (a pendant at a
 2-core neighbour would have been trimmed), so its first ``_open`` fails
 ``pendant-unmatched`` iff a run of equal ids among them (they are sorted by
-id) outnumbers that id among the target root's children, counted per rooting.
+id) outnumbers that id among the target root's children, counted once per solve.
 A rejected candidate counts in ``roots_tried`` but not in ``attempts``.
 """
 
@@ -67,7 +68,6 @@ from .treecode import (
     CodeTable,
     TargetTree,
     _centers,
-    _rerooted,
     _rooted_order,
     lookup_root_id,
     target_graph,
@@ -123,7 +123,7 @@ def solve_undirected(
     if k == 0:
         verdict = _solve_tree(g, target)
     elif k == 1:
-        verdict = solve_unicyclic(g, target)
+        verdict = _solve_unicyclic(g, target)
     else:
         verdict = _solve_core(g, target, k, stats, trace)
     if verdict.is_yes and not certify_undirected(g, target, verdict):
@@ -153,9 +153,14 @@ def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     if g.m - (g.n - 1) != 1:
         raise ValueError("solve_unicyclic requires redundant size exactly 1")
+    return _solve_unicyclic(g, target)
+
+
+def _solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
+    """:func:`solve_unicyclic` on a graph the caller has checked."""
     match = _tree_matcher(target)
     degree = list(map(len, g.incidence))
-    gap = degree_gap(degree, map(len, ttree.incidence))
+    gap = degree_gap(degree, map(len, target_graph(target).incidence))
     for eid in cycle_edges(g):
         if degree_shift(degree, g.edges[eid]) != gap:
             continue
@@ -168,19 +173,19 @@ def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
 
 def _tree_matcher(target: TargetTree | UGraph) -> Callable[[UGraph], dict[int, int] | None]:
     """The returned function maps the target onto a tree on the same vertices,
-    trying each pair of centres in turn, or returns None.
+    or returns None.
 
-    Each rooting (:func:`_rootings`) is matched against the tree rooted at
-    each of its centres by :meth:`~stiso.treecode.TargetTree.match`.
+    An isomorphism maps a centre onto a centre, so the target rooted at its
+    first centre (:func:`_rooting`) is matched against the tree rooted at each
+    of its centres by :meth:`~stiso.treecode.TargetTree.match`.
     """
-    rootings = _rootings(target)
+    tt = _rooting(target)
 
     def match(h: UGraph) -> dict[int, int] | None:
-        for tt in rootings:
-            for rh in _centers(h):
-                mapping = tt.match(*_rooted_order(h, rh))
-                if mapping is not None:
-                    return mapping
+        for rh in _centers(h):
+            mapping = tt.match(*_rooted_order(h, rh))
+            if mapping is not None:
+                return mapping
         return None
 
     return match
@@ -495,16 +500,12 @@ class _Engine:
         return Verdict("YES", mapping=dict(enumerate(self.t2g)), removed=frozenset(self.removed))
 
 
-def _rootings(target: TargetTree | UGraph) -> list[TargetTree]:
-    """The target rooted at each center, reusing the caller's rooting if it is one;
-    two centers are adjacent, so the second rooting is derived from the first."""
-    if isinstance(target, TargetTree):
-        centers = _centers(target.tree)  # validated when it was built
-    else:
-        centers = tree_centers(target)
-    if not isinstance(target, TargetTree) or target.root not in centers:
-        target = TargetTree(target_graph(target), centers[0])
-    return [target if c == target.root else _rerooted(target, c) for c in centers]
+def _rooting(target: TargetTree | UGraph) -> TargetTree:
+    """The target rooted at its first center: the caller's rooting if it is that one."""
+    if not isinstance(target, TargetTree):
+        return TargetTree(target, tree_centers(target)[0])
+    root = _centers(target.tree)[0]  # validated when it was built
+    return target if target.root == root else TargetTree(target.tree, root)
 
 
 def _solve_core(
@@ -517,25 +518,21 @@ def _solve_core(
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * g.n + 1000))
     trim_order, trim_parent, deg = peel_leaves(g)
     stats.anchors = sum(d >= 3 for d in deg)  # the kernel's vertices
-    rootings = _rootings(target)
-    # a derived rooting's table extends the one it came from, so it serves both
-    table = max((tt.table for tt in rootings), key=len)
-    trim = _Forest(trim_order, trim_parent, table)
-    for tt in rootings:
-        engine = _Engine(g, tt, k, stats, trim)
-        min_children = len(tt.children[tt.root])
-        for v, pairs in enumerate(g.incidence):
-            if len(pairs) < min_children:
-                continue
-            stats.roots_tried += 1
-            if not engine.root_fits(v):
-                if trace is not None:
-                    trace(f"troot={tt.root} root={v} pi=- fail:pendant-unmatched")
-                continue
-            verdict = engine.attempt(v)
+    tt = _rooting(target)
+    engine = _Engine(g, tt, k, stats, _Forest(trim_order, trim_parent, tt.table))
+    min_children = len(tt.children[tt.root])
+    for v, pairs in enumerate(g.incidence):
+        if len(pairs) < min_children:
+            continue
+        stats.roots_tried += 1
+        if not engine.root_fits(v):
             if trace is not None:
-                outcome = "yes" if verdict else f"fail:{engine.fail_reason or 'exhausted'}"
-                trace(f"troot={tt.root} root={v} pi=- {outcome}")
-            if verdict is not None:
-                return verdict
+                trace(f"troot={tt.root} root={v} pi=- fail:pendant-unmatched")
+            continue
+        verdict = engine.attempt(v)
+        if trace is not None:
+            outcome = "yes" if verdict else f"fail:{engine.fail_reason or 'exhausted'}"
+            trace(f"troot={tt.root} root={v} pi=- {outcome}")
+        if verdict is not None:
+            return verdict
     return Verdict("NO")

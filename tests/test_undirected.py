@@ -15,6 +15,7 @@ from stiso import (
     oracle_undirected,
     solve_undirected,
     solve_unicyclic,
+    tree_centers,
 )
 
 from util import (
@@ -214,7 +215,7 @@ def test_exhaustive_oracle_agreement_n5():
 def test_root_prune_is_exact():
     """A root is rejected iff its attempt fails pendant-unmatched at the first open."""
     from stiso.kernel import make_contractible
-    from stiso.undirected import _Engine, _Forest, _rootings
+    from stiso.undirected import _Engine, _Forest
 
     rejected_total = kept_total = 0
     for seed in range(60):
@@ -224,11 +225,9 @@ def test_root_prune_is_exact():
         inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
         g = inst.graph
         kernel = make_contractible(g)
-        rootings = _rootings(inst.target.tree)
-        # as the solver does: the derived rooting's table serves both rootings
-        table = max((tt.table for tt in rootings), key=len)
-        trim = _Forest(kernel.trim_order, kernel.trim_parent, table)
-        for tt in rootings:
+        t = inst.target.tree
+        for tt in (TargetTree(t, c) for c in tree_centers(t)):
+            trim = _Forest(kernel.trim_order, kernel.trim_parent, tt.table)
             scan = _Engine(g, tt, k, SolveStats(), trim)
             rejected = {v for v in range(n) if not scan.root_fits(v)}
             for v in range(n):
@@ -287,14 +286,41 @@ def test_root_prune_inside_a_pendant_tree():
 
 
 def test_caller_rooting_is_reused():
-    from stiso.undirected import _rootings
+    from stiso.undirected import _rooting
 
     tree = path(6)  # centers 2 and 3
-    caller = TargetTree(tree, 3)
-    rootings = _rootings(caller)
-    assert [tt.root for tt in rootings] == [2, 3]
-    assert rootings[1] is caller
-    assert [tt.root for tt in _rootings(tree)] == [2, 3]
+    caller = TargetTree(tree, 2)
+    assert _rooting(caller) is caller
+    other = TargetTree(tree, 3)
+    fresh = _rooting(other)
+    assert fresh is not other and fresh.tree is tree and fresh.root == 2
+    assert _rooting(tree).root == 2
+
+
+def test_target_rooting_does_not_change_the_witness():
+    """A two-centre target given plain, at either centre or off centre gives
+    the same YES mapping and removed set, for k = 0, 1 and >= 2."""
+    cases = [(path(8), path(8)), (cycle(8), path(8)), (complete(4), path(4))]
+    tree = UGraph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])  # centres 0 and 1
+    cases += [(UGraph(6, list(tree.edges) + extra), tree) for extra in ([], [(2, 3)], [(2, 4), (3, 5)])]
+    for seed in range(40):
+        k = seed % 5
+        inst = gen_instance(GenSpec(n=12 + seed, k=k, seed=seed, mode="planted-yes"))
+        if len(tree_centers(inst.target.tree)) == 2:
+            cases.append((inst.graph, inst.target.tree))
+    ks = set()
+    for g, t in cases:
+        centers = tree_centers(t)
+        assert len(centers) == 2
+        off = next(v for v in range(t.n) if v not in centers)
+        witnesses = set()
+        for target in (t, *(TargetTree(t, r) for r in (*centers, off))):
+            v = solve_undirected(g, target)
+            assert v.is_yes, (g.edges, t.edges)
+            witnesses.add((tuple(sorted(v.mapping.items())), v.removed))
+        assert len(witnesses) == 1, (g.edges, t.edges)
+        ks.add(min(g.m - g.n + 1, 2))
+    assert ks == {0, 1, 2}
 
 
 def test_unfinished_search_raises_under_any_optimisation_level(monkeypatch):
@@ -322,9 +348,12 @@ def test_package_has_no_assert_statements():
 
 # SHA-256 of answers, witnesses, removed sets, SolveStats and trace lines over
 # the grid below.  The constant was printed by the same grid run on the solver
-# that walked the whole unvisited remainder at every opened node; classifying
-# by the trim forest is exact, so it must keep every byte.
-PINNED_SEARCH_SHA256 = "54f768e6b6550855d03401b7db505d9f7350e8f2640ccf04db9e50310ba3d62e"
+# that scanned the target rooted at each of its centres, with that scan cut to
+# the first centre; an exact change must keep every byte.  Against the uncut
+# scan every YES row is byte-identical and every NO trace a prefix of its own:
+# the earlier constant also hashed the second centre's scan, which could only
+# repeat a NO.
+PINNED_SEARCH_SHA256 = "8ccb12ab615212e54bb0fa38cc25f76c9858e43a50f30de156b70b0fa104af57"
 
 
 def test_search_hash_pinned():
@@ -606,27 +635,27 @@ def test_anchor_count_is_the_kernels():
 
 
 def test_connectivity_checked_once_per_solve(monkeypatch):
-    g = hub_with_leaves(30)
-    target = UGraph(30, [(0, 1), (1, 2), (2, 3)] + [(0, v) for v in range(4, 30)])
-    calls = []
+    # k >= 2, and k = 1, whose cycle search the solver calls without its checks
+    hub = UGraph(30, [(0, 1), (1, 2), (2, 3)] + [(0, v) for v in range(4, 30)])
     real = UGraph.is_connected
+    for g, target in ((hub_with_leaves(30), hub), (cycle(30), path(30))):
+        calls = []
 
-    def counted(self, *args, **kwargs):
-        if self is g:
-            calls.append(bool(args or kwargs))
-        return real(self, *args, **kwargs)
+        def counted(self, *args, **kwargs):
+            if self is g:
+                calls.append(bool(args or kwargs))
+            return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(UGraph, "is_connected", counted)
-    assert solve_undirected(g, target).is_yes
-    # once by the solver; the certifier's check of the witness skips removed edges
-    assert calls == [False, True]
+        monkeypatch.setattr(UGraph, "is_connected", counted)
+        assert solve_undirected(g, target).is_yes
+        # once by the solver; the certifier's check of the witness skips removed edges
+        assert calls == [False, True], g.edges
 
 
 def test_target_tree_not_revalidated_per_solve(monkeypatch):
-    # k = 0, 1, and >= 2, the target rooted at vertex 1 and at a center.  A path
-    # has two centers, so the search roots the target a second time, derived
-    # from the caller's rooting if that is at a center; a rooting off center
-    # costs one fresh rooting at a center.  No solve builds a string code
+    # k = 0, 1, and >= 2, the target rooted at vertex 1 and at a center.  The
+    # search reuses the caller's rooting if it is at the first center; any other
+    # costs one fresh rooting there.  No solve builds a string code
     from stiso import treecode
 
     cases = [
@@ -666,6 +695,6 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
             monkeypatch.setattr(treecode, "_codes", real_codes)
             monkeypatch.setattr(treecode, "_rooted_order", real_order)
             assert calls == [] and codes == []
-            assert rootings == ([centers[0]] if root not in centers else []), (tree.n, root)
-            if not answer and g.m - g.n >= 1:  # a k >= 2 NO scans every rooting
-                assert {line.split()[0] for line in lines} == {f"troot={c}" for c in centers}
+            assert rootings == ([] if root == centers[0] else [centers[0]]), (tree.n, root)
+            if not answer and g.m - g.n >= 1:  # a k >= 2 NO scans the one rooting
+                assert {line.split()[0] for line in lines} == {f"troot={centers[0]}"}
