@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import add, eq
 
@@ -402,8 +402,26 @@ def degree_gap(have: Iterable[int], want: Iterable[int]) -> dict[int, int]:
     ``want``: per degree, its count in ``want`` minus its count in ``have``,
     zeros left out."""
     gap = Counter(want)
-    gap.subtract(have)
+    for x, c in Counter(have).items():  # per distinct degree: ``subtract`` loops per value
+        gap[x] -= c
     return {x: c for x, c in gap.items() if c}
+
+
+def degrees_cover(gap: Mapping[int, int]) -> bool:
+    """Whether the ``have`` degrees behind the :func:`degree_gap` ``gap`` cover
+    the ``want`` degrees: for every x, at least as many ``have`` as ``want``
+    degrees are >= x, so the running sum of ``gap`` from the highest degree
+    down is never positive.
+
+    For lists of equal length this holds iff, both sorted in descending
+    order, each ``have`` degree is at least the ``want`` degree in its place.
+    """
+    run = 0
+    for x in sorted(gap, reverse=True):
+        run += gap[x]
+        if run > 0:
+            return False
+    return True
 
 
 def degree_shift(degree: Sequence[int], losers: Iterable[int]) -> dict[int, int]:

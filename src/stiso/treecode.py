@@ -134,6 +134,36 @@ def _centers(tree: UGraph) -> list[int]:
     return sorted(layer)
 
 
+def _first_center(tt: TargetTree) -> int:
+    """``_centers(tt.tree)[0]``, read off the rooting's BFS order and parent array.
+
+    A branch of ``v`` is a longest path that leaves ``v`` by one edge.  ``v`` is
+    a centre iff its two longest branches (0 for a missing one) differ by at
+    most one; when they differ by exactly one, the neighbour the longer one
+    leaves by is the other centre.  When they differ by more, every centre
+    lies beyond that neighbour, so the walk from the root steps there.
+    """
+    parent, inc = tt.parent, tt.tree.incidence
+    height = [0] * len(parent)  # of each vertex's subtree under the rooting
+    for x in reversed(tt._bfs):
+        p = parent[x]
+        if p != -1 and height[p] <= height[x]:
+            height[p] = height[x] + 1
+    v, up = tt.root, 0  # up: v's branch through its parent
+    while True:
+        top, a1, a2 = -1, 0, up  # the longest branch, by child ``top``, and the next
+        for _, c in inc[v]:
+            if c != parent[v]:
+                a = height[c] + 1
+                if a > a1:
+                    top, a1, a2 = c, a, max(a1, a2)
+                elif a > a2:
+                    a2 = a
+        if a1 - a2 < 2:
+            return min(v, top) if a1 - a2 == 1 else v
+        v, up = top, a2 + 1
+
+
 def unrooted_code(tree: UGraph) -> str:
     """Canonical code of an unrooted tree: the smaller code over its centers."""
     return min((rooted_code(tree, c) for c in tree_centers(tree)), key=code_key)

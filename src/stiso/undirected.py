@@ -8,6 +8,21 @@ centre, and for every graph root try to grow the target tree through the
 graph in the target's DFS order.  Any witness maps that centre to some graph
 vertex, and every vertex is tried, so one rooting of the target suffices.
 
+Before the dispatch, a degree screen decides a NO in O(n), with no leaf
+peel, rooting or code table (:func:`~stiso.graphs.degrees_cover`).  Say
+``g - R`` is isomorphic to the target for a set ``R`` of k edges.  (1) The
+isomorphism maps each target vertex onto a graph vertex of at least its
+degree, so for every x the graph has at least as many vertices of degree
+>= x as the target; the screen rejects every instance where it has fewer.
+(2) Only the at most 2k ends of ``R`` change degree, and each moves one
+count of the degree histogram to another degree, so the graph's and the
+target's histograms differ by at most 4k in L1.  No test of (2) is needed,
+as (1) implies it: by (1), sorted in descending order, the graph's degrees
+are at least the target's place by place, and their sums differ by exactly
+2k (the graph has k edges more), so at most 2k places differ, and each adds
+at most 2 to the L1 distance.  At k = 0 the screen asks for equal degree
+histograms.
+
 At each matched vertex ``rg`` the search first binds the pendant
 components forced to hang there: a component of the unvisited remainder
 that is a tree and meets the matched region only by one edge at ``rg``
@@ -63,11 +78,20 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import UGraph, Verdict, cycle_edges, degree_gap, degree_shift, peel_leaves
+from .graphs import (
+    UGraph,
+    Verdict,
+    cycle_edges,
+    degree_gap,
+    degree_shift,
+    degrees_cover,
+    peel_leaves,
+)
 from .treecode import (
     CodeTable,
     TargetTree,
     _centers,
+    _first_center,
     _rooted_order,
     lookup_root_id,
     target_graph,
@@ -120,10 +144,16 @@ def solve_undirected(
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
     stats.k = k
+    degree = list(map(len, g.incidence))
+    gap = degree_gap(degree, map(len, ttree.incidence))
+    if not degrees_cover(gap):
+        if trace is not None:
+            trace("screen=degrees fail:uncovered")
+        return Verdict("NO", note="degree screen: the graph's degrees do not cover the target's")
     if k == 0:
         verdict = _solve_tree(g, target)
     elif k == 1:
-        verdict = _solve_unicyclic(g, target)
+        verdict = _solve_unicyclic(g, target, degree, gap)
     else:
         verdict = _solve_core(g, target, k, stats, trace)
     if verdict.is_yes and not certify_undirected(g, target, verdict):
@@ -153,14 +183,16 @@ def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     if g.m - (g.n - 1) != 1:
         raise ValueError("solve_unicyclic requires redundant size exactly 1")
-    return _solve_unicyclic(g, target)
-
-
-def _solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
-    """:func:`solve_unicyclic` on a graph the caller has checked."""
-    match = _tree_matcher(target)
     degree = list(map(len, g.incidence))
-    gap = degree_gap(degree, map(len, target_graph(target).incidence))
+    return _solve_unicyclic(g, target, degree, degree_gap(degree, map(len, ttree.incidence)))
+
+
+def _solve_unicyclic(
+    g: UGraph, target: TargetTree | UGraph, degree: list[int], gap: dict[int, int]
+) -> Verdict:
+    """:func:`solve_unicyclic` on a graph the caller has checked, given its
+    ``degree`` list and ``degree_gap(degree, target degrees)``."""
+    match = _tree_matcher(target)
     for eid in cycle_edges(g):
         if degree_shift(degree, g.edges[eid]) != gap:
             continue
@@ -504,7 +536,7 @@ def _rooting(target: TargetTree | UGraph) -> TargetTree:
     """The target rooted at its first center: the caller's rooting if it is that one."""
     if not isinstance(target, TargetTree):
         return TargetTree(target, tree_centers(target)[0])
-    root = _centers(target.tree)[0]  # validated when it was built
+    root = _first_center(target)
     return target if target.root == root else TargetTree(target.tree, root)
 
 

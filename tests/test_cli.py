@@ -50,6 +50,18 @@ def test_solve_no_exit_one(files):
     assert res.stdout.splitlines()[0] == "NO"
 
 
+def test_degree_screen_no_on_the_cli(files):
+    # C4 has no vertex of the star's degree 3: the degree screen says NO
+    _, write = files
+    args = ("solve", "-g", write("g.txt", C4), "-t", write("t.txt", K13))
+    res = run_cli(*args)
+    assert (res.returncode, res.stdout) == (1, "NO\n")
+    assert res.stderr == "degree screen: the graph's degrees do not cover the target's\n"
+    traced = run_cli(*args, "--trace")
+    assert (traced.returncode, traced.stdout) == (1, "NO\n")
+    assert traced.stderr == "screen=degrees fail:uncovered\n" + res.stderr
+
+
 def test_solve_cert_output(files):
     _, write = files
     res = run_cli("solve", "-g", write("g.txt", C4), "-t", write("t.txt", P4), "--cert")

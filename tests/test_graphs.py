@@ -15,7 +15,7 @@ from stiso import (
 )
 
 from stiso import graphs
-from stiso.graphs import cycle_edges, roots_reaching_all
+from stiso.graphs import cycle_edges, degree_gap, degrees_cover, roots_reaching_all
 from util import complete, cycle, path, reference_incidence, reference_parse, star
 
 
@@ -462,3 +462,32 @@ def test_cycle_edges_raises_on_two_extra_edges():
 def test_relabeled_rejects_non_permutation():
     with pytest.raises(GraphFormatError):
         path(3).relabeled([0, 0, 1])
+
+
+degree_lists = st.lists(st.integers(0, 8), max_size=40)
+
+
+@given(degree_lists, degree_lists)
+def test_degree_gap_matches_counter_subtract(have, want):
+    reference = Counter(want)
+    reference.subtract(have)
+    assert degree_gap(have, iter(want)) == {x: c for x, c in reference.items() if c}
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40))
+def test_degrees_cover_compares_sorted_places(pairs):
+    have, want = [h for h, _ in pairs], [w for _, w in pairs]
+    by_place = all(map(int.__ge__, sorted(have), sorted(want)))
+    assert degrees_cover(degree_gap(have, want)) == by_place
+
+
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3)), min_size=1, max_size=40), st.randoms())
+def test_cover_bounds_the_histogram_distance(pairs, rnd):
+    """Degrees that cover place by place and sum to 2k more differ by at most
+    4k in L1: at most 2k places differ, each by two counts."""
+    want = [w for w, _ in pairs]
+    have = [w + extra for w, extra in pairs]
+    rnd.shuffle(have)
+    gap = degree_gap(have, want)
+    assert degrees_cover(gap)
+    assert sum(map(abs, gap.values())) <= 2 * (sum(have) - sum(want))

@@ -20,6 +20,7 @@ from stiso import (
 )
 
 from stiso.treecode import (
+    _first_center,
     arborescence_iso,
     lookup_root_id,
     rooted_iso,
@@ -72,6 +73,16 @@ def test_tree_centers():
     assert tree_centers(star(7)) == [0]
     assert tree_centers(UGraph(1, [])) == [0]
     assert tree_centers(UGraph(2, [(0, 1)])) == [0, 1]
+
+
+def test_first_center_from_any_rooting():
+    """A rooting's BFS order and parent array give the leaf peel's first centre."""
+    trees = [UGraph(1, []), path(2), path(9), star(7)]
+    trees += [gen_tree(n, seed) for n in range(2, 61) for seed in range(10)]
+    for t in trees:
+        first = tree_centers(t)[0]
+        for r in range(t.n):
+            assert _first_center(TargetTree(t, r)) == first, (t.edges, r)
 
 
 def test_centers_and_unrooted_iso_reject_non_trees():

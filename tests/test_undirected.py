@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from stiso import (
     solve_unicyclic,
     tree_centers,
 )
+from stiso.graphs import degree_gap, degrees_cover
 
 from util import (
     THETA,
@@ -28,6 +30,22 @@ from util import (
     path,
     star,
 )
+
+
+SCREEN_LINE = "screen=degrees fail:uncovered"
+
+
+def _screened(g, target):
+    """Whether ``solve_undirected`` decides the instance by its degree screen:
+    then the verdict is a NO with the screen's note, the screen's trace line
+    alone and zero search counters."""
+    stats, lines = SolveStats(), []
+    v = solve_undirected(g, target, stats=stats, trace=lines.append)
+    if lines != [SCREEN_LINE]:
+        return False
+    assert v.answer == "NO" and v.note.startswith("degree screen")
+    assert (stats.roots_tried, stats.attempts, stats.nodes_opened, stats.anchors) == (0, 0, 0, 0)
+    return True
 
 
 def test_cycle_vs_path_yes():
@@ -212,6 +230,57 @@ def test_exhaustive_oracle_agreement_n5():
     assert solves == (205 + 120) * 3
 
 
+def _covers(g, target):
+    return degrees_cover(degree_gap(map(len, g.incidence), map(len, target.incidence)))
+
+
+def test_degree_screen_passes_every_planted_instance():
+    for n in (5, 12, 60, 250, 1000):
+        for k in range(7):
+            for s in range(2):
+                seed = 7000 + 100 * n + 10 * k + s
+                inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode="planted-yes"))
+                assert _covers(inst.graph, inst.target.tree), seed
+
+
+def test_degree_screen_rejects_only_oracle_nos():
+    """Over the exhaustive 5-vertex set and seeded random desk instances, every
+    instance the screen rejects is an oracle NO, so it passes every YES."""
+    from itertools import combinations
+
+    from util import all_free_trees
+
+    targets = all_free_trees(5)[5]
+    pairs = list(combinations(range(5), 2))
+    cases = []
+    for k in (2, 3):
+        for sub in combinations(pairs, 4 + k):
+            g = UGraph(5, list(sub))
+            if g.is_connected():
+                cases += [(g, t) for t in targets]
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, k = rng.randint(5, 10), rng.randint(0, 5)
+        inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode="random"))
+        cases.append((inst.graph, inst.target.tree))
+    counts = Counter()
+    for g, t in cases:
+        answer, passes = oracle_undirected(g, t).answer, _covers(g, t)
+        assert passes or answer == "NO", (g.edges, t.edges)
+        counts[answer, passes] += 1
+    assert counts == {("YES", True): 1002, ("NO", True): 49, ("NO", False): 224}
+
+
+def test_degree_screen_rejects_a_missing_high_degree():
+    # K4 less (2, 3), with a leaf on 2: its degrees 3, 3, 3, 2, 1 have no 4 for
+    # the star's centre, though the histograms differ by only 8 = 4k in L1
+    g = UGraph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4)])
+    gap = degree_gap(map(len, g.incidence), map(len, star(5).incidence))
+    assert sum(map(abs, gap.values())) == 4 * 2
+    assert oracle_undirected(g, star(5)).answer == "NO"
+    assert _screened(g, star(5))
+
+
 def test_root_prune_is_exact():
     """A root is rejected iff its attempt fails pendant-unmatched at the first open."""
     from stiso.kernel import make_contractible
@@ -264,7 +333,7 @@ def test_root_prune_inside_a_pendant_tree():
     # K4 with the pendant tree 0-4-5 and leaves 6, 7, 8 on 5: root 5's pendant
     # components are its three leaves, the side toward the core is cyclic
     from stiso.kernel import make_contractible
-    from stiso.undirected import _Engine, _Forest
+    from stiso.undirected import _Engine, _Forest, _solve_core
 
     g = UGraph(9, list(complete(4).edges) + [(0, 4), (4, 5), (5, 6), (5, 7), (5, 8)])
     kernel = make_contractible(g)
@@ -278,11 +347,12 @@ def test_root_prune_inside_a_pendant_tree():
     assert [v for v in range(9) if not scan.root_fits(v)] == [0, 4, 5]
     lines = []
     stats = SolveStats()
-    v = solve_undirected(g, path(9), fallback=True, stats=stats, trace=lines.append)
+    v = _solve_core(g, path(9), 3, stats, lines.append)
     assert not v.is_yes
     assert "troot=4 root=5 pi=- fail:pendant-unmatched" in lines
     # roots 0-5 have degree >= 2; 0, 4 and 5 hang a pendant tree that is no P4
     assert (stats.roots_tried, stats.attempts) == (6, 3)
+    assert _screened(g, path(9))  # six vertices of degree >= 2 against the path's seven
 
 
 def test_caller_rooting_is_reused():
@@ -348,12 +418,12 @@ def test_package_has_no_assert_statements():
 
 # SHA-256 of answers, witnesses, removed sets, SolveStats and trace lines over
 # the grid below.  The constant was printed by the same grid run on the solver
-# that scanned the target rooted at each of its centres, with that scan cut to
-# the first centre; an exact change must keep every byte.  Against the uncut
-# scan every YES row is byte-identical and every NO trace a prefix of its own:
-# the earlier constant also hashed the second centre's scan, which could only
-# repeat a NO.
-PINNED_SEARCH_SHA256 = "8ccb12ab615212e54bb0fa38cc25f76c9858e43a50f30de156b70b0fa104af57"
+# before the degree screen with only the screen added in front of its dispatch
+# on k; an exact change must keep every byte.  Against the solver without the
+# screen, all 149 YES rows and the 36 NO rows the screen passes are
+# byte-identical, and the 67 NO rows it rejects keep their answer, with zero
+# search counters and the screen's trace line alone.
+PINNED_SEARCH_SHA256 = "38bc5afd854704542231edad144d0d47076d4498683e07435c9157afd65a049e"
 
 
 def test_search_hash_pinned():
@@ -485,12 +555,14 @@ def test_open_matches_full_walk(monkeypatch):
     Compared: the pendant/avail split, the bound pendants, the fail reason and the
     edges dropped, and ``_walk``'s tree flag for every 2-core neighbour's component.
     """
-    from stiso.undirected import _Engine
+    from stiso.undirected import _Engine, _solve_core
 
     real_open = _Engine._open
     seen = {"trim child": 0, "trim parent": 0, "core pendant": 0, "core branch": 0}
+    opened = []
 
     def checked_open(engine, rg, rt):
+        opened.append(rg)
         ck, reason = len(engine.trail), engine.fail_reason
         comps = _full_walk(engine, rg)
         for c in comps:
@@ -514,16 +586,19 @@ def test_open_matches_full_walk(monkeypatch):
         return got
 
     monkeypatch.setattr(_Engine, "_open", checked_open)
+    cases = []
     for seed in range(120):
         rng = random.Random(seed)
         n, k = rng.randint(6, 60), rng.randint(2, 6)
         mode = "planted-yes" if seed % 2 else "random"
         inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
-        solve_undirected(inst.graph, inst.target.tree)
+        cases.append((inst.graph, inst.target.tree))
     for n in (12, 40):
-        solve_undirected(end_chord_path(n), path(n))
-        solve_undirected(hub_with_leaves(n), gen_tree(n, n))
+        cases += [(end_chord_path(n), path(n)), (hub_with_leaves(n), gen_tree(n, n))]
+    for g, target in cases:  # below the degree screen, which rejects many random ones
+        _solve_core(g, target, g.m - g.n + 1, SolveStats(), None)
     assert all(seen.values()), seen
+    assert len(opened) == 7595
 
 
 def _has_cut_edge(engine):
@@ -539,7 +614,7 @@ def _core_components_per_node(monkeypatch):
     to the matched region is one edge at the opened vertex).  Also returns the
     summed ``walks`` counter of the grid's solves.
     """
-    from stiso.undirected import _Engine
+    from stiso.undirected import _Engine, _solve_core
 
     real_open = _Engine._open
     nodes = []
@@ -563,10 +638,11 @@ def _core_components_per_node(monkeypatch):
         cases.append((inst.graph, inst.target.tree))
     cases += [(chorded_path(n), path(n)) for n in (12, 40)]
     walks = 0
-    for g, target in cases:
+    for g, target in cases:  # below the degree screen, which rejects many random ones
         stats = SolveStats()
-        solve_undirected(g, target, stats=stats)
+        _solve_core(g, target, g.m - g.n + 1, stats, None)
         walks += stats.walks
+    assert len(nodes) == 7516
     return nodes, walks
 
 
@@ -622,16 +698,21 @@ def test_anchor_count_is_the_kernels():
     """The solver counts anchors from the leaf peel alone; the count equals the
     kernel's."""
     from stiso.kernel import make_contractible
+    from stiso.undirected import _solve_core
 
     graphs = [THETA, complete(5), chorded_path(30), end_chord_path(20), hub_with_leaves(12)]
     for seed in range(40):
         k = 2 + seed % 5
         mode = "planted-yes" if seed % 2 == 0 else "random"
         graphs.append(gen_instance(GenSpec(n=k + 4 + seed % 30, k=k, seed=seed, mode=mode)).graph)
+    screened = 0
     for g in graphs:
-        stats = SolveStats()
-        solve_undirected(g, gen_tree(g.n, g.m), stats=stats)
+        target = gen_tree(g.n, g.m)
+        stats = SolveStats(k=g.m - g.n + 1)
+        _solve_core(g, target, stats.k, stats, None)  # below the degree screen
         assert stats.k >= 2 and stats.anchors == len(make_contractible(g).anchors), g.edges
+        screened += _screened(g, target)
+    assert screened == 17  # of 45: those runs count no anchors in solve_undirected
 
 
 def test_connectivity_checked_once_per_solve(monkeypatch):
@@ -655,8 +736,10 @@ def test_connectivity_checked_once_per_solve(monkeypatch):
 def test_target_tree_not_revalidated_per_solve(monkeypatch):
     # k = 0, 1, and >= 2, the target rooted at vertex 1 and at a center.  The
     # search reuses the caller's rooting if it is at the first center; any other
-    # costs one fresh rooting there.  No solve builds a string code
-    from stiso import treecode
+    # costs one fresh rooting there.  No solve builds a string code, checks the
+    # target's connectivity or peels its leaves for its centres
+    from stiso import treecode, undirected
+    from stiso.undirected import _solve_core
 
     cases = [
         (path(4), path(4), True),
@@ -666,6 +749,7 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
         (hub_with_leaves(30), path(30), False),
     ]
     real, real_codes, real_order = UGraph.is_connected, treecode._codes, treecode._rooted_order
+    real_centers = treecode._centers
     for g, tree, answer in cases:
         centers = treecode.tree_centers(tree)
         for root in (1, centers[-1]):
@@ -686,15 +770,32 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
                     rootings.append(r)
                 return real_order(t, r)
 
+            def counted_centers(t):
+                if t is tree:
+                    calls.append(t)
+                return real_centers(t)
+
             monkeypatch.setattr(UGraph, "is_connected", counted)
             monkeypatch.setattr(treecode, "_codes", counted_codes)
             monkeypatch.setattr(treecode, "_rooted_order", counted_order)
+            for module in (treecode, undirected):
+                monkeypatch.setattr(module, "_centers", counted_centers)
             lines = []
-            assert solve_undirected(g, target, trace=lines.append).is_yes is answer
+            k = g.m - g.n + 1
+            if answer:
+                verdict = solve_undirected(g, target, trace=lines.append)
+            elif k == 1:  # the degree screen rejects both NOs: search below it
+                verdict = solve_unicyclic(g, target)
+            else:
+                verdict = _solve_core(g, target, k, SolveStats(), lines.append)
+            assert verdict.is_yes is answer
             monkeypatch.setattr(UGraph, "is_connected", real)
             monkeypatch.setattr(treecode, "_codes", real_codes)
             monkeypatch.setattr(treecode, "_rooted_order", real_order)
+            for module in (treecode, undirected):
+                monkeypatch.setattr(module, "_centers", real_centers)
             assert calls == [] and codes == []
+            assert answer or _screened(g, target)
             assert rootings == ([] if root == centers[0] else [centers[0]]), (tree.n, root)
             if not answer and g.m - g.n >= 1:  # a k >= 2 NO scans the one rooting
                 assert {line.split()[0] for line in lines} == {f"troot={centers[0]}"}
