@@ -13,14 +13,15 @@ tree, or a pendant subtree in the undirected search, is only looked up in
 that table (:func:`lookup_root_id`), so no solve changes the target.  A
 whole candidate tree is compared with the target by
 :meth:`TargetTree.match`, which pairs the children on equal root ids.
+Siblings are listed by ``(id, vertex)`` on both sides, which puts
+isomorphic siblings next to each other; it is not the strings' order.
 Strings are built only by :func:`subtree_codes` and the functions on top
-of it.
+of it, and serve as the reference the integer codes are checked against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, MutableMapping, MutableSequence, Sequence
-from functools import cmp_to_key
 
 from .graphs import DiGraph, UGraph, bfs, reachable_all
 
@@ -190,18 +191,15 @@ def rooted_iso_mapping(t1: UGraph, r1: int, t2: UGraph, r2: int) -> dict[int, in
 
 
 def _pair_children(
-    r1: int, parent1: Sequence[int], ids1: Sequence[int],
-    r2: int, parent2: Sequence[int], ids2: Sequence[int],
+    r1: int, kids1: Sequence[Sequence[int]], r2: int, kids2: Sequence[Sequence[int]]
 ) -> dict[int, int]:
-    """The isomorphism ``r1 -> r2`` between two rooted trees whose vertex
-    ids come from one table and whose root ids are equal.
+    """The isomorphism ``r1 -> r2`` between two rooted trees whose vertex ids
+    come from one table and whose root ids are equal, given each vertex's
+    children in ``(id, vertex)`` order (:func:`_children_by_id`).
 
     Children with equal ids are interchangeable, so pairing the children of
-    each matched pair in ``(id, vertex)`` order on both sides is a valid
-    bijection.
+    each matched pair in that order on both sides is a valid bijection.
     """
-    kids1 = _children_by_id(parent1, ids1)
-    kids2 = _children_by_id(parent2, ids2)
     mapping = {r1: r2}
     stack = [(r1, r2)]
     while stack:
@@ -256,9 +254,9 @@ class TargetTree:
     ids iff they are isomorphic, and a candidate is compared with the target by
     looking it up in ``table``.
 
-    Children are visited in ascending ``(subtree code, vertex id)`` order, found
-    without building the codes (:func:`_by_code`), so isomorphic sibling subtrees
-    are adjacent in the order and the order is identical across runs.
+    ``children[v]`` lists ``v``'s children by ``(ids[c], c)``, and ``order`` is the
+    preorder that follows those lists, so isomorphic sibling subtrees are
+    adjacent in the order and the order is identical across runs.
 
     Construction validates the tree and keeps the parent array; the canonical
     layer (``ids``, ``table``, ``children``, ``subtree_size`` and ``order``) is
@@ -284,16 +282,15 @@ class TargetTree:
         table = self.table
         ids, size = [0] * n, [1] * n
         kids: list[list[int]] = [[] for _ in range(n)]
-        kid_ids: list[list[int]] = [[] for _ in range(n)]
-        for x in reversed(bfs):  # children first, so theirs are sorted when x is
-            if len(kids[x]) > 1:
-                kid_ids[x].sort()
-                _by_code(kids[x], size, ids, kids)
-            ids[x] = vid = table.setdefault(tuple(kid_ids[x]), len(table))
+        for x in reversed(bfs):  # children first, so theirs have ids when x is reached
+            ks = kids[x]
+            if len(ks) > 1:
+                ks.sort()
+                ks.sort(key=ids.__getitem__)  # stable: by id, then vertex
+            ids[x] = table.setdefault(tuple(map(ids.__getitem__, ks)), len(table))
             p = parent[x]
             if p != -1:
                 kids[p].append(x)
-                kid_ids[p].append(vid)
                 size[p] += size[x]
         self.ids, self.subtree_size = tuple(ids), tuple(size)
         self.children = tuple(map(tuple, kids))
@@ -305,13 +302,13 @@ class TargetTree:
         ``parent`` -1 at that root; None unless the rooted trees are isomorphic.
 
         The candidate is looked up in ``table``, so the roots have equal ids iff
-        the trees are isomorphic; the children are then paired by
-        :func:`_pair_children`.
+        the trees are isomorphic; only the candidate's children are then sorted
+        by id, and :func:`_pair_children` pairs them with ``children``.
         """
         ids = [0] * len(parent)
         if lookup_root_id(reversed(order), parent, self.table, ids) != self.ids[self.root]:
             return None
-        return _pair_children(self.root, self.parent, self.ids, order[0], parent, ids)
+        return _pair_children(self.root, self.children, order[0], _children_by_id(parent, ids))
 
     @property
     def n(self) -> int:
@@ -347,45 +344,6 @@ class _Unbuilt(TargetTree):
     subtree_size = _built_field("subtree_size")
     ids = _built_field("ids")
     table = _built_field("table")
-
-
-def _by_code(
-    kids: list[int], size: Sequence[int], ids: Sequence[int], children: Sequence[Sequence[int]]
-) -> None:
-    """Sort ``kids`` in place into ``(code_key(code[w]), w)`` order, without the codes.
-
-    A code holds one pair of parentheses per vertex, so ``code_key`` sorts by size
-    first, and equal ids mean equal codes.  Only siblings of equal size whose ids
-    differ need the codes' byte order, which :func:`_code_cmp` gives.
-    """
-    kids.sort()
-    kids.sort(key=ids.__getitem__)
-    kids.sort(key=size.__getitem__)  # stable sorts: by size, id, then vertex
-    if len(set(map(ids.__getitem__, kids))) > len(set(map(size.__getitem__, kids))):
-        # equal ids compare equal, so the stable sort keeps their vertex order
-        by_bytes = cmp_to_key(lambda a, b: size[a] - size[b] or _code_cmp(a, b, ids, children))
-        kids.sort(key=by_bytes)
-
-
-def _code_cmp(a: int, b: int, ids: Sequence[int], children: Sequence[Sequence[int]]) -> int:
-    """-1, 0 or 1 as the code of ``a`` sorts before, equal to or after that of ``b``
-    as a string, given ids interned in one table and children listed in code order.
-
-    A code is one balanced block and no block is a proper prefix of another, so
-    two codes first differ inside the first pair of children whose ids differ.
-    When one child list is a proper prefix of the other, the longer list sorts
-    first, because ``(`` < ``)``.
-    """
-    if ids[a] == ids[b]:
-        return 0
-    while True:
-        ka, kb = children[a], children[b]
-        for x, y in zip(ka, kb):
-            if ids[x] != ids[y]:
-                a, b = x, y
-                break
-        else:
-            return -1 if len(ka) > len(kb) else 1
 
 
 def _preorder(root: int, children: Sequence[Sequence[int]]) -> tuple[int, ...]:

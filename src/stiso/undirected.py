@@ -283,10 +283,6 @@ class _Engine:
         self.k = k
         self.stats = stats
         self.trim = trim
-        # children by (id, vertex), as the trim forest and the pendants list theirs;
-        # equal ids mean equal codes, which ``tt.children`` lists by vertex
-        by_id = tt.ids.__getitem__
-        self.target_kids = [sorted(ks, key=by_id) if len(ks) > 1 else ks for ks in tt.children]
         self.root_ids = Counter(tt.ids[c] for c in tt.children[tt.root])
         # attempt state
         self.t2g: list[int] = []
@@ -396,7 +392,7 @@ class _Engine:
         while stack:
             gx, tx = stack.pop()
             self._bind(tx, gx)
-            stack.extend(zip(kids[gx], self.target_kids[tx]))
+            stack.extend(zip(kids[gx], self.tt.children[tx]))
 
     # -- node opening --------------------------------------------------------
 

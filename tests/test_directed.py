@@ -28,7 +28,7 @@ from stiso import (
 )
 from stiso.directed import _arborescence_without
 from stiso.graphs import degree_gap, degree_shift, roots_reaching_all
-from stiso.treecode import _pair_children, lookup_root_id
+from stiso.treecode import _children_by_id, _pair_children, lookup_root_id
 
 
 def _chain(verts, eids):
@@ -492,7 +492,9 @@ def test_filtered_search_matches_unfiltered_reference():
         expected = Verdict("NO")
         for r, deleted, _, parent, ids, hit, target_ids in _plans_unfiltered(d, target):
             if hit:
-                mapping = _pair_children(target.root, target.parent, target_ids, r, parent, ids)
+                # both sides sorted by this test's own ids, not read off ``target.children``
+                kids = _children_by_id(target.parent, target_ids)
+                mapping = _pair_children(target.root, kids, r, _children_by_id(parent, ids))
                 expected = Verdict("YES", mapping=mapping, removed=frozenset(deleted))
                 break
         stats = DirectedStats()

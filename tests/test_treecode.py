@@ -290,58 +290,63 @@ def test_target_tree_codes_match_subtree_codes():
         TargetTree(UGraph(4, [(0, 1), (1, 2), (2, 0)]), 0)
 
 
-def test_target_tree_orders_children_by_code_at_and_next_to_centers():
-    """Children follow ``(code_key, vertex)`` order with the tree rooted at each
-    centre and at each centre's neighbours."""
-    from stiso.treecode import code_key
-
-    trees = [gen_tree(n, seed) for n in range(2, 61) for seed in range(4)]
-    trees += [gen_tree(1000, seed) for seed in range(3)]
-    trees += [path(n) for n in (2, 3, 4, 9, 10, 1000)] + [star(7)]
-    cases = 0
-    for t in trees:
-        centers = tree_centers(t)
-        roots = set(centers).union(w for c in centers for _, w in t.incidence[c])
-        for r in sorted(roots):
-            tt = TargetTree(t, r)
-            codes = subtree_codes(t, r)
-            for v in range(t.n):
-                kids = tt.children[v]
-                assert list(kids) == sorted(kids, key=lambda w: (code_key(codes[w]), w)), (t.edges, r)
-            cases += 1
-    assert cases > 1000
-
-
-def test_target_tree_orders_equal_size_siblings_by_code_bytes():
-    """Siblings of one size but different shape follow their codes' byte order,
-    which the ids alone do not give.  Every free tree on 7 vertices, in every
-    rooting, hangs from one root, under two labellings; the tree is also rooted
-    inside those subtrees."""
-    from stiso.treecode import code_key
+def test_target_tree_orders_children_by_id_then_vertex():
+    """Children follow ``(ids[c], c)`` order, and two siblings' string codes are
+    equal iff their ids are.  Every free tree on up to 9 vertices in every
+    rooting; then every such tree on 7 vertices, in every rooting, hung from one
+    root under two labellings, so that one vertex has siblings of every shape."""
     from util import all_free_trees
 
+    catalogue = all_free_trees(9)
+    cases = [(t, r) for trees in catalogue.values() for t in trees for r in range(t.n)]
     edges, n = [], 1
-    for t in all_free_trees(7)[7]:
+    for t in catalogue[7]:
         for r in range(7):
             edges += [(n + a, n + b) for a, b in t.edges] + [(0, n + r)]
             n += 7
     big = UGraph(n, edges)
     perm = list(range(n))
     random.Random(3).shuffle(perm)
-    prefix_pairs = 0
-    for tree, roots in ((big, range(0, n, 5)), (big.relabeled(perm), (perm[0], perm[1]))):
-        for root in roots:
-            tt = TargetTree(tree, root)
-            codes = subtree_codes(tree, root)
-            for v in range(n):
-                kids = tt.children[v]
-                assert list(kids) == sorted(kids, key=lambda w: (code_key(codes[w]), w))
-                for a, b in zip(kids, kids[1:]):
-                    if len(codes[a]) == len(codes[b]) and codes[a] != codes[b]:
-                        i = next(i for i, (x, y) in enumerate(zip(codes[a], codes[b])) if x != y)
-                        # a vertex that already closed a child ends where the other opens one
-                        prefix_pairs += codes[a][i - 1] == ")"
-    assert prefix_pairs > 0
+    cases += [(big, r) for r in range(0, n, 5)] + [(big.relabeled(perm), perm[0])]
+    unequal = 0
+    for t, r in cases:
+        tt = TargetTree(t, r)
+        codes = subtree_codes(t, r)
+        for v in range(t.n):
+            kids = tt.children[v]
+            assert list(kids) == sorted(kids, key=lambda c: (tt.ids[c], c)), (t.edges, r)
+            for i, a in enumerate(kids):
+                for b in kids[i + 1 :]:
+                    assert (codes[a] == codes[b]) == (tt.ids[a] == tt.ids[b]), (t.edges, r)
+                    unequal += codes[a] != codes[b] and len(codes[a]) == len(codes[b])
+    assert len(cases) > 600 and unequal > 1000
+
+
+def test_match_sorts_only_the_candidate(monkeypatch):
+    """``TargetTree.match`` sorts children by id once per isomorphic candidate, for
+    the candidate alone: the target's ``children`` are already in that order."""
+    from stiso import treecode
+
+    calls = []
+    real = treecode._children_by_id
+    monkeypatch.setattr(
+        treecode, "_children_by_id", lambda parent, ids: (calls.append(parent), real(parent, ids))[1]
+    )
+    answers = []
+    for seed in range(20):
+        t = gen_tree(25, seed)
+        tt = TargetTree(t, 0)
+        perm = list(range(25))
+        random.Random(seed).shuffle(perm)
+        for other, root in ((t.relabeled(perm), perm[0]), (gen_tree(25, seed + 100), 0)):
+            order, parent = treecode._rooted_order(other, root)
+            calls.clear()
+            mapping = tt.match(order, parent)
+            assert calls == ([] if mapping is None else [parent])
+            if mapping is not None:
+                assert all(parent[mapping[a]] == mapping[tt.parent[a]] for a in range(1, 25))
+            answers.append(mapping is not None)
+    assert answers.count(True) == 20 and answers.count(False) == 20
 
 
 def test_solves_leave_the_target_tree_unchanged():

@@ -22,6 +22,7 @@ from stiso.graphs import degree_gap, degrees_cover
 
 from util import (
     THETA,
+    chorded_cycle_and_spider,
     chorded_path,
     complete,
     cycle,
@@ -417,13 +418,11 @@ def test_package_has_no_assert_statements():
 
 
 # SHA-256 of answers, witnesses, removed sets, SolveStats and trace lines over
-# the grid below.  The constant was printed by the same grid run on the solver
-# before the degree screen with only the screen added in front of its dispatch
-# on k; an exact change must keep every byte.  Against the solver without the
-# screen, all 149 YES rows and the 36 NO rows the screen passes are
-# byte-identical, and the 67 NO rows it rejects keep their answer, with zero
-# search counters and the screen's trace line alone.
-PINNED_SEARCH_SHA256 = "38bc5afd854704542231edad144d0d47076d4498683e07435c9157afd65a049e"
+# the grid below, printed by the search that lists the target's children by
+# ``(id, vertex)``.  Against the search that listed them in string-code order,
+# all 252 answers are equal, 11 of the 149 YES rows have another witness (each
+# certified, as every YES is), and 79 rows have other counters.
+PINNED_SEARCH_SHA256 = "9fdf90af74dd2e14c74f6550739052cb418e8c69bd41a3e54ebe1223e89a4776"
 
 
 def test_search_hash_pinned():
@@ -499,12 +498,14 @@ def _reference_open(engine, rg, rt):
     """``_open`` by a full walk and string codes.
 
     Pendants bind in neighbour order to the first unmatched target child of
-    equal code, and children pair in ``(code, vertex)`` order.
+    equal code.  Children pair in the target's order: a graph vertex's children
+    by the target id of their code, then by vertex.
     """
     from stiso.treecode import code_key, subtree_codes
 
     tt = engine.tt
     tcodes = subtree_codes(tt.tree, tt.root)
+    tid = {code: tt.ids[v] for v, code in enumerate(tcodes)}
     comps = _full_walk(engine, rg)
     pendants, avail = [], []
     for c in comps:
@@ -523,8 +524,8 @@ def _reference_open(engine, rg, rt):
                     order.append(w)
         codes, kids = {}, {x: [] for x in order}
         for x in reversed(order):
-            kids[x].sort(key=lambda w: (code_key(codes[w]), w))
-            codes[x] = "(" + "".join(codes[w] for w in kids[x]) + ")"
+            codes[x] = "(" + "".join(sorted((codes[w] for w in kids[x]), key=code_key)) + ")"
+            kids[x].sort(key=lambda w: (tid.get(codes[w], -1), w))
             if parent[x] != -1:
                 kids[parent[x]].append(x)
         w = next(
@@ -598,7 +599,7 @@ def test_open_matches_full_walk(monkeypatch):
     for g, target in cases:  # below the degree screen, which rejects many random ones
         _solve_core(g, target, g.m - g.n + 1, SolveStats(), None)
     assert all(seen.values()), seen
-    assert len(opened) == 7595
+    assert len(opened) == 6509
 
 
 def _has_cut_edge(engine):
@@ -642,7 +643,7 @@ def _core_components_per_node(monkeypatch):
         stats = SolveStats()
         _solve_core(g, target, g.m - g.n + 1, stats, None)
         walks += stats.walks
-    assert len(nodes) == 7516
+    assert len(nodes) == 6430
     return nodes, walks
 
 
@@ -671,6 +672,23 @@ def test_chorded_path_walks_nothing():
     stats = SolveStats()
     assert solve_undirected(end_chord_path(n), path(n), stats=stats).is_yes
     assert stats.walks == 0  # 22 when every opened node walked
+
+
+def test_chorded_cycle_against_a_spider():
+    # every vertex is a root candidate and each attempt opens Theta(n) nodes;
+    # only the answers are checked here, not the effort
+    answers = Counter()
+    for n in range(5, 11):
+        for k in range(2, 5):
+            for seed in range(4):
+                g, target = chorded_cycle_and_spider(n, k, seed)
+                v = solve_undirected(g, target)
+                assert v.answer == oracle_undirected(g, target).answer, (n, k, seed)
+                answers[v.answer] += 1
+    assert answers["YES"] > 0 and answers["NO"] > 0
+    for k in (2, 3, 4):
+        for seed in range(3):
+            assert not solve_undirected(*chorded_cycle_and_spider(60, k, seed)).is_yes, (k, seed)
 
 
 def test_end_chord_path_at_twenty_thousand():

@@ -9,6 +9,8 @@ one-edge-at-a-time and one-line-at-a-time versions.
 
 from __future__ import annotations
 
+import random
+
 from stiso import DiGraph, GraphFormatError, UGraph
 
 
@@ -109,6 +111,34 @@ def chorded_path(n: int) -> UGraph:
 def hub_with_leaves(n: int) -> UGraph:
     """K4 on 0..3 with the n - 4 other vertices as leaves of vertex 0: k = 3."""
     return UGraph(n, list(complete(4).edges) + [(0, v) for v in range(4, n)])
+
+
+def chorded_cycle_and_spider(n: int, k: int, seed: int) -> tuple[UGraph, UGraph]:
+    """The cycle 0..n-1 with k - 1 random chords, and a spider with three legs.
+
+    Chords are drawn as ``sorted(rng.sample(range(n), 2))`` from
+    ``random.Random(seed)``, skipping cycle edges and repeats, until the graph
+    has n + k - 1 edges.  The legs of the spider (centre 0) have lengths
+    ``a = randrange(1, n // 2)``, ``b = randrange(1, n - 1 - a)`` and
+    ``n - 1 - a - b``, drawn from the same generator.  The spider's centre
+    usually lies inside a leg, where its degree is 2, so the search rooted
+    there takes every graph vertex as a root candidate.
+    """
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    seen = {(min(u, v), max(u, v)) for u, v in edges}
+    while len(edges) < n + k - 1:
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in seen:
+            seen.add((u, v))
+            edges.append((u, v))
+    a = rng.randrange(1, n // 2)
+    b = rng.randrange(1, n - 1 - a)
+    legs, nxt = [], 1
+    for length in (a, b, n - 1 - a - b):
+        legs += [(0 if i == 0 else nxt + i - 1, nxt + i) for i in range(length)]
+        nxt += length
+    return UGraph(n, edges), UGraph(n, legs)
 
 
 def reference_incidence(n: int, pairs, *, directed: bool, simple: bool = True):
