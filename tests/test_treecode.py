@@ -290,36 +290,62 @@ def test_target_tree_codes_match_subtree_codes():
         TargetTree(UGraph(4, [(0, 1), (1, 2), (2, 0)]), 0)
 
 
-def test_target_tree_orders_children_by_id_then_vertex():
-    """Children follow ``(ids[c], c)`` order, and two siblings' string codes are
-    equal iff their ids are.  Every free tree on up to 9 vertices in every
-    rooting; then every such tree on 7 vertices, in every rooting, hung from one
-    root under two labellings, so that one vertex has siblings of every shape."""
+def _assert_children_by_id(t: UGraph, r: int) -> int:
+    """Asserts that ``TargetTree(t, r)`` lists children by ``(ids[c], c)`` and
+    that two siblings' string codes are equal iff their ids are; returns the
+    number of sibling pairs of one size but different codes."""
+    tt = TargetTree(t, r)
+    codes = subtree_codes(t, r)
+    unequal = 0
+    for v in range(t.n):
+        kids = tt.children[v]
+        assert list(kids) == sorted(kids, key=lambda c: (tt.ids[c], c)), (t.edges, r)
+        for i, a in enumerate(kids):
+            for b in kids[i + 1 :]:
+                assert (codes[a] == codes[b]) == (tt.ids[a] == tt.ids[b]), (t.edges, r)
+                unequal += codes[a] != codes[b] and len(codes[a]) == len(codes[b])
+    return unequal
+
+
+def test_target_tree_orders_children_by_code_at_and_next_to_centers():
+    """Children follow the order of their codes' interned ids, ``(ids[c], c)``,
+    and two siblings' string codes are equal iff their ids are: every free tree
+    on up to 9 vertices in every rooting, and larger trees (up to 1000 vertices)
+    rooted at each centre and at each centre's neighbours."""
     from util import all_free_trees
 
-    catalogue = all_free_trees(9)
-    cases = [(t, r) for trees in catalogue.values() for t in trees for r in range(t.n)]
+    cases = [(t, r) for trees in all_free_trees(9).values() for t in trees for r in range(t.n)]
+    trees = [gen_tree(n, seed) for n in range(2, 61) for seed in range(4)]
+    trees += [gen_tree(1000, seed) for seed in range(3)]
+    trees += [path(n) for n in (2, 3, 4, 9, 10, 1000)] + [star(7)]
+    for t in trees:
+        centers = tree_centers(t)
+        roots = set(centers).union(w for c in centers for _, w in t.incidence[c])
+        cases += [(t, r) for r in sorted(roots)]
+    for t, r in cases:
+        _assert_children_by_id(t, r)
+    assert len(cases) > 1000
+
+
+def test_target_tree_orders_equal_size_siblings_by_code_bytes():
+    """Siblings of one size but different shape, whose codes differ only in
+    their bytes, get different ids and so fixed places in ``(ids[c], c)``
+    order; siblings with equal codes share an id.  Every free tree on 7
+    vertices, in every rooting, hangs from one root, under two labellings, so
+    that one vertex has siblings of every shape; the tree is also rooted inside
+    those subtrees."""
+    from util import all_free_trees
+
     edges, n = [], 1
-    for t in catalogue[7]:
+    for t in all_free_trees(7)[7]:
         for r in range(7):
             edges += [(n + a, n + b) for a, b in t.edges] + [(0, n + r)]
             n += 7
     big = UGraph(n, edges)
     perm = list(range(n))
     random.Random(3).shuffle(perm)
-    cases += [(big, r) for r in range(0, n, 5)] + [(big.relabeled(perm), perm[0])]
-    unequal = 0
-    for t, r in cases:
-        tt = TargetTree(t, r)
-        codes = subtree_codes(t, r)
-        for v in range(t.n):
-            kids = tt.children[v]
-            assert list(kids) == sorted(kids, key=lambda c: (tt.ids[c], c)), (t.edges, r)
-            for i, a in enumerate(kids):
-                for b in kids[i + 1 :]:
-                    assert (codes[a] == codes[b]) == (tt.ids[a] == tt.ids[b]), (t.edges, r)
-                    unequal += codes[a] != codes[b] and len(codes[a]) == len(codes[b])
-    assert len(cases) > 600 and unequal > 1000
+    cases = [(big, r) for r in range(0, n, 5)] + [(big.relabeled(perm), perm[0])]
+    assert sum(_assert_children_by_id(t, r) for t, r in cases) > 1000
 
 
 def test_match_sorts_only_the_candidate(monkeypatch):
