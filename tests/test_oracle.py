@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
+import stiso.oracle
 from stiso import (
     DiGraph,
     GenSpec,
@@ -18,7 +21,15 @@ from stiso import (
     unrooted_iso,
 )
 
-from util import THETA, complete, cycle, path, star
+from util import (
+    THETA,
+    complete,
+    cycle,
+    path,
+    reference_oracle_directed,
+    reference_oracle_undirected,
+    star,
+)
 
 
 def test_oracle_undirected_examples():
@@ -111,3 +122,70 @@ def test_invalid_neighbors_bound_random():
         for v in range(g.n):
             report = invalid_neighbors(g, v)
             assert len(report.invalid) <= report.bound
+
+
+def test_degree_test_keeps_every_verdict():
+    """Both oracles return the Verdict of the untested enumeration: answer,
+    removed set, mapping and note, on a seeded grid of 424 instances."""
+    count = 0
+    for directed in (False, True):
+        for n in range(4, 13):
+            for k in range(6):
+                if not directed and n - 1 + k > comb(n, 2):
+                    continue  # more edges than a simple graph on n vertices has
+                for mode in ("planted-yes", "random"):
+                    for rep in range(2):
+                        seed = 1000 * n + 100 * k + 10 * rep + directed
+                        spec = GenSpec(n=n, k=k, seed=seed, mode=mode, directed=directed)
+                        inst = gen_instance(spec)
+                        if directed:
+                            got = oracle_directed(inst.graph, inst.target)
+                            want = reference_oracle_directed(inst.graph, inst.target)
+                        else:
+                            got = oracle_undirected(inst.graph, inst.target_graph)
+                            want = reference_oracle_undirected(inst.graph, inst.target_graph)
+                        assert got == want, spec
+                        count += 1
+    assert count == 424
+
+
+def _count_builds(monkeypatch, name: str) -> list[int]:
+    """Wrap the graph constructor ``name`` that ``stiso.oracle`` calls; the
+    returned list grows by one entry per graph built."""
+    real = getattr(stiso.oracle, name)
+    built: list[int] = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stiso.oracle, name, counted)
+    return built
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_oracle_builds_only_degree_fitting_subsets(monkeypatch, directed):
+    """A k = 5 NO builds a graph for no subset that fails the degree test,
+    counted here by kept degrees, and so for far fewer than comb(m, k)."""
+    k = 5
+    inst = gen_instance(GenSpec(n=10, k=k, seed=0, mode="random", directed=directed))
+    g = inst.graph
+    pairs = g.arcs if directed else g.edges
+    want = sorted(map(len, inst.target.tree.incidence))
+    fitting = 0
+    for subset in combinations(range(g.m), k):
+        deg = [0] * g.n
+        for i, (u, v) in enumerate(pairs):
+            if i not in subset:
+                deg[v] += 1
+                if not directed:
+                    deg[u] += 1
+        fitting += max(deg) <= 1 if directed else sorted(deg) == want
+    built = _count_builds(monkeypatch, "DiGraph" if directed else "UGraph")
+    if directed:
+        verdict = oracle_directed(g, inst.target)
+    else:
+        verdict = oracle_undirected(g, inst.target_graph)
+    assert not verdict.is_yes
+    assert 0 < len(built) <= fitting
+    assert 20 * fitting < comb(g.m, k)

@@ -4,14 +4,28 @@ These share no machinery with the package: isomorphism is decided by
 backtracking over adjacency-preserving bijections, and the free-tree
 catalogue is built by leaf extension with pairwise brute-force dedup.  The
 graph constructors and the text parser are judged against straightforward
-one-edge-at-a-time and one-line-at-a-time versions.
+one-edge-at-a-time and one-line-at-a-time versions.  The reference oracles
+are the package oracles' subset loops without their degree test, so they
+share the oracles' bijection searches on purpose: equal verdicts then show
+that the test drops no subset the loops would accept.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from stiso import DiGraph, GraphFormatError, UGraph
+from stiso import (
+    DiGraph,
+    GraphFormatError,
+    TargetTree,
+    UGraph,
+    Verdict,
+    is_spanning_arborescence,
+    unrooted_code,
+)
+from stiso.oracle import _bijection_search_directed, _bijection_search_undirected, _guard
+from stiso.treecode import target_graph
 
 
 def brute_iso(t1: UGraph, t2: UGraph, fixed: tuple[int, int] | None = None) -> bool:
@@ -204,3 +218,45 @@ def reference_parse(text: str) -> UGraph | DiGraph:
     if header[2] == "U":
         return UGraph(n, pairs)
     return DiGraph(n, pairs)
+
+
+def reference_oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
+    """``oracle_undirected`` without its degree test: every k-subset, in
+    ``combinations`` order, goes to the connectivity check and the tree code."""
+    ttree = target_graph(target)
+    if not g.is_connected():
+        return Verdict("NO", note="graph is disconnected: no spanning tree exists")
+    k = g.m - (g.n - 1)
+    _guard(g.m, k)
+    target_code = unrooted_code(ttree)
+    for subset in combinations(range(g.m), k):
+        removed = frozenset(subset)
+        if not g.is_connected(skip_edges=removed):
+            continue
+        h = UGraph(g.n, [e for i, e in enumerate(g.edges) if i not in removed])
+        if unrooted_code(h) != target_code:
+            continue
+        mapping = _bijection_search_undirected(ttree, h)
+        if mapping is None:
+            raise RuntimeError("equal tree codes but no bijection found")
+        return Verdict("YES", mapping=mapping, removed=removed)
+    return Verdict("NO")
+
+
+def reference_oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
+    """``oracle_directed`` without its in-degree test: every k-subset, in
+    ``combinations`` order, is built and checked as an arborescence."""
+    if not d.underlying().is_connected():
+        return Verdict("NO", note="graph is weakly disconnected: no spanning tree exists")
+    k = d.m - (d.n - 1)
+    _guard(d.m, k)
+    for subset in combinations(range(d.m), k):
+        removed = frozenset(subset)
+        f = DiGraph(d.n, [a for i, a in enumerate(d.arcs) if i not in removed])
+        roots = [v for v in range(f.n) if f.in_degree(v) == 0]
+        if len(roots) != 1 or not is_spanning_arborescence(f, roots[0]):
+            continue
+        mapping = _bijection_search_directed(target, f, roots[0])
+        if mapping is not None:
+            return Verdict("YES", mapping=mapping, removed=removed)
+    return Verdict("NO")
