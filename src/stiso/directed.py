@@ -32,9 +32,9 @@ Each plan left is checked by one search from the root over the kept arcs
 (:func:`~stiso.graphs.bfs`); when it spans, the witness is compared with
 the target by :meth:`~stiso.treecode.TargetTree.match`: it is only looked
 up in the table of Aho-Hopcroft-Ullman ids the target carries, bottom-up
-along the search, stopping at the first subtree the target has no copy of.
-Equal root ids mean isomorphic arborescences, and the vertex mapping pairs
-the children of matched vertices in ``(id, vertex)`` order on both sides.
+along the search, with -1 for a subtree the target has no copy of.  Equal
+root ids mean isomorphic arborescences, and the vertex mapping pairs the
+children of matched vertices in ``(id, vertex)`` order on both sides.
 
 :func:`chain_candidates` states the same in-degree rule per anchor chain of
 the contracted core (the paper's lemma): deleting arc ``a`` must leave

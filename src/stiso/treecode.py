@@ -6,22 +6,23 @@ sorted by ``(length, bytes)``.  Two rooted trees have equal codes iff they
 are isomorphic as rooted trees, so code comparison is the isomorphism test.
 
 The solvers run the same test on integers (Aho, Hopcroft and Ullman 1974).
-:class:`TargetTree` interns each vertex's sorted child ids in a table, once
-per target and only on the first read of its codes, so an answer that never
-compares a candidate with the target never builds them.  A candidate
-tree, or a pendant subtree in the undirected search, is only looked up in
-that table (:func:`lookup_root_id`), so no solve changes the target.  A
-whole candidate tree is compared with the target by
-:meth:`TargetTree.match`, which pairs the children on equal root ids.
+One bottom-up pass, :func:`_ahu`, gives every rooted tree its ids, its
+children in ``(id, vertex)`` order and its subtree sizes: it interns into a
+table once per target, when :class:`TargetTree` first reads its codes, so an
+answer that never compares a candidate with the target never builds them;
+every candidate (a whole tree in :meth:`TargetTree.match`, the trim forest
+and each pendant in the undirected search) is only looked up in that table,
+with -1 for a shape the target lacks, so no solve changes the target.
 Siblings are listed by ``(id, vertex)`` on both sides, which puts
-isomorphic siblings next to each other; it is not the strings' order.
-Strings are built only by :func:`subtree_codes` and the functions on top
-of it, and serve as the reference the integer codes are checked against.
+isomorphic siblings next to each other; it is not the strings' order, and
+:func:`_pair_children` pairs them on equal root ids.  Strings are built
+only by :func:`subtree_codes` and the functions on top of it, and serve as
+the reference the integer codes are checked against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, MutableMapping, MutableSequence, Sequence
+from collections.abc import Iterable, Sequence
 
 from .graphs import DiGraph, UGraph, bfs, reachable_all
 
@@ -76,31 +77,44 @@ def subtree_codes(tree: UGraph, root: int) -> list[str]:
 CodeTable = dict[tuple[int, ...], int]  # sorted child ids -> interned id
 
 
-def lookup_root_id(
+def _ahu(
     bottom_up: Iterable[int],
-    parent: Sequence[int] | Mapping[int, int],
+    parent: Sequence[int] | dict[int, int],
     table: CodeTable,
-    ids: MutableSequence[int] | MutableMapping[int, int] | None = None,
-) -> int | None:
-    """The id a rooted tree's root has in ``table``, found by lookups alone.
+    *,
+    intern: bool = False,
+) -> tuple:
+    """Aho-Hopcroft-Ullman ids of a rooted forest, computed bottom-up.
 
-    ``bottom_up`` lists the tree's vertices, each after all of its children,
-    and ends at the root.  Returns None at the first vertex whose sorted
-    child ids ``table`` never produced: no subtree interned there is
-    isomorphic to it, so neither is the root.  ``table`` is never changed.
-    When ``ids`` is given, ``ids[x]`` receives the id of each vertex looked
-    up, so after a non-None answer it holds the id of every vertex.
+    ``bottom_up`` lists vertices, each after all of its children, and
+    ``parent`` gives each vertex's parent, -1 at a root.  Returns each
+    vertex's id, its children in ``(id, vertex)`` order and its subtree
+    size: dicts keyed like ``parent`` when it is a dict, else lists.
+
+    A vertex's id is ``table``'s value for its children's ids in that order.
+    With ``intern`` a key the table lacks gets the next id; otherwise the
+    vertex gets -1, which no key holds, so its ancestors get -1 too, and
+    ``table`` is never changed.
     """
-    kid_ids: dict[int, list[int]] = {}
-    vid = None
+    if isinstance(parent, dict):  # a few vertices of a large graph
+        ids, size = dict.fromkeys(parent, -1), dict.fromkeys(parent, 1)
+        kids = {v: [] for v in parent}
+    else:
+        ids, size = [-1] * len(parent), [1] * len(parent)
+        kids = [[] for _ in parent]
+    id_of = ids.__getitem__
     for x in bottom_up:
-        vid = table.get(tuple(sorted(kid_ids.get(x, ()))))
-        if vid is None:
-            return None
-        if ids is not None:
-            ids[x] = vid
-        kid_ids.setdefault(parent[x], []).append(vid)
-    return vid
+        ks = kids[x]
+        if len(ks) > 1:
+            ks.sort()
+            ks.sort(key=id_of)  # stable: by id, then vertex
+        key = tuple(map(id_of, ks))
+        ids[x] = table.setdefault(key, len(table)) if intern else table.get(key, -1)
+        p = parent[x]
+        if p != -1:
+            kids[p].append(x)
+            size[p] += size[x]
+    return ids, kids, size
 
 
 def rooted_code(tree: UGraph, root: int) -> str:
@@ -109,34 +123,12 @@ def rooted_code(tree: UGraph, root: int) -> str:
 
 
 def tree_centers(tree: UGraph) -> list[int]:
-    """The 1 or 2 center vertices of a tree, found by leaf peeling."""
-    _rooted_order(tree, 0)  # raises NotATreeError unless a tree
-    return _centers(tree)
+    """The 1 or 2 center vertices of a tree, sorted."""
+    return _centers_from(tree, *_rooted_order(tree, 0))  # raises NotATreeError unless a tree
 
 
-def _centers(tree: UGraph) -> list[int]:
-    """:func:`tree_centers` for a tree the caller has already validated."""
-    if tree.n <= 2:
-        return list(range(tree.n))
-    deg = [len(pairs) for pairs in tree.incidence]
-    layer = [v for v in range(tree.n) if deg[v] == 1]
-    alive = tree.n
-    while alive > 2:
-        alive -= len(layer)
-        nxt: list[int] = []
-        for v in layer:
-            deg[v] = 0
-            for _, w in tree.incidence[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(layer)
-
-
-def _first_center(tt: TargetTree) -> int:
-    """``_centers(tt.tree)[0]``, read off the rooting's BFS order and parent array.
+def _centers_from(tree: UGraph, order: Sequence[int], parent: Sequence[int]) -> list[int]:
+    """:func:`tree_centers`, read off any rooting's BFS order and parent array.
 
     A branch of ``v`` is a longest path that leaves ``v`` by one edge.  ``v`` is
     a centre iff its two longest branches (0 for a missing one) differ by at
@@ -144,13 +136,13 @@ def _first_center(tt: TargetTree) -> int:
     leaves by is the other centre.  When they differ by more, every centre
     lies beyond that neighbour, so the walk from the root steps there.
     """
-    parent, inc = tt.parent, tt.tree.incidence
+    inc = tree.incidence
     height = [0] * len(parent)  # of each vertex's subtree under the rooting
-    for x in reversed(tt._bfs):
+    for x in reversed(order):
         p = parent[x]
         if p != -1 and height[p] <= height[x]:
             height[p] = height[x] + 1
-    v, up = tt.root, 0  # up: v's branch through its parent
+    v, up = order[0], 0  # up: v's branch through its parent
     while True:
         top, a1, a2 = -1, 0, up  # the longest branch, by child ``top``, and the next
         for _, c in inc[v]:
@@ -161,7 +153,7 @@ def _first_center(tt: TargetTree) -> int:
                 elif a > a2:
                     a2 = a
         if a1 - a2 < 2:
-            return min(v, top) if a1 - a2 == 1 else v
+            return sorted((v, top)) if a1 - a2 == 1 else [v]
         v, up = top, a2 + 1
 
 
@@ -195,7 +187,7 @@ def _pair_children(
 ) -> dict[int, int]:
     """The isomorphism ``r1 -> r2`` between two rooted trees whose vertex ids
     come from one table and whose root ids are equal, given each vertex's
-    children in ``(id, vertex)`` order (:func:`_children_by_id`).
+    children in ``(id, vertex)`` order (:func:`_ahu`).
 
     Children with equal ids are interchangeable, so pairing the children of
     each matched pair in that order on both sides is a valid bijection.
@@ -208,14 +200,6 @@ def _pair_children(
             mapping[x] = y
             stack.append((x, y))
     return mapping
-
-
-def _children_by_id(parent: Sequence[int], ids: Sequence[int]) -> list[list[int]]:
-    kids: list[list[int]] = [[] for _ in parent]
-    for v in sorted(range(len(parent)), key=ids.__getitem__):  # stable: ties by vertex
-        if parent[v] != -1:
-            kids[parent[v]].append(v)
-    return kids
 
 
 def arborescence_root(d: DiGraph) -> int:
@@ -277,21 +261,8 @@ class TargetTree:
 
     def _build(self) -> None:
         self.__class__ = TargetTree  # from an _Unbuilt: the fields are plain slots again
-        bfs, parent, n = self._bfs, self.parent, self.tree.n
         self.table: CodeTable = {}
-        table = self.table
-        ids, size = [0] * n, [1] * n
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for x in reversed(bfs):  # children first, so theirs have ids when x is reached
-            ks = kids[x]
-            if len(ks) > 1:
-                ks.sort()
-                ks.sort(key=ids.__getitem__)  # stable: by id, then vertex
-            ids[x] = table.setdefault(tuple(map(ids.__getitem__, ks)), len(table))
-            p = parent[x]
-            if p != -1:
-                kids[p].append(x)
-                size[p] += size[x]
+        ids, kids, size = _ahu(reversed(self._bfs), self.parent, self.table, intern=True)
         self.ids, self.subtree_size = tuple(ids), tuple(size)
         self.children = tuple(map(tuple, kids))
         self.order = _preorder(self.root, self.children)
@@ -302,13 +273,14 @@ class TargetTree:
         ``parent`` -1 at that root; None unless the rooted trees are isomorphic.
 
         The candidate is looked up in ``table``, so the roots have equal ids iff
-        the trees are isomorphic; only the candidate's children are then sorted
-        by id, and :func:`_pair_children` pairs them with ``children``.
+        the trees are isomorphic, and :func:`_pair_children` pairs the
+        candidate's children, which the lookup lists by ``(id, vertex)``, with
+        ``children``.
         """
-        ids = [0] * len(parent)
-        if lookup_root_id(reversed(order), parent, self.table, ids) != self.ids[self.root]:
+        ids, kids, _ = _ahu(reversed(order), parent, self.table)
+        if ids[order[0]] != self.ids[self.root]:
             return None
-        return _pair_children(self.root, self.children, order[0], _children_by_id(parent, ids))
+        return _pair_children(self.root, self.children, order[0], kids)
 
     @property
     def n(self) -> int:

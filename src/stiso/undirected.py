@@ -90,10 +90,10 @@ from .graphs import (
 from .treecode import (
     CodeTable,
     TargetTree,
-    _centers,
-    _first_center,
+    _ahu,
+    _centers_from,
+    _pair_children,
     _rooted_order,
-    lookup_root_id,
     target_graph,
     tree_centers,
 )
@@ -214,7 +214,7 @@ def _tree_matcher(target: TargetTree | UGraph) -> Callable[[UGraph], dict[int, i
     tt = _rooting(target)
 
     def match(h: UGraph) -> dict[int, int] | None:
-        for rh in _centers(h):
+        for rh in tree_centers(h):
             mapping = tt.match(*_rooted_order(h, rh))
             if mapping is not None:
                 return mapping
@@ -255,25 +255,18 @@ def certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict)
 
 
 class _Forest:
-    """A rooted forest, listed children first, with its ids looked up in a target's
-    ``table``, which it never changes.
+    """The trim forest, each tree rooted at the 2-core vertex it hangs from,
+    with its ids looked up in a target's ``table``, which it never changes.
 
     ``ids[x]`` is -1 when no subtree interned in ``table`` is isomorphic to ``x``'s.
-    ``kids[x]`` lists ``x``'s children by ``(ids[c], c)``, also for an ``x`` outside the
-    forest that roots some of its trees, and ``size[x]`` counts ``x``'s subtree.
+    ``kids[x]`` lists ``x``'s children by ``(ids[c], c)``, and ``size[x]`` counts
+    ``x``'s subtree.
     """
 
     def __init__(self, bottom_up: Sequence[int], parent: Sequence[int], table: CodeTable):
         self.parent, self.table = parent, table
-        self.ids = ids = [-1] * len(parent)
-        self.size = size = [1] * len(parent)
-        kids: list[list[int]] = [[] for _ in parent]
-        for x in sorted(bottom_up):
-            kids[parent[x]].append(x)
-        for x in bottom_up:
-            ids[x] = table.get(tuple(sorted([ids[c] for c in kids[x]])), -1)
-            size[parent[x]] += size[x]
-        self.kids = [sorted(ks, key=ids.__getitem__) if len(ks) > 1 else ks for ks in kids]
+        roots = [v for v, p in enumerate(parent) if p == -1]  # the 2-core vertices
+        self.ids, self.kids, self.size = _ahu([*bottom_up, *roots], parent, table)
 
 
 class _Engine:
@@ -360,39 +353,25 @@ class _Engine:
                     stack.append(w)
         return attach == 0 and half // 2 == verts - 1
 
-    def _pendant_code(self, u: int) -> tuple[int | None, dict[int, list[int]]]:
-        """Id of the tree the remainder hangs at ``u``, and its children lists.
-
-        The id is None when no target subtree has the tree's code.  Each vertex's
-        children are listed by ``(id, vertex)``.
-        """
+    def _pendant_code(self, u: int) -> tuple[int, dict[int, list[int]]]:
+        """Id of the tree the remainder hangs at ``u``, -1 for a shape no target
+        subtree has, and each of its vertices' children by ``(id, vertex)``."""
         inc, removed, g2t = self.g.incidence, self.removed, self.g2t
         parent = {u: -1}
-        kids: dict[int, list[int]] = {}
         order = [u]
         for x in order:
-            kids[x] = [w for e, w in inc[x] if e not in removed and g2t[w] < 0 and w != parent[x]]
-            for w in kids[x]:
-                parent[w] = x
-            order.extend(kids[x])
-        ids: dict[int, int] = {}
-        code = lookup_root_id(reversed(order), parent, self.trim.table, ids)
-        if code is not None:
-            for ks in kids.values():
-                ks.sort(key=lambda c: (ids[c], c))
-        return code, kids
+            for e, w in inc[x]:
+                if e not in removed and g2t[w] < 0 and w != parent[x]:
+                    parent[w] = x
+                    order.append(w)
+        ids, kids, _ = _ahu(reversed(order), parent, self.trim.table)
+        return ids[u], kids
 
     def _bind_tree(self, gu: int, tw: int, kids: Sequence[list[int]] | dict) -> None:
-        """Bind the tree hanging at ``gu`` onto the equal-id target subtree at ``tw``.
-
-        Both sides list children by ``(id, vertex)``, and equal-id siblings are
-        interchangeable, so pairing the i-th children is an isomorphism.
-        """
-        stack = [(gu, tw)]
-        while stack:
-            gx, tx = stack.pop()
+        """Bind the tree hanging at ``gu`` onto the equal-id target subtree at ``tw``;
+        both sides list children by ``(id, vertex)``."""
+        for tx, gx in _pair_children(tw, self.tt.children, gu, kids).items():
             self._bind(tx, gx)
-            stack.extend(zip(kids[gx], self.tt.children[tx]))
 
     # -- node opening --------------------------------------------------------
 
@@ -530,10 +509,9 @@ class _Engine:
 
 def _rooting(target: TargetTree | UGraph) -> TargetTree:
     """The target rooted at its first center: the caller's rooting if it is that one."""
-    if not isinstance(target, TargetTree):
-        return TargetTree(target, tree_centers(target)[0])
-    root = _first_center(target)
-    return target if target.root == root else TargetTree(target.tree, root)
+    tt = target if isinstance(target, TargetTree) else TargetTree(target, 0)
+    root = _centers_from(tt.tree, tt._bfs, tt.parent)[0]
+    return tt if tt.root == root else TargetTree(tt.tree, root)
 
 
 def _solve_core(

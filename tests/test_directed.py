@@ -28,7 +28,7 @@ from stiso import (
 )
 from stiso.directed import _arborescence_without
 from stiso.graphs import degree_gap, degree_shift, roots_reaching_all
-from stiso.treecode import _children_by_id, _pair_children, lookup_root_id
+from stiso.treecode import _ahu, _pair_children
 
 
 def _chain(verts, eids):
@@ -310,7 +310,7 @@ def test_integer_code_hit_test_is_exact(monkeypatch):
         table, target_id = target.table, target.ids[target.root]
         size = len(table)
         for d, r, deleted, (order, parent) in spans:
-            hit = lookup_root_id(reversed(order), parent, table) == target_id
+            hit = _ahu(reversed(order), parent, table)[0][r] == target_id
             kept = [a for i, a in enumerate(d.arcs) if i not in deleted]
             witness = UGraph.multigraph(d.n, kept)
             assert hit == (rooted_iso_mapping(target.tree, target.root, witness, r) is not None)
@@ -435,8 +435,8 @@ def test_verdict_hash_past_oracle_scale():
 def _plans_unfiltered(d: DiGraph, target):
     """Every in-arc plan in the solver's order, checked in full whether or not
     its out-degrees fit: yields (root, deleted arcs, passes the degree test,
-    witness parent array or None, witness ids, root id equals the target's)."""
-    table, target_ids = target.table, target.ids
+    witness children by ``(id, vertex)`` or None, root id equals the target's)."""
+    table, root_id = target.table, target.ids[target.root]
     out_deg = [d.out_degree(v) for v in range(d.n)]
     gap = degree_gap(out_deg, [len(c) for c in target.children])
     admissible = roots_reaching_all(d)
@@ -450,11 +450,12 @@ def _plans_unfiltered(d: DiGraph, target):
             deleted = pool.difference(kept)
             passes = degree_shift(out_deg, [d.arcs[a][0] for a in deleted]) == gap
             witness = _arborescence_without(d, r, deleted)
-            parent, ids, hit = None, [0] * d.n, False
+            kids, hit = None, False
             if witness is not None:
                 order, parent = witness
-                hit = lookup_root_id(reversed(order), parent, table, ids) == target_ids[target.root]
-            yield r, deleted, passes, parent, ids, hit, target_ids
+                ids, kids, _ = _ahu(reversed(order), parent, table)
+                hit = ids[r] == root_id
+            yield r, deleted, passes, kids, hit
 
 
 def _small_directed_grid():
@@ -472,7 +473,7 @@ def test_out_degree_filter_is_exact():
     for inst in _small_directed_grid():
         d, target = inst.graph, inst.target
         want = sorted(len(c) for c in target.children)
-        for r, deleted, passes, parent, _, hit, _ in _plans_unfiltered(d, target):
+        for r, deleted, passes, _, hit in _plans_unfiltered(d, target):
             out = [0] * d.n
             for a, (u, _) in enumerate(d.arcs):
                 out[u] += a not in deleted
@@ -490,11 +491,11 @@ def test_filtered_search_matches_unfiltered_reference():
     for inst in _small_directed_grid():
         d, target = inst.graph, inst.target
         expected = Verdict("NO")
-        for r, deleted, _, parent, ids, hit, target_ids in _plans_unfiltered(d, target):
+        # the target's children by this test's own lookup, not read off ``target.children``
+        target_kids = _ahu(reversed(target.order), target.parent, target.table)[1]
+        for r, deleted, _, kids, hit in _plans_unfiltered(d, target):
             if hit:
-                # both sides sorted by this test's own ids, not read off ``target.children``
-                kids = _children_by_id(target.parent, target_ids)
-                mapping = _pair_children(target.root, kids, r, _children_by_id(parent, ids))
+                mapping = _pair_children(target.root, target_kids, r, kids)
                 expected = Verdict("YES", mapping=mapping, removed=frozenset(deleted))
                 break
         stats = DirectedStats()

@@ -20,13 +20,14 @@ from stiso import (
 )
 
 from stiso.treecode import (
-    _first_center,
+    _ahu,
+    _centers_from,
+    _rooted_order,
     arborescence_iso,
-    lookup_root_id,
     rooted_iso,
     subtree_codes,
 )
-from util import brute_iso, complete, path, star
+from util import all_free_trees, brute_centers, brute_iso, complete, path, star
 
 
 def test_rooted_code_base_cases():
@@ -76,13 +77,18 @@ def test_tree_centers():
 
 
 def test_first_center_from_any_rooting():
-    """A rooting's BFS order and parent array give the leaf peel's first centre."""
-    trees = [UGraph(1, []), path(2), path(9), star(7)]
+    """``tree_centers``, and the centre walk from every rooting's BFS order and
+    parent array, give the vertices of least eccentricity: every free tree on up
+    to 9 vertices and a grid of random trees."""
+    trees = [t for ts in all_free_trees(9).values() for t in ts]
+    trees += [path(2), path(9), star(7)]
     trees += [gen_tree(n, seed) for n in range(2, 61) for seed in range(10)]
     for t in trees:
-        first = tree_centers(t)[0]
+        centers = brute_centers(t)
+        assert tree_centers(t) == centers, t.edges
         for r in range(t.n):
-            assert _first_center(TargetTree(t, r)) == first, (t.edges, r)
+            tt = TargetTree(t, r)
+            assert _centers_from(t, tt._bfs, tt.parent) == centers, (t.edges, r)
 
 
 def test_centers_and_unrooted_iso_reject_non_trees():
@@ -248,26 +254,6 @@ def test_unrooted_code_brute_force_spot_check():
     assert (unrooted_code(t1) == unrooted_code(t2)) == brute_iso(t1, t2)
 
 
-def _bottom_up(tree: UGraph, root: int):
-    tt = TargetTree(tree, root)
-    return list(reversed(tt.order)), tt.parent
-
-
-def test_lookup_root_id_matches_interning_without_growing_the_table():
-    target = TargetTree(gen_tree(12, 3), 0)
-    table, root_id = target.table, target.ids[0]
-    size = len(table)
-    perm = list(range(12))
-    random.Random(5).shuffle(perm)
-    same = target.tree.relabeled(perm)
-    assert lookup_root_id(*_bottom_up(same, perm[0]), table) == root_id
-    # a non-isomorphic tree: a key the target never produced ends the walk
-    assert lookup_root_id(*_bottom_up(star(12), 0), table) is None
-    # every key known (a proper subtree of the target) but a different root id
-    assert lookup_root_id(*_bottom_up(path(2), 0), table) not in (None, root_id)
-    assert len(table) == size
-
-
 def _assert_ids_match_codes(tt: TargetTree, codes: list[str]) -> None:
     """Equal ids iff equal codes; each id is the table's for its children's ids."""
     assert len(set(tt.ids)) == len(set(codes)) == len(set(zip(tt.ids, codes)))
@@ -312,8 +298,6 @@ def test_target_tree_orders_children_by_code_at_and_next_to_centers():
     and two siblings' string codes are equal iff their ids are: every free tree
     on up to 9 vertices in every rooting, and larger trees (up to 1000 vertices)
     rooted at each centre and at each centre's neighbours."""
-    from util import all_free_trees
-
     cases = [(t, r) for trees in all_free_trees(9).values() for t in trees for r in range(t.n)]
     trees = [gen_tree(n, seed) for n in range(2, 61) for seed in range(4)]
     trees += [gen_tree(1000, seed) for seed in range(3)]
@@ -334,8 +318,6 @@ def test_target_tree_orders_equal_size_siblings_by_code_bytes():
     vertices, in every rooting, hangs from one root, under two labellings, so
     that one vertex has siblings of every shape; the tree is also rooted inside
     those subtrees."""
-    from util import all_free_trees
-
     edges, n = [], 1
     for t in all_free_trees(7)[7]:
         for r in range(7):
@@ -349,26 +331,29 @@ def test_target_tree_orders_equal_size_siblings_by_code_bytes():
 
 
 def test_match_sorts_only_the_candidate(monkeypatch):
-    """``TargetTree.match`` sorts children by id once per isomorphic candidate, for
-    the candidate alone: the target's ``children`` are already in that order."""
+    """``TargetTree.match`` runs one lookup pass per candidate, over the candidate
+    alone: the target's ``children`` are already in ``(id, vertex)`` order."""
     from stiso import treecode
 
     calls = []
-    real = treecode._children_by_id
-    monkeypatch.setattr(
-        treecode, "_children_by_id", lambda parent, ids: (calls.append(parent), real(parent, ids))[1]
-    )
+    real = treecode._ahu
+    def counted(order, parent, table, **kw):
+        calls.append(parent)
+        return real(order, parent, table, **kw)
+
+    monkeypatch.setattr(treecode, "_ahu", counted)
     answers = []
     for seed in range(20):
         t = gen_tree(25, seed)
         tt = TargetTree(t, 0)
+        tt.table  # builds the target's layer before counting
         perm = list(range(25))
         random.Random(seed).shuffle(perm)
         for other, root in ((t.relabeled(perm), perm[0]), (gen_tree(25, seed + 100), 0)):
-            order, parent = treecode._rooted_order(other, root)
+            order, parent = _rooted_order(other, root)
             calls.clear()
             mapping = tt.match(order, parent)
-            assert calls == ([] if mapping is None else [parent])
+            assert calls == [parent]
             if mapping is not None:
                 assert all(parent[mapping[a]] == mapping[tt.parent[a]] for a in range(1, 25))
             answers.append(mapping is not None)
@@ -428,16 +413,42 @@ def test_target_tree_on_a_long_path():
     assert len(tt.table) == n // 2 + 1
 
 
-def test_per_vertex_ids_agree_between_interning_and_lookup():
-    target = TargetTree(gen_tree(14, 4), 0)
-    table, ids = target.table, target.ids
-    _assert_ids_match_codes(target, subtree_codes(target.tree, 0))
-    perm = list(range(14))
-    random.Random(8).shuffle(perm)
-    same = target.tree.relabeled(perm)
-    looked_up = [None] * 14
-    assert lookup_root_id(*_bottom_up(same, perm[0]), table, looked_up) == ids[0]
-    assert looked_up == [ids[perm.index(v)] for v in range(14)]
+def test_ahu_pass_interns_and_looks_up_alike():
+    """One table is interned from every rooting of every free tree on up to 7
+    vertices; every rooting up to 9 vertices is then looked up in it.  Equal ids
+    iff equal string codes, a lookup gives the interned id and never grows the
+    table, a shape the table lacks gets -1 and so does every ancestor, children
+    come by ``(id, vertex)``, sizes match the codes, and a dict-keyed forest gets
+    the same answers."""
+    table: dict = {}
+    id_of: dict[str, int] = {}  # string code -> interned id
+    misses = 0
+    for n, trees in sorted(all_free_trees(9).items()):
+        for t in trees:
+            for r in range(n):
+                order, parent = _rooted_order(t, r)
+                codes = subtree_codes(t, r)
+                if n <= 7:
+                    ids = _ahu(reversed(order), parent, table, intern=True)[0]
+                    for v in range(n):
+                        assert id_of.setdefault(codes[v], ids[v]) == ids[v], (t.edges, r)
+                    assert len(table) == len(id_of) == len(set(id_of.values()))
+                size = len(table)
+                ids, kids, sizes = _ahu(reversed(order), parent, table)
+                assert len(table) == size
+                assert ids == [id_of.get(c, -1) for c in codes], (t.edges, r)
+                assert sizes == [len(c) // 2 for c in codes]
+                for v in range(n):
+                    below = [c for c in range(n) if parent[c] == v]
+                    assert kids[v] == sorted(below, key=lambda c: (ids[c], c)), (t.edges, r)
+                    if ids[v] == -1 and parent[v] != -1:
+                        assert ids[parent[v]] == -1, (t.edges, r, v)
+                misses += ids[r] == -1
+                # the same tree keyed by a dict, as the undirected pendants are
+                keyed = {v: parent[v] for v in order}
+                as_dicts = tuple(dict(enumerate(x)) for x in (ids, kids, sizes))
+                assert _ahu(reversed(order), keyed, table) == as_dicts
+    assert misses > 0
 
 
 def _canonical(tt: TargetTree) -> tuple:

@@ -113,13 +113,14 @@ def test_unicyclic_degree_test_skips_every_tree(monkeypatch):
     import stiso.treecode
 
     lookups = []
-    real = stiso.treecode.lookup_root_id
+    real = stiso.treecode._ahu
 
-    def counted(*args):
-        lookups.append(args)
-        return real(*args)
+    def counted(*args, intern=False):
+        if not intern:  # the target's own interning is not a lookup
+            lookups.append(args)
+        return real(*args, intern=intern)
 
-    monkeypatch.setattr(stiso.treecode, "lookup_root_id", counted)
+    monkeypatch.setattr(stiso.treecode, "_ahu", counted)
     n = 1000
     assert not solve_undirected(cycle(n), star(n)).is_yes
     assert lookups == []
@@ -313,6 +314,35 @@ def test_root_prune_is_exact():
                 rejected_total += v in rejected
                 kept_total += v not in rejected
     assert rejected_total > 0 and kept_total > 0
+
+
+def test_trim_forest_lists_children_by_id_at_every_vertex():
+    """The trim forest's ids are the table's for each vertex's sorted child ids
+    (-1 when missing), its sizes count the subtrees, and every vertex, 2-core
+    vertices too, lists its trim children by ``(id, vertex)``."""
+    from stiso.graphs import peel_leaves
+    from stiso.undirected import _Forest
+
+    # the 2-core vertex 0 gets leaf 4, then the two-vertex path 5-6, then leaf 7
+    hand = UGraph(8, list(complete(4).edges) + [(0, 4), (0, 5), (5, 6), (0, 7)])
+    spider = UGraph(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
+    cases = [(hand, TargetTree(spider, 0))]
+    for seed in range(40):
+        mode = "planted-yes" if seed % 2 else "random"
+        inst = gen_instance(GenSpec(n=8 + seed, k=2 + seed % 4, seed=seed, mode=mode))
+        cases.append((inst.graph, TargetTree(inst.target.tree, 0)))
+    forests = []
+    for g, tt in cases:
+        order, parent, _ = peel_leaves(g)
+        trim = _Forest(order, parent, tt.table)
+        forests.append(trim)
+        for v in range(g.n):
+            below = [c for c in range(g.n) if parent[c] == v]
+            assert trim.kids[v] == sorted(below, key=lambda c: (trim.ids[c], c)), (g.edges, v)
+            assert trim.size[v] == 1 + sum(trim.size[c] for c in below)
+            if parent[v] != -1:
+                assert trim.ids[v] == tt.table.get(tuple(sorted(trim.ids[c] for c in below)), -1)
+    assert forests[0].kids[0] == [4, 7, 5]  # the two leaves share an id
 
 
 def test_root_prune_two_equal_pendants_at_core_root():
@@ -754,8 +784,8 @@ def test_connectivity_checked_once_per_solve(monkeypatch):
 def test_target_tree_not_revalidated_per_solve(monkeypatch):
     # k = 0, 1, and >= 2, the target rooted at vertex 1 and at a center.  The
     # search reuses the caller's rooting if it is at the first center; any other
-    # costs one fresh rooting there.  No solve builds a string code, checks the
-    # target's connectivity or peels its leaves for its centres
+    # costs one fresh rooting there.  No solve builds a string code or checks the
+    # target's connectivity, and its centres are read once off the caller's rooting
     from stiso import treecode, undirected
     from stiso.undirected import _solve_core
 
@@ -767,12 +797,12 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
         (hub_with_leaves(30), path(30), False),
     ]
     real, real_codes, real_order = UGraph.is_connected, treecode._codes, treecode._rooted_order
-    real_centers = treecode._centers
+    real_centers = treecode._centers_from
     for g, tree, answer in cases:
         centers = treecode.tree_centers(tree)
         for root in (1, centers[-1]):
             target = TargetTree(tree, root)
-            calls, codes, rootings = [], [], []
+            calls, codes, rootings, walks = [], [], [], []
 
             def counted(self, *args, **kwargs):
                 if self is tree:
@@ -788,16 +818,16 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
                     rootings.append(r)
                 return real_order(t, r)
 
-            def counted_centers(t):
+            def counted_centers(t, order, parent):
                 if t is tree:
-                    calls.append(t)
-                return real_centers(t)
+                    walks.append(order is target._bfs)
+                return real_centers(t, order, parent)
 
             monkeypatch.setattr(UGraph, "is_connected", counted)
             monkeypatch.setattr(treecode, "_codes", counted_codes)
             monkeypatch.setattr(treecode, "_rooted_order", counted_order)
             for module in (treecode, undirected):
-                monkeypatch.setattr(module, "_centers", counted_centers)
+                monkeypatch.setattr(module, "_centers_from", counted_centers)
             lines = []
             k = g.m - g.n + 1
             if answer:
@@ -811,8 +841,8 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
             monkeypatch.setattr(treecode, "_codes", real_codes)
             monkeypatch.setattr(treecode, "_rooted_order", real_order)
             for module in (treecode, undirected):
-                monkeypatch.setattr(module, "_centers", real_centers)
-            assert calls == [] and codes == []
+                monkeypatch.setattr(module, "_centers_from", real_centers)
+            assert calls == [] and codes == [] and walks == [True]
             assert answer or _screened(g, target)
             assert rootings == ([] if root == centers[0] else [centers[0]]), (tree.n, root)
             if not answer and g.m - g.n >= 1:  # a k >= 2 NO scans the one rooting

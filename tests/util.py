@@ -78,6 +78,19 @@ def brute_rooted_iso(t1: UGraph, r1: int, t2: UGraph, r2: int) -> bool:
     return brute_iso(t1, t2, fixed=(r1, r2))
 
 
+def brute_centers(t: UGraph) -> list[int]:
+    """The vertices of least eccentricity, by a breadth-first search from every vertex."""
+    ecc = []
+    for s in range(t.n):
+        seen, layer, depth = {s}, [s], -1
+        while layer:  # one layer per distance from s
+            depth += 1
+            layer = [w for v in layer for w in t.neighbors(v) if w not in seen]
+            seen.update(layer)
+        ecc.append(depth)
+    return [v for v in range(t.n) if ecc[v] == min(ecc)]
+
+
 def all_free_trees(n_max: int) -> dict[int, list[UGraph]]:
     """One representative per isomorphism class of trees, for n = 1..n_max."""
     catalogue: dict[int, list[UGraph]] = {1: [UGraph(1, [])]}
