@@ -413,6 +413,36 @@ def test_target_tree_on_a_long_path():
     assert len(tt.table) == n // 2 + 1
 
 
+def _look_up(tree: UGraph, root: int, table: dict) -> list[int]:
+    order, parent = _rooted_order(tree, root)
+    return _ahu(reversed(order), parent, table)[0]
+
+
+def test_lookup_root_id_matches_interning_without_growing_the_table():
+    target = TargetTree(gen_tree(12, 3), 0)
+    table, root_id = target.table, target.ids[0]
+    size = len(table)
+    perm = list(range(12))
+    random.Random(5).shuffle(perm)
+    same = target.tree.relabeled(perm)
+    assert _look_up(same, perm[0], table)[perm[0]] == root_id
+    # a non-isomorphic tree: a key the target never produced gives -1
+    assert _look_up(star(12), 0, table)[0] == -1
+    # every key known (a proper subtree of the target) but a different root id
+    assert _look_up(path(2), 0, table)[0] not in (-1, root_id)
+    assert len(table) == size
+
+
+def test_per_vertex_ids_agree_between_interning_and_lookup():
+    target = TargetTree(gen_tree(14, 4), 0)
+    table, ids = target.table, target.ids
+    _assert_ids_match_codes(target, subtree_codes(target.tree, 0))
+    perm = list(range(14))
+    random.Random(8).shuffle(perm)
+    same = target.tree.relabeled(perm)
+    assert _look_up(same, perm[0], table) == [ids[perm.index(v)] for v in range(14)]
+
+
 def test_ahu_pass_interns_and_looks_up_alike():
     """One table is interned from every rooting of every free tree on up to 7
     vertices; every rooting up to 9 vertices is then looked up in it.  Equal ids
