@@ -45,7 +45,7 @@ from .treecode import (
     unrooted_code,
     unrooted_iso,
 )
-from .undirected import SolveStats, certify_undirected, solve_undirected, solve_unicyclic
+from .undirected import SolveStats, certify_undirected, solve_undirected
 
 __all__ = [
     "AnchorChain",
@@ -83,7 +83,6 @@ __all__ = [
     "rooted_iso_mapping",
     "solve_directed",
     "solve_undirected",
-    "solve_unicyclic",
     "target_tree_from_digraph",
     "tree_centers",
     "unrooted_code",

@@ -469,15 +469,3 @@ def peel_leaves(g: UGraph) -> tuple[list[int], list[int], list[int]]:
             heapq.heappush(heap, u)
     return trim_order, trim_parent, deg
 
-
-def cycle_edges(g: UGraph) -> list[int]:
-    """Edge ids of the unique cycle of a connected graph with m = n, sorted:
-    the edges with both ends in the 2-core.
-
-    Raises RuntimeError unless m = n.  Parallel edges (a 2-cycle) and a
-    self-loop are allowed.
-    """
-    if g.m != g.n:
-        raise RuntimeError(f"expected one edge outside a spanning tree, found {g.m - g.n + 1}")
-    trim_parent = peel_leaves(g)[1]
-    return [e for e, (u, v) in enumerate(g.edges) if trim_parent[u] == trim_parent[v] == -1]

@@ -22,7 +22,7 @@ the reference the integer codes are checked against.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .graphs import DiGraph, UGraph, bfs, reachable_all
 
@@ -184,22 +184,19 @@ def rooted_iso_mapping(t1: UGraph, r1: int, t2: UGraph, r2: int) -> dict[int, in
 
 def _pair_children(
     r1: int, kids1: Sequence[Sequence[int]], r2: int, kids2: Sequence[Sequence[int]]
-) -> dict[int, int]:
-    """The isomorphism ``r1 -> r2`` between two rooted trees whose vertex ids
-    come from one table and whose root ids are equal, given each vertex's
-    children in ``(id, vertex)`` order (:func:`_ahu`).
+) -> Iterator[tuple[int, int]]:
+    """The pairs of the isomorphism ``r1 -> r2``, root pair first, between two
+    rooted trees whose vertex ids come from one table and whose root ids are
+    equal, given each vertex's children in ``(id, vertex)`` order (:func:`_ahu`).
 
     Children with equal ids are interchangeable, so pairing the children of
     each matched pair in that order on both sides is a valid bijection.
     """
-    mapping = {r1: r2}
     stack = [(r1, r2)]
     while stack:
-        a, b = stack.pop()
-        for x, y in zip(kids1[a], kids2[b]):
-            mapping[x] = y
-            stack.append((x, y))
-    return mapping
+        pair = stack.pop()
+        yield pair
+        stack.extend(zip(kids1[pair[0]], kids2[pair[1]]))
 
 
 def arborescence_root(d: DiGraph) -> int:
@@ -280,7 +277,7 @@ class TargetTree:
         ids, kids, _ = _ahu(reversed(order), parent, self.table)
         if ids[order[0]] != self.ids[self.root]:
             return None
-        return _pair_children(self.root, self.children, order[0], kids)
+        return dict(_pair_children(self.root, self.children, order[0], kids))
 
     @property
     def n(self) -> int:

@@ -1,14 +1,14 @@
 """Undirected spanning-tree isomorphism solver.
 
-Dispatch by redundant-set size ``k = m - (n-1)``: ``k = 0`` is a plain tree
-isomorphism check, ``k = 1`` removes in turn each cycle edge whose removal
-leaves the target's degree multiset, and ``k >= 2`` runs the core search:
-peel the graph's leaves down to its 2-core, root the target at its first
-centre, and for every graph root try to grow the target tree through the
-graph in the target's DFS order.  Any witness maps that centre to some graph
-vertex, and every vertex is tried, so one rooting of the target suffices.
+One search decides every redundant-set size ``k = m - (n-1)``: peel the
+graph's leaves down to its 2-core, root the target at its first centre, and
+for every graph root try to grow the target tree through the graph in the
+target's DFS order.  It is exact for every k, 0 and 1 included: any witness
+maps that centre to some graph vertex with at least as many neighbours as
+the centre has children, and the root scan tries every such vertex, so one
+rooting of the target suffices.
 
-Before the dispatch, a degree screen decides a NO in O(n), with no leaf
+Before the search, a degree screen decides a NO in O(n), with no leaf
 peel, rooting or code table (:func:`~stiso.graphs.degrees_cover`).  Say
 ``g - R`` is isomorphic to the target for a set ``R`` of k edges.  (1) The
 isomorphism maps each target vertex onto a graph vertex of at least its
@@ -43,23 +43,25 @@ subtree without a matched vertex is untouched.  Each unmatched neighbour
 ``u`` of ``rg`` falls under one of three rules.  (1) ``u`` is a trim child
 of ``rg``: its subtree is a pendant of known id.  (2) ``u`` is the trim
 parent of ``rg``: the matched region lies in ``rg``'s subtree, so ``u``'s
-side is the rest of the graph, which holds the 2-core's cycles; no
-pendant.  (3) Otherwise ``rg`` and ``u`` are in the 2-core, and a walk of
-the remainder visits 2-core vertices only, counting an unmatched trim
-child as its whole subtree.  A pendant it finds is looked up in the same
-table.  A pendant takes the first unmatched target child of equal id, and
-children bind in ``(id, vertex)`` order on both sides.
+side is the rest of the graph, which holds the 2-core (a tree at k = 0);
+it is only branched on, never bound as a pendant, and branching tries
+every placement.  (3) Otherwise ``rg`` and ``u`` are in the 2-core, and a
+walk of the remainder visits 2-core vertices only, counting an unmatched
+trim child as its whole subtree.  A pendant it finds is looked up in the
+same table.  A pendant takes the first unmatched target child of equal id,
+and children bind in ``(id, vertex)`` order on both sides.
 
 The walk runs only while some removed edge has an unmatched end (a cut
 edge; only an ``_open`` that fills all of a vertex's children drops one).
-Without a cut edge rule (3) finds no pendant, by a degree count.  Say
-``u``'s component C is a tree whose one edge to the matched region is
-``(rg, u)``.  Its 2-core part is connected, since a trim subtree touches
-the rest only at its attachment, so it is a tree on c vertices with c - 1
-kept edges.  Each 2-core vertex has 2-core degree >= 2, so at least two
-more 2-core edge ends lie in C.  A kept edge leaving C goes to the matched
-region, and only ``(rg, u)`` does, so some edge at C is removed, and its
-end in C is unmatched.
+Without a cut edge rule (3) finds no pendant, by a degree count (at k = 0
+the 2-core is one vertex, so rule (3) never applies).  Say ``u``'s
+component C is a tree whose one edge to the matched region is ``(rg, u)``.
+Its 2-core part is connected, since a trim subtree touches the rest only at
+its attachment, so it is a tree on c vertices with c - 1 kept edges.  Each
+2-core vertex has 2-core degree >= 2, so at least two more 2-core edge ends
+lie in C.  A kept edge leaving C goes to the matched region, and only
+``(rg, u)`` does, so some edge at C is removed, and its end in C is
+unmatched.
 
 Before any attempt, the root scan rejects each candidate ``v`` whose
 pendant check must fail, in O(deg v) and with no per-solve table: with
@@ -78,25 +80,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import (
-    UGraph,
-    Verdict,
-    cycle_edges,
-    degree_gap,
-    degree_shift,
-    degrees_cover,
-    peel_leaves,
-)
-from .treecode import (
-    CodeTable,
-    TargetTree,
-    _ahu,
-    _centers_from,
-    _pair_children,
-    _rooted_order,
-    target_graph,
-    tree_centers,
-)
+from .graphs import UGraph, Verdict, degree_gap, degrees_cover, peel_leaves
+from .treecode import CodeTable, TargetTree, _ahu, _centers_from, _pair_children, target_graph
 
 
 @dataclass
@@ -144,83 +129,14 @@ def solve_undirected(
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
     stats.k = k
-    degree = list(map(len, g.incidence))
-    gap = degree_gap(degree, map(len, ttree.incidence))
-    if not degrees_cover(gap):
+    if not degrees_cover(degree_gap(map(len, g.incidence), map(len, ttree.incidence))):
         if trace is not None:
             trace("screen=degrees fail:uncovered")
         return Verdict("NO", note="degree screen: the graph's degrees do not cover the target's")
-    if k == 0:
-        verdict = _solve_tree(g, target)
-    elif k == 1:
-        verdict = _solve_unicyclic(g, target, degree, gap)
-    else:
-        verdict = _solve_core(g, target, k, stats, trace)
+    verdict = _solve_core(g, target, k, stats, trace)
     if verdict.is_yes and not certify_undirected(g, target, verdict):
         raise RuntimeError("YES verdict failed certification")
     return verdict
-
-
-def _solve_tree(g: UGraph, target: TargetTree | UGraph) -> Verdict:
-    """k = 0: the graph is itself the only spanning tree candidate."""
-    mapping = _tree_matcher(target)(g)  # connected with n - 1 edges: a tree
-    if mapping is None:
-        return Verdict("NO")
-    return Verdict("YES", mapping=mapping, removed=frozenset())
-
-
-def solve_unicyclic(g: UGraph, target: TargetTree | UGraph) -> Verdict:
-    """k = 1: remove each edge of the unique cycle and test tree isomorphism.
-
-    Dropping edge ``(u, v)`` lowers the degrees of ``u`` and ``v`` by one, so
-    an edge whose drop leaves a degree multiset other than the target's is
-    rejected in O(1), before its tree is built.
-    """
-    ttree = target_graph(target)
-    if g.n != ttree.n:
-        raise ValueError(f"vertex counts differ: graph {g.n}, target {ttree.n}")
-    if not g.is_connected():
-        return Verdict("NO", note="graph is disconnected: no spanning tree exists")
-    if g.m - (g.n - 1) != 1:
-        raise ValueError("solve_unicyclic requires redundant size exactly 1")
-    degree = list(map(len, g.incidence))
-    return _solve_unicyclic(g, target, degree, degree_gap(degree, map(len, ttree.incidence)))
-
-
-def _solve_unicyclic(
-    g: UGraph, target: TargetTree | UGraph, degree: list[int], gap: dict[int, int]
-) -> Verdict:
-    """:func:`solve_unicyclic` on a graph the caller has checked, given its
-    ``degree`` list and ``degree_gap(degree, target degrees)``."""
-    match = _tree_matcher(target)
-    for eid in cycle_edges(g):
-        if degree_shift(degree, g.edges[eid]) != gap:
-            continue
-        rest = [e for i, e in enumerate(g.edges) if i != eid]
-        mapping = match(UGraph(g.n, rest))  # a spanning tree: connected, with n - 1 edges
-        if mapping is not None:
-            return Verdict("YES", mapping=mapping, removed=frozenset({eid}))
-    return Verdict("NO")
-
-
-def _tree_matcher(target: TargetTree | UGraph) -> Callable[[UGraph], dict[int, int] | None]:
-    """The returned function maps the target onto a tree on the same vertices,
-    or returns None.
-
-    An isomorphism maps a centre onto a centre, so the target rooted at its
-    first centre (:func:`_rooting`) is matched against the tree rooted at each
-    of its centres by :meth:`~stiso.treecode.TargetTree.match`.
-    """
-    tt = _rooting(target)
-
-    def match(h: UGraph) -> dict[int, int] | None:
-        for rh in tree_centers(h):
-            mapping = tt.match(*_rooted_order(h, rh))
-            if mapping is not None:
-                return mapping
-        return None
-
-    return match
 
 
 def certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict) -> bool:
@@ -251,7 +167,7 @@ def certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict)
 
 
 # ---------------------------------------------------------------------------
-# core search (k >= 2)
+# the search
 
 
 class _Forest:
@@ -370,7 +286,7 @@ class _Engine:
     def _bind_tree(self, gu: int, tw: int, kids: Sequence[list[int]] | dict) -> None:
         """Bind the tree hanging at ``gu`` onto the equal-id target subtree at ``tw``;
         both sides list children by ``(id, vertex)``."""
-        for tx, gx in _pair_children(tw, self.tt.children, gu, kids).items():
+        for tx, gx in _pair_children(tw, self.tt.children, gu, kids):
             self._bind(tx, gx)
 
     # -- node opening --------------------------------------------------------
@@ -521,24 +437,28 @@ def _solve_core(
     stats: SolveStats,
     trace: TraceFn | None,
 ) -> Verdict:
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * g.n + 1000))
     trim_order, trim_parent, deg = peel_leaves(g)
     stats.anchors = sum(d >= 3 for d in deg)  # the kernel's vertices
     tt = _rooting(target)
     engine = _Engine(g, tt, k, stats, _Forest(trim_order, trim_parent, tt.table))
     min_children = len(tt.children[tt.root])
-    for v, pairs in enumerate(g.incidence):
-        if len(pairs) < min_children:
-            continue
-        stats.roots_tried += 1
-        if not engine.root_fits(v):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10 * g.n + 1000))
+    try:
+        for v, pairs in enumerate(g.incidence):
+            if len(pairs) < min_children:
+                continue
+            stats.roots_tried += 1
+            if not engine.root_fits(v):
+                if trace is not None:
+                    trace(f"troot={tt.root} root={v} pi=- fail:pendant-unmatched")
+                continue
+            verdict = engine.attempt(v)
             if trace is not None:
-                trace(f"troot={tt.root} root={v} pi=- fail:pendant-unmatched")
-            continue
-        verdict = engine.attempt(v)
-        if trace is not None:
-            outcome = "yes" if verdict else f"fail:{engine.fail_reason or 'exhausted'}"
-            trace(f"troot={tt.root} root={v} pi=- {outcome}")
-        if verdict is not None:
-            return verdict
-    return Verdict("NO")
+                outcome = "yes" if verdict else f"fail:{engine.fail_reason or 'exhausted'}"
+                trace(f"troot={tt.root} root={v} pi=- {outcome}")
+            if verdict is not None:
+                return verdict
+        return Verdict("NO")
+    finally:
+        sys.setrecursionlimit(limit)

@@ -122,6 +122,15 @@ def test_trace_goes_to_stderr(files):
     assert "root=" not in res.stdout
 
 
+def test_trace_at_k1(files):
+    # the cycle C5 against P5 goes through the same search as any k
+    _, write = files
+    c5 = "5 5 U\n0 1\n1 2\n2 3\n3 4\n4 0\n"
+    res = run_cli("solve", "-g", write("g.txt", c5), "-t", write("t.txt", P5), "--trace")
+    assert (res.returncode, res.stdout) == (0, "YES\n")
+    assert res.stderr.startswith("troot=")
+
+
 def test_fallback_flag_has_no_effect(files):
     _, write = files
     for graph, target in ((THETA, P5), (FAN, K13)):

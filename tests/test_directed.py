@@ -495,7 +495,7 @@ def test_filtered_search_matches_unfiltered_reference():
         target_kids = _ahu(reversed(target.order), target.parent, target.table)[1]
         for r, deleted, _, kids, hit in _plans_unfiltered(d, target):
             if hit:
-                mapping = _pair_children(target.root, target_kids, r, kids)
+                mapping = dict(_pair_children(target.root, target_kids, r, kids))
                 expected = Verdict("YES", mapping=mapping, removed=frozenset(deleted))
                 break
         stats = DirectedStats()

@@ -15,7 +15,7 @@ from stiso import (
 )
 
 from stiso import graphs
-from stiso.graphs import cycle_edges, degree_gap, degrees_cover, roots_reaching_all
+from stiso.graphs import degree_gap, degrees_cover, roots_reaching_all
 from util import complete, cycle, path, reference_incidence, reference_parse, star
 
 
@@ -378,60 +378,6 @@ def test_roots_reaching_all_cycle_through_arborescence_root():
     assert roots_reaching_all(d) == [True, True, True, False, False] == _per_root(d)
 
 
-def test_cycle_edges_unique_cycle():
-    # triangle 1-2-3 with pendant path 0-1 and leaf 4 on 3
-    g = UGraph(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)])
-    assert cycle_edges(g) == [1, 2, 3]
-    assert cycle_edges(cycle(6)) == list(range(6))
-    # an antiparallel arc pair underlies a 2-cycle of parallel edges
-    assert cycle_edges(UGraph.multigraph(3, [(0, 1), (1, 2), (2, 1)])) == [1, 2]
-
-
-def _connected_by_union_find(n: int, edges) -> bool:
-    """Connectivity by union-find, independent of the package's searches."""
-    root = list(range(n))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    parts = n
-    for u, v in edges:
-        a, b = find(u), find(v)
-        if a != b:
-            root[a] = b
-            parts -= 1
-    return parts <= 1
-
-
-def test_cycle_edges_are_the_edges_whose_removal_keeps_connectivity():
-    """An edge of a connected graph with m = n lies on its cycle iff the graph
-    without it stays connected."""
-    cases = [UGraph.multigraph(3, [(0, 1), (1, 2), (2, 1)]), UGraph.multigraph(1, [(0, 0)])]
-    for seed in range(60):
-        rnd = random.Random(seed)
-        n = rnd.randint(2, 40)
-        tree = list(gen_tree(n, seed).edges)
-        kind = seed % 3
-        if kind == 0 and n >= 3:  # a simple cycle through the extra edge
-            extra = rnd.choice([(u, v) for u in range(n) for v in range(u + 1, n)
-                                if (u, v) not in tree and (v, u) not in tree])
-        elif kind == 1:  # a 2-cycle: a tree edge doubled
-            extra = rnd.choice(tree)
-        else:  # a self-loop
-            v = rnd.randrange(n)
-            extra = (v, v)
-        edges = tree + [extra]
-        rnd.shuffle(edges)
-        cases.append(UGraph.multigraph(n, edges))
-    for g in cases:
-        others = [g.edges[:e] + g.edges[e + 1 :] for e in range(g.m)]
-        rule = [e for e, rest in enumerate(others) if _connected_by_union_find(g.n, rest)]
-        assert cycle_edges(g) == rule, g.edges
-
-
 def test_bfs_order_and_parent():
     # a square 0-1-3-2 with the tail 3-4, and 5 unreached
     g = UGraph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
@@ -451,12 +397,6 @@ def test_bfs_order_and_parent():
     assert graphs.bfs(d.out_inc, 1) == ([1, 2, 0], [2, -1, 1, -1])
     assert graphs.bfs(d.out_inc, 1, {1}) == ([1], [-1] * 4)
     assert graphs.bfs(d.in_inc, 0) == ([0, 2, 3, 1], [-1, 2, 0, 0])
-
-
-def test_cycle_edges_raises_on_two_extra_edges():
-    g = UGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    with pytest.raises(RuntimeError, match="found 2"):
-        cycle_edges(g)
 
 
 def test_relabeled_rejects_non_permutation():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -15,7 +16,6 @@ from stiso import (
     gen_tree,
     oracle_undirected,
     solve_undirected,
-    solve_unicyclic,
     tree_centers,
 )
 from stiso.graphs import degree_gap, degrees_cover
@@ -29,6 +29,7 @@ from util import (
     end_chord_path,
     hub_with_leaves,
     path,
+    reference_oracle_undirected,
     star,
 )
 
@@ -95,43 +96,76 @@ def test_single_vertex():
 
 
 def test_unicyclic_cases():
-    v = solve_unicyclic(cycle(5), path(5))
+    v = solve_undirected(cycle(5), path(5))
     assert v.is_yes and len(v.removed) == 1
     assert certify_undirected(cycle(5), path(5), v)
     # triangle with two pendant leaves on distinct triangle vertices vs P5
     g = UGraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (2, 4)])
-    assert solve_unicyclic(g, path(5)).is_yes
+    assert solve_undirected(g, path(5)).is_yes
     # C4 with one pendant leaf vs the 5-star
     g2 = UGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-    assert not solve_unicyclic(g2, star(5)).is_yes
+    assert not solve_undirected(g2, star(5)).is_yes
 
 
-def test_unicyclic_degree_test_skips_every_tree(monkeypatch):
-    """A cycle against a star: no cycle edge leaves the star's degrees, so no
-    spanning tree is looked up; against a path the first edge passes.  The
-    lookup is the one ``TargetTree.match`` makes."""
-    import stiso.treecode
-
-    lookups = []
-    real = stiso.treecode._ahu
-
-    def counted(*args, intern=False):
-        if not intern:  # the target's own interning is not a lookup
-            lookups.append(args)
-        return real(*args, intern=intern)
-
-    monkeypatch.setattr(stiso.treecode, "_ahu", counted)
+def test_unicyclic_degree_test_skips_every_tree():
+    """A cycle against a star: the degree screen says NO before any tree is
+    looked up; against a path the search finds a certified YES."""
     n = 1000
-    assert not solve_undirected(cycle(n), star(n)).is_yes
-    assert lookups == []
+    assert _screened(cycle(n), star(n))
     v = solve_undirected(cycle(n), path(n))
-    assert v.is_yes and v.removed == {0}
-    assert len(lookups) == 1
+    assert v.is_yes and certify_undirected(cycle(n), path(n), v)
 
 
-def test_unicyclic_rejects_wrong_surplus():
-    with pytest.raises(ValueError):
-        solve_unicyclic(path(4), path(4))
+def test_low_k_matches_the_code_reference():
+    """k = 0 and 1 against ``reference_oracle_undirected``, which at these k
+    compares unrooted codes alone: of the graph itself at k = 0, and of the
+    graph less each edge that keeps it connected at k = 1."""
+    cases = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        n, k = rng.randint(5, 200), seed % 2
+        mode = "planted-yes" if seed % 4 < 2 else "random"
+        inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases.append((inst.graph.relabeled(perm), inst.target.tree))
+    rng = random.Random(0)
+    for n in range(5, 61):
+        spider = chorded_cycle_and_spider(n, 1, n)[1]  # at k = 1 the cycle has no chord
+        cases += [(cycle(n), path(n)), (cycle(n), spider)]
+        leg = next(v for v in range(1, n) if spider.degree(v) == 1)  # the first leg is 1..leg
+        for tail in (leg, rng.randint(1, n - 3)):  # a tadpole: the cycle 0..c-1, the tail c..n-1
+            c = n - tail
+            cases.append((UGraph(n, [*path(n).edges, (0, c - 1)]), spider))
+    answers = Counter()
+    for g, t in cases:
+        want, v = reference_oracle_undirected(g, t), solve_undirected(g, t)
+        assert v.answer == want.answer, (g.edges, t.edges)
+        assert not v.is_yes or certify_undirected(g, t, v) and certify_undirected(g, t, want)
+        answers[g.m - g.n + 1, v.answer] += 1
+    assert set(answers) == {(0, "YES"), (0, "NO"), (1, "YES"), (1, "NO")}, answers
+
+
+def test_low_k_reports_effort_and_trace():
+    for k in (0, 1):
+        inst = gen_instance(GenSpec(n=30, k=k, seed=k, mode="planted-yes"))
+        stats, lines = SolveStats(), []
+        v = solve_undirected(inst.graph, inst.target, stats=stats, trace=lines.append)
+        assert v.is_yes and stats.k == k
+        assert stats.roots_tried >= stats.attempts >= 1 and stats.nodes_opened >= 1
+        assert lines and all(line.startswith("troot=") for line in lines), lines
+
+
+def test_solve_leaves_the_recursion_limit_as_found():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        for k in (0, 1, 3):
+            inst = gen_instance(GenSpec(n=300, k=k, seed=k, mode="planted-yes"))
+            assert solve_undirected(inst.graph, inst.target).is_yes
+            assert sys.getrecursionlimit() == 1000, k
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_vertex_count_mismatch_is_an_error():
@@ -448,11 +482,13 @@ def test_package_has_no_assert_statements():
 
 
 # SHA-256 of answers, witnesses, removed sets, SolveStats and trace lines over
-# the grid below, printed by the search that lists the target's children by
-# ``(id, vertex)``.  Against the search that listed them in string-code order,
-# all 252 answers are equal, 11 of the 149 YES rows have another witness (each
-# certified, as every YES is), and 79 rows have other counters.
-PINNED_SEARCH_SHA256 = "9fdf90af74dd2e14c74f6550739052cb418e8c69bd41a3e54ebe1223e89a4776"
+# the grid below, printed by the one search that decides every k.  Hashed
+# apart, the 180 k >= 2 rows are byte-identical to those of the solver that
+# sent k = 0 to a tree check and k = 1 to a loop over the cycle's edges
+# (e929a44d7b7dc5218de06d24f5e89d9d15b1610bdc3083bb15e80b34c15a45ce on both).
+# Only the 72 k = 0/1 rows changed: their 72 answers are equal, and they now
+# carry search counters and trace lines.
+PINNED_SEARCH_SHA256 = "14ad688a5c773f22c1593ccc7561f600b2432fe5cb18bb388e2568f86d593e31"
 
 
 def test_search_hash_pinned():
@@ -764,7 +800,7 @@ def test_anchor_count_is_the_kernels():
 
 
 def test_connectivity_checked_once_per_solve(monkeypatch):
-    # k >= 2, and k = 1, whose cycle search the solver calls without its checks
+    # k >= 2 and k = 1
     hub = UGraph(30, [(0, 1), (1, 2), (2, 3)] + [(0, v) for v in range(4, 30)])
     real = UGraph.is_connected
     for g, target in ((hub_with_leaves(30), hub), (cycle(30), path(30))):
@@ -832,9 +868,7 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
             k = g.m - g.n + 1
             if answer:
                 verdict = solve_undirected(g, target, trace=lines.append)
-            elif k == 1:  # the degree screen rejects both NOs: search below it
-                verdict = solve_unicyclic(g, target)
-            else:
+            else:  # the degree screen rejects both NOs: search below it
                 verdict = _solve_core(g, target, k, SolveStats(), lines.append)
             assert verdict.is_yes is answer
             monkeypatch.setattr(UGraph, "is_connected", real)
