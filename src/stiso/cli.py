@@ -151,7 +151,11 @@ def _bench_rows(args):
                     mode = PLANTED if rep % 2 == 0 else RANDOM
                     seed = base * 1_000_003 + counter
                     counter += 1
-                    yield GenSpec(n=n, k=k, seed=seed, mode=mode, directed=directed)
+                    try:
+                        spec = GenSpec(n=n, k=k, seed=seed, mode=mode, directed=directed)
+                    except ValueError:  # an infeasible cell: k exceeds what n vertices hold
+                        continue
+                    yield spec
 
 
 def cmd_bench(args) -> int:

@@ -10,8 +10,8 @@ One bottom-up pass, :func:`_ahu`, gives every rooted tree its ids, its
 children in ``(id, vertex)`` order and its subtree sizes: it interns into a
 table once per target, when :class:`TargetTree` first reads its codes, so an
 answer that never compares a candidate with the target never builds them;
-every candidate (a whole tree in :meth:`TargetTree.match`, the trim forest
-and each pendant in the undirected search) is only looked up in that table,
+every candidate (a whole tree in :meth:`TargetTree.match`, and the trim
+forest in the undirected search) is only looked up in that table,
 with -1 for a shape the target lacks, so no solve changes the target.
 Siblings are listed by ``(id, vertex)`` on both sides, which puts
 isomorphic siblings next to each other; it is not the strings' order, and
@@ -78,30 +78,22 @@ CodeTable = dict[tuple[int, ...], int]  # sorted child ids -> interned id
 
 
 def _ahu(
-    bottom_up: Iterable[int],
-    parent: Sequence[int] | dict[int, int],
-    table: CodeTable,
-    *,
-    intern: bool = False,
-) -> tuple:
+    bottom_up: Iterable[int], parent: Sequence[int], table: CodeTable, *, intern: bool = False
+) -> tuple[list[int], list[list[int]], list[int]]:
     """Aho-Hopcroft-Ullman ids of a rooted forest, computed bottom-up.
 
     ``bottom_up`` lists vertices, each after all of its children, and
-    ``parent`` gives each vertex's parent, -1 at a root.  Returns each
-    vertex's id, its children in ``(id, vertex)`` order and its subtree
-    size: dicts keyed like ``parent`` when it is a dict, else lists.
+    ``parent`` gives each vertex's parent, -1 at a root.  Returns, as lists,
+    each vertex's id, its children in ``(id, vertex)`` order and its subtree
+    size.
 
     A vertex's id is ``table``'s value for its children's ids in that order.
     With ``intern`` a key the table lacks gets the next id; otherwise the
     vertex gets -1, which no key holds, so its ancestors get -1 too, and
     ``table`` is never changed.
     """
-    if isinstance(parent, dict):  # a few vertices of a large graph
-        ids, size = dict.fromkeys(parent, -1), dict.fromkeys(parent, 1)
-        kids = {v: [] for v in parent}
-    else:
-        ids, size = [-1] * len(parent), [1] * len(parent)
-        kids = [[] for _ in parent]
+    ids, size = [-1] * len(parent), [1] * len(parent)
+    kids: list[list[int]] = [[] for _ in parent]
     id_of = ids.__getitem__
     for x in bottom_up:
         ks = kids[x]

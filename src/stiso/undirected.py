@@ -23,52 +23,32 @@ are at least the target's place by place, and their sums differ by exactly
 at most 2 to the L1 distance.  At k = 0 the screen asks for equal degree
 histograms.
 
-At each matched vertex ``rg`` the search first binds the pendant
-components forced to hang there: a component of the unvisited remainder
-that is a tree and meets the matched region only by one edge at ``rg``
-must become one child subtree, and equal-code children are
-interchangeable, so greedy binding is safe.  The remaining children are
-then filled by trying every remaining neighbor for every child with
-chronological backtracking, one attempt per root.  The search is
-complete, and the acceptance corpus checks it against the brute-force
-oracle.
-
-The pendants are read off the trim forest (the trees
-:func:`~stiso.graphs.peel_leaves` cuts off the 2-core; no kernel is built
-per solve), whose subtrees are looked up once per solve in the table of
-Aho–Hopcroft–Ullman ids that the target's rooting carries; a shape the
-target lacks gets the id -1, which no target child has.  The matched
-region is connected and every removed edge has a matched end, so a trim
-subtree without a matched vertex is untouched.  Each unmatched neighbour
-``u`` of ``rg`` falls under one of three rules.  (1) ``u`` is a trim child
-of ``rg``: its subtree is a pendant of known id.  (2) ``u`` is the trim
-parent of ``rg``: the matched region lies in ``rg``'s subtree, so ``u``'s
-side is the rest of the graph, which holds the 2-core (a tree at k = 0);
-it is only branched on, never bound as a pendant, and branching tries
-every placement.  (3) Otherwise ``rg`` and ``u`` are in the 2-core, and a
-walk of the remainder visits 2-core vertices only, counting an unmatched
-trim child as its whole subtree.  A pendant it finds is looked up in the
-same table.  A pendant takes the first unmatched target child of equal id,
-and children bind in ``(id, vertex)`` order on both sides.
-
-The walk runs only while some removed edge has an unmatched end (a cut
-edge; only an ``_open`` that fills all of a vertex's children drops one).
-Without a cut edge rule (3) finds no pendant, by a degree count (at k = 0
-the 2-core is one vertex, so rule (3) never applies).  Say ``u``'s
-component C is a tree whose one edge to the matched region is ``(rg, u)``.
-Its 2-core part is connected, since a trim subtree touches the rest only at
-its attachment, so it is a tree on c vertices with c - 1 kept edges.  Each
-2-core vertex has 2-core degree >= 2, so at least two more 2-core edge ends
-lie in C.  A kept edge leaving C goes to the matched region, and only
-``(rg, u)`` does, so some edge at C is removed, and its end in C is
-unmatched.
+At each matched vertex ``rg`` the search first binds the pendants forced
+to hang there, then fills the remaining children by trying every remaining
+neighbour for every child with chronological backtracking, one attempt per
+root.  A pendant is an unmatched trim child ``u`` of ``rg`` (the trim
+forest is the trees :func:`~stiso.graphs.peel_leaves` cuts off the 2-core,
+each rooted at the 2-core vertex it hangs from; no kernel is built per
+solve).  Its subtree is untouched: the matched region is connected and
+holds ``rg`` but not ``u``, and every removed edge has a matched end.  So
+the subtree meets the rest only by the edge ``(rg, u)``, and every witness
+that extends the matching maps it onto one child subtree of ``rg``'s
+target vertex, of equal Aho–Hopcroft–Ullman id.  The ids are looked up
+once per solve in the table the target's rooting carries, and a shape the
+target lacks gets -1, which no target child has.  Equal-id children are
+interchangeable, so greedy binding is safe: a pendant takes the first
+unmatched target child of its id, and children bind in ``(id, vertex)``
+order on both sides.  Every other unmatched neighbour, the trim parent and
+the 2-core neighbours included, is only branched on, and branching tries
+every placement, so the search is complete.  The acceptance corpus checks
+it against the brute-force oracle.
 
 Before any attempt, the root scan rejects each candidate ``v`` whose
 pendant check must fail, in O(deg v) and with no per-solve table: with
-only ``v`` matched, its pendants are its trim children (a pendant at a
-2-core neighbour would have been trimmed), so its first ``_open`` fails
-``pendant-unmatched`` iff a run of equal ids among them (they are sorted by
-id) outnumbers that id among the target root's children, counted once per solve.
+only ``v`` matched, its pendants are all its trim children, so its first
+``_open`` fails ``pendant-unmatched`` iff a run of equal ids among them
+(they are sorted by id) outnumbers that id among the target root's
+children, counted once per solve.
 A rejected candidate counts in ``roots_tried`` but not in ``attempts``.
 """
 
@@ -86,12 +66,7 @@ from .treecode import CodeTable, TargetTree, _ahu, _centers_from, _pair_children
 
 @dataclass
 class SolveStats:
-    """Search effort counters for one solve call.
-
-    ``walks`` counts the walks of the unvisited remainder from a 2-core
-    neighbour (rule (3) of the module docstring); an opened node walks only
-    while some removed edge has an unmatched end.
-    """
+    """Search effort counters for one solve call."""
 
     k: int = 0
     roots_tried: int = 0
@@ -99,7 +74,6 @@ class SolveStats:
     nodes_opened: int = 0
     branches_examined: int = 0
     anchors: int = 0
-    walks: int = 0
 
 
 TraceFn = Callable[[str], None]
@@ -175,14 +149,13 @@ class _Forest:
     with its ids looked up in a target's ``table``, which it never changes.
 
     ``ids[x]`` is -1 when no subtree interned in ``table`` is isomorphic to ``x``'s.
-    ``kids[x]`` lists ``x``'s children by ``(ids[c], c)``, and ``size[x]`` counts
-    ``x``'s subtree.
+    ``kids[x]`` lists ``x``'s children by ``(ids[c], c)``.
     """
 
     def __init__(self, bottom_up: Sequence[int], parent: Sequence[int], table: CodeTable):
-        self.parent, self.table = parent, table
+        self.parent = parent
         roots = [v for v, p in enumerate(parent) if p == -1]  # the 2-core vertices
-        self.ids, self.kids, self.size = _ahu([*bottom_up, *roots], parent, table)
+        self.ids, self.kids, _ = _ahu([*bottom_up, *roots], parent, table)
 
 
 class _Engine:
@@ -239,54 +212,10 @@ class _Engine:
             self.fail_reason = reason
         return False
 
-    # -- classification ----------------------------------------------------
-
-    def _walk(self, u: int, rg: int, comp_of: dict[int, list[tuple[int, int]]]) -> bool:
-        """Mark the 2-core vertices of ``u``'s component of the remainder in ``comp_of``.
-
-        True iff the component is a tree that meets the matched region only at ``rg``.
-        """
-        self.stats.walks += 1
-        g2t, removed, tparent, size = self.g2t, self.removed, self.trim.parent, self.trim.size
-        edges = comp_of[u]
-        stack = [u]
-        verts, half, attach = 1, 0, 0
-        while stack:
-            x = stack.pop()
-            for eid, w in self.g.incidence[x]:
-                if eid in removed:
-                    continue
-                if g2t[w] >= 0:
-                    attach += w != rg
-                    continue
-                half += 1
-                if tparent[w] == x:  # w's subtree: size[w] vertices, size[w] edges with (x, w)
-                    verts += size[w]
-                    half += 2 * size[w] - 1
-                elif w not in comp_of:
-                    comp_of[w] = edges
-                    verts += 1
-                    stack.append(w)
-        return attach == 0 and half // 2 == verts - 1
-
-    def _pendant_code(self, u: int) -> tuple[int, dict[int, list[int]]]:
-        """Id of the tree the remainder hangs at ``u``, -1 for a shape no target
-        subtree has, and each of its vertices' children by ``(id, vertex)``."""
-        inc, removed, g2t = self.g.incidence, self.removed, self.g2t
-        parent = {u: -1}
-        order = [u]
-        for x in order:
-            for e, w in inc[x]:
-                if e not in removed and g2t[w] < 0 and w != parent[x]:
-                    parent[w] = x
-                    order.append(w)
-        ids, kids, _ = _ahu(reversed(order), parent, self.trim.table)
-        return ids[u], kids
-
-    def _bind_tree(self, gu: int, tw: int, kids: Sequence[list[int]] | dict) -> None:
-        """Bind the tree hanging at ``gu`` onto the equal-id target subtree at ``tw``;
+    def _bind_tree(self, gu: int, tw: int) -> None:
+        """Bind ``gu``'s trim subtree onto the equal-id target subtree at ``tw``;
         both sides list children by ``(id, vertex)``."""
-        for tx, gx in _pair_children(tw, self.tt.children, gu, kids):
+        for tx, gx in _pair_children(tw, self.tt.children, gu, self.trim.kids):
             self._bind(tx, gx)
 
     # -- node opening --------------------------------------------------------
@@ -297,27 +226,13 @@ class _Engine:
         tparent = self.trim.parent
         pendants: list[int] = []
         avail: list[tuple[int, int]] = []
-        comp_of: dict[int, list[tuple[int, int]]] = {}  # rg's edges into the vertex's component
-        walked: list[tuple[bool, list[tuple[int, int]]]] = []
-        g2t, edges = self.g2t, self.g.edges
-        cut = any(g2t[a] < 0 or g2t[b] < 0 for a, b in map(edges.__getitem__, self.removed))
         for eid, u in self.g.incidence[rg]:
-            if eid in self.removed or g2t[u] >= 0:
+            if eid in self.removed or self.g2t[u] >= 0:
                 continue
-            if tparent[u] == rg:  # rule (1)
+            if tparent[u] == rg:
                 pendants.append(u)
-            elif tparent[rg] == u or not cut:  # rule (2), or rule (3) with no cut edge
+            else:
                 avail.append((u, eid))
-            elif u in comp_of:  # rule (3), a component already walked
-                comp_of[u].append((u, eid))
-            else:
-                comp_of[u] = [(u, eid)]
-                walked.append((self._walk(u, rg, comp_of), comp_of[u]))
-        for is_tree, edges in walked:
-            if is_tree and len(edges) == 1:
-                pendants.append(edges[0][0])
-            else:
-                avail.extend(edges)
         avail.sort()
 
         free: dict[int, list[int]] = {}  # rt's children by id, first one last; none is matched
@@ -325,15 +240,11 @@ class _Engine:
             free.setdefault(self.tt.ids[c], []).append(c)
         need = len(self.tt.children[rt]) - len(pendants)
         for u in sorted(pendants):
-            if tparent[u] == rg:
-                code, kids = self.trim.ids[u], self.trim.kids
-            else:
-                code, kids = self._pendant_code(u)
-            bucket = free.get(code)
+            bucket = free.get(self.trim.ids[u])
             if not bucket:
                 self._fail("pendant-unmatched")
                 return None
-            self._bind_tree(u, bucket.pop(), kids)
+            self._bind_tree(u, bucket.pop())
 
         if len(avail) < need:
             self._fail("fewer-neighbors-than-children")

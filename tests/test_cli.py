@@ -237,6 +237,20 @@ def test_bench_times_one_search_with_or_without_oracle(files):
     assert runs[0] == runs[1]
 
 
+def test_bench_skips_infeasible_cells(files):
+    # five vertices hold at most 6 undirected redundant edges but 16 arcs; the
+    # skipped cell keeps its seed, so every other row keeps its own
+    tmp, _ = files
+    out = str(tmp / "bench.csv")
+    res = run_cli("bench", "--nmax", "6", "--kmax", "7", "--reps", "1", "--csv", out)
+    assert res.returncode == 0, res.stderr
+    with open(out) as fh:
+        cells = {(r[0], r[1], r[2]): r[3] for r in list(csv.reader(fh))[1:]}
+    assert ("5", "7", "planted-yes-u") not in cells
+    assert cells[("5", "7", "planted-yes-d")] == str(2 * 7 + 1)
+    assert len(cells) == 2 * 8 * 2 - 1
+
+
 def test_internal_error_exits_two(files, monkeypatch, capsys):
     # a YES that fails certification is an internal error, never a NO
     import stiso.undirected
