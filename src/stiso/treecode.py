@@ -1,28 +1,28 @@
 """Canonical codes and isomorphism tests for rooted trees and arborescences.
 
-A rooted tree is encoded as a balanced parenthesis string: a leaf is ``()``
-and an internal vertex wraps the concatenation of its children's codes,
-sorted by ``(length, bytes)``.  Two rooted trees have equal codes iff they
-are isomorphic as rooted trees, so code comparison is the isomorphism test.
-
-The solvers run the same test on integers (Aho, Hopcroft and Ullman 1974).
-One bottom-up pass, :func:`_ahu`, gives every rooted tree its ids, its
-children in ``(id, vertex)`` order and its subtree sizes: it interns into a
-table once per target, when :class:`TargetTree` first reads its codes, so an
+Trees are compared on integers (Aho, Hopcroft and Ullman 1974).  One
+bottom-up pass, :func:`_ahu`, gives every rooted tree its ids, its children
+in ``(id, vertex)`` order and its subtree sizes: it interns into a table
+once per target, when :class:`TargetTree` first reads its codes, so an
 answer that never compares a candidate with the target never builds them;
 every candidate (a whole tree in :meth:`TargetTree.match`, and the trim
 forest in the undirected search) is only looked up in that table,
 with -1 for a shape the target lacks, so no solve changes the target.
 Siblings are listed by ``(id, vertex)`` on both sides, which puts
-isomorphic siblings next to each other; it is not the strings' order, and
-:func:`_pair_children` pairs them on equal root ids.  Strings are built
-only by :func:`subtree_codes` and the functions on top of it, and serve as
-the reference the integer codes are checked against.
+isomorphic siblings next to each other, and :func:`_pair_children` pairs
+them on equal root ids.
+
+:func:`rooted_code` prints a tree's ids as a balanced parenthesis string: a
+leaf is ``()`` and an internal vertex wraps its children's strings, listed
+by a rank that depends only on the tree's shape.  Two rooted trees have
+equal strings iff they are isomorphic.  The strings are a printout of the
+ids, not a second code, and no solve builds one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import groupby
 
 from .graphs import DiGraph, UGraph, bfs, reachable_all
 
@@ -33,11 +33,6 @@ class NotATreeError(ValueError):
 
 class NotArborescenceError(ValueError):
     """Input digraph is not an out-arborescence."""
-
-
-def code_key(code: str) -> tuple[int, str]:
-    """Sort key for sibling codes: by length, then bytes."""
-    return (len(code), code)
 
 
 def _rooted_order(tree: UGraph, root: int) -> tuple[list[int], list[int]]:
@@ -54,24 +49,6 @@ def _rooted_order(tree: UGraph, root: int) -> tuple[list[int], list[int]]:
     if len(order) != tree.n:
         raise NotATreeError(f"not a tree: n={tree.n}, m={tree.m}")
     return order, parent
-
-
-def _codes(order: Sequence[int], parent: Sequence[int]) -> list[str]:
-    """Every vertex's subtree code, given a top-down order and parent array."""
-    codes: list[str] = [""] * len(order)
-    kids: list[list[str]] = [[] for _ in order]
-    for x in reversed(order):
-        if len(kids[x]) > 1:
-            kids[x].sort(key=code_key)
-        codes[x] = "(" + "".join(kids[x]) + ")"
-        if parent[x] != -1:
-            kids[parent[x]].append(codes[x])
-    return codes
-
-
-def subtree_codes(tree: UGraph, root: int) -> list[str]:
-    """Canonical code of every vertex's subtree in ``tree`` rooted at ``root``."""
-    return _codes(*_rooted_order(tree, root))
 
 
 CodeTable = dict[tuple[int, ...], int]  # sorted child ids -> interned id
@@ -110,8 +87,37 @@ def _ahu(
 
 
 def rooted_code(tree: UGraph, root: int) -> str:
-    """Canonical code of ``tree`` rooted at ``root``."""
-    return subtree_codes(tree, root)[root]
+    """Canonical code of ``tree`` rooted at ``root``, in O(n log n) time and
+    O(n) memory.
+
+    One :func:`_ahu` pass into a fresh table gives the tree's classes of
+    isomorphic subtrees.  They are ranked by subtree size, then by their
+    children's ranks in ascending order; a child is smaller than its parent,
+    so each size's classes are ranked after every smaller one's, and the
+    ranks depend only on the shape.  One iterative DFS then writes the
+    string, each vertex's children in rank order.
+    """
+    order, parent = _rooted_order(tree, root)
+    table: CodeTable = {}
+    ids, _, size = _ahu(reversed(order), parent, table, intern=True)
+    size_of = dict(zip(ids, size))  # class -> subtree size
+    keys = list(table)  # keys[c]: class c's children's classes
+    rank = [0] * len(keys)
+    kid_ranks: list[list[int]] = []  # each rank's children's ranks, ascending
+    for _, group in groupby(sorted(size_of, key=size_of.get), size_of.get):
+        for ranks, c in sorted([sorted(map(rank.__getitem__, keys[c])), c] for c in group):
+            rank[c] = len(kid_ranks)
+            kid_ranks.append(ranks)
+    out, stack = [], [rank[ids[root]]]
+    while stack:
+        r = stack.pop()
+        if r < 0:
+            out.append(")")
+        else:
+            out.append("(")
+            stack.append(~r)
+            stack.extend(reversed(kid_ranks[r]))
+    return "".join(out)
 
 
 def tree_centers(tree: UGraph) -> list[int]:
@@ -151,12 +157,7 @@ def _centers_from(tree: UGraph, order: Sequence[int], parent: Sequence[int]) -> 
 
 def unrooted_code(tree: UGraph) -> str:
     """Canonical code of an unrooted tree: the smaller code over its centers."""
-    return min((rooted_code(tree, c) for c in tree_centers(tree)), key=code_key)
-
-
-def rooted_iso(t1: UGraph, r1: int, t2: UGraph, r2: int) -> bool:
-    """Rooted-tree isomorphism via code equality."""
-    return rooted_code(t1, r1) == rooted_code(t2, r2)
+    return min(rooted_code(tree, c) for c in tree_centers(tree))
 
 
 def unrooted_iso(t1: UGraph, t2: UGraph) -> bool:
@@ -209,14 +210,6 @@ def arborescence_root(d: DiGraph) -> int:
     if not reachable_all(d, roots[0]):
         raise NotArborescenceError(f"some vertex is unreachable from the root {roots[0]}")
     return roots[0]
-
-
-def arborescence_iso(d1: DiGraph, d2: DiGraph) -> bool:
-    """Arborescence isomorphism: an out-arborescence is determined by its
-    underlying rooted tree, so compare rooted codes at the roots."""
-    r1 = arborescence_root(d1)
-    r2 = arborescence_root(d2)
-    return rooted_iso(d1.underlying(), r1, d2.underlying(), r2)
 
 
 class TargetTree:

@@ -157,6 +157,25 @@ def test_explain_prints_codes_on_stderr(files):
     assert target.split()[1] == witness.split()[1]
 
 
+def test_explain_on_a_relabelled_long_path(files):
+    """The codes of a 10^4-vertex path, relabelled against its target: equal,
+    with the root's shorter branch printed first."""
+    import random
+
+    _, write = files
+    n = 10**4
+    perm = list(range(n))
+    random.Random(1).shuffle(perm)
+    header = f"{n} {n - 1} U\n"
+    g = header + "".join(f"{perm[i]} {perm[i + 1]}\n" for i in range(n - 1))
+    t = header + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+    res = run_cli("solve", "-g", write("g.txt", g), "-t", write("t.txt", t), "--explain")
+    assert (res.returncode, res.stdout) == (0, "YES\n"), res.stderr
+    a, b = (n - 1) // 2, n // 2  # the branches below a centre
+    code = "(" + "(" * a + ")" * a + "(" * b + ")" * b + ")"
+    assert res.stderr == f"target-code {code}\nwitness-code {code}\n"
+
+
 def test_explain_prints_directed_codes_on_stderr(files):
     _, write = files
     g = write("g.txt", "5 6 D\n0 1\n0 2\n2 3\n2 4\n1 3\n3 4\n")

@@ -19,15 +19,17 @@ from stiso import (
     unrooted_iso,
 )
 
-from stiso.treecode import (
-    _ahu,
-    _centers_from,
-    _rooted_order,
-    arborescence_iso,
-    rooted_iso,
+from stiso.treecode import _ahu, _centers_from, _rooted_order
+from util import (
+    all_free_trees,
+    brute_centers,
+    brute_iso,
+    complete,
+    path,
+    reference_unrooted_code,
+    star,
     subtree_codes,
 )
-from util import all_free_trees, brute_centers, brute_iso, complete, path, star
 
 
 def test_rooted_code_base_cases():
@@ -45,19 +47,58 @@ def test_rooted_code_rejects_non_tree():
         rooted_code(UGraph(4, [(0, 1), (2, 3)]), 0)
 
 
-@given(st.integers(2, 24), st.integers(0, 2**32), st.randoms())
-def test_rooted_code_relabel_invariant(n, seed, rnd):
+@given(st.integers(2, 200), st.integers(0, 2**32), st.randoms(), st.booleans())
+def test_rooted_code_relabel_invariant(n, seed, rnd, unrooted):
     t = gen_tree(n, seed)
     root = rnd.randrange(n)
     perm = list(range(n))
     rnd.shuffle(perm)
-    assert rooted_code(t, root) == rooted_code(t.relabeled(perm), perm[root])
+    if unrooted:
+        assert unrooted_code(t) == unrooted_code(t.relabeled(perm))
+    else:
+        assert rooted_code(t, root) == rooted_code(t.relabeled(perm), perm[root])
+
+
+def test_rooted_code_on_a_long_path_in_linear_memory():
+    """The string is written from the ids, not built from every vertex's own
+    string, so a path of n vertices costs O(n) memory, not Θ(n²)."""
+    import tracemalloc
+
+    n = 10**4
+    p = path(n)
+    tracemalloc.start()
+    try:
+        code = rooted_code(p, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == "(" * n + ")" * n
+    assert peak < 16 * 2**20, peak
+
+
+def test_codes_equal_iff_reference_codes_equal():
+    """Every free tree on up to 9 vertices, in every rooting: two rooted codes
+    are equal iff the reference strings of ``util.subtree_codes`` are, and two
+    unrooted codes iff ``util.reference_unrooted_code``'s are."""
+    rooted, unrooted = [], []
+    for trees in all_free_trees(9).values():
+        for t in trees:
+            unrooted.append((unrooted_code(t), reference_unrooted_code(t)))
+            rooted += [(rooted_code(t, r), subtree_codes(t, r)[r]) for r in range(t.n)]
+    for pairs in (rooted, unrooted):
+        ours, ref = zip(*pairs)
+        assert len(set(ours)) == len(set(ref)) == len(set(pairs))
+    assert len(unrooted) == len(set(unrooted)) == 95 and len(rooted) > 700
+
+
+def _arborescence_code(d: DiGraph) -> str:
+    return rooted_code(d.underlying(), arborescence_root(d))
 
 
 def test_rooted_iso_examples():
     p3 = path(3)
-    assert not rooted_iso(p3, 1, p3, 0)
-    assert rooted_iso(p3, 0, p3, 2)
+    assert rooted_code(p3, 1) != rooted_code(p3, 0)
+    assert rooted_code(p3, 0) == rooted_code(p3, 2)
 
 
 def test_unrooted_iso_examples():
@@ -147,9 +188,9 @@ def test_arborescence_root_examples():
 def test_arborescence_iso_examples():
     p = DiGraph(3, [(0, 1), (1, 2)])
     q = DiGraph(3, [(2, 0), (0, 1)])
-    assert arborescence_iso(p, q)
+    assert _arborescence_code(p) == _arborescence_code(q)
     out_star = DiGraph(3, [(0, 1), (0, 2)])
-    assert not arborescence_iso(p, out_star)
+    assert _arborescence_code(p) != _arborescence_code(out_star)
 
 
 def test_arborescence_iso_agrees_with_brute_force():
@@ -178,7 +219,7 @@ def test_arborescence_iso_agrees_with_brute_force():
         expected = brute_rooted_iso(
             UGraph(n, list(d1.arcs)), r1, UGraph(n, list(d2.arcs)), r2
         )
-        assert arborescence_iso(d1, d2) == expected
+        assert (_arborescence_code(d1) == _arborescence_code(d2)) == expected
 
 
 def test_arborescence_iso_implies_underlying_iso():
@@ -199,7 +240,7 @@ def test_arborescence_iso_implies_underlying_iso():
         perm = list(range(7))
         random.Random(seed).shuffle(perm)
         d2 = d1.relabeled(perm)
-        assert arborescence_iso(d1, d2)
+        assert _arborescence_code(d1) == _arborescence_code(d2)
         assert unrooted_iso(d1.underlying(), d2.underlying())
 
 

@@ -24,6 +24,7 @@ from util import (
     THETA,
     chorded_cycle_and_spider,
     chorded_path,
+    code_key,
     complete,
     cycle,
     end_chord_path,
@@ -31,6 +32,7 @@ from util import (
     path,
     reference_oracle_undirected,
     star,
+    subtree_codes,
 )
 
 
@@ -594,8 +596,6 @@ def _reference_open(engine, rg, rt):
     bind in neighbour order to the first unmatched target child of equal code.  Children pair in the target's order: a graph vertex's children
     by the target id of their code, then by vertex.
     """
-    from stiso.treecode import code_key, subtree_codes
-
     tt = engine.tt
     tcodes = subtree_codes(tt.tree, tt.root)
     tid = {code: tt.ids[v] for v, code in enumerate(tcodes)}
@@ -796,8 +796,9 @@ def test_connectivity_checked_once_per_solve(monkeypatch):
 def test_target_tree_not_revalidated_per_solve(monkeypatch):
     # k = 0, 1, and >= 2, the target rooted at vertex 1 and at a center.  The
     # search reuses the caller's rooting if it is at the first center; any other
-    # costs one fresh rooting there.  No solve builds a string code or checks the
-    # target's connectivity, and its centres are read once off the caller's rooting
+    # costs one fresh rooting there.  No solve prints a string code (no call to
+    # rooted_code) or checks the target's connectivity, and its centres are read
+    # once off the caller's rooting
     from stiso import treecode, undirected
     from stiso.undirected import _solve_core
 
@@ -808,7 +809,7 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
         (complete(4), path(4), True),
         (hub_with_leaves(30), path(30), False),
     ]
-    real, real_codes, real_order = UGraph.is_connected, treecode._codes, treecode._rooted_order
+    real, real_code, real_order = UGraph.is_connected, treecode.rooted_code, treecode._rooted_order
     real_centers = treecode._centers_from
     for g, tree, answer in cases:
         centers = treecode.tree_centers(tree)
@@ -821,9 +822,9 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
                     calls.append(self)
                 return real(self, *args, **kwargs)
 
-            def counted_codes(*args):
+            def counted_code(*args):
                 codes.append(args)
-                return real_codes(*args)
+                return real_code(*args)
 
             def counted_order(t, r):
                 if t is tree:
@@ -836,7 +837,7 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
                 return real_centers(t, order, parent)
 
             monkeypatch.setattr(UGraph, "is_connected", counted)
-            monkeypatch.setattr(treecode, "_codes", counted_codes)
+            monkeypatch.setattr(treecode, "rooted_code", counted_code)
             monkeypatch.setattr(treecode, "_rooted_order", counted_order)
             for module in (treecode, undirected):
                 monkeypatch.setattr(module, "_centers_from", counted_centers)
@@ -848,7 +849,7 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
                 verdict = _solve_core(g, target, k, SolveStats(), lines.append)
             assert verdict.is_yes is answer
             monkeypatch.setattr(UGraph, "is_connected", real)
-            monkeypatch.setattr(treecode, "_codes", real_codes)
+            monkeypatch.setattr(treecode, "rooted_code", real_code)
             monkeypatch.setattr(treecode, "_rooted_order", real_order)
             for module in (treecode, undirected):
                 monkeypatch.setattr(module, "_centers_from", real_centers)

@@ -3,11 +3,15 @@
 These share no machinery with the package: isomorphism is decided by
 backtracking over adjacency-preserving bijections, and the free-tree
 catalogue is built by leaf extension with pairwise brute-force dedup.  The
-graph constructors and the text parser are judged against straightforward
-one-edge-at-a-time and one-line-at-a-time versions.  The reference oracles
-are the package oracles' subset loops without their degree test, so they
-share the oracles' bijection searches on purpose: equal verdicts then show
-that the test drops no subset the loops would accept.
+string codes of :func:`subtree_codes` sort sibling strings by
+``(length, bytes)``, so they share nothing with the package's ids and the
+strings it prints from them; only the centres that
+:func:`reference_unrooted_code` roots at are the package's.  The graph constructors and the text parser
+are judged against straightforward one-edge-at-a-time and
+one-line-at-a-time versions.  The reference oracles are the package
+oracles' subset loops without their degree test, so they share the
+oracles' bijection searches on purpose: equal verdicts then show that the
+test drops no subset the loops would accept.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from stiso import (
     UGraph,
     Verdict,
     is_spanning_arborescence,
-    unrooted_code,
+    tree_centers,
 )
 from stiso.oracle import _bijection_search_directed, _bijection_search_undirected, _guard
 from stiso.treecode import target_graph
@@ -89,6 +93,41 @@ def brute_centers(t: UGraph) -> list[int]:
             seen.update(layer)
         ecc.append(depth)
     return [v for v in range(t.n) if ecc[v] == min(ecc)]
+
+
+def code_key(code: str) -> tuple[int, str]:
+    """Sort key for sibling codes: by length, then bytes."""
+    return (len(code), code)
+
+
+def subtree_codes(tree: UGraph, root: int) -> list[str]:
+    """Every vertex's string code in ``tree`` rooted at ``root``.
+
+    A leaf is ``()`` and an internal vertex wraps its children's codes,
+    sorted by :func:`code_key`, so two subtrees have equal codes iff they are
+    isomorphic.  Each vertex keeps its own string: Θ(n · height) memory.
+    """
+    parent, order = {root: -1}, [root]
+    for x in order:
+        for w in tree.neighbors(x):
+            if w not in parent:
+                parent[w] = x
+                order.append(w)
+    if tree.m != tree.n - 1 or len(order) != tree.n:
+        raise ValueError(f"not a tree: n={tree.n}, m={tree.m}")
+    codes = [""] * tree.n
+    kids: list[list[str]] = [[] for _ in range(tree.n)]
+    for x in reversed(order):
+        kids[x].sort(key=code_key)
+        codes[x] = "(" + "".join(kids[x]) + ")"
+        if parent[x] != -1:
+            kids[parent[x]].append(codes[x])
+    return codes
+
+
+def reference_unrooted_code(tree: UGraph) -> str:
+    """The smaller :func:`subtree_codes` root code over the tree's centres."""
+    return min((subtree_codes(tree, c)[c] for c in tree_centers(tree)), key=code_key)
 
 
 def all_free_trees(n_max: int) -> dict[int, list[UGraph]]:
@@ -235,19 +274,20 @@ def reference_parse(text: str) -> UGraph | DiGraph:
 
 def reference_oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     """``oracle_undirected`` without its degree test: every k-subset, in
-    ``combinations`` order, goes to the connectivity check and the tree code."""
+    ``combinations`` order, goes to the connectivity check and the reference
+    tree code, :func:`reference_unrooted_code`."""
     ttree = target_graph(target)
     if not g.is_connected():
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
     _guard(g.m, k)
-    target_code = unrooted_code(ttree)
+    target_code = reference_unrooted_code(ttree)
     for subset in combinations(range(g.m), k):
         removed = frozenset(subset)
         if not g.is_connected(skip_edges=removed):
             continue
         h = UGraph(g.n, [e for i, e in enumerate(g.edges) if i not in removed])
-        if unrooted_code(h) != target_code:
+        if reference_unrooted_code(h) != target_code:
             continue
         mapping = _bijection_search_undirected(ttree, h)
         if mapping is None:
