@@ -60,7 +60,7 @@ from .graphs import (
     roots_reaching_all,
 )
 from .kernel import AnchorChain
-from .treecode import TargetTree, arborescence_root
+from .treecode import TargetTree, arborescence_root, certify_witness
 
 
 @dataclass
@@ -190,34 +190,13 @@ def solve_directed(
 
 
 def certify_directed(d: DiGraph, target: TargetTree, verdict: Verdict) -> bool:
-    """Independently check a directed YES certificate; False on any violation."""
-    if not verdict.is_yes or verdict.mapping is None or verdict.removed is None:
-        return False
-    n = d.n
-    if target.n != n:
-        return False
-    removed = verdict.removed
-    if len(removed) != d.m - (n - 1) or not all(0 <= a < d.m for a in removed):
-        return False
-    mapping = verdict.mapping
-    if sorted(mapping) != list(range(n)) or sorted(mapping.values()) != list(range(n)):
-        return False
-    kept = [arc for a, arc in enumerate(d.arcs) if a not in removed]
-    root = mapping[target.root]
-    indeg = [0] * n
-    for _, head in kept:
-        indeg[head] += 1
-    if len(kept) != n - 1 or not _heads_fit(indeg, root):
-        return False
-    if _arborescence_without(d, root, removed) is None:
-        return False
-    kept_set = set(kept)
-    mapped = set()
-    for tv in range(n):
-        p = target.parent[tv]
-        if p != -1:
-            mapped.add((mapping[p], mapping[tv]))
-    return mapped == kept_set
+    """Independently check a directed YES certificate; False on any violation.
+
+    One walk of ``d``'s out-arcs less ``removed`` from the image of the
+    target's root decides (:func:`~stiso.treecode.certify_witness`); with
+    n - 1 kept arcs, reaching every vertex makes them an arborescence.
+    """
+    return certify_witness(d.out_inc, d.m, target, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby
 
-from .graphs import DiGraph, UGraph, bfs, reachable_all
+from .graphs import DiGraph, UGraph, Verdict, bfs, reachable_all
 
 
 class NotATreeError(ValueError):
@@ -307,6 +307,31 @@ def _preorder(root: int, children: Sequence[Sequence[int]]) -> tuple[int, ...]:
         order.append(x)
         stack.extend(children[x][::-1])
     return tuple(order)
+
+
+def certify_witness(
+    adjacency: Sequence[Sequence[tuple[int, int]]], m: int, target: TargetTree, verdict: Verdict
+) -> bool:
+    """True iff ``verdict`` is a YES whose ``removed`` holds ``k = m - (n - 1)`` of
+    the ``m`` edge (arc) ids in ``adjacency``, whose ``mapping`` is a bijection on
+    ``range(n)``, and whose one walk of the kept edges from the root's image gives
+    every other image its parent's image as walk parent.  The walk then reached
+    all n vertices (it leaves an unreached parent -1), so its n - 1 tree edges
+    are all the kept ones and the n - 1 distinct mapped target edges.  An
+    isomorphism that sends root to root meets the test, so no witness is lost.
+    """
+    n = len(adjacency)
+    if not verdict.is_yes or verdict.mapping is None or verdict.removed is None or target.n != n:
+        return False
+    removed, mapping, ids = verdict.removed, verdict.mapping, set(range(n))
+    if len(removed) != m - (n - 1) or not all(0 <= e < m for e in removed):
+        return False
+    if mapping.keys() != ids or set(mapping.values()) != ids:
+        return False
+    parent = bfs(adjacency, mapping[target.root], removed)[1]
+    below, image = target._bfs[1:], mapping.__getitem__
+    walk_parents = list(map(parent.__getitem__, map(image, below)))
+    return walk_parents == list(map(image, map(target.parent.__getitem__, below)))
 
 
 def target_graph(target: TargetTree | UGraph) -> UGraph:

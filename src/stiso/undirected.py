@@ -61,7 +61,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graphs import UGraph, Verdict, degree_gap, degrees_cover, peel_leaves
-from .treecode import CodeTable, TargetTree, _ahu, _centers_from, _pair_children, target_graph
+from .treecode import CodeTable, NotATreeError, TargetTree, _ahu, _centers_from, _pair_children
+from .treecode import certify_witness, target_graph
 
 
 @dataclass
@@ -107,37 +108,22 @@ def solve_undirected(
         if trace is not None:
             trace("screen=degrees fail:uncovered")
         return Verdict("NO", note="degree screen: the graph's degrees do not cover the target's")
-    verdict = _solve_core(g, target, k, stats, trace)
-    if verdict.is_yes and not certify_undirected(g, target, verdict):
-        raise RuntimeError("YES verdict failed certification")
-    return verdict
+    return _solve_core(g, target, k, stats, trace)
 
 
 def certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict) -> bool:
-    """Independently check a YES certificate; False on any violation."""
-    if not verdict.is_yes or verdict.mapping is None or verdict.removed is None:
-        return False
-    ttree = target_graph(target)
-    n = g.n
-    if ttree.n != n:
-        return False
-    k = g.m - (n - 1)
-    removed = verdict.removed
-    if len(removed) != k or not all(0 <= e < g.m for e in removed):
-        return False
-    mapping = verdict.mapping
-    if sorted(mapping) != list(range(n)) or sorted(mapping.values()) != list(range(n)):
-        return False
-    if not g.is_connected(skip_edges=removed):
-        return False
-    retained = {
-        (min(u, v), max(u, v)) for eid, (u, v) in enumerate(g.edges) if eid not in removed
-    }
-    mapped = set()
-    for a, b in ttree.edges:
-        u, v = mapping[a], mapping[b]
-        mapped.add((min(u, v), max(u, v)))
-    return mapped == retained
+    """Independently check a YES certificate; False on any violation.
+
+    One walk of ``g`` minus ``removed`` from the image of the target's root
+    decides (:func:`~stiso.treecode.certify_witness`).  A plain target is
+    rooted at vertex 0, and one that is not a tree is rejected.
+    """
+    if not isinstance(target, TargetTree):
+        try:
+            target = TargetTree(target, 0)
+        except NotATreeError:
+            return False
+    return certify_witness(g.incidence, g.m, target, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +313,7 @@ class _Engine:
             return None
         if not self._solve_pos(1):
             return None
-        if any(v < 0 for v in self.t2g):
+        if -1 in self.t2g:
             raise RuntimeError("search finished with an unmatched target vertex")
         if len(self.removed) != self.k:
             raise RuntimeError(f"search removed {len(self.removed)} edges, expected {self.k}")
@@ -348,9 +334,18 @@ def _solve_core(
     stats: SolveStats,
     trace: TraceFn | None,
 ) -> Verdict:
+    tt = _rooting(target)
+    verdict = _scan(g, tt, k, stats, trace)
+    # certified once the scan has returned, so the search state is freed first
+    if verdict.is_yes and not certify_undirected(g, tt, verdict):
+        raise RuntimeError("YES verdict failed certification")
+    return verdict
+
+
+def _scan(g: UGraph, tt: TargetTree, k: int, stats: SolveStats, trace: TraceFn | None) -> Verdict:
+    """The first witness the root scan finds, trying roots in id order, or NO."""
     trim_order, trim_parent, deg = peel_leaves(g)
     stats.anchors = sum(d >= 3 for d in deg)  # the kernel's vertices
-    tt = _rooting(target)
     engine = _Engine(g, tt, k, stats, _Forest(trim_order, trim_parent, tt.table))
     min_children = len(tt.children[tt.root])
     limit = sys.getrecursionlimit()

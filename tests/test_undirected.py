@@ -777,20 +777,30 @@ def test_anchor_count_is_the_kernels():
 
 def test_connectivity_checked_once_per_solve(monkeypatch):
     # k >= 2 and k = 1
+    from stiso import graphs, treecode
+
     hub = UGraph(30, [(0, 1), (1, 2), (2, 3)] + [(0, v) for v in range(4, 30)])
-    real = UGraph.is_connected
+    real, real_bfs = UGraph.is_connected, graphs.bfs
     for g, target in ((hub_with_leaves(30), hub), (cycle(30), path(30))):
-        calls = []
+        calls, walks = [], []
 
         def counted(self, *args, **kwargs):
             if self is g:
                 calls.append(bool(args or kwargs))
             return real(self, *args, **kwargs)
 
+        def counted_bfs(adjacency, root, skip=frozenset()):
+            if adjacency is g.incidence:
+                walks.append(len(skip))
+            return real_bfs(adjacency, root, skip)
+
         monkeypatch.setattr(UGraph, "is_connected", counted)
+        for module in (graphs, treecode):  # is_connected walks by graphs.bfs
+            monkeypatch.setattr(module, "bfs", counted_bfs)
         assert solve_undirected(g, target).is_yes
-        # once by the solver; the certifier's check of the witness skips removed edges
-        assert calls == [False, True], g.edges
+        # once by the solver, over all of g; the certifier walks g - R once, R of k edges
+        assert calls == [False], g.edges
+        assert walks == [0, g.m - g.n + 1], g.edges
 
 
 def test_target_tree_not_revalidated_per_solve(monkeypatch):

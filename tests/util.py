@@ -8,7 +8,8 @@ string codes of :func:`subtree_codes` sort sibling strings by
 strings it prints from them; only the centres that
 :func:`reference_unrooted_code` roots at are the package's.  The graph constructors and the text parser
 are judged against straightforward one-edge-at-a-time and
-one-line-at-a-time versions.  The reference oracles are the package
+one-line-at-a-time versions.  The reference certifiers are the package's
+earlier ones, which compare sets of edge tuples.  The reference oracles are the package
 oracles' subset loops without their degree test, so they share the
 oracles' bijection searches on purpose: equal verdicts then show that the
 test drops no subset the loops would accept.
@@ -28,6 +29,7 @@ from stiso import (
     is_spanning_arborescence,
     tree_centers,
 )
+from stiso.directed import _arborescence_without, _heads_fit
 from stiso.oracle import _bijection_search_directed, _bijection_search_undirected, _guard
 from stiso.treecode import target_graph
 
@@ -313,3 +315,63 @@ def reference_oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
         if mapping is not None:
             return Verdict("YES", mapping=mapping, removed=removed)
     return Verdict("NO")
+
+
+def reference_certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict: Verdict) -> bool:
+    """The edge-set certifier: the kept edges, normalised as ``(min, max)``
+    pairs, must equal the mapped target edges."""
+    if not verdict.is_yes or verdict.mapping is None or verdict.removed is None:
+        return False
+    ttree = target_graph(target)
+    n = g.n
+    if ttree.n != n:
+        return False
+    k = g.m - (n - 1)
+    removed = verdict.removed
+    if len(removed) != k or not all(0 <= e < g.m for e in removed):
+        return False
+    mapping = verdict.mapping
+    if sorted(mapping) != list(range(n)) or sorted(mapping.values()) != list(range(n)):
+        return False
+    if not g.is_connected(skip_edges=removed):
+        return False
+    retained = {
+        (min(u, v), max(u, v)) for eid, (u, v) in enumerate(g.edges) if eid not in removed
+    }
+    mapped = set()
+    for a, b in ttree.edges:
+        u, v = mapping[a], mapping[b]
+        mapped.add((min(u, v), max(u, v)))
+    return mapped == retained
+
+
+def reference_certify_directed(d: DiGraph, target: TargetTree, verdict: Verdict) -> bool:
+    """The arc-set certifier: in-degrees, reachability, and the kept arcs
+    equal to the mapped target arcs."""
+    if not verdict.is_yes or verdict.mapping is None or verdict.removed is None:
+        return False
+    n = d.n
+    if target.n != n:
+        return False
+    removed = verdict.removed
+    if len(removed) != d.m - (n - 1) or not all(0 <= a < d.m for a in removed):
+        return False
+    mapping = verdict.mapping
+    if sorted(mapping) != list(range(n)) or sorted(mapping.values()) != list(range(n)):
+        return False
+    kept = [arc for a, arc in enumerate(d.arcs) if a not in removed]
+    root = mapping[target.root]
+    indeg = [0] * n
+    for _, head in kept:
+        indeg[head] += 1
+    if len(kept) != n - 1 or not _heads_fit(indeg, root):
+        return False
+    if _arborescence_without(d, root, removed) is None:
+        return False
+    kept_set = set(kept)
+    mapped = set()
+    for tv in range(n):
+        p = target.parent[tv]
+        if p != -1:
+            mapped.add((mapping[p], mapping[tv]))
+    return mapped == kept_set
