@@ -56,11 +56,10 @@ from .graphs import (
     bfs,
     degree_gap,
     degree_shift,
-    reachable_all,
     roots_reaching_all,
 )
 from .kernel import AnchorChain
-from .treecode import TargetTree, arborescence_root, certify_witness
+from .treecode import NotArborescenceError, TargetTree, arborescence_root, certify_witness
 
 
 @dataclass
@@ -156,14 +155,10 @@ def chain_candidates(d: DiGraph, chain: AnchorChain, root_entry: int | None = No
 
 def is_spanning_arborescence(f: DiGraph, r: int) -> bool:
     """n-1 arcs, in-degree 0 at ``r``, 1 elsewhere, everything reachable from ``r``."""
-    if f.m != f.n - 1 or not 0 <= r < f.n:
+    try:
+        return arborescence_root(f) == r
+    except NotArborescenceError:
         return False
-    return _heads_fit(list(map(len, f.in_inc)), r) and reachable_all(f, r)
-
-
-def _heads_fit(indeg: list[int], r: int) -> bool:
-    """In-degree 0 at ``r`` and 1 at every other vertex."""
-    return indeg[r] == 0 and indeg.count(1) == len(indeg) - 1
 
 
 def solve_directed(

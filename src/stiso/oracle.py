@@ -14,9 +14,9 @@ a subset those checks would accept:
   trees have equal degree multisets, so any other deletion leaves no copy of
   the target; only the at most 2k ends of the deleted edges change degree.
 * directed: the kept in-degrees must be 0 once and 1 everywhere else, the
-  in-degree condition ``is_spanning_arborescence`` already applies, moved
-  ahead of the build.  With n - 1 arcs kept, that is the same as no vertex
-  keeping two or more in-arcs, and it leaves exactly one root.
+  in-degree condition :func:`~stiso.treecode.arborescence_root` already
+  checks, moved ahead of the build.  With n - 1 arcs kept, that is the same
+  as no vertex keeping two or more in-arcs, and it leaves exactly one root.
 
 The subsets that pass keep their order, so the first subset accepted, and
 with it every verdict and witness, is the one the untested enumeration finds.
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .directed import is_spanning_arborescence
-from .graphs import DiGraph, UGraph, Verdict
-from .treecode import TargetTree, target_graph, unrooted_code
+from .graphs import DiGraph, UGraph, Verdict, bfs
+from .treecode import NotArborescenceError, TargetTree, arborescence_root, target_graph
+from .treecode import unrooted_code
 
 SUBSET_GUARD = 10**7
 
@@ -93,10 +93,11 @@ def oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
             continue
         removed = frozenset(subset)
         f = DiGraph(d.n, [a for i, a in enumerate(d.arcs) if i not in removed])
-        roots = [v for v in range(f.n) if f.in_degree(v) == 0]
-        if len(roots) != 1 or not is_spanning_arborescence(f, roots[0]):
+        try:
+            root = arborescence_root(f)
+        except NotArborescenceError:
             continue
-        mapping = _bijection_search_directed(target, f, roots[0])
+        mapping = _bijection_search_directed(target, f, root)
         if mapping is not None:
             return Verdict("YES", mapping=mapping, removed=removed)
     return Verdict("NO")
@@ -159,19 +160,9 @@ def invalid_neighbors(g: UGraph, v: int) -> InvalidNeighborReport:
     k = g.m - (g.n - 1)
     bad: set[int] = set()
     for eid, u in g.incidence[v]:
-        members = {u}
-        stack = [u]
-        half = 0
-        while stack:
-            x = stack.pop()
-            for e2, w in g.incidence[x]:
-                if e2 == eid:
-                    continue
-                half += 1
-                if w not in members:
-                    members.add(w)
-                    stack.append(w)
-        if v in members or half // 2 >= len(members):
+        reached, parent = bfs(g.incidence, u, {eid})
+        # v unreached: u's side has (incidences - 1) / 2 edges, a cycle iff >= its vertices
+        if parent[v] != -1 or sum(len(g.incidence[x]) for x in reached) - 1 >= 2 * len(reached):
             bad.add(u)
     return InvalidNeighborReport(vertex=v, invalid=frozenset(bad), bound=2 * k)
 

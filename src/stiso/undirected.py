@@ -43,6 +43,14 @@ the 2-core neighbours included, is only branched on, and branching tries
 every placement, so the search is complete.  The acceptance corpus checks
 it against the brute-force oracle.
 
+The search is one loop over an explicit stack of frames, one per placed
+target position, so it leaves the recursion limit alone (raising it let a
+deep recursion overflow the C stack on Python 3.10).  A target vertex with
+children opens its image as it is placed and keeps its branch list in a
+slot.  Every bind and edge removal goes on one undo trail: a failed branch
+rolls back to its frame's mark, a failed attempt to the start, so the
+search state is built once per solve.
+
 Before any attempt, the root scan rejects each candidate ``v`` whose
 pendant check must fail, in O(deg v) and with no per-solve table: with
 only ``v`` matched, its pendants are all its trim children, so its first
@@ -54,9 +62,8 @@ A rejected candidate counts in ``roots_tried`` but not in ``attempts``.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,7 +74,16 @@ from .treecode import certify_witness, target_graph
 
 @dataclass
 class SolveStats:
-    """Search effort counters for one solve call."""
+    """Search effort counters for one undirected solve call.
+
+    ``roots_tried`` counts the graph vertices with as many neighbours as the
+    target root has children, ``attempts`` those the root prune passes.
+    ``nodes_opened`` counts the placements of a target vertex with children
+    that pass the budget and room checks, the root's included, and
+    ``branches_examined`` the neighbours tried for a target vertex.
+    ``anchors`` counts the 2-core vertices of degree at least 3.  The degree
+    screen leaves all but ``k`` at 0.
+    """
 
     k: int = 0
     roots_tried: int = 0
@@ -152,31 +168,29 @@ class _Engine:
         self.stats = stats
         self.trim = trim
         self.root_ids = Counter(tt.ids[c] for c in tt.children[tt.root])
-        # attempt state
-        self.t2g: list[int] = []
-        self.g2t: list[int] = []
+        self.t2g = [-1] * g.n
+        self.g2t = [-1] * g.n
         self.removed: set[int] = set()
-        self.trail: list[tuple] = []
-        self.nodes: dict[int, list[tuple[int, int]]] = {}  # opened vertex -> (neighbour, edge id)
+        self.trail: list[int] = []  # undo log: a bind of target vertex tv as tv, a removal as ~eid
+        self.slots: list[list[tuple[int, int]] | None] = [None] * g.n  # tv's (neighbour, edge id)
         self.fail_reason = ""
 
     # -- state plumbing ----------------------------------------------------
 
-    def _rollback(self, ck: int) -> None:
-        while len(self.trail) > ck:
-            op = self.trail.pop()
-            if op[0] == "bind":
-                self.t2g[op[1]] = -1
-                self.g2t[op[2]] = -1
-            elif op[0] == "rm":
-                self.removed.discard(op[1])
-            else:  # "node"
-                del self.nodes[op[1]]
+    def _rollback(self, mark: int) -> None:
+        trail, t2g, g2t = self.trail, self.t2g, self.g2t
+        while len(trail) > mark:
+            x = trail.pop()
+            if x >= 0:
+                g2t[t2g[x]] = -1
+                t2g[x] = -1
+            else:
+                self.removed.discard(~x)
 
     def _bind(self, tv: int, gv: int) -> None:
         self.t2g[tv] = gv
         self.g2t[gv] = tv
-        self.trail.append(("bind", tv, gv))
+        self.trail.append(tv)
 
     def _enter(self, gv: int, parent_eid: int) -> bool:
         """Drop edges from a newly matched vertex back into the matched region."""
@@ -188,7 +202,7 @@ class _Engine:
     def _drop(self, eid: int) -> bool:
         if eid not in self.removed:
             self.removed.add(eid)
-            self.trail.append(("rm", eid))
+            self.trail.append(~eid)
             if len(self.removed) > self.k:
                 return self._fail("budget")
         return True
@@ -241,39 +255,12 @@ class _Engine:
                     return None
         return avail
 
-    # -- main recursion ------------------------------------------------------
-
-    def _solve_pos(self, i: int) -> bool:
-        order = self.tt.order
-        while i < len(order) and self.t2g[order[i]] >= 0:
-            i += 1
-        if i == len(order):
+    def _opens(self, tv: int, gv: int) -> bool:
+        """Open ``gv``, just matched to ``tv``, if ``tv`` has children; False if that fails."""
+        if not self.tt.children[tv]:
             return True
-        w = order[i]
-        pt = self.tt.parent[w]
-        pg = self.t2g[pt]
-        avail = self.nodes.get(pg)
-        if avail is None:
-            ck = len(self.trail)
-            avail = self._open(pg, pt)
-            if avail is None:
-                self._rollback(ck)
-                return False
-            self.nodes[pg] = avail
-            self.trail.append(("node", pg))
-            if self.t2g[w] >= 0:
-                return self._solve_pos(i + 1)
-
-        for u, eid in avail:
-            if self.g2t[u] >= 0:
-                continue
-            self.stats.branches_examined += 1
-            ck = len(self.trail)
-            self._bind(w, u)
-            if self._enter(u, eid) and self._room_for_children(u, w) and self._solve_pos(i + 1):
-                return True
-            self._rollback(ck)
-        return False
+        self.slots[tv] = self._open(gv, tv)
+        return self.slots[tv] is not None
 
     def _room_for_children(self, gv: int, tv: int) -> bool:
         need = len(self.tt.children[tv])
@@ -285,6 +272,41 @@ class _Engine:
                 have += 1
                 if have >= need:
                     return True
+        return False
+
+    # -- the search loop -----------------------------------------------------
+
+    def _search(self) -> bool:
+        """Place every unmatched target vertex in preorder; True once all are.
+        A frame is (position, iterator over its parent's branch list, trail mark)."""
+        order, parent, t2g = self.tt.order, self.tt.parent, self.t2g
+        stack: list[tuple[int, Iterator[tuple[int, int]], int]] = []
+        i = 1
+        while True:
+            while i < len(order) and t2g[order[i]] >= 0:
+                i += 1
+            if i == len(order):
+                return True
+            stack.append((i, iter(self.slots[parent[order[i]]]), len(self.trail)))
+            while not self._next_branch(*stack[-1]):
+                stack.pop()
+                if not stack:
+                    return False
+            i = stack[-1][0] + 1
+
+    def _next_branch(self, i: int, branches: Iterator[tuple[int, int]], mark: int) -> bool:
+        """Undo to ``mark`` and place position ``i`` on its next branch that holds;
+        False once none is left."""
+        w = self.tt.order[i]
+        self._rollback(mark)
+        for u, eid in branches:
+            if self.g2t[u] >= 0:
+                continue
+            self.stats.branches_examined += 1
+            self._bind(w, u)
+            if self._enter(u, eid) and self._room_for_children(u, w) and self._opens(w, u):
+                return True
+            self._rollback(mark)
         return False
 
     # -- attempts ------------------------------------------------------------
@@ -301,23 +323,17 @@ class _Engine:
 
     def attempt(self, root_g: int) -> Verdict | None:
         self.stats.attempts += 1
-        n = self.g.n
-        self.t2g = [-1] * n
-        self.g2t = [-1] * n
-        self.removed = set()
-        self.trail = []
-        self.nodes = {}
         self.fail_reason = ""
         self._bind(self.tt.root, root_g)
-        if not self._enter(root_g, -1):
-            return None
-        if not self._solve_pos(1):
-            return None
-        if -1 in self.t2g:
-            raise RuntimeError("search finished with an unmatched target vertex")
-        if len(self.removed) != self.k:
-            raise RuntimeError(f"search removed {len(self.removed)} edges, expected {self.k}")
-        return Verdict("YES", mapping=dict(enumerate(self.t2g)), removed=frozenset(self.removed))
+        if self._opens(self.tt.root, root_g) and self._search():
+            if -1 in self.t2g:
+                raise RuntimeError("search finished with an unmatched target vertex")
+            if len(self.removed) != self.k:
+                raise RuntimeError(f"search removed {len(self.removed)} edges, expected {self.k}")
+            mapping = dict(enumerate(self.t2g))
+            return Verdict("YES", mapping=mapping, removed=frozenset(self.removed))
+        self._rollback(0)
+        return None
 
 
 def _rooting(target: TargetTree | UGraph) -> TargetTree:
@@ -348,23 +364,18 @@ def _scan(g: UGraph, tt: TargetTree, k: int, stats: SolveStats, trace: TraceFn |
     stats.anchors = sum(d >= 3 for d in deg)  # the kernel's vertices
     engine = _Engine(g, tt, k, stats, _Forest(trim_order, trim_parent, tt.table))
     min_children = len(tt.children[tt.root])
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 10 * g.n + 1000))
-    try:
-        for v, pairs in enumerate(g.incidence):
-            if len(pairs) < min_children:
-                continue
-            stats.roots_tried += 1
-            if not engine.root_fits(v):
-                if trace is not None:
-                    trace(f"troot={tt.root} root={v} pi=- fail:pendant-unmatched")
-                continue
-            verdict = engine.attempt(v)
+    for v, pairs in enumerate(g.incidence):
+        if len(pairs) < min_children:
+            continue
+        stats.roots_tried += 1
+        if not engine.root_fits(v):
             if trace is not None:
-                outcome = "yes" if verdict else f"fail:{engine.fail_reason or 'exhausted'}"
-                trace(f"troot={tt.root} root={v} pi=- {outcome}")
-            if verdict is not None:
-                return verdict
-        return Verdict("NO")
-    finally:
-        sys.setrecursionlimit(limit)
+                trace(f"troot={tt.root} root={v} pi=- fail:pendant-unmatched")
+            continue
+        verdict = engine.attempt(v)
+        if trace is not None:
+            outcome = "yes" if verdict else f"fail:{engine.fail_reason or 'exhausted'}"
+            trace(f"troot={tt.root} root={v} pi=- {outcome}")
+        if verdict is not None:
+            return verdict
+    return Verdict("NO")

@@ -158,16 +158,47 @@ def test_low_k_reports_effort_and_trace():
         assert lines and all(line.startswith("troot=") for line in lines), lines
 
 
-def test_solve_leaves_the_recursion_limit_as_found():
+def test_search_runs_under_the_default_recursion_limit():
+    # the search is one loop, so a target 1500 deep from its centre needs no
+    # deeper Python stack, and nothing in the solve raises the limit
+    n = 3001
+    g, target = end_chord_path(n), path(n)
+    seen = set()
+
+    def tracer(frame, event, arg):
+        seen.add(sys.getrecursionlimit())
+
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
+    sys.settrace(tracer)
     try:
-        for k in (0, 1, 3):
-            inst = gen_instance(GenSpec(n=300, k=k, seed=k, mode="planted-yes"))
-            assert solve_undirected(inst.graph, inst.target).is_yes
-            assert sys.getrecursionlimit() == 1000, k
+        v = solve_undirected(g, target)
     finally:
+        sys.settrace(None)
         sys.setrecursionlimit(limit)
+    assert seen == {1000}
+    assert v.is_yes and certify_undirected(g, target, v)
+
+
+def test_failed_attempt_leaves_the_engine_as_built():
+    """Every failed attempt rolls back to the engine's start, in the same
+    objects: no target or graph vertex matched, no edge removed, no trail."""
+    from stiso.graphs import peel_leaves
+    from stiso.undirected import _Engine, _Forest, _rooting
+
+    g, target = chorded_cycle_and_spider(60, 3, 0)
+    assert not _screened(g, target)
+    tt = _rooting(target)
+    order, parent, _ = peel_leaves(g)
+    stats = SolveStats()
+    engine = _Engine(g, tt, g.m - g.n + 1, stats, _Forest(order, parent, tt.table))
+    state = (engine.t2g, engine.g2t, engine.removed, engine.trail)
+    for v in range(g.n):
+        assert engine.attempt(v) is None, v
+        assert state == ([-1] * g.n, [-1] * g.n, set(), []), v
+        now = (engine.t2g, engine.g2t, engine.removed, engine.trail)
+        assert all(a is b for a, b in zip(state, now)), v
+    assert stats.attempts == g.n and stats.branches_examined > g.n
 
 
 def test_vertex_count_mismatch_is_an_error():
@@ -463,23 +494,9 @@ def test_unfinished_search_raises_under_any_optimisation_level(monkeypatch):
     # the post-condition is an explicit raise, so ``python -O`` keeps it
     from stiso.undirected import _Engine
 
-    monkeypatch.setattr(_Engine, "_solve_pos", lambda self, i: True)
+    monkeypatch.setattr(_Engine, "_search", lambda self: True)
     with pytest.raises(RuntimeError, match="unmatched target vertex"):
         solve_undirected(THETA, path(5), fallback=True)
-
-
-def test_package_has_no_assert_statements():
-    # ``python -O`` strips asserts, so no invariant of the package may be one
-    import ast
-    from pathlib import Path
-
-    import stiso
-
-    files = sorted(Path(stiso.__file__).parent.glob("*.py"))
-    assert len(files) > 5
-    for f in files:
-        tree = ast.parse(f.read_text(), filename=str(f))
-        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], f
 
 
 def test_benchmark_counters_are_stats_fields():

@@ -29,7 +29,7 @@ from stiso import (
     is_spanning_arborescence,
     tree_centers,
 )
-from stiso.directed import _arborescence_without, _heads_fit
+from stiso.directed import _arborescence_without
 from stiso.oracle import _bijection_search_directed, _bijection_search_undirected, _guard
 from stiso.treecode import target_graph
 
@@ -364,7 +364,7 @@ def reference_certify_directed(d: DiGraph, target: TargetTree, verdict: Verdict)
     indeg = [0] * n
     for _, head in kept:
         indeg[head] += 1
-    if len(kept) != n - 1 or not _heads_fit(indeg, root):
+    if len(kept) != n - 1 or indeg[root] != 0 or indeg.count(1) != n - 1:
         return False
     if _arborescence_without(d, root, removed) is None:
         return False
