@@ -499,6 +499,20 @@ def test_unfinished_search_raises_under_any_optimisation_level(monkeypatch):
         solve_undirected(THETA, path(5), fallback=True)
 
 
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips asserts, so no invariant of the package may be one
+    import ast
+    from pathlib import Path
+
+    import stiso
+
+    files = sorted(Path(stiso.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    for f in files:
+        tree = ast.parse(f.read_text(), filename=str(f))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], f
+
+
 def test_benchmark_counters_are_stats_fields():
     # perfbench reads its counters by name and reports a missing field as null,
     # so a counter deleted here would otherwise go unnoticed there
