@@ -88,9 +88,10 @@ class Kernel:
 def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
     """Contract ``g`` to its core, recording anchors and per-edge chains.
 
-    Requires a connected graph with surplus ``k = m - (n-1) >= 2`` (smaller
-    surpluses are handled by the solvers' special cases and have empty or
-    degenerate cores).  The result is that of the deterministic reduction
+    Requires a connected graph with surplus ``k = m - (n-1) >= 2``: smaller
+    surpluses have empty or degenerate cores.  Neither solver builds a kernel
+    or has a special case for k = 0 or k = 1; each decides them by the search
+    it runs for every k.  The result is that of the deterministic reduction
     order: the lowest-id degree-1 vertex first, else the lowest-id degree-2
     vertex.  It is computed in two linear passes: peel the leaves from a
     lowest-id heap, then walk the chains between anchors.  Suppressing never

@@ -45,16 +45,19 @@ it against the brute-force oracle.
 
 The search is one loop over an explicit stack of frames, one per placed
 target position, so it leaves the recursion limit alone (raising it let a
-deep recursion overflow the C stack on Python 3.10).  A target vertex with
-children opens its image as it is placed and keeps its branch list in a
-slot.  Every bind and edge removal goes on one undo trail: a failed branch
-rolls back to its frame's mark, a failed attempt to the start, so the
-search state is built once per solve.
+deep recursion overflow the C stack on Python 3.10).  Placing a target
+vertex reads its image's edge list once (``_place``): the scan drops every
+edge back into the matched region but the one it came by, and sorts the
+free neighbours into pendants and branches; a vertex with children then
+binds its pendants and keeps its branches in a slot.  Every bind and edge
+removal goes on one undo trail: a failed branch rolls back to its frame's
+mark, a failed attempt to the start, so the search state is built once per
+solve.
 
 Before any attempt, the root scan rejects each candidate ``v`` whose
 pendant check must fail, in O(deg v) and with no per-solve table: with
-only ``v`` matched, its pendants are all its trim children, so its first
-``_open`` fails ``pendant-unmatched`` iff a run of equal ids among them
+only ``v`` matched, its pendants are all its trim children, so its
+``_place`` fails ``pendant-unmatched`` iff a run of equal ids among them
 (they are sorted by id) outnumbers that id among the target root's
 children, counted once per solve.
 A rejected candidate counts in ``roots_tried`` but not in ``attempts``.
@@ -192,13 +195,6 @@ class _Engine:
         self.g2t[gv] = tv
         self.trail.append(tv)
 
-    def _enter(self, gv: int, parent_eid: int) -> bool:
-        """Drop edges from a newly matched vertex back into the matched region."""
-        for eid, w in self.g.incidence[gv]:
-            if eid != parent_eid and self.g2t[w] >= 0 and not self._drop(eid):
-                return False
-        return True
-
     def _drop(self, eid: int) -> bool:
         if eid not in self.removed:
             self.removed.add(eid)
@@ -218,61 +214,52 @@ class _Engine:
         for tx, gx in _pair_children(tw, self.tt.children, gu, self.trim.kids):
             self._bind(tx, gx)
 
-    # -- node opening --------------------------------------------------------
+    # -- placement -----------------------------------------------------------
 
-    def _open(self, rg: int, rt: int) -> list[tuple[int, int]] | None:
-        """Bind the pendants at ``rg``; the neighbours left to branch on, or None."""
-        self.stats.nodes_opened += 1
-        tparent = self.trim.parent
+    def _place(self, tv: int, gv: int, parent_eid: int) -> bool:
+        """Match ``gv`` to ``tv`` in one scan of ``gv``'s edges; False if that fails.
+
+        The scan drops every edge back into the matched region but the parent
+        edge and sorts the free neighbours into pendants and branches.  If
+        ``tv`` has children, the pendants bind and the branches go in ``slots[tv]``.
+        """
+        self._bind(tv, gv)
+        g2t, removed, tparent = self.g2t, self.removed, self.trim.parent
         pendants: list[int] = []
         avail: list[tuple[int, int]] = []
-        for eid, u in self.g.incidence[rg]:
-            if eid in self.removed or self.g2t[u] >= 0:
-                continue
-            if tparent[u] == rg:
-                pendants.append(u)
-            else:
-                avail.append((u, eid))
-        avail.sort()
+        for eid, u in self.g.incidence[gv]:
+            if g2t[u] >= 0:
+                if eid != parent_eid and not self._drop(eid):
+                    return False
+            elif eid not in removed:
+                if tparent[u] == gv:
+                    pendants.append(u)
+                else:
+                    avail.append((u, eid))
+        children = self.tt.children[tv]
+        if not children:
+            return True
+        need = len(children) - len(pendants)
+        if len(avail) < need:  # no room for tv's children
+            return False
+        self.stats.nodes_opened += 1
 
-        free: dict[int, list[int]] = {}  # rt's children by id, first one last; none is matched
-        for c in reversed(self.tt.children[rt]):
+        free: dict[int, list[int]] = {}  # tv's children by id, first one last; none is matched
+        for c in reversed(children):
             free.setdefault(self.tt.ids[c], []).append(c)
-        need = len(self.tt.children[rt]) - len(pendants)
         for u in sorted(pendants):
             bucket = free.get(self.trim.ids[u])
             if not bucket:
-                self._fail("pendant-unmatched")
-                return None
+                return self._fail("pendant-unmatched")
             self._bind_tree(u, bucket.pop())
 
-        if len(avail) < need:
-            self._fail("fewer-neighbors-than-children")
-            return None
+        avail.sort()
         if need == 0:
             for _, eid in avail:
                 if not self._drop(eid):
-                    return None
-        return avail
-
-    def _opens(self, tv: int, gv: int) -> bool:
-        """Open ``gv``, just matched to ``tv``, if ``tv`` has children; False if that fails."""
-        if not self.tt.children[tv]:
-            return True
-        self.slots[tv] = self._open(gv, tv)
-        return self.slots[tv] is not None
-
-    def _room_for_children(self, gv: int, tv: int) -> bool:
-        need = len(self.tt.children[tv])
-        if need == 0:
-            return True
-        have = 0
-        for eid, w in self.g.incidence[gv]:
-            if eid not in self.removed and self.g2t[w] < 0:
-                have += 1
-                if have >= need:
-                    return True
-        return False
+                    return False
+        self.slots[tv] = avail
+        return True
 
     # -- the search loop -----------------------------------------------------
 
@@ -303,8 +290,7 @@ class _Engine:
             if self.g2t[u] >= 0:
                 continue
             self.stats.branches_examined += 1
-            self._bind(w, u)
-            if self._enter(u, eid) and self._room_for_children(u, w) and self._opens(w, u):
+            if self._place(w, u, eid):
                 return True
             self._rollback(mark)
         return False
@@ -324,8 +310,7 @@ class _Engine:
     def attempt(self, root_g: int) -> Verdict | None:
         self.stats.attempts += 1
         self.fail_reason = ""
-        self._bind(self.tt.root, root_g)
-        if self._opens(self.tt.root, root_g) and self._search():
+        if self._place(self.tt.root, root_g, -1) and self._search():
             if -1 in self.t2g:
                 raise RuntimeError("search finished with an unmatched target vertex")
             if len(self.removed) != self.k:

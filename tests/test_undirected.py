@@ -351,11 +351,13 @@ def test_degree_screen_rejects_a_missing_high_degree():
 
 
 def test_root_prune_is_exact():
-    """A root is rejected iff its attempt fails pendant-unmatched at the first open."""
+    """A root the scan tries is rejected iff its attempt fails pendant-unmatched
+    at the first open.  A root with fewer neighbours than the target root has
+    children, which the scan never tries, fails its room check with no reason."""
     from stiso.kernel import make_contractible
     from stiso.undirected import _Engine, _Forest
 
-    rejected_total = kept_total = 0
+    rejected_total = kept_total = roomless_total = 0
     for seed in range(60):
         rng = random.Random(seed)
         n, k = rng.randint(6, 30), rng.randint(2, 5)
@@ -372,6 +374,11 @@ def test_root_prune_is_exact():
                 stats = SolveStats()
                 engine = _Engine(g, tt, k, stats, trim)
                 verdict = engine.attempt(v)
+                if len(g.incidence[v]) < len(tt.children[tt.root]):
+                    got = (verdict, stats.nodes_opened, engine.fail_reason)
+                    assert got == (None, 0, ""), (seed, tt.root, v)
+                    roomless_total += 1
+                    continue
                 fails_at_root = (
                     verdict is None
                     and engine.fail_reason == "pendant-unmatched"
@@ -380,7 +387,7 @@ def test_root_prune_is_exact():
                 assert (v in rejected) == fails_at_root, (seed, tt.root, v)
                 rejected_total += v in rejected
                 kept_total += v not in rejected
-    assert rejected_total > 0 and kept_total > 0
+    assert rejected_total > 0 and kept_total > 0 and roomless_total > 0
 
 
 def test_trim_forest_lists_children_by_id_at_every_vertex():
@@ -619,7 +626,7 @@ def _full_walk(engine, rg):
 
 
 def _reference_open(engine, rg, rt):
-    """``_open`` by a full walk and string codes.
+    """The opening of ``rg`` for ``rt`` in ``_place``, by a full walk and string codes.
 
     A pendant is a component of the unvisited remainder that is a tree, meets
     the matched region only by one edge at ``rg`` and hangs from a trim child
@@ -677,31 +684,43 @@ def _reference_open(engine, rg, rt):
 
 
 def test_open_matches_full_walk(monkeypatch):
-    """At every node a search opens, the trim-forest rule agrees with a full walk.
+    """At every placement a search makes, the one-scan ``_place`` agrees with
+    a placement in three steps: drop the edges back into the matched region,
+    check room for the children, then open by a full walk.
 
-    Compared: the pendant/avail split, the bound pendants, the fail reason and the
-    edges dropped.  A component of the remainder that is a tree hanging from one
-    edge at a 2-core vertex (a core pendant) goes on the branch list.
+    Compared: the result, the branch list, the bound pendants, the edges
+    dropped, the fail reason and ``nodes_opened``.  A component of the
+    remainder that is a tree hanging from one edge at a 2-core vertex (a core
+    pendant) goes on the branch list.
     """
     from stiso.undirected import _Engine, _solve_core
 
-    real_open = _Engine._open
+    real_place = _Engine._place
     seen = {"trim child": 0, "trim parent": 0, "core pendant": 0, "core branch": 0}
     branched = []  # the edges of core pendants at nodes that opened
     opened = []
 
-    def checked_open(engine, rg, rt):
-        opened.append(rg)
-        ck, reason = len(engine.trail), engine.fail_reason
-        comps = _full_walk(engine, rg)
+    def reference_place(engine, tv, gv, parent_eid):
+        engine._bind(tv, gv)
+        for eid, w in engine.g.incidence[gv]:
+            if eid != parent_eid and engine.g2t[w] >= 0 and not engine._drop(eid):
+                return False
+        children = engine.tt.children[tv]
+        if not children:
+            return True
+        kept = [w for eid, w in engine.g.incidence[gv] if eid not in engine.removed]
+        if sum(engine.g2t[w] < 0 for w in kept) < len(children):  # no room
+            return False
+        engine.stats.nodes_opened += 1
+        opened.append(gv)
         core_pendants = []
-        for c in comps:
+        for c in _full_walk(engine, gv):
             u = c["edges"][0][0]
             is_tree = c["acyclic"] and c["attach"] == 0
-            if engine.trim.parent[u] == rg:
+            if engine.trim.parent[u] == gv:
                 assert is_tree and len(c["edges"]) == 1
                 seen["trim child"] += 1
-            elif engine.trim.parent[rg] == u:
+            elif engine.trim.parent[gv] == u:
                 assert not c["acyclic"]
                 seen["trim parent"] += 1
             elif is_tree and len(c["edges"]) == 1:
@@ -709,18 +728,40 @@ def test_open_matches_full_walk(monkeypatch):
                 seen["core pendant"] += 1
             else:
                 seen["core branch"] += 1
-        want = _reference_open(engine, rg, rt)
-        state = (want, list(engine.t2g), set(engine.removed), engine.fail_reason)
+        avail = _reference_open(engine, gv, tv)
+        if avail is None:
+            return False
+        assert all(edge in avail for edge in core_pendants)
+        branched.extend(core_pendants)
+        engine.slots[tv] = avail
+        return True
+
+    def checked_place(engine, tv, gv, parent_eid):
+        ck, reason, opens = len(engine.trail), engine.fail_reason, engine.stats.nodes_opened
+        engine.slots[tv] = None
+        want = reference_place(engine, tv, gv, parent_eid)
+        state = (
+            want,
+            engine.slots[tv],
+            list(engine.t2g),
+            set(engine.removed),
+            engine.fail_reason,
+            engine.stats.nodes_opened,
+        )
         engine._rollback(ck)
-        engine.fail_reason = reason
-        got = real_open(engine, rg, rt)
-        assert (got, engine.t2g, engine.removed, engine.fail_reason) == state
-        if got is not None:
-            assert all(edge in got for edge in core_pendants)
-            branched.extend(core_pendants)
+        engine.fail_reason, engine.stats.nodes_opened, engine.slots[tv] = reason, opens, None
+        got = real_place(engine, tv, gv, parent_eid)
+        assert (
+            got,
+            engine.slots[tv],
+            engine.t2g,
+            engine.removed,
+            engine.fail_reason,
+            engine.stats.nodes_opened,
+        ) == state
         return got
 
-    monkeypatch.setattr(_Engine, "_open", checked_open)
+    monkeypatch.setattr(_Engine, "_place", checked_place)
     cases = []
     for seed in range(120):
         rng = random.Random(seed)
@@ -734,6 +775,36 @@ def test_open_matches_full_walk(monkeypatch):
         _solve_core(g, target, g.m - g.n + 1, SolveStats(), None)
     assert all(seen.values()) and branched, seen
     assert len(opened) == 6626
+
+
+def test_one_incidence_read_per_placement():
+    """Placing a vertex reads its incidence list once: the root once per
+    attempt, and each branch examined once."""
+    from stiso.graphs import peel_leaves
+    from stiso.undirected import _Engine, _Forest, _rooting
+
+    class CountedReads(tuple):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountedReads.reads += 1
+            return tuple.__getitem__(self, i)
+
+    cases = [chorded_cycle_and_spider(60, 3, 0), (chorded_path(61), path(61))]
+    for g, target in cases:
+        tt = _rooting(target)
+        order, parent, _ = peel_leaves(g)
+        stats = SolveStats()
+        engine = _Engine(g, tt, g.m - g.n + 1, stats, _Forest(order, parent, tt.table))
+        min_children = len(tt.children[tt.root])
+        roots = [v for v, pairs in enumerate(g.incidence) if len(pairs) >= min_children]
+        g.incidence = CountedReads(g.incidence)
+        CountedReads.reads = 0
+        for v in roots:
+            if engine.root_fits(v) and engine.attempt(v) is not None:
+                break
+        assert stats.attempts > 1
+        assert CountedReads.reads == stats.attempts + stats.branches_examined
 
 
 def test_chorded_path_walks_nothing():
