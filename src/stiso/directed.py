@@ -11,22 +11,33 @@ has in-degree at most ``k`` and forms at most ``2^(k - indeg r)`` plans.
 A vertex of in-degree 0 is the only root that can reach every vertex, and
 two of them leave none.
 
+Before any walk of the graph, an out-degree screen decides a NO in O(n)
+(:func:`~stiso.graphs.degrees_cover`): the undirected solver's degree
+screen, applied to out-degrees.  Say deleting a set ``R`` of k arcs leaves
+an arborescence isomorphic to the target.  The isomorphism maps each
+target vertex onto a graph vertex whose out-degree in ``d - R``, and so in
+``d``, is at least the target vertex's.  So for every x the graph has at
+least as many vertices of out-degree >= x as the target, and the screen
+rejects every instance where it has fewer, before the roots are found or
+weak connectivity is checked.  The target's out-degrees are its tree
+degrees less one at every vertex but the root, so the screen reads no
+canonical code.
+
 The roots that reach every vertex are found in linear time
 (:func:`~stiso.graphs.roots_reaching_all`), not by a search per root; with
 one vertex of in-degree 0, one search from it decides.
 
 Isomorphic arborescences have equal out-degree multisets, and a plan
 lowers the out-degree of at most ``k`` tails, those of its deleted arcs.
-So the solver counts once per solve how the graph's out-degree histogram
-differs from the target's (in at most ``2k`` entries, as the graph has
-``k`` arcs more), and rejects in O(k) each plan whose deletions do not
-cancel that difference exactly (:func:`~stiso.graphs.degree_shift`).  The
-test is only necessary, and plans keep their order, so the first plan to
-pass the full check, and with it the answer, is unchanged; only the plans
-it keeps are searched and count as ``arborescence_hits``.  The target's
-out-degrees are its tree degrees less one at every vertex but the root, so
-the test reads no canonical code, and a NO that it decides never builds
-the target's (:class:`~stiso.treecode.TargetTree` builds them on first read).
+So the screen's count of how the graph's out-degree histogram differs from
+the target's (in at most ``2k`` entries, as the graph has ``k`` arcs more)
+serves the whole solve: each plan whose deletions do not cancel that
+difference exactly is rejected in O(k) (:func:`~stiso.graphs.degree_shift`).
+The test is only necessary, and plans keep their order, so the first plan
+to pass the full check, and with it the answer, is unchanged; only the
+plans it keeps are searched and count as ``arborescence_hits``.  A NO that
+the screen or this test decides never builds the target's canonical codes
+(:class:`~stiso.treecode.TargetTree` builds them on first read).
 
 Each plan left is checked by one search from the root over the kept arcs
 (:func:`~stiso.graphs.bfs`); when it spans, the witness is compared with
@@ -56,6 +67,7 @@ from .graphs import (
     bfs,
     degree_gap,
     degree_shift,
+    degrees_cover,
     roots_reaching_all,
 )
 from .kernel import AnchorChain
@@ -70,7 +82,7 @@ class DirectedStats:
     the most at one root, and ``arborescence_hits`` the plans that pass the
     out-degree test and span.  ``subsets_examined`` has nothing left to count
     and stays 0; it is kept because ``perfbench/decide.py`` reads counters
-    by field name.
+    by field name.  The out-degree screen leaves every counter but ``k`` at 0.
     """
 
     k: int = 0
@@ -173,12 +185,21 @@ def solve_directed(
     if d.n != target.n:
         raise ValueError(f"vertex counts differ: graph {d.n}, target {target.n}")
     stats = stats if stats is not None else DirectedStats()
+    stats.k = d.m - (d.n - 1)
+    out_deg = list(map(len, d.out_inc))
+    # out-degree: tree degree less the in-arc every vertex but the root has
+    want = [len(pairs) - 1 for pairs in target.tree.incidence]
+    want[target.root] += 1
+    gap = degree_gap(out_deg, want)
+    if not degrees_cover(gap):
+        if trace is not None:
+            trace("screen=out-degrees fail:uncovered")
+        return Verdict("NO", note="out-degree screen: the graph's out-degrees do not cover the target's")
     admissible = roots_reaching_all(d)
     # a root that reaches every vertex proves weak connectivity
     if not any(admissible) and not d.underlying().is_connected():
         return Verdict("NO", note="graph is weakly disconnected: no spanning tree exists")
-    stats.k = d.m - (d.n - 1)
-    verdict = _search(d, target, admissible, stats, trace)
+    verdict = _search(d, target, admissible, out_deg, gap, stats, trace)
     if verdict.is_yes and not certify_directed(d, target, verdict):
         raise RuntimeError("YES verdict failed certification")
     return verdict
@@ -198,13 +219,19 @@ def certify_directed(d: DiGraph, target: TargetTree, verdict: Verdict) -> bool:
 # in-arc choice search
 
 
-def _search(d: DiGraph, target: TargetTree, admissible: list[bool], stats, trace) -> Verdict:
+def _search(
+    d: DiGraph,
+    target: TargetTree,
+    admissible: list[bool],
+    out_deg: list[int],
+    gap: dict[int, int],
+    stats,
+    trace,
+) -> Verdict:
+    """The first plan, roots in id order and plans in product order, whose
+    out-degrees shift by ``gap`` and whose kept arcs span a copy of the
+    target, or NO; ``out_deg`` lists ``d``'s out-degrees."""
     multi = {v: [aid for aid, _ in pairs] for v, pairs in enumerate(d.in_inc) if len(pairs) >= 2}
-    out_deg = list(map(len, d.out_inc))
-    # out-degree: tree degree less the in-arc every vertex but the root has
-    want = [len(pairs) - 1 for pairs in target.tree.incidence]
-    want[target.root] += 1
-    gap = degree_gap(out_deg, want)
     arcs = d.arcs
 
     for r in range(d.n):

@@ -8,8 +8,10 @@ maps that centre to some graph vertex with at least as many neighbours as
 the centre has children, and the root scan tries every such vertex, so one
 rooting of the target suffices.
 
-Before the search, a degree screen decides a NO in O(n), with no leaf
-peel, rooting or code table (:func:`~stiso.graphs.degrees_cover`).  Say
+Before any walk of the graph, the connectivity check included, a degree
+screen decides a NO in O(n), with no leaf peel, rooting or code table
+(:func:`~stiso.graphs.degrees_cover`); a disconnected graph that passes it
+is then a NO by the connectivity check.  Say
 ``g - R`` is isomorphic to the target for a set ``R`` of k edges.  (1) The
 isomorphism maps each target vertex onto a graph vertex of at least its
 degree, so for every x the graph has at least as many vertices of degree
@@ -119,14 +121,14 @@ def solve_undirected(
     if g.is_multigraph:
         raise ValueError("input graph must be simple")
     stats = stats if stats is not None else SolveStats()
-    if not g.is_connected():
-        return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
     stats.k = k
     if not degrees_cover(degree_gap(map(len, g.incidence), map(len, ttree.incidence))):
         if trace is not None:
             trace("screen=degrees fail:uncovered")
         return Verdict("NO", note="degree screen: the graph's degrees do not cover the target's")
+    if not g.is_connected():
+        return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     return _solve_core(g, target, k, stats, trace)
 
 
@@ -244,14 +246,15 @@ class _Engine:
             return False
         self.stats.nodes_opened += 1
 
-        free: dict[int, list[int]] = {}  # tv's children by id, first one last; none is matched
-        for c in reversed(children):
-            free.setdefault(self.tt.ids[c], []).append(c)
-        for u in sorted(pendants):
-            bucket = free.get(self.trim.ids[u])
-            if not bucket:
-                return self._fail("pendant-unmatched")
-            self._bind_tree(u, bucket.pop())
+        if pendants:
+            free: dict[int, list[int]] = {}  # tv's children by id, first one last; none is matched
+            for c in reversed(children):
+                free.setdefault(self.tt.ids[c], []).append(c)
+            for u in sorted(pendants):
+                bucket = free.get(self.trim.ids[u])
+                if not bucket:
+                    return self._fail("pendant-unmatched")
+                self._bind_tree(u, bucket.pop())
 
         avail.sort()
         if need == 0:

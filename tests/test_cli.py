@@ -13,6 +13,7 @@ K13 = "4 3 U\n0 1\n0 2\n0 3\n"
 THETA = "5 6 U\n0 2\n2 1\n0 3\n3 1\n0 4\n4 1\n"
 DC4 = "4 4 D\n0 1\n1 2\n2 3\n3 0\n"
 DP4 = "4 3 D\n0 1\n1 2\n2 3\n"
+DK13 = "4 3 D\n0 1\n0 2\n0 3\n"
 P5 = "5 4 U\n0 1\n1 2\n2 3\n3 4\n"
 FAN = "4 5 U\n0 3\n1 3\n2 3\n0 1\n0 2\n"
 
@@ -60,6 +61,19 @@ def test_degree_screen_no_on_the_cli(files):
     traced = run_cli(*args, "--trace")
     assert (traced.returncode, traced.stdout) == (1, "NO\n")
     assert traced.stderr == "screen=degrees fail:uncovered\n" + res.stderr
+
+
+def test_out_degree_screen_no_on_the_cli(files):
+    # every vertex of DC4 has out-degree 1, the out-star's root 3: the
+    # out-degree screen says NO
+    _, write = files
+    args = ("solve", "-g", write("g.txt", DC4), "-t", write("t.txt", DK13), "--directed")
+    res = run_cli(*args)
+    assert (res.returncode, res.stdout) == (1, "NO\n")
+    assert res.stderr == "out-degree screen: the graph's out-degrees do not cover the target's\n"
+    traced = run_cli(*args, "--trace")
+    assert (traced.returncode, traced.stdout) == (1, "NO\n")
+    assert traced.stderr == "screen=out-degrees fail:uncovered\n" + res.stderr
 
 
 def test_solve_cert_output(files):

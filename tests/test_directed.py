@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import sys
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
@@ -26,8 +27,8 @@ from stiso import (
     solve_directed,
     target_tree_from_digraph,
 )
-from stiso.directed import _arborescence_without
-from stiso.graphs import degree_gap, degree_shift, roots_reaching_all
+from stiso.directed import _arborescence_without, _search
+from stiso.graphs import degree_gap, degree_shift, degrees_cover, roots_reaching_all
 from stiso.treecode import _ahu, _pair_children
 
 
@@ -327,7 +328,8 @@ def _plan_bound(d: DiGraph, r: int) -> int:
 
 def test_in_arc_plans_per_root_bound():
     """Over test_plan_work_bound's corpus, every root forms at most
-    2^(k - indeg r) plans, so no root forms more than 2^k."""
+    2^(k - indeg r) plans, so no root forms more than 2^k.  The plans are
+    formed below the out-degree screen, which decides some of these NOs."""
     for seed in range(30):
         k = 2 + seed % 2
         mode = "planted-yes" if seed % 2 == 0 else "random"
@@ -335,7 +337,7 @@ def test_in_arc_plans_per_root_bound():
         inst = gen_instance(spec)
         stats = DirectedStats()
         lines = []
-        solve_directed(inst.graph, inst.target, stats=stats, trace=lines.append)
+        _unscreened(inst.graph, inst.target, stats=stats, trace=lines.append)
         for line in lines:
             m = re.fullmatch(r"root=(\d+) plans=(\d+) surviving=\d+ (yes|no)", line)
             if m is None:
@@ -437,8 +439,7 @@ def _plans_unfiltered(d: DiGraph, target):
     its out-degrees fit: yields (root, deleted arcs, passes the degree test,
     witness children by ``(id, vertex)`` or None, root id equals the target's)."""
     table, root_id = target.table, target.ids[target.root]
-    out_deg = [d.out_degree(v) for v in range(d.n)]
-    gap = degree_gap(out_deg, [len(c) for c in target.children])
+    out_deg, gap = _out_gap(d, target)
     admissible = roots_reaching_all(d)
     multi = [v for v in range(d.n) if d.in_degree(v) >= 2]
     for r in range(d.n):
@@ -508,12 +509,110 @@ def test_filtered_search_matches_unfiltered_reference():
 
 def test_rare_giant_searches_no_plan():
     """Every plan of this instance spans (the extra arcs feed the admissible
-    roots); the out-degree test rejects all of them before the search."""
+    roots); below the screen, the out-degree test rejects all of them before
+    the search, and the solver's out-degree screen forms no plan at all."""
     inst = gen_instance(GenSpec(n=500, k=6, seed=546, mode="random", directed=True))
     stats = DirectedStats()
     lines = []
-    v = solve_directed(inst.graph, inst.target, stats=stats, trace=lines.append)
+    v = _unscreened(inst.graph, inst.target, stats=stats, trace=lines.append)
     assert not v.is_yes
     assert stats.plans_examined == 1088
     assert stats.arborescence_hits == 0
     assert all("surviving=0 no" in line for line in lines if "plans=" in line)
+    assert _screened(inst.graph, inst.target)
+
+
+SCREEN_LINE = "screen=out-degrees fail:uncovered"
+
+
+def _out_gap(d: DiGraph, target) -> tuple[list[int], dict[int, int]]:
+    """``d``'s out-degrees, and their gap to the target's child counts."""
+    out_deg = [d.out_degree(v) for v in range(d.n)]
+    return out_deg, degree_gap(out_deg, [len(c) for c in target.children])
+
+
+def _unscreened(d: DiGraph, target, *, stats=None, trace=None) -> Verdict:
+    """``solve_directed`` without its out-degree screen and certifier: the
+    plan search over every root that reaches all."""
+    out_deg, gap = _out_gap(d, target)
+    stats = stats if stats is not None else DirectedStats()
+    return _search(d, target, roots_reaching_all(d), out_deg, gap, stats, trace)
+
+
+def _screened(d: DiGraph, target) -> bool:
+    """Whether ``solve_directed`` decides the instance by its out-degree
+    screen: then the verdict is a NO with the screen's note, the screen's
+    trace line alone and every counter but ``k`` at 0."""
+    stats, lines = DirectedStats(), []
+    v = solve_directed(d, target, stats=stats, trace=lines.append)
+    if lines != [SCREEN_LINE]:
+        return False
+    assert v.answer == "NO" and v.note.startswith("out-degree screen")
+    assert stats == DirectedStats(k=d.m - (d.n - 1))
+    return True
+
+
+def _out_covers(d: DiGraph, target) -> bool:
+    return degrees_cover(_out_gap(d, target)[1])
+
+
+def test_out_degree_screen_passes_every_planted_instance():
+    for n in (5, 12, 60, 250, 1000):
+        for k in range(7):
+            for s in range(2):
+                seed = 7000 + 100 * n + 10 * k + s
+                inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode="planted-yes", directed=True))
+                assert _out_covers(inst.graph, inst.target), seed
+
+
+def test_out_degree_screen_rejects_only_oracle_nos():
+    """Over every orientation of two k = 2 shapes and seeded random desk
+    instances, every instance the screen rejects is an oracle NO, so it
+    passes every YES; each rejected one is decided by the screen alone."""
+    shapes = [
+        [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)],
+        [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],
+    ]
+    targets = [
+        target_tree_from_digraph(_digraph_for([(0, 1), (1, 2), (2, 3), (3, 4)], 5)),
+        target_tree_from_digraph(_digraph_for([(0, 1), (0, 2), (0, 3), (0, 4)], 5)),
+    ]
+    cases = []
+    for edges in shapes:
+        for bits in product((0, 1), repeat=6):
+            d = DiGraph(5, [(u, v) if b == 0 else (v, u) for (u, v), b in zip(edges, bits)])
+            cases += [(d, t) for t in targets]
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, k = rng.randint(5, 10), rng.randint(0, 5)
+        inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode="random", directed=True))
+        cases.append((inst.graph, inst.target))
+    counts = Counter()
+    for d, t in cases:
+        answer, passes = oracle_directed(d, t).answer, _out_covers(d, t)
+        assert passes or answer == "NO", (d.arcs, t.root)
+        assert passes or _screened(d, t), (d.arcs, t.root)
+        counts[answer, passes] += 1
+    assert counts == {("YES", True): 114, ("NO", True): 193, ("NO", False): 249}
+
+
+def test_out_degree_screen_keeps_every_verdict():
+    """Shuffled and relabelled as in test_verdict_hash_past_oracle_scale, every
+    answer, mapping and removed set equals that of the unscreened search."""
+    answers = Counter()
+    for n in (10, 20, 50, 100):
+        for k in range(7):
+            for mode in ("planted-yes", "random"):
+                for s in range(18):
+                    seed = 9000 + 100 * n + 20 * k + s
+                    inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode, directed=True))
+                    rng = random.Random(seed)
+                    arcs = list(inst.graph.arcs)
+                    rng.shuffle(arcs)
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    d = DiGraph(n, arcs).relabeled(perm)
+                    v, ref = solve_directed(d, inst.target), _unscreened(d, inst.target)
+                    assert (v.answer, v.mapping, v.removed) == (ref.answer, ref.mapping, ref.removed)
+                    answers[v.answer, _screened(d, inst.target)] += 1
+    assert answers == {("YES", False): 508, ("NO", False): 137, ("NO", True): 363}

@@ -141,6 +141,13 @@ def test_parse_matches_the_line_by_line_reference(text):
     assert _parsed(parse_graph, text) == _parsed(reference_parse, text)
 
 
+def _leading_zeros(m: int, kind: str) -> str:
+    """Plain text with ``00``, ``03`` and ``007`` among its ``m`` edge lines."""
+    n = m + 8
+    rows = ["00 1", "03 007"] + [f"{v} {v + 1}" for v in range(8, m + 6)]
+    return f"# n={n}\n{n} {m} {kind}\n" + "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -156,6 +163,8 @@ def test_parse_matches_the_line_by_line_reference(text):
         "2 1 U\n" + "9" * 5000 + " 1\n",  # past int()'s digit limit
         "3 2 U\n0 3\n1 2\n",
         "3 2 D\n0 1\n0 1\n",
+        # leading zeros, which JSON refuses and int() reads, short and long
+        *(_leading_zeros(m, kind) for m in (3, graphs._BULK_MIN + 6) for kind in "UD"),
     ],
 )
 def test_parse_edge_cases_match_the_reference(text):

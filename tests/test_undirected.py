@@ -212,6 +212,16 @@ def test_disconnected_graph_is_no_with_note():
     assert not v.is_yes and v.note is not None
 
 
+def test_disconnected_graph_is_screened_first():
+    # degrees 1, 1, 1, 1 do not cover path(4)'s two 2s; a triangle and an
+    # edge have path(5)'s degrees, so the connectivity check decides
+    assert _screened(UGraph(4, [(0, 1), (2, 3)]), path(4))
+    lines = []
+    g = UGraph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    v = solve_undirected(g, path(5), trace=lines.append)
+    assert (v.answer, v.note, lines) == ("NO", "graph is disconnected: no spanning tree exists", [])
+
+
 def test_multigraph_input_rejected():
     g = UGraph.multigraph(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError):
