@@ -36,8 +36,8 @@ difference exactly is rejected in O(k) (:func:`~stiso.graphs.degree_shift`).
 The test is only necessary, and plans keep their order, so the first plan
 to pass the full check, and with it the answer, is unchanged; only the
 plans it keeps are searched and count as ``arborescence_hits``.  A NO that
-the screen or this test decides never builds the target's canonical codes
-(:class:`~stiso.treecode.TargetTree` builds them on first read).
+the screen or this test decides never builds the target's canonical codes:
+only :meth:`~stiso.treecode.TargetTree.match` builds them, on a plan that spans.
 
 Each plan left is checked by one search from the root over the kept arcs
 (:func:`~stiso.graphs.bfs`); when it spans, the witness is compared with

@@ -2,8 +2,15 @@
 
 Both oracles enumerate every k-subset of edges (arcs) outright, in
 ``itertools.combinations`` order, so they share no search structure with the
-solvers; witness mappings are recovered by a plain backtracking bijection
-search rather than through canonical codes.
+solvers.  Both recover a witness mapping with one backtracking bijection
+search, :func:`_bijection_search`, which keeps its state on an explicit
+stack, so no tree is too deep for it; neither reads a
+:class:`~stiso.treecode.TargetTree`'s canonical codes.  The directed oracle
+searches the underlying trees of the target and the kept arcs with the
+target's root pinned to the arborescence's.  That is exact: a tree
+isomorphism maps the path from a vertex to the root onto the path from its
+image to the root's image, so it maps each vertex's parent to its image's
+parent and every arc onto an arc.
 
 Each subset is first tested on degrees in O(k), against degree lists computed
 once per call, and only a subset that passes reaches the full checks and a
@@ -26,7 +33,7 @@ subset enumerated, ``comb(m, k)``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -70,7 +77,7 @@ def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         h = UGraph(g.n, [e for i, e in enumerate(g.edges) if i not in removed])
         if unrooted_code(h) != target_code:
             continue
-        mapping = _bijection_search_undirected(ttree, h)
+        mapping = _bijection_search(ttree, h)
         if mapping is None:
             raise RuntimeError("equal tree codes but no bijection found")
         return Verdict("YES", mapping=mapping, removed=removed)
@@ -97,7 +104,7 @@ def oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
             root = arborescence_root(f)
         except NotArborescenceError:
             continue
-        mapping = _bijection_search_directed(target, f, root)
+        mapping = _bijection_search(target.tree, f.underlying(), (target.root, root))
         if mapping is not None:
             return Verdict("YES", mapping=mapping, removed=removed)
     return Verdict("NO")
@@ -167,8 +174,17 @@ def invalid_neighbors(g: UGraph, v: int) -> InvalidNeighborReport:
     return InvalidNeighborReport(vertex=v, invalid=frozenset(bad), bound=2 * k)
 
 
-def _bijection_search_undirected(t: UGraph, h: UGraph) -> dict[int, int] | None:
-    """Adjacency-preserving bijection V(t) -> V(h) by degree-pruned backtracking."""
+def _bijection_search(t: UGraph, h: UGraph, pin: tuple[int, int] | None = None) -> dict[int, int] | None:
+    """An adjacency-preserving bijection V(t) -> V(h) of two trees, with
+    ``pin[0] -> pin[1]`` if ``pin`` is given, or None.
+
+    The vertices of ``t`` are placed in the pop order of a stack walk from
+    ``pin[0]`` (else from the first vertex of maximum degree), so every vertex
+    after the first has a matched neighbour.  Each tries, in increasing id,
+    the unused vertices of ``h`` of its degree that are adjacent to all its
+    matched neighbours' images, and the search backtracks on an explicit
+    stack of those candidate iterators.
+    """
     n = t.n
     deg_t = [t.degree(v) for v in range(n)]
     deg_h = [h.degree(v) for v in range(n)]
@@ -177,10 +193,11 @@ def _bijection_search_undirected(t: UGraph, h: UGraph) -> dict[int, int] | None:
     adj_t = [set(t.neighbors(v)) for v in range(n)]
     adj_h = [set(h.neighbors(v)) for v in range(n)]
     # order t vertices to keep the matched region connected
+    start = pin[0] if pin is not None else max(range(n), key=lambda v: deg_t[v])
     order: list[int] = []
     seen = [False] * n
-    stack = [max(range(n), key=lambda v: deg_t[v])]
-    seen[stack[0]] = True
+    stack = [start]
+    seen[start] = True
     while stack:
         x = stack.pop()
         order.append(x)
@@ -188,68 +205,31 @@ def _bijection_search_undirected(t: UGraph, h: UGraph) -> dict[int, int] | None:
             if not seen[w]:
                 seen[w] = True
                 stack.append(w)
-    mapping: dict[int, int] = {}
+    image = [-1] * n
     used = [False] * n
 
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        a = order[i]
-        matched_nbrs = [w for w in adj_t[a] if w in mapping]
-        for b in range(n):
-            if used[b] or deg_h[b] != deg_t[a]:
-                continue
-            if any(mapping[w] not in adj_h[b] for w in matched_nbrs):
-                continue
-            mapping[a] = b
-            used[b] = True
-            if place(i + 1):
-                return True
-            del mapping[a]
-            used[b] = False
-        return False
+    def candidates(a: int) -> Iterator[int]:
+        matched = [image[w] for w in adj_t[a] if image[w] != -1]
+        if matched:
+            pool: Iterable[int] = sorted(adj_h[matched.pop()])
+        else:
+            pool = range(n) if pin is None else (pin[1],)
+        for b in pool:
+            if not used[b] and deg_h[b] == deg_t[a] and all(y in adj_h[b] for y in matched):
+                yield b
 
-    return mapping if place(0) else None
-
-
-def _bijection_search_directed(target: TargetTree, f: DiGraph, root: int) -> dict[int, int] | None:
-    """Arc-preserving bijection from the rooted target onto arborescence ``f``."""
-    n = target.n
-    kids_f: list[list[int]] = [[] for _ in range(n)]
-    for tail, head in f.arcs:
-        kids_f[tail].append(head)
-    sizes_f = [0] * n
-    stack = [(root, False)]
-    while stack:
-        x, done = stack.pop()
-        if done:
-            sizes_f[x] = 1 + sum(sizes_f[c] for c in kids_f[x])
+    tries = [candidates(start)]  # tries[i]: order[i]'s images not yet tried
+    while tries:
+        a = order[len(tries) - 1]
+        if image[a] != -1:  # back at a: free its image before the next
+            used[image[a]] = False
+            image[a] = -1
+        b = next(tries[-1], -1)
+        if b == -1:
+            tries.pop()
             continue
-        stack.append((x, True))
-        for c in kids_f[x]:
-            stack.append((c, False))
-
-    def match(tv: int, fv: int) -> dict[int, int] | None:
-        t_kids = list(target.children[tv])
-        f_kids = kids_f[fv]
-        if len(t_kids) != len(f_kids):
-            return None
-        if target.subtree_size[tv] != sizes_f[fv]:
-            return None
-
-        def assign(i: int, remaining: list[int], acc: dict[int, int]) -> dict[int, int] | None:
-            if i == len(t_kids):
-                return acc
-            for j, fc in enumerate(remaining):
-                sub = match(t_kids[i], fc)
-                if sub is not None:
-                    merged = dict(acc)
-                    merged.update(sub)
-                    out = assign(i + 1, remaining[:j] + remaining[j + 1 :], merged)
-                    if out is not None:
-                        return out
-            return None
-
-        return assign(0, f_kids, {tv: fv})
-
-    return match(target.root, root)
+        image[a], used[b] = b, True
+        if len(tries) == n:
+            return {x: image[x] for x in order}
+        tries.append(candidates(order[len(tries)]))
+    return None

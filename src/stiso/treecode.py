@@ -3,8 +3,9 @@
 Trees are compared on integers (Aho, Hopcroft and Ullman 1974).  One
 bottom-up pass, :func:`_ahu`, gives every rooted tree its ids, its children
 in ``(id, vertex)`` order and its subtree sizes: it interns into a table
-once per target, when :class:`TargetTree` first reads its codes, so an
-answer that never compares a candidate with the target never builds them;
+once per target, in :meth:`TargetTree.build`, which the undirected solver
+calls once its screens pass and :meth:`TargetTree.match` calls before its
+first lookup, so a NO that a degree screen decides never builds the codes;
 every candidate (a whole tree in :meth:`TargetTree.match`, and the trim
 forest in the undirected search) is only looked up in that table,
 with -1 for a shape the target lacks, so no solve changes the target.
@@ -225,29 +226,26 @@ class TargetTree:
     adjacent in the order and the order is identical across runs.
 
     Construction validates the tree and keeps the parent array; the canonical
-    layer (``ids``, ``table``, ``children``, ``subtree_size`` and ``order``) is
-    built on the first read of any of its fields, so a caller whose answer
-    never needs it, such as a NO that the directed out-degree screen decides,
-    never pays for it.
+    layer (``ids``, ``table``, ``children`` and ``order``) exists only after
+    :meth:`build`, so a caller whose answer never needs it, such as a NO that
+    a degree screen decides, never pays for it.
     """
 
-    __slots__ = (
-        "tree", "root", "parent", "_bfs", "order", "children", "subtree_size", "ids", "table"
-    )
+    __slots__ = ("tree", "root", "parent", "_bfs", "order", "children", "ids", "table")
 
     def __init__(self, tree: UGraph, root: int):
         self._bfs, self.parent = _rooted_order(tree, root)
         self.tree = tree
         self.root = root
-        self.__class__ = _Unbuilt  # until the first read of a canonical field
 
-    def _build(self) -> None:
-        self.__class__ = TargetTree  # from an _Unbuilt: the fields are plain slots again
-        self.table: CodeTable = {}
-        ids, kids, size = _ahu(reversed(self._bfs), self.parent, self.table, intern=True)
-        self.ids, self.subtree_size = tuple(ids), tuple(size)
-        self.children = tuple(map(tuple, kids))
-        self.order = _preorder(self.root, self.children)
+    def build(self) -> TargetTree:
+        """Build the canonical layer unless it is built; returns ``self``."""
+        if not hasattr(self, "table"):
+            self.table: CodeTable = {}
+            ids, kids, _ = _ahu(reversed(self._bfs), self.parent, self.table, intern=True)
+            self.ids, self.children = tuple(ids), tuple(map(tuple, kids))
+            self.order = _preorder(self.root, self.children)
+        return self
 
     def match(self, order: Sequence[int], parent: Sequence[int]) -> dict[int, int] | None:
         """An isomorphism from this rooted tree onto the candidate tree whose
@@ -259,6 +257,7 @@ class TargetTree:
         candidate's children, which the lookup lists by ``(id, vertex)``, with
         ``children``.
         """
+        self.build()
         ids, kids, _ = _ahu(reversed(order), parent, self.table)
         if ids[order[0]] != self.ids[self.root]:
             return None
@@ -270,34 +269,6 @@ class TargetTree:
 
     def __repr__(self) -> str:
         return f"TargetTree(n={self.n}, root={self.root})"
-
-
-def _built_field(name: str) -> property:
-    """A property that builds a target's canonical layer, then reads ``name``."""
-
-    def read(tt: TargetTree):
-        tt._build()
-        return getattr(tt, name)
-
-    return property(read)
-
-
-class _Unbuilt(TargetTree):
-    """A :class:`TargetTree` whose canonical layer is not built yet.
-
-    Its canonical fields are properties that build the layer, which turns the
-    object into a plain ``TargetTree``, and then read the field.  Properties,
-    not ``__getattr__``: CPython reads every attribute of a class with
-    ``__getattr__`` slower, and the solvers read an unbuilt target's other
-    fields too.
-    """
-
-    __slots__ = ()
-    order = _built_field("order")
-    children = _built_field("children")
-    subtree_size = _built_field("subtree_size")
-    ids = _built_field("ids")
-    table = _built_field("table")
 
 
 def _preorder(root: int, children: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -338,7 +338,7 @@ def _solve_core(
     stats: SolveStats,
     trace: TraceFn | None,
 ) -> Verdict:
-    tt = _rooting(target)
+    tt = _rooting(target).build()
     verdict = _scan(g, tt, k, stats, trace)
     # certified once the scan has returned, so the search state is freed first
     if verdict.is_yes and not certify_undirected(g, tt, verdict):

@@ -309,3 +309,13 @@ def test_failed_internal_check_is_an_internal_error(files, monkeypatch, capsys):
     args = ["gen", "--n", "8", "--k", "2", "--seed", "1", "--planted", "--directed", "-o", str(tmp)]
     assert main(args) == 2
     assert "internal error: RuntimeError: planted redundant arcs" in capsys.readouterr().err
+
+
+def test_oracle_on_a_long_directed_path(files):
+    # the oracle's bijection search is not bounded by the recursion limit
+    _, write = files
+    dp = "600 599 D\n" + "".join(f"{i} {i + 1}\n" for i in range(599))
+    args = ("solve", "-g", write("g.txt", dp), "-t", write("t.txt", dp), "--oracle", "--directed", "--cert")
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == "YES"

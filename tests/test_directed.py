@@ -305,7 +305,7 @@ def test_integer_code_hit_test_is_exact(monkeypatch):
         mode = "planted-yes" if seed % 2 == 0 else "random"
         spec = GenSpec(n=max(k + 4, 8 + seed % 23), k=k, seed=seed, mode=mode, directed=True)
         inst = gen_instance(spec)
-        target = inst.target
+        target = inst.target.build()
         spans.clear()
         solve_directed(inst.graph, target)
         table, target_id = target.table, target.ids[target.root]
@@ -472,7 +472,7 @@ def test_out_degree_filter_is_exact():
     the O(k) test agrees with comparing the sorted out-degrees in full."""
     rejected = passed = 0
     for inst in _small_directed_grid():
-        d, target = inst.graph, inst.target
+        d, target = inst.graph, inst.target.build()
         want = sorted(len(c) for c in target.children)
         for r, deleted, passes, _, hit in _plans_unfiltered(d, target):
             out = [0] * d.n
@@ -490,7 +490,7 @@ def test_filtered_search_matches_unfiltered_reference():
     product order, that passes the full check without the out-degree test."""
     answers = set()
     for inst in _small_directed_grid():
-        d, target = inst.graph, inst.target
+        d, target = inst.graph, inst.target.build()
         expected = Verdict("NO")
         # the target's children by this test's own lookup, not read off ``target.children``
         target_kids = _ahu(reversed(target.order), target.parent, target.table)[1]
@@ -528,7 +528,7 @@ SCREEN_LINE = "screen=out-degrees fail:uncovered"
 def _out_gap(d: DiGraph, target) -> tuple[list[int], dict[int, int]]:
     """``d``'s out-degrees, and their gap to the target's child counts."""
     out_deg = [d.out_degree(v) for v in range(d.n)]
-    return out_deg, degree_gap(out_deg, [len(c) for c in target.children])
+    return out_deg, degree_gap(out_deg, [len(c) for c in target.build().children])
 
 
 def _unscreened(d: DiGraph, target, *, stats=None, trace=None) -> Verdict:

@@ -189,3 +189,44 @@ def test_oracle_builds_only_degree_fitting_subsets(monkeypatch, directed):
     assert not verdict.is_yes
     assert 0 < len(built) <= fitting
     assert 20 * fitting < comb(g.m, k)
+
+
+def test_oracles_answer_long_paths():
+    """The bijection search keeps its state on an explicit stack: a 600-vertex
+    directed path and a 1200-vertex path answer YES with certified witnesses,
+    where a search that recursed once per vertex raised RecursionError."""
+    d = DiGraph(600, [(i, i + 1) for i in range(599)])
+    target = target_tree_from_digraph(d)
+    verdict = oracle_directed(d, target)
+    assert verdict.is_yes and certify_directed(d, target, verdict)
+    g = path(1200)
+    verdict = oracle_undirected(g, g)
+    assert verdict.is_yes and certify_undirected(g, g, verdict)
+
+
+def test_directed_oracle_never_builds_the_target_codes(monkeypatch):
+    """With ``TargetTree.build`` raising, the directed oracle still answers
+    every directed instance of the acceptance corpus as the solver does, and
+    every YES certifies: a fault in the solvers' canonical codes cannot reach
+    the oracle that judges them."""
+    from test_acceptance import _corpus_specs
+
+    from stiso import solve_directed
+
+    cases = [
+        (inst, TargetTree(inst.target.tree, inst.target.root), solve_directed(inst.graph, inst.target).answer)
+        for inst in map(gen_instance, _corpus_specs(directed=True))
+    ]
+
+    def refuse(tt):
+        raise AssertionError("the oracle built the target's canonical codes")
+
+    monkeypatch.setattr(TargetTree, "build", refuse)
+    yes = 0
+    for inst, target, answer in cases:  # a fresh target: no canonical field is set
+        verdict = oracle_directed(inst.graph, target)
+        assert verdict.answer == answer, inst.spec
+        if verdict.is_yes:
+            assert certify_directed(inst.graph, target, verdict), inst.spec
+            yes += 1
+    assert yes >= len(cases) // 2

@@ -245,19 +245,19 @@ def test_arborescence_iso_implies_underlying_iso():
 
 
 def test_dfs_order_examples():
-    p3 = TargetTree(path(3), 0)
+    p3 = TargetTree(path(3), 0).build()
     assert p3.order == (0, 1, 2)
-    s4 = TargetTree(star(4), 0)
+    s4 = TargetTree(star(4), 0).build()
     assert s4.order == (0, 1, 2, 3)
     # root 0 with leaf child 1 and path child 2-3: leaf code sorts first
-    spider = TargetTree(UGraph(4, [(0, 1), (0, 2), (2, 3)]), 0)
+    spider = TargetTree(UGraph(4, [(0, 1), (0, 2), (2, 3)]), 0).build()
     assert spider.order == (0, 1, 2, 3)
 
 
 def test_dfs_order_is_preorder_permutation():
     for seed in range(20):
         t = gen_tree(11, seed)
-        tt = TargetTree(t, tree_centers(t)[0])
+        tt = TargetTree(t, tree_centers(t)[0]).build()
         order = tt.order
         assert sorted(order) == list(range(11))
         assert order[0] == tt.root
@@ -268,7 +268,8 @@ def test_dfs_order_is_preorder_permutation():
                 assert pos[tt.parent[v]] < pos[v]
         # children occupy contiguous blocks: v's subtree is an interval
         for v in range(11):
-            assert max(pos[w] for w in _subtree(tt, v)) - pos[v] == tt.subtree_size[v] - 1
+            below = _subtree(tt, v)
+            assert max(pos[w] for w in below) - pos[v] == len(below) - 1
 
 
 def _subtree(tt, v):
@@ -284,8 +285,8 @@ def _subtree(tt, v):
 
 def test_dfs_order_deterministic():
     t = gen_tree(14, 5)
-    a = TargetTree(t, 3)
-    b = TargetTree(t, 3)
+    a = TargetTree(t, 3).build()
+    b = TargetTree(t, 3).build()
     assert a.order == b.order
 
 
@@ -306,11 +307,11 @@ def test_target_tree_codes_match_subtree_codes():
     for seed in range(10):
         t = gen_tree(15, seed)
         for root in (0, 7, 14):
-            tt = TargetTree(t, root)
+            tt = TargetTree(t, root).build()
             codes = subtree_codes(t, root)
             _assert_ids_match_codes(tt, codes)
             assert len(tt.table) == len(set(codes))
-            assert tt.subtree_size == tuple(len(c) // 2 for c in codes)
+            assert [len(_subtree(tt, v)) for v in range(15)] == [len(c) // 2 for c in codes]
     with pytest.raises(ValueError):
         TargetTree(path(3), 3)
     with pytest.raises(NotATreeError):
@@ -321,7 +322,7 @@ def _assert_children_by_id(t: UGraph, r: int) -> int:
     """Asserts that ``TargetTree(t, r)`` lists children by ``(ids[c], c)`` and
     that two siblings' string codes are equal iff their ids are; returns the
     number of sibling pairs of one size but different codes."""
-    tt = TargetTree(t, r)
+    tt = TargetTree(t, r).build()
     codes = subtree_codes(t, r)
     unequal = 0
     for v in range(t.n):
@@ -386,8 +387,7 @@ def test_match_sorts_only_the_candidate(monkeypatch):
     answers = []
     for seed in range(20):
         t = gen_tree(25, seed)
-        tt = TargetTree(t, 0)
-        tt.table  # builds the target's layer before counting
+        tt = TargetTree(t, 0).build()  # before counting
         perm = list(range(25))
         random.Random(seed).shuffle(perm)
         for other, root in ((t.relabeled(perm), perm[0]), (gen_tree(25, seed + 100), 0)):
@@ -412,7 +412,7 @@ def test_solves_leave_the_target_tree_unchanged():
         return fields, list(tt.tree.edges), len(tt.table)
 
     def solve_twice(solve, g, target):
-        before = snapshot(target)
+        before = snapshot(target.build())
         verdicts = []
         for _ in range(2):
             v = solve(g, target)
@@ -447,8 +447,7 @@ def test_solves_leave_the_target_tree_unchanged():
 
 def test_target_tree_on_a_long_path():
     n = 10**5
-    tt = TargetTree(path(n), n // 2)
-    assert tt.subtree_size[n // 2] == n
+    tt = TargetTree(path(n), n // 2).build()
     # the right half (one vertex fewer) is visited first
     assert tt.order == (n // 2, *range(n // 2 + 1, n), *range(n // 2 - 1, -1, -1))
     assert len(tt.table) == n // 2 + 1
@@ -460,7 +459,7 @@ def _look_up(tree: UGraph, root: int, table: dict) -> list[int]:
 
 
 def test_lookup_root_id_matches_interning_without_growing_the_table():
-    target = TargetTree(gen_tree(12, 3), 0)
+    target = TargetTree(gen_tree(12, 3), 0).build()
     table, root_id = target.table, target.ids[0]
     size = len(table)
     perm = list(range(12))
@@ -475,7 +474,7 @@ def test_lookup_root_id_matches_interning_without_growing_the_table():
 
 
 def test_per_vertex_ids_agree_between_interning_and_lookup():
-    target = TargetTree(gen_tree(14, 4), 0)
+    target = TargetTree(gen_tree(14, 4), 0).build()
     table, ids = target.table, target.ids
     _assert_ids_match_codes(target, subtree_codes(target.tree, 0))
     perm = list(range(14))
@@ -518,49 +517,61 @@ def test_ahu_pass_interns_and_looks_up_alike():
 
 
 def _canonical(tt: TargetTree) -> tuple:
-    return tuple(getattr(tt, f) for f in ("root", "parent", "order", "children", "subtree_size", "ids", "table"))
+    return tuple(getattr(tt.build(), f) for f in ("root", "parent", "order", "children", "ids", "table"))
 
 
-def test_canonical_layer_is_built_on_first_read(monkeypatch):
-    """The codes are built once, on the first read of any of their fields, and
-    only when an answer needs them."""
+def test_canonical_layer_is_built_once_by_build_never_on_a_screened_no(monkeypatch):
+    """Construction validates the tree and interns nothing.  ``build()`` interns
+    the target's ids in one ``_ahu`` pass, however often it is called, and a
+    solve builds only a target whose answer needs the codes: a NO that a degree
+    screen decides interns nothing."""
     from stiso import DirectedStats, GenSpec, gen_instance, solve_directed, solve_undirected
+    from stiso import treecode
 
-    built: list[int] = []
-    build = TargetTree._build
-    monkeypatch.setattr(TargetTree, "_build", lambda tt: (built.append(id(tt)), build(tt)))
+    interned: list = []  # the parent array of each interning pass
+    ahu = treecode._ahu
 
+    def counted(bottom_up, parent, table, *, intern=False):
+        if intern:
+            interned.append(parent)
+        return ahu(bottom_up, parent, table, intern=intern)
+
+    monkeypatch.setattr(treecode, "_ahu", counted)
     with pytest.raises(NotATreeError):  # validation stays at construction
         TargetTree(UGraph(4, [(0, 1), (1, 2), (2, 0)]), 0)
     with pytest.raises(ValueError):
         TargetTree(path(3), 3)
     tt = TargetTree(gen_tree(30, 1), 0)
-    assert built == [] and not hasattr(tt, "no_such_field")
-    for field in ("ids", "table", "children", "subtree_size", "order"):
-        getattr(tt, field)
-    assert built == [id(tt)]
+    assert interned == [] and not hasattr(tt, "table")
+    assert tt.build() is tt and tt.build() is tt
+    assert interned == [tt.parent]
 
     screened = hits = 0
     for seed in range(20):
         for mode in ("random", "planted-yes"):
             inst = gen_instance(GenSpec(n=40, k=3, seed=seed, mode=mode, directed=True))
             target, stats = TargetTree(inst.target.tree, inst.target.root), DirectedStats()
-            built.clear()
+            interned.clear()
             verdict = solve_directed(inst.graph, target, stats=stats)
-            # only a plan that passes the out-degree screen and spans reads the codes
-            assert len(built) == (stats.arborescence_hits > 0)
+            # only a plan that passes the out-degree tests and spans builds the codes
+            assert interned == ([target.parent] if stats.arborescence_hits else [])
             screened += stats.arborescence_hits == 0 and not verdict.is_yes
             hits += verdict.is_yes
             assert _canonical(target) == _canonical(TargetTree(target.tree, target.root))
     assert screened >= 5 and hits >= 20
 
+    screened = hits = 0
     for seed in range(12):
         inst = gen_instance(GenSpec(n=30, k=seed % 5, seed=seed, mode="random" if seed % 2 else "planted-yes"))
         t = inst.target.tree
         for r in (0, *tree_centers(t)):
             target = TargetTree(t, r)
-            built.clear()
-            solve_undirected(inst.graph, target)
-            # the caller's rooting, or a fresh one at the first centre
-            assert len(built) == len(set(built)) <= 1
+            interned.clear()
+            verdict = solve_undirected(inst.graph, target)
+            # one rooting is built, the caller's or a fresh one at the first centre,
+            # unless the degree screen decides
+            screened += verdict.note is not None
+            hits += verdict.is_yes
+            assert len(interned) == (verdict.note is None)
             assert _canonical(target) == _canonical(TargetTree(t, r))
+    assert screened >= 10 and hits >= 10

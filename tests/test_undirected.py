@@ -188,7 +188,7 @@ def test_failed_attempt_leaves_the_engine_as_built():
 
     g, target = chorded_cycle_and_spider(60, 3, 0)
     assert not _screened(g, target)
-    tt = _rooting(target)
+    tt = _rooting(target).build()
     order, parent, _ = peel_leaves(g)
     stats = SolveStats()
     engine = _Engine(g, tt, g.m - g.n + 1, stats, _Forest(order, parent, tt.table))
@@ -376,7 +376,7 @@ def test_root_prune_is_exact():
         g = inst.graph
         kernel = make_contractible(g)
         t = inst.target.tree
-        for tt in (TargetTree(t, c) for c in tree_centers(t)):
+        for tt in (TargetTree(t, c).build() for c in tree_centers(t)):
             trim = _Forest(kernel.trim_order, kernel.trim_parent, tt.table)
             scan = _Engine(g, tt, k, SolveStats(), trim)
             rejected = {v for v in range(n) if not scan.root_fits(v)}
@@ -410,11 +410,11 @@ def test_trim_forest_lists_children_by_id_at_every_vertex():
     # the 2-core vertex 0 gets leaf 4, then the two-vertex path 5-6, then leaf 7
     hand = UGraph(8, list(complete(4).edges) + [(0, 4), (0, 5), (5, 6), (0, 7)])
     spider = UGraph(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
-    cases = [(hand, TargetTree(spider, 0))]
+    cases = [(hand, TargetTree(spider, 0).build())]
     for seed in range(40):
         mode = "planted-yes" if seed % 2 else "random"
         inst = gen_instance(GenSpec(n=8 + seed, k=2 + seed % 4, seed=seed, mode=mode))
-        cases.append((inst.graph, TargetTree(inst.target.tree, 0)))
+        cases.append((inst.graph, TargetTree(inst.target.tree, 0).build()))
     forests = []
     for g, tt in cases:
         order, parent, _ = peel_leaves(g)
@@ -451,7 +451,7 @@ def test_root_prune_inside_a_pendant_tree():
 
     g = UGraph(9, list(complete(4).edges) + [(0, 4), (4, 5), (5, 6), (5, 7), (5, 8)])
     kernel = make_contractible(g)
-    tt = TargetTree(path(9), 4)
+    tt = TargetTree(path(9), 4).build()
     trim = _Forest(kernel.trim_order, kernel.trim_parent, tt.table)
     leaf = tt.table[()]
     assert [trim.ids[c] for c in trim.kids[5]] == [leaf] * 3
@@ -802,7 +802,7 @@ def test_one_incidence_read_per_placement():
 
     cases = [chorded_cycle_and_spider(60, 3, 0), (chorded_path(61), path(61))]
     for g, target in cases:
-        tt = _rooting(target)
+        tt = _rooting(target).build()
         order, parent, _ = peel_leaves(g)
         stats = SolveStats()
         engine = _Engine(g, tt, g.m - g.n + 1, stats, _Forest(order, parent, tt.table))

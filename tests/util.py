@@ -11,7 +11,7 @@ are judged against straightforward one-edge-at-a-time and
 one-line-at-a-time versions.  The reference certifiers are the package's
 earlier ones, which compare sets of edge tuples.  The reference oracles are the package
 oracles' subset loops without their degree test, so they share the
-oracles' bijection searches on purpose: equal verdicts then show that the
+oracles' bijection search on purpose: equal verdicts then show that the
 test drops no subset the loops would accept.
 """
 
@@ -30,7 +30,7 @@ from stiso import (
     tree_centers,
 )
 from stiso.directed import _arborescence_without
-from stiso.oracle import _bijection_search_directed, _bijection_search_undirected, _guard
+from stiso.oracle import _bijection_search, _guard
 from stiso.treecode import target_graph
 
 
@@ -291,7 +291,7 @@ def reference_oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdi
         h = UGraph(g.n, [e for i, e in enumerate(g.edges) if i not in removed])
         if reference_unrooted_code(h) != target_code:
             continue
-        mapping = _bijection_search_undirected(ttree, h)
+        mapping = _bijection_search(ttree, h)
         if mapping is None:
             raise RuntimeError("equal tree codes but no bijection found")
         return Verdict("YES", mapping=mapping, removed=removed)
@@ -311,7 +311,7 @@ def reference_oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
         roots = [v for v in range(f.n) if f.in_degree(v) == 0]
         if len(roots) != 1 or not is_spanning_arborescence(f, roots[0]):
             continue
-        mapping = _bijection_search_directed(target, f, roots[0])
+        mapping = _bijection_search(target.tree, f.underlying(), (target.root, roots[0]))
         if mapping is not None:
             return Verdict("YES", mapping=mapping, removed=removed)
     return Verdict("NO")
