@@ -3,14 +3,17 @@
 Both oracles enumerate every k-subset of edges (arcs) outright, in
 ``itertools.combinations`` order, so they share no search structure with the
 solvers.  Both recover a witness mapping with one backtracking bijection
-search, :func:`_bijection_search`, which keeps its state on an explicit
-stack, so no tree is too deep for it; neither reads a
-:class:`~stiso.treecode.TargetTree`'s canonical codes.  The directed oracle
-searches the underlying trees of the target and the kept arcs with the
-target's root pinned to the arborescence's.  That is exact: a tree
-isomorphism maps the path from a vertex to the root onto the path from its
-image to the root's image, so it maps each vertex's parent to its image's
-parent and every arc onto an arc.
+search, :func:`_bijection_search`, from one target vertex to its known
+image, on an explicit stack, so no tree is too deep for it; neither reads a
+:class:`~stiso.treecode.TargetTree`'s canonical codes.  Both pins are exact:
+
+* directed: root to root.  A tree isomorphism maps the path from a vertex to
+  the root onto the path from its image to the root's image, so it maps each
+  vertex's parent to its image's parent and every arc onto an arc.
+* undirected: the kept tree's first centre is the image of the target's
+  centre with the same :func:`~stiso.treecode.rooted_code`.  An isomorphism
+  maps centres onto centres, so some centre maps there and has that code.
+  A subset costs one code; the target's are printed once per call.
 
 Each subset is first tested on degrees in O(k), against degree lists computed
 once per call, and only a subset that passes reaches the full checks and a
@@ -33,14 +36,14 @@ subset enumerated, ``comb(m, k)``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .graphs import DiGraph, UGraph, Verdict, bfs
-from .treecode import NotArborescenceError, TargetTree, arborescence_root, target_graph
-from .treecode import unrooted_code
+from .treecode import NotArborescenceError, TargetTree, arborescence_root, rooted_code
+from .treecode import target_graph, tree_centers
 
 SUBSET_GUARD = 10**7
 
@@ -66,7 +69,7 @@ def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
     _guard(g.m, k)
-    target_code = unrooted_code(ttree)
+    centre_of = {rooted_code(ttree, c): c for c in tree_centers(ttree)}
     fits = _degree_test(g.edges, list(map(len, g.incidence)), list(map(len, ttree.incidence)))
     for subset in combinations(range(g.m), k):
         if not fits(subset):
@@ -75,11 +78,13 @@ def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
         if not g.is_connected(skip_edges=removed):
             continue
         h = UGraph(g.n, [e for i, e in enumerate(g.edges) if i not in removed])
-        if unrooted_code(h) != target_code:
+        image = tree_centers(h)[0]
+        centre = centre_of.get(rooted_code(h, image))
+        if centre is None:
             continue
-        mapping = _bijection_search(ttree, h)
+        mapping = _bijection_search(ttree, h, centre, image)
         if mapping is None:
-            raise RuntimeError("equal tree codes but no bijection found")
+            raise RuntimeError("equal rooted codes but no bijection found")
         return Verdict("YES", mapping=mapping, removed=removed)
     return Verdict("NO")
 
@@ -104,7 +109,7 @@ def oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
             root = arborescence_root(f)
         except NotArborescenceError:
             continue
-        mapping = _bijection_search(target.tree, f.underlying(), (target.root, root))
+        mapping = _bijection_search(target.tree, f.underlying(), target.root, root)
         if mapping is not None:
             return Verdict("YES", mapping=mapping, removed=removed)
     return Verdict("NO")
@@ -174,16 +179,19 @@ def invalid_neighbors(g: UGraph, v: int) -> InvalidNeighborReport:
     return InvalidNeighborReport(vertex=v, invalid=frozenset(bad), bound=2 * k)
 
 
-def _bijection_search(t: UGraph, h: UGraph, pin: tuple[int, int] | None = None) -> dict[int, int] | None:
-    """An adjacency-preserving bijection V(t) -> V(h) of two trees, with
-    ``pin[0] -> pin[1]`` if ``pin`` is given, or None.
+def _bijection_search(t: UGraph, h: UGraph, start: int, image: int) -> dict[int, int] | None:
+    """An adjacency-preserving bijection V(t) -> V(h) of two trees that maps
+    ``start`` to ``image``, or None.
 
     The vertices of ``t`` are placed in the pop order of a stack walk from
-    ``pin[0]`` (else from the first vertex of maximum degree), so every vertex
-    after the first has a matched neighbour.  Each tries, in increasing id,
-    the unused vertices of ``h`` of its degree that are adjacent to all its
-    matched neighbours' images, and the search backtracks on an explicit
-    stack of those candidate iterators.
+    ``start``, so every vertex after the first has a matched neighbour.  Each
+    tries, in increasing id, the unused vertices of ``h`` of its degree that
+    are adjacent to all its matched neighbours' images, and the search
+    backtracks on an explicit stack of those candidate iterators.
+
+    A leaf of ``t`` tries only its first candidate, an unused leaf of its
+    neighbour's image: swapping two such leaves turns any completion into
+    another, so the first mapping found is the one the full search finds.
     """
     n = t.n
     deg_t = [t.degree(v) for v in range(n)]
@@ -192,44 +200,36 @@ def _bijection_search(t: UGraph, h: UGraph, pin: tuple[int, int] | None = None) 
         return None
     adj_t = [set(t.neighbors(v)) for v in range(n)]
     adj_h = [set(h.neighbors(v)) for v in range(n)]
-    # order t vertices to keep the matched region connected
-    start = pin[0] if pin is not None else max(range(n), key=lambda v: deg_t[v])
-    order: list[int] = []
-    seen = [False] * n
-    stack = [start]
-    seen[start] = True
+    order, stack, seen = [], [start], {start}  # t's vertices, each after a matched neighbour
     while stack:
-        x = stack.pop()
-        order.append(x)
-        for w in sorted(adj_t[x]):
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    image = [-1] * n
+        order.append(x := stack.pop())
+        fresh = sorted(adj_t[x] - seen)
+        seen.update(fresh)
+        stack.extend(fresh)
+    placed = [-1] * n  # placed[a]: a's image, -1 until a is placed
     used = [False] * n
 
     def candidates(a: int) -> Iterator[int]:
-        matched = [image[w] for w in adj_t[a] if image[w] != -1]
-        if matched:
-            pool: Iterable[int] = sorted(adj_h[matched.pop()])
-        else:
-            pool = range(n) if pin is None else (pin[1],)
+        matched = [placed[w] for w in adj_t[a] if placed[w] != -1]
+        pool = sorted(adj_h[matched.pop()]) if matched else (image,)
         for b in pool:
             if not used[b] and deg_h[b] == deg_t[a] and all(y in adj_h[b] for y in matched):
                 yield b
+                if deg_t[a] == 1:
+                    return  # a leaf: the other candidates are interchangeable with b
 
     tries = [candidates(start)]  # tries[i]: order[i]'s images not yet tried
     while tries:
         a = order[len(tries) - 1]
-        if image[a] != -1:  # back at a: free its image before the next
-            used[image[a]] = False
-            image[a] = -1
+        if placed[a] != -1:  # back at a: free its image before the next
+            used[placed[a]] = False
+            placed[a] = -1
         b = next(tries[-1], -1)
         if b == -1:
             tries.pop()
             continue
-        image[a], used[b] = b, True
+        placed[a], used[b] = b, True
         if len(tries) == n:
-            return {x: image[x] for x in order}
+            return {x: placed[x] for x in order}
         tries.append(candidates(order[len(tries)]))
     return None

@@ -1,9 +1,9 @@
 """Canonical codes and isomorphism tests for rooted trees and arborescences.
 
 Trees are compared on integers (Aho, Hopcroft and Ullman 1974).  One
-bottom-up pass, :func:`_ahu`, gives every rooted tree its ids, its children
-in ``(id, vertex)`` order and its subtree sizes: it interns into a table
-once per target, in :meth:`TargetTree.build`, which the undirected solver
+bottom-up pass, :func:`_ahu`, gives every rooted tree its ids and its
+children in ``(id, vertex)`` order: it interns into a table once per
+target, in :meth:`TargetTree.build`, which the undirected solver
 calls once its screens pass and :meth:`TargetTree.match` calls before its
 first lookup, so a NO that a degree screen decides never builds the codes;
 every candidate (a whole tree in :meth:`TargetTree.match`, and the trim
@@ -57,20 +57,19 @@ CodeTable = dict[tuple[int, ...], int]  # sorted child ids -> interned id
 
 def _ahu(
     bottom_up: Iterable[int], parent: Sequence[int], table: CodeTable, *, intern: bool = False
-) -> tuple[list[int], list[list[int]], list[int]]:
+) -> tuple[list[int], list[list[int]]]:
     """Aho-Hopcroft-Ullman ids of a rooted forest, computed bottom-up.
 
     ``bottom_up`` lists vertices, each after all of its children, and
     ``parent`` gives each vertex's parent, -1 at a root.  Returns, as lists,
-    each vertex's id, its children in ``(id, vertex)`` order and its subtree
-    size.
+    each vertex's id and its children in ``(id, vertex)`` order.
 
     A vertex's id is ``table``'s value for its children's ids in that order.
     With ``intern`` a key the table lacks gets the next id; otherwise the
     vertex gets -1, which no key holds, so its ancestors get -1 too, and
     ``table`` is never changed.
     """
-    ids, size = [-1] * len(parent), [1] * len(parent)
+    ids = [-1] * len(parent)
     kids: list[list[int]] = [[] for _ in parent]
     id_of = ids.__getitem__
     for x in bottom_up:
@@ -83,8 +82,7 @@ def _ahu(
         p = parent[x]
         if p != -1:
             kids[p].append(x)
-            size[p] += size[x]
-    return ids, kids, size
+    return ids, kids
 
 
 def rooted_code(tree: UGraph, root: int) -> str:
@@ -92,7 +90,8 @@ def rooted_code(tree: UGraph, root: int) -> str:
     O(n) memory.
 
     One :func:`_ahu` pass into a fresh table gives the tree's classes of
-    isomorphic subtrees.  They are ranked by subtree size, then by their
+    isomorphic subtrees, each interned after its children's, so their sizes
+    follow in class order.  They are ranked by subtree size, then by their
     children's ranks in ascending order; a child is smaller than its parent,
     so each size's classes are ranked after every smaller one's, and the
     ranks depend only on the shape.  One iterative DFS then writes the
@@ -100,12 +99,14 @@ def rooted_code(tree: UGraph, root: int) -> str:
     """
     order, parent = _rooted_order(tree, root)
     table: CodeTable = {}
-    ids, _, size = _ahu(reversed(order), parent, table, intern=True)
-    size_of = dict(zip(ids, size))  # class -> subtree size
+    ids, _ = _ahu(reversed(order), parent, table, intern=True)
     keys = list(table)  # keys[c]: class c's children's classes
+    size: list[int] = []  # class -> subtree size
+    for key in keys:
+        size.append(1 + sum(map(size.__getitem__, key)))
     rank = [0] * len(keys)
     kid_ranks: list[list[int]] = []  # each rank's children's ranks, ascending
-    for _, group in groupby(sorted(size_of, key=size_of.get), size_of.get):
+    for _, group in groupby(sorted(range(len(keys)), key=size.__getitem__), size.__getitem__):
         for ranks, c in sorted([sorted(map(rank.__getitem__, keys[c])), c] for c in group):
             rank[c] = len(kid_ranks)
             kid_ranks.append(ranks)
@@ -196,21 +197,19 @@ def _pair_children(
 def arborescence_root(d: DiGraph) -> int:
     """Root of an out-arborescence: the unique in-degree-0 vertex.
 
-    Certifies the input: n - 1 arcs, exactly one in-degree-0 vertex, every
-    other vertex of in-degree 1, and every vertex reachable from the root.
+    Certifies the input: n - 1 arcs, exactly one in-degree-0 vertex, and
+    every vertex reachable from the root.  The other n - 1 in-degrees are
+    then each at least 1 and sum to n - 1, so each is 1.
     """
     if d.m != d.n - 1:
         raise NotArborescenceError("underlying graph is not a tree")
-    indeg = list(map(len, d.in_inc))
-    roots = [v for v in range(d.n) if indeg[v] == 0]
-    if len(roots) != 1:
-        raise NotArborescenceError(f"{len(roots)} vertices of in-degree 0, expected 1")
-    bad = [v for v in range(d.n) if v != roots[0] and indeg[v] != 1]
-    if bad:
-        raise NotArborescenceError(f"vertex {bad[0]} has in-degree {indeg[bad[0]]}")
-    if not reachable_all(d, roots[0]):
-        raise NotArborescenceError(f"some vertex is unreachable from the root {roots[0]}")
-    return roots[0]
+    sources = d.in_inc.count(())
+    if sources != 1:
+        raise NotArborescenceError(f"{sources} vertices of in-degree 0, expected 1")
+    root = d.in_inc.index(())
+    if not reachable_all(d, root):
+        raise NotArborescenceError(f"some vertex is unreachable from the root {root}")
+    return root
 
 
 class TargetTree:
@@ -242,7 +241,7 @@ class TargetTree:
         """Build the canonical layer unless it is built; returns ``self``."""
         if not hasattr(self, "table"):
             self.table: CodeTable = {}
-            ids, kids, _ = _ahu(reversed(self._bfs), self.parent, self.table, intern=True)
+            ids, kids = _ahu(reversed(self._bfs), self.parent, self.table, intern=True)
             self.ids, self.children = tuple(ids), tuple(map(tuple, kids))
             self.order = _preorder(self.root, self.children)
         return self
@@ -258,7 +257,7 @@ class TargetTree:
         ``children``.
         """
         self.build()
-        ids, kids, _ = _ahu(reversed(order), parent, self.table)
+        ids, kids = _ahu(reversed(order), parent, self.table)
         if ids[order[0]] != self.ids[self.root]:
             return None
         return dict(_pair_children(self.root, self.children, order[0], kids))

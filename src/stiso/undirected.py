@@ -162,7 +162,7 @@ class _Forest:
     def __init__(self, bottom_up: Sequence[int], parent: Sequence[int], table: CodeTable):
         self.parent = parent
         roots = [v for v, p in enumerate(parent) if p == -1]  # the 2-core vertices
-        self.ids, self.kids, _ = _ahu([*bottom_up, *roots], parent, table)
+        self.ids, self.kids = _ahu([*bottom_up, *roots], parent, table)
 
 
 class _Engine:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from util import LEAFY_GRAPH_ARCS, LEAFY_TARGET_ARCS
+
 HERE = Path(__file__).parent
 
 C4 = "4 4 U\n0 1\n1 2\n2 3\n3 0\n"
@@ -18,12 +20,13 @@ P5 = "5 4 U\n0 1\n1 2\n2 3\n3 4\n"
 FAN = "4 5 U\n0 3\n1 3\n2 3\n0 1\n0 2\n"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "stiso.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -319,3 +322,15 @@ def test_oracle_on_a_long_directed_path(files):
     res = run_cli(*args)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[0] == "YES"
+
+
+def test_oracle_on_a_root_with_many_leaves(files):
+    # a k = 0 directed NO that the oracle answers without trying every order of the root's leaves
+    _, write = files
+
+    def text(arcs):
+        return f"20 {len(arcs)} D\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+
+    g, t = write("g.txt", text(LEAFY_GRAPH_ARCS)), write("t.txt", text(LEAFY_TARGET_ARCS))
+    res = run_cli("solve", "-g", g, "-t", t, "--oracle", "--directed", timeout=10)
+    assert (res.returncode, res.stdout) == (1, "NO\n"), res.stderr

@@ -454,7 +454,7 @@ def _plans_unfiltered(d: DiGraph, target):
             kids, hit = None, False
             if witness is not None:
                 order, parent = witness
-                ids, kids, _ = _ahu(reversed(order), parent, table)
+                ids, kids = _ahu(reversed(order), parent, table)
                 hit = ids[r] == root_id
             yield r, deleted, passes, kids, hit
 

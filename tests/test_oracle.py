@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -14,6 +15,7 @@ from stiso import (
     certify_directed,
     certify_undirected,
     gen_instance,
+    gen_tree,
     invalid_neighbors,
     oracle_directed,
     oracle_undirected,
@@ -22,7 +24,10 @@ from stiso import (
 )
 
 from util import (
+    LEAFY_GRAPH_ARCS,
+    LEAFY_TARGET_ARCS,
     THETA,
+    brute_iso,
     complete,
     cycle,
     path,
@@ -230,3 +235,53 @@ def test_directed_oracle_never_builds_the_target_codes(monkeypatch):
             assert certify_directed(inst.graph, target, verdict), inst.spec
             yes += 1
     assert yes >= len(cases) // 2
+
+
+def test_oracles_answer_where_the_unpinned_search_blew_up():
+    """Two instances that took seconds: a k = 0 directed NO whose root has
+    eight leaves (16.6 s when each leaf tried every image), and a relabelled
+    2400-vertex path (3.4 s when the search started from a vertex with no
+    known image).  Both answer in well under a second."""
+    d, target = DiGraph(20, LEAFY_GRAPH_ARCS), target_tree_from_digraph(DiGraph(20, LEAFY_TARGET_ARCS))
+    start = time.perf_counter()
+    assert not oracle_directed(d, target).is_yes
+    assert time.perf_counter() - start < 1.0
+    t = path(2400)
+    perm = list(range(2400))
+    random.Random(2400).shuffle(perm)
+    g = t.relabeled(perm)
+    start = time.perf_counter()
+    verdict = oracle_undirected(g, t)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.is_yes and certify_undirected(g, t, verdict)
+
+
+def test_leaf_rule_keeps_the_pinned_search_exact():
+    """On 72 seeded pairs of trees with equal degree multisets, isomorphic or
+    not, and every pin pair ``(a, b)``, the search returns a mapping iff
+    ``brute_iso`` finds an isomorphism with ``a -> b``, and each mapping is
+    one: a leaf that tries only its first image loses no witness."""
+    pairs = []
+    for n in range(4, 10):
+        by_degrees: dict[tuple[int, ...], list[UGraph]] = {}
+        for seed in range(60):
+            t = gen_tree(n, 100 * n + seed)
+            by_degrees.setdefault(tuple(sorted(map(len, t.incidence))), []).append(t)
+        groups = sorted(by_degrees.values(), key=len, reverse=True)
+        pairs += [pair for group in groups for pair in zip(group, group[1:])][:12]
+    assert len(pairs) == 72
+    found = {True: 0, False: 0}
+    iso_pairs = 0
+    for t, h in pairs:
+        edges_h = {frozenset(e) for e in h.edges}
+        iso_pairs += brute_iso(t, h)
+        for a in range(t.n):
+            for b in range(h.n):
+                mapping = stiso.oracle._bijection_search(t, h, a, b)
+                assert (mapping is not None) == brute_iso(t, h, fixed=(a, b)), (t.edges, h.edges, a, b)
+                found[mapping is not None] += 1
+                if mapping is not None:
+                    assert mapping[a] == b and sorted(mapping.values()) == list(range(h.n))
+                    assert {frozenset((mapping[u], mapping[v])) for u, v in t.edges} == edges_h
+    assert 0 < iso_pairs < len(pairs)
+    assert found[True] > 0 and found[False] > 0

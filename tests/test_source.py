@@ -53,3 +53,25 @@ def test_no_function_calls_itself():
                 ):
                     found.append(f"{path.name}:{node.lineno} {fn.name}")
     assert found == []
+
+
+ORACLE_TREECODE_NAMES = {
+    "NotArborescenceError", "TargetTree", "arborescence_root", "target_graph", "rooted_code", "tree_centers",
+}
+
+
+def test_oracle_stays_off_the_canonical_layer():
+    """The oracle judges the solvers, so it shares none of their canonical
+    layer: from ``treecode`` it imports only the names above (printed codes
+    and centres, never ``_ahu`` ids or ``unrooted_code``), and it calls no
+    ``build`` or ``match``."""
+    path = SRC / "oracle.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "treecode":
+            found += [alias.name for alias in node.names if alias.name not in ORACLE_TREECODE_NAMES]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.endswith("treecode")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("build", "match"):
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []

@@ -185,6 +185,19 @@ def test_arborescence_root_examples():
         arborescence_root(DiGraph(4, [(0, 1), (2, 3), (3, 2)]))
 
 
+def test_arborescence_root_names_each_fault():
+    """Each remaining check raises with its own message: a wrong arc count,
+    a number of sources other than one (a vertex of in-degree 2 leaves a
+    second source), and a vertex the root cannot reach."""
+    with pytest.raises(NotArborescenceError, match="not a tree"):
+        arborescence_root(DiGraph(3, [(0, 1), (1, 2), (0, 2)]))
+    with pytest.raises(NotArborescenceError, match="2 vertices of in-degree 0"):
+        arborescence_root(DiGraph(4, [(0, 1), (1, 2), (3, 2)]))
+    with pytest.raises(NotArborescenceError, match="unreachable from the root 0"):
+        arborescence_root(DiGraph(5, [(0, 1), (1, 2), (3, 4), (4, 3)]))
+    assert arborescence_root(DiGraph(1, [])) == 0
+
+
 def test_arborescence_iso_examples():
     p = DiGraph(3, [(0, 1), (1, 2)])
     q = DiGraph(3, [(2, 0), (0, 1)])
@@ -487,8 +500,8 @@ def test_ahu_pass_interns_and_looks_up_alike():
     """One table is interned from every rooting of every free tree on up to 7
     vertices; every rooting up to 9 vertices is then looked up in it.  Equal ids
     iff equal string codes, a lookup gives the interned id and never grows the
-    table, a shape the table lacks gets -1 and so does every ancestor, children
-    come by ``(id, vertex)``, and sizes match the codes."""
+    table, a shape the table lacks gets -1 and so does every ancestor, and
+    children come by ``(id, vertex)``."""
     table: dict = {}
     id_of: dict[str, int] = {}  # string code -> interned id
     misses = 0
@@ -503,10 +516,9 @@ def test_ahu_pass_interns_and_looks_up_alike():
                         assert id_of.setdefault(codes[v], ids[v]) == ids[v], (t.edges, r)
                     assert len(table) == len(id_of) == len(set(id_of.values()))
                 size = len(table)
-                ids, kids, sizes = _ahu(reversed(order), parent, table)
+                ids, kids = _ahu(reversed(order), parent, table)
                 assert len(table) == size
                 assert ids == [id_of.get(c, -1) for c in codes], (t.edges, r)
-                assert sizes == [len(c) // 2 for c in codes]
                 for v in range(n):
                     below = [c for c in range(n) if parent[c] == v]
                     assert kids[v] == sorted(below, key=lambda c: (ids[c], c)), (t.edges, r)

@@ -6,7 +6,8 @@ catalogue is built by leaf extension with pairwise brute-force dedup.  The
 string codes of :func:`subtree_codes` sort sibling strings by
 ``(length, bytes)``, so they share nothing with the package's ids and the
 strings it prints from them; only the centres that
-:func:`reference_unrooted_code` roots at are the package's.  The graph constructors and the text parser
+:func:`reference_unrooted_code` and :func:`reference_oracle_undirected` root
+at are the package's.  The graph constructors and the text parser
 are judged against straightforward one-edge-at-a-time and
 one-line-at-a-time versions.  The reference certifiers are the package's
 earlier ones, which compare sets of edge tuples.  The reference oracles are the package
@@ -165,6 +166,15 @@ def complete(n: int) -> UGraph:
 THETA = UGraph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])  # a=0 b=1 x=2 y=3 z=4
 FIGURE_EIGHT = UGraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])  # shared vertex 0
 
+# A k = 0 directed NO whose trees have equal degree multisets: the root has
+# eight leaves, and the target's cherry hangs one arc lower in the graph.  A
+# search that tried every image of each leaf went through all 8! orders of
+# the root's leaves before it gave up.
+LEAFY_TARGET_ARCS = [(0, 1), (0, 4), (0, 6), (0, 9), *((0, v) for v in range(12, 20)),
+                     (1, 2), (1, 3), (4, 5), (6, 7), (7, 8), (9, 10), (10, 11)]
+LEAFY_GRAPH_ARCS = [(0, 1), (0, 5), (0, 6), (0, 9), *((0, v) for v in range(12, 20)),
+                    (1, 2), (2, 3), (2, 4), (6, 7), (7, 8), (9, 10), (10, 11)]
+
 
 def end_chord_path(n: int) -> UGraph:
     """The path 0..n-1 with the chords (0, 2) and (0, 3): k = 2, 2-core {0, 1, 2, 3}."""
@@ -277,23 +287,26 @@ def reference_parse(text: str) -> UGraph | DiGraph:
 def reference_oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     """``oracle_undirected`` without its degree test: every k-subset, in
     ``combinations`` order, goes to the connectivity check and the reference
-    tree code, :func:`reference_unrooted_code`."""
+    rooted code, :func:`subtree_codes`, at the kept tree's first centre, which
+    picks the target centre the search pins there."""
     ttree = target_graph(target)
     if not g.is_connected():
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
     _guard(g.m, k)
-    target_code = reference_unrooted_code(ttree)
+    centre_of = {subtree_codes(ttree, c)[c]: c for c in tree_centers(ttree)}
     for subset in combinations(range(g.m), k):
         removed = frozenset(subset)
         if not g.is_connected(skip_edges=removed):
             continue
         h = UGraph(g.n, [e for i, e in enumerate(g.edges) if i not in removed])
-        if reference_unrooted_code(h) != target_code:
+        image = tree_centers(h)[0]
+        centre = centre_of.get(subtree_codes(h, image)[image])
+        if centre is None:
             continue
-        mapping = _bijection_search(ttree, h)
+        mapping = _bijection_search(ttree, h, centre, image)
         if mapping is None:
-            raise RuntimeError("equal tree codes but no bijection found")
+            raise RuntimeError("equal rooted codes but no bijection found")
         return Verdict("YES", mapping=mapping, removed=removed)
     return Verdict("NO")
 
@@ -311,7 +324,7 @@ def reference_oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
         roots = [v for v in range(f.n) if f.in_degree(v) == 0]
         if len(roots) != 1 or not is_spanning_arborescence(f, roots[0]):
             continue
-        mapping = _bijection_search(target.tree, f.underlying(), (target.root, roots[0]))
+        mapping = _bijection_search(target.tree, f.underlying(), target.root, roots[0])
         if mapping is not None:
             return Verdict("YES", mapping=mapping, removed=removed)
     return Verdict("NO")
