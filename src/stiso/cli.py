@@ -21,7 +21,7 @@ from .generate import PLANTED, RANDOM, GenSpec, gen_instance
 from .graphs import DiGraph, UGraph, parse_graph
 from .kernel import make_contractible
 from .oracle import oracle_directed, oracle_undirected
-from .treecode import TargetTree, rooted_code, tree_centers, unrooted_code
+from .treecode import TargetTree, rooted_code, unrooted_code
 from .undirected import SolveStats, solve_undirected
 
 EXIT_YES = 0
@@ -41,11 +41,12 @@ def _read_graph(path: str) -> UGraph | DiGraph:
     return parse_graph(text)
 
 
-def _undirected_target(path: str) -> TargetTree:
+def _undirected_target(path: str) -> UGraph:
+    """The target tree as read; the solver and the oracle validate and root it."""
     t = _read_graph(path)
     if not isinstance(t, UGraph):
         raise CliError(f"target {path} is directed; undirected solve needs a U target")
-    return TargetTree(t, tree_centers(t)[0])
+    return t
 
 
 def _directed_target(path: str) -> TargetTree:
@@ -86,12 +87,13 @@ def cmd_solve(args) -> int:
     return EXIT_YES if verdict.is_yes else EXIT_NO
 
 
-def _explain(g, target: TargetTree, verdict, directed: bool) -> None:
-    """Print the canonical codes behind the verdict on stderr."""
+def _explain(g, target: TargetTree | UGraph, verdict, directed: bool) -> None:
+    """Print the canonical codes behind the verdict on stderr; ``target`` is the
+    rooted target of a directed solve, else the tree as read."""
     if directed:
         print(f"target-code {rooted_code(target.tree, target.root)}", file=sys.stderr)
     else:
-        print(f"target-code {unrooted_code(target.tree)}", file=sys.stderr)
+        print(f"target-code {unrooted_code(target)}", file=sys.stderr)
     if verdict.is_yes:
         if directed:
             kept = [a for i, a in enumerate(g.arcs) if i not in verdict.removed]

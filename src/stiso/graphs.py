@@ -126,9 +126,6 @@ class UGraph:
     def neighbors(self, v: int) -> list[int]:
         return [w for _, w in self.incidence[v]]
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
-
     def is_connected(self, skip_edges: frozenset[int] | set[int] = frozenset()) -> bool:
         """True iff the graph minus ``skip_edges`` is connected (n=0 counts)."""
         return self.n == 0 or len(bfs(self.incidence, 0, skip_edges)[0]) == self.n

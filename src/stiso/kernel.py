@@ -1,5 +1,9 @@
 """Reduction of a connected graph to its minimum-degree-3 core.
 
+:func:`make_contractible` is the one entry point.  The kernel is an analysis
+of an input: neither solver builds one, and only ``stiso kernel``, acceptance
+criteria 3 and 5 and the tests do.
+
 Two operations are applied until neither fires: removing a degree-1 vertex
 with its edge, and replacing a degree-2 vertex's two edges by one edge
 between its neighbors.  The result is a multigraph (parallel edges and
@@ -88,25 +92,21 @@ class Kernel:
 def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
     """Contract ``g`` to its core, recording anchors and per-edge chains.
 
+    The kernel's one entry point: neither solver builds a kernel, and only
+    ``stiso kernel``, acceptance criteria 3 and 5 and the tests call it.
     Requires a connected graph with surplus ``k = m - (n-1) >= 2``: smaller
-    surpluses have empty or degenerate cores.  Neither solver builds a kernel
-    or has a special case for k = 0 or k = 1; each decides them by the search
-    it runs for every k.  The result is that of the deterministic reduction
-    order: the lowest-id degree-1 vertex first, else the lowest-id degree-2
-    vertex.  It is computed in two linear passes: peel the leaves from a
-    lowest-id heap, then walk the chains between anchors.  Suppressing never
-    changes a degree, so that order runs every trim first and then
-    suppresses the core's degree-2 vertices in increasing id; a chain's
-    kernel edge is therefore made when its largest interior vertex is
-    suppressed, which fixes the chain's edge id and orientation.
+    surpluses have empty or degenerate cores, and the solvers decide them by
+    the search they run for every k.  The result is that of the
+    deterministic reduction order: the lowest-id degree-1 vertex first, else
+    the lowest-id degree-2 vertex.  It is computed in two linear passes: peel
+    the leaves from a lowest-id heap, then walk the chains between anchors.
+    Suppressing never changes a degree, so that order runs every trim first
+    and then suppresses the core's degree-2 vertices in increasing id; a
+    chain's kernel edge is therefore made when its largest interior vertex
+    is suppressed, which fixes the chain's edge id and orientation.
     """
     if not g.is_connected():
         raise KernelError("kernelization requires a connected graph")
-    return _contract(g, audit)
-
-
-def _contract(g: UGraph, audit: bool = False) -> Kernel:
-    """:func:`make_contractible` for a graph the caller has found connected."""
     k = g.m - (g.n - 1)
     if k < 2:
         raise KernelError(f"kernelization requires redundant size >= 2, got {k}")

@@ -61,15 +61,16 @@ def _guard(m: int, k: int) -> None:
 
 def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     """Try every k-subset of edges; YES iff some removal leaves a spanning
-    tree isomorphic to the target."""
+    tree isomorphic to the target.  A plain target must be a tree, or
+    :class:`~stiso.treecode.NotATreeError` is raised before any answer."""
     ttree = target_graph(target)
+    centre_of = {rooted_code(ttree, c): c for c in tree_centers(ttree)}  # validates the tree
     if g.n != ttree.n:
         raise ValueError(f"vertex counts differ: graph {g.n}, target {ttree.n}")
     if not g.is_connected():
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
     _guard(g.m, k)
-    centre_of = {rooted_code(ttree, c): c for c in tree_centers(ttree)}
     fits = _degree_test(g.edges, list(map(len, g.incidence)), list(map(len, ttree.incidence)))
     for subset in combinations(range(g.m), k):
         if not fits(subset):

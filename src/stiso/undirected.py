@@ -74,7 +74,7 @@ from typing import Callable
 
 from .graphs import UGraph, Verdict, degree_gap, degrees_cover, peel_leaves
 from .treecode import CodeTable, NotATreeError, TargetTree, _ahu, _centers_from, _pair_children
-from .treecode import certify_witness, target_graph
+from .treecode import certify_witness
 
 
 @dataclass
@@ -112,10 +112,13 @@ def solve_undirected(
     """Decide whether some spanning tree of ``g`` is isomorphic to ``target``.
 
     The target's root, if any, is ignored: the answer concerns the unrooted
-    tree.  YES verdicts carry a certified (mapping, removed-edges) pair.
-    ``fallback`` is accepted for compatibility and has no effect.
+    tree.  A plain target must be a tree, or :class:`NotATreeError` is raised
+    before any answer.  YES verdicts carry a certified (mapping, removed-edges)
+    pair.  ``fallback`` is accepted for compatibility and has no effect.
     """
-    ttree = target_graph(target)
+    if not isinstance(target, TargetTree):
+        target = TargetTree(target, 0)  # validates the tree
+    ttree = target.tree
     if g.n != ttree.n:
         raise ValueError(f"vertex counts differ: graph {g.n}, target {ttree.n}")
     if g.is_multigraph:

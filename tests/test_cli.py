@@ -125,6 +125,52 @@ def test_non_arborescence_target_is_an_error(files):
     assert res.returncode == 2
 
 
+TRIANGLE_AND_POINT = "4 3 U\n0 1\n1 2\n2 0\n"
+
+
+@pytest.mark.parametrize(
+    "graph", [K13, "4 2 U\n0 1\n2 3\n", C4], ids=["screened", "disconnected", "connected"]
+)
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["solver", "oracle"])
+def test_target_that_is_not_a_tree_is_an_error(files, capsys, graph, oracle):
+    from stiso.cli import main
+
+    _, write = files
+    args = ["solve", "-g", write("g.txt", graph), "-t", write("t.txt", TRIANGLE_AND_POINT), *oracle]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: not a tree")
+
+
+def test_undirected_verdict_roots_the_target_once(files, monkeypatch):
+    # the CLI passes the tree as read: a screened NO walks it once, to
+    # validate it, and finds no centre; a YES finds the centres once
+    from stiso import treecode, undirected
+    from stiso.cli import main
+
+    real_order, real_centers = treecode._rooted_order, treecode._centers_from
+    rootings, centres = [], []
+
+    def counted_order(tree, root):
+        rootings.append(tree.edges)
+        return real_order(tree, root)
+
+    def counted_centers(tree, order, parent):
+        centres.append(tree.edges)
+        return real_centers(tree, order, parent)
+
+    monkeypatch.setattr(treecode, "_rooted_order", counted_order)
+    for module in (treecode, undirected):
+        monkeypatch.setattr(module, "_centers_from", counted_centers)
+    _, write = files
+    g = write("g.txt", C4)
+    assert main(["solve", "-g", g, "-t", write("t.txt", K13)]) == 1
+    assert (rootings, centres) == ([((0, 1), (0, 2), (0, 3))], [])
+    centres.clear()
+    assert main(["solve", "-g", g, "-t", write("t.txt", P4)]) == 0
+    assert centres == [((0, 1), (1, 2), (2, 3))]
+
+
 def test_oracle_route(files):
     _, write = files
     res = run_cli("solve", "-g", write("g.txt", C4), "-t", write("t.txt", P4), "--oracle")
@@ -300,18 +346,19 @@ def test_internal_error_exits_two(files, monkeypatch, capsys):
 
 
 def test_failed_internal_check_is_an_internal_error(files, monkeypatch, capsys):
-    # the planted generator checks its own output; a failed check is a fault
-    # of the program, reported as such and never as a user error
-    from types import SimpleNamespace
-
-    import stiso.generate
+    # a failed internal check is a fault of the program, reported as such and
+    # never as a user error
+    import stiso.cli
     from stiso.cli import main
 
-    monkeypatch.setattr(stiso.generate, "_contract", lambda g: SimpleNamespace(chains=()))
+    def broken(spec):
+        raise RuntimeError("internal check failed")
+
+    monkeypatch.setattr(stiso.cli, "gen_instance", broken)
     tmp, _ = files
     args = ["gen", "--n", "8", "--k", "2", "--seed", "1", "--planted", "--directed", "-o", str(tmp)]
     assert main(args) == 2
-    assert "internal error: RuntimeError: planted redundant arcs" in capsys.readouterr().err
+    assert "internal error: RuntimeError" in capsys.readouterr().err
 
 
 def test_oracle_on_a_long_directed_path(files):

@@ -86,7 +86,7 @@ def test_core_invariants_random(seed):
             seen_interiors.add(v)
         assert len(chain.edge_ids) == len(chain.vertices) - 1
         for i, eid in enumerate(chain.edge_ids):
-            assert set(g.endpoints(eid)) == {chain.vertices[i], chain.vertices[i + 1]}
+            assert set(g.edges[eid]) == {chain.vertices[i], chain.vertices[i + 1]}
         used_edges.extend(chain.edge_ids)
     assert len(used_edges) == len(set(used_edges))  # each original edge in <= 1 chain
 

@@ -75,3 +75,20 @@ def test_oracle_stays_off_the_canonical_layer():
         elif isinstance(node, ast.Attribute) and node.attr in ("build", "match"):
             found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert found == []
+
+
+def test_kernel_is_imported_only_where_it_is_asked_for():
+    """The kernel analyses an input; no solver or generator builds one.  In
+    the package only the CLI (``stiso kernel``) and the public API import
+    from ``kernel``, and ``directed.py`` imports only the chain type."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "kernel":
+                names = sorted(alias.name for alias in node.names)
+                allowed = path.name in ("cli.py", "__init__.py")
+                if not allowed and (path.name, names) != ("directed.py", ["AnchorChain"]):
+                    found.append(f"{path.name}:{node.lineno} {names}")
+            elif isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name.endswith("kernel")]
+    assert found == []

@@ -222,6 +222,21 @@ def test_disconnected_graph_is_screened_first():
     assert (v.answer, v.note, lines) == ("NO", "graph is disconnected: no spanning tree exists", [])
 
 
+@pytest.mark.parametrize(
+    "g",
+    [star(4), UGraph(4, [(0, 1), (2, 3)]), cycle(4)],
+    ids=["screened", "disconnected", "passes-the-screen"],
+)
+@pytest.mark.parametrize("decide", [solve_undirected, oracle_undirected])
+def test_target_that_is_not_a_tree_is_refused(g, decide):
+    # a triangle plus an isolated vertex is refused before any answer, whether
+    # the degree screen, the connectivity check or neither would decide
+    from stiso import NotATreeError
+
+    with pytest.raises(NotATreeError):
+        decide(g, UGraph(4, [(0, 1), (1, 2), (2, 0)]))
+
+
 def test_multigraph_input_rejected():
     g = UGraph.multigraph(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError):
