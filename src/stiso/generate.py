@@ -188,6 +188,8 @@ def gen_instance(spec: GenSpec) -> GenInstance:
         else:
             ttree = UGraph(n, [(perm[u], perm[v]) for u, v in tree_edges])
             target_graph = ttree
+            # rooted at the first centre, where perfbench/inputs.py places each
+            # planted witness a fixed depth into the root scan
             target = TargetTree(ttree, tree_centers(ttree)[0])
         truth = "YES"
     else:

@@ -1,15 +1,18 @@
 """Undirected spanning-tree isomorphism solver.
 
 One search decides every redundant-set size ``k = m - (n-1)``: peel the
-graph's leaves down to its 2-core, root the target at its first centre, and
-for every graph root try to grow the target tree through the graph in the
-target's DFS order.  It is exact for every k, 0 and 1 included: any witness
-maps that centre to some graph vertex with at least as many neighbours as
-the centre has children, and the root scan tries every such vertex, so one
-rooting of the target suffices.
+graph's leaves down to its 2-core, and for every graph root try to grow the
+target tree through the graph in the target's DFS order.  It searches from
+the target's root as given, and a plain target is rooted once, at its
+smallest-id vertex of maximum degree.  It is exact for every k, 0 and 1
+included, and for every rooting: any witness maps the target root to some
+graph vertex with at least as many neighbours as the root has children, and
+the root scan tries every such vertex, so one rooting of the target
+suffices.  A root of maximum degree leaves the scan the fewest such
+vertices.
 
 Before any walk of the graph, the connectivity check included, a degree
-screen decides a NO in O(n), with no leaf peel, rooting or code table
+screen decides a NO in O(n), with no leaf peel or code table
 (:func:`~stiso.graphs.degrees_cover`); a disconnected graph that passes it
 is then a NO by the connectivity check.  Say
 ``g - R`` is isomorphic to the target for a set ``R`` of k edges.  (1) The
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graphs import UGraph, Verdict, degree_gap, degrees_cover, peel_leaves
-from .treecode import CodeTable, NotATreeError, TargetTree, _ahu, _centers_from, _pair_children
+from .treecode import CodeTable, NotATreeError, TargetTree, _ahu, _pair_children
 from .treecode import certify_witness
 
 
@@ -111,13 +114,16 @@ def solve_undirected(
 ) -> Verdict:
     """Decide whether some spanning tree of ``g`` is isomorphic to ``target``.
 
-    The target's root, if any, is ignored: the answer concerns the unrooted
-    tree.  A plain target must be a tree, or :class:`NotATreeError` is raised
+    A :class:`TargetTree`'s root sets where the search starts, and a plain
+    target is rooted at its smallest-id vertex of maximum degree.  The answer
+    concerns the unrooted tree and does not depend on the root; the witness
+    may.  A plain target must be a tree, or :class:`NotATreeError` is raised
     before any answer.  YES verdicts carry a certified (mapping, removed-edges)
     pair.  ``fallback`` is accepted for compatibility and has no effect.
     """
     if not isinstance(target, TargetTree):
-        target = TargetTree(target, 0)  # validates the tree
+        root = max(range(target.n), key=target.degree, default=0)  # the smallest id on ties
+        target = TargetTree(target, root)  # validates the tree
     ttree = target.tree
     if g.n != ttree.n:
         raise ValueError(f"vertex counts differ: graph {g.n}, target {ttree.n}")
@@ -327,22 +333,10 @@ class _Engine:
         return None
 
 
-def _rooting(target: TargetTree | UGraph) -> TargetTree:
-    """The target rooted at its first center: the caller's rooting if it is that one."""
-    tt = target if isinstance(target, TargetTree) else TargetTree(target, 0)
-    root = _centers_from(tt.tree, tt._bfs, tt.parent)[0]
-    return tt if tt.root == root else TargetTree(tt.tree, root)
-
-
 def _solve_core(
-    g: UGraph,
-    target: TargetTree | UGraph,
-    k: int,
-    stats: SolveStats,
-    trace: TraceFn | None,
+    g: UGraph, tt: TargetTree, k: int, stats: SolveStats, trace: TraceFn | None
 ) -> Verdict:
-    tt = _rooting(target).build()
-    verdict = _scan(g, tt, k, stats, trace)
+    verdict = _scan(g, tt.build(), k, stats, trace)
     # certified once the scan has returned, so the search state is freed first
     if verdict.is_yes and not certify_undirected(g, tt, verdict):
         raise RuntimeError("YES verdict failed certification")

@@ -143,16 +143,17 @@ def test_target_that_is_not_a_tree_is_an_error(files, capsys, graph, oracle):
 
 
 def test_undirected_verdict_roots_the_target_once(files, monkeypatch):
-    # the CLI passes the tree as read: a screened NO walks it once, to
-    # validate it, and finds no centre; a YES finds the centres once
-    from stiso import treecode, undirected
+    # the CLI passes the tree as read, and the solver roots it once, at its
+    # smallest-id vertex of maximum degree: a screened NO and a YES each walk
+    # it once, and neither finds its centres
+    from stiso import treecode
     from stiso.cli import main
 
     real_order, real_centers = treecode._rooted_order, treecode._centers_from
     rootings, centres = [], []
 
     def counted_order(tree, root):
-        rootings.append(tree.edges)
+        rootings.append((tree.edges, root))
         return real_order(tree, root)
 
     def counted_centers(tree, order, parent):
@@ -160,15 +161,15 @@ def test_undirected_verdict_roots_the_target_once(files, monkeypatch):
         return real_centers(tree, order, parent)
 
     monkeypatch.setattr(treecode, "_rooted_order", counted_order)
-    for module in (treecode, undirected):
-        monkeypatch.setattr(module, "_centers_from", counted_centers)
+    monkeypatch.setattr(treecode, "_centers_from", counted_centers)
     _, write = files
     g = write("g.txt", C4)
     assert main(["solve", "-g", g, "-t", write("t.txt", K13)]) == 1
-    assert (rootings, centres) == ([((0, 1), (0, 2), (0, 3))], [])
-    centres.clear()
+    assert rootings == [(((0, 1), (0, 2), (0, 3)), 0)]
+    rootings.clear()
     assert main(["solve", "-g", g, "-t", write("t.txt", P4)]) == 0
-    assert centres == [((0, 1), (1, 2), (2, 3))]
+    assert rootings == [(((0, 1), (1, 2), (2, 3)), 1)]
+    assert centres == []
 
 
 def test_oracle_route(files):

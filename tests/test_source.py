@@ -92,3 +92,21 @@ def test_kernel_is_imported_only_where_it_is_asked_for():
             elif isinstance(node, ast.Import):
                 found += [f"{path.name}:{node.lineno}" for a in node.names if a.name.endswith("kernel")]
     assert found == []
+
+
+def test_undirected_solver_has_no_rooting_policy():
+    """The undirected solver searches from the root it is given and roots a
+    plain target at a vertex of maximum degree, so no centre finder returns to
+    it: ``undirected.py`` imports, and names, neither ``tree_centers`` nor
+    ``_centers_from``."""
+    path = SRC / "undirected.py"
+    centre_finders = {"tree_centers", "_centers_from"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"{node.lineno} {a.name}" for a in node.names if a.name in centre_finders]
+        elif isinstance(node, ast.Name) and node.id in centre_finders:
+            found.append(f"{node.lineno} {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in centre_finders:
+            found.append(f"{node.lineno} .{node.attr}")
+    assert found == []

@@ -580,10 +580,10 @@ def test_canonical_layer_is_built_once_by_build_never_on_a_screened_no(monkeypat
             target = TargetTree(t, r)
             interned.clear()
             verdict = solve_undirected(inst.graph, target)
-            # one rooting is built, the caller's or a fresh one at the first centre,
-            # unless the degree screen decides
+            # the caller's rooting is built, and no other, unless the degree
+            # screen decides
             screened += verdict.note is not None
             hits += verdict.is_yes
-            assert len(interned) == (verdict.note is None)
+            assert interned == ([target.parent] if verdict.note is None else [])
             assert _canonical(target) == _canonical(TargetTree(t, r))
     assert screened >= 10 and hits >= 10

@@ -52,6 +52,12 @@ def _screened(g, target):
     return True
 
 
+def _centre_rooted(t):
+    """``t`` rooted at its first centre.  The tests that pin per-node work
+    (counters, trace lines, a hash) pass it: their numbers were taken there."""
+    return TargetTree(t, tree_centers(t)[0])
+
+
 def test_cycle_vs_path_yes():
     v = solve_undirected(cycle(4), path(4))
     assert v.is_yes and len(v.removed) == 1
@@ -159,8 +165,9 @@ def test_low_k_reports_effort_and_trace():
 
 
 def test_search_runs_under_the_default_recursion_limit():
-    # the search is one loop, so a target 1500 deep from its centre needs no
-    # deeper Python stack, and nothing in the solve raises the limit
+    # the search is one loop, so the path target, rooted at its vertex 1 and
+    # 2999 deep, needs no deeper Python stack, and nothing in the solve raises
+    # the limit
     n = 3001
     g, target = end_chord_path(n), path(n)
     seen = set()
@@ -184,11 +191,11 @@ def test_failed_attempt_leaves_the_engine_as_built():
     """Every failed attempt rolls back to the engine's start, in the same
     objects: no target or graph vertex matched, no edge removed, no trail."""
     from stiso.graphs import peel_leaves
-    from stiso.undirected import _Engine, _Forest, _rooting
+    from stiso.undirected import _Engine, _Forest
 
     g, target = chorded_cycle_and_spider(60, 3, 0)
     assert not _screened(g, target)
-    tt = _rooting(target).build()
+    tt = _centre_rooted(target).build()
     order, parent, _ = peel_leaves(g)
     stats = SolveStats()
     engine = _Engine(g, tt, g.m - g.n + 1, stats, _Forest(order, parent, tt.table))
@@ -230,11 +237,14 @@ def test_disconnected_graph_is_screened_first():
 @pytest.mark.parametrize("decide", [solve_undirected, oracle_undirected])
 def test_target_that_is_not_a_tree_is_refused(g, decide):
     # a triangle plus an isolated vertex is refused before any answer, whether
-    # the degree screen, the connectivity check or neither would decide
+    # the degree screen, the connectivity check or neither would decide; so is
+    # the empty graph, which has no vertex to root at, before the vertex counts
+    # are compared
     from stiso import NotATreeError
 
-    with pytest.raises(NotATreeError):
-        decide(g, UGraph(4, [(0, 1), (1, 2), (2, 0)]))
+    for target in (UGraph(4, [(0, 1), (1, 2), (2, 0)]), UGraph(0, [])):
+        with pytest.raises(NotATreeError):
+            decide(g, target)
 
 
 def test_multigraph_input_rejected():
@@ -476,7 +486,7 @@ def test_root_prune_inside_a_pendant_tree():
     assert [v for v in range(9) if not scan.root_fits(v)] == [0, 4, 5]
     lines = []
     stats = SolveStats()
-    v = _solve_core(g, path(9), 3, stats, lines.append)
+    v = _solve_core(g, tt, 3, stats, lines.append)
     assert not v.is_yes
     assert "troot=4 root=5 pi=- fail:pendant-unmatched" in lines
     # roots 0-5 have degree >= 2; 0, 4 and 5 hang a pendant tree that is no P4
@@ -484,42 +494,78 @@ def test_root_prune_inside_a_pendant_tree():
     assert _screened(g, path(9))  # six vertices of degree >= 2 against the path's seven
 
 
-def test_caller_rooting_is_reused():
-    from stiso.undirected import _rooting
-
-    tree = path(6)  # centers 2 and 3
-    caller = TargetTree(tree, 2)
-    assert _rooting(caller) is caller
-    other = TargetTree(tree, 3)
-    fresh = _rooting(other)
-    assert fresh is not other and fresh.tree is tree and fresh.root == 2
-    assert _rooting(tree).root == 2
+# ROADMAP item 5's hunted worst case, a NO at n = 12, k = 6: rooted at vertex
+# 2, one attempt examines 173 668 branches
+HUNTED_NO = (
+    UGraph(12, [(0, 5), (1, 3), (5, 9), (6, 3), (3, 7), (8, 10), (9, 4), (4, 7), (10, 7), (7, 2),
+                (2, 11), (1, 7), (7, 11), (0, 7), (6, 7), (7, 9), (7, 8)]),
+    UGraph(12, [(0, 2), (1, 6), (3, 2), (4, 2), (7, 2), (8, 6), (6, 5), (10, 5), (5, 2), (2, 9),
+                (9, 11)]),
+)
 
 
-def test_target_rooting_does_not_change_the_witness():
-    """A two-centre target given plain, at either centre or off centre gives
-    the same YES mapping and removed set, for k = 0, 1 and >= 2."""
-    cases = [(path(8), path(8)), (cycle(8), path(8)), (complete(4), path(4))]
-    tree = UGraph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])  # centres 0 and 1
-    cases += [(UGraph(6, list(tree.edges) + extra), tree) for extra in ([], [(2, 3)], [(2, 4), (3, 5)])]
-    for seed in range(40):
-        k = seed % 5
-        inst = gen_instance(GenSpec(n=12 + seed, k=k, seed=seed, mode="planted-yes"))
-        if len(tree_centers(inst.target.tree)) == 2:
-            cases.append((inst.graph, inst.target.tree))
-    ks = set()
-    for g, t in cases:
-        centers = tree_centers(t)
-        assert len(centers) == 2
-        off = next(v for v in range(t.n) if v not in centers)
-        witnesses = set()
-        for target in (t, *(TargetTree(t, r) for r in (*centers, off))):
-            v = solve_undirected(g, target)
-            assert v.is_yes, (g.edges, t.edges)
-            witnesses.add((tuple(sorted(v.mapping.items())), v.removed))
-        assert len(witnesses) == 1, (g.edges, t.edges)
-        ks.add(min(g.m - g.n + 1, 2))
-    assert ks == {0, 1, 2}
+def test_answer_does_not_depend_on_the_target_root():
+    """The search starts at the root it is given, and the answer is the
+    unrooted tree's.  At n <= 12 every root, and the plain form, agrees with
+    the oracle; at larger n sampled roots agree with the centre-rooted answer;
+    the hunted NO is a NO at all 12 roots.  Every YES is certified; the
+    witness may depend on the root."""
+    answers = Counter()
+
+    def decide(g, target):
+        v = solve_undirected(g, target)
+        assert not v.is_yes or certify_undirected(g, target, v), (g.edges, target)
+        answers[v.answer, "searched" if v.note is None else "screened"] += 1
+        return v.answer
+
+    small = [chorded_cycle_and_spider(n, k, seed) for n in (6, 9, 12) for k in (2, 3) for seed in range(3)]
+    large = [chorded_cycle_and_spider(60, k, seed) for k in (2, 4) for seed in range(2)]
+    for seed in range(48):
+        rng = random.Random(seed)
+        n = rng.randint(5, 12) if seed < 36 else rng.choice((30, 80, 150))
+        k = rng.randint(0, 4) if seed < 36 else rng.randint(2, 6)
+        inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode="planted-yes" if seed % 2 else "random"))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        (small if seed < 36 else large).append((inst.graph, inst.target.tree.relabeled(perm)))
+    for g, t in small:
+        want = oracle_undirected(g, t).answer
+        for target in (t, *(TargetTree(t, r) for r in range(t.n))):
+            assert decide(g, target) == want, (g.edges, t.edges, target)
+    rng = random.Random(1)
+    for g, t in large:
+        want = decide(g, _centre_rooted(t))
+        for target in (t, *(TargetTree(t, r) for r in rng.sample(range(t.n), 3))):
+            assert decide(g, target) == want, (g.edges, t.edges, target)
+    g, t = HUNTED_NO
+    for r in range(t.n):
+        assert decide(g, TargetTree(t, r)) == "NO", r
+    want = {("YES", "searched"): 389, ("NO", "searched"): 170, ("NO", "screened"): 49}
+    assert answers == want
+
+
+def test_plain_target_is_rooted_at_a_maximum_degree_vertex():
+    """A plain target is rooted at its smallest-id vertex of maximum degree,
+    so the scan tries only the graph vertices with at least that many
+    neighbours.  Rooted at a centre of degree 2, each of these tried nearly
+    every graph vertex: the chorded path took 3334 attempts at n = 10 001."""
+
+    def solve(g, t):
+        stats, lines = SolveStats(), []
+        v = solve_undirected(g, t, stats=stats, trace=lines.append)
+        assert not v.is_yes or certify_undirected(g, t, v)
+        top = max(range(t.n), key=t.degree)
+        assert {line.split()[0] for line in lines} == {f"troot={top}"}
+        return v.answer, stats
+
+    n = 10_001
+    answer, stats = solve(chorded_path(n), path(n))
+    assert answer == "YES" and stats.attempts <= 2
+    answer, stats = solve(*chorded_cycle_and_spider(400, 6, 0))  # the spider's legs meet at 0
+    assert answer == "NO" and stats.roots_tried <= 10
+    n = 20_001
+    answer, stats = solve(end_chord_path(n), path(n))
+    assert answer == "YES" and stats.attempts == 1
 
 
 def test_unfinished_search_raises_under_any_optimisation_level(monkeypatch):
@@ -577,7 +623,8 @@ def test_benchmark_counters_are_stats_fields():
 # answer and every trace line is equal (hashed as "<n> <k> <mode> <seed>
 # <answer>" plus the trace lines, both give bfcc0e62c48467e251e3855ed4c66246
 # 9965f354285ae6b3d4180a563f6e585e).  Only counters changed, in 45 rows, and
-# 5 YES witnesses, each certified.
+# 5 YES witnesses, each certified.  Each target is passed rooted at its first
+# centre, the rooting the solver chose for itself when the hash was made.
 PINNED_SEARCH_SHA256 = "40bc968010163c417989258f8618780bcd7e49034ff86b81608fe2edfc89bee2"
 
 
@@ -597,7 +644,8 @@ def test_search_hash_pinned():
                     rng.shuffle(perm)
                     g = UGraph(n, edges).relabeled(perm)
                     rng.shuffle(perm)
-                    target = inst.target.tree.relabeled(perm)
+                    t = inst.target.tree.relabeled(perm)
+                    target = _centre_rooted(t)
                     stats = SolveStats()
                     lines = []
                     v = solve_undirected(g, target, stats=stats, trace=lines.append)
@@ -797,7 +845,7 @@ def test_open_matches_full_walk(monkeypatch):
     for n in (12, 40):
         cases += [(end_chord_path(n), path(n)), (hub_with_leaves(n), gen_tree(n, n))]
     for g, target in cases:  # below the degree screen, which rejects many random ones
-        _solve_core(g, target, g.m - g.n + 1, SolveStats(), None)
+        _solve_core(g, _centre_rooted(target), g.m - g.n + 1, SolveStats(), None)
     assert all(seen.values()) and branched, seen
     assert len(opened) == 6626
 
@@ -806,7 +854,7 @@ def test_one_incidence_read_per_placement():
     """Placing a vertex reads its incidence list once: the root once per
     attempt, and each branch examined once."""
     from stiso.graphs import peel_leaves
-    from stiso.undirected import _Engine, _Forest, _rooting
+    from stiso.undirected import _Engine, _Forest
 
     class CountedReads(tuple):
         reads = 0
@@ -817,7 +865,7 @@ def test_one_incidence_read_per_placement():
 
     cases = [chorded_cycle_and_spider(60, 3, 0), (chorded_path(61), path(61))]
     for g, target in cases:
-        tt = _rooting(target).build()
+        tt = _centre_rooted(target).build()
         order, parent, _ = peel_leaves(g)
         stats = SolveStats()
         engine = _Engine(g, tt, g.m - g.n + 1, stats, _Forest(order, parent, tt.table))
@@ -835,7 +883,7 @@ def test_one_incidence_read_per_placement():
 def test_chorded_path_walks_nothing():
     # every opened node walked the remainder, which made this cubic in n
     n = 401
-    g, target = chorded_path(n), path(n)
+    g, target = chorded_path(n), _centre_rooted(path(n))
     stats = SolveStats()
     v = solve_undirected(g, target, stats=stats)
     assert v.is_yes and certify_undirected(g, target, v)
@@ -863,10 +911,10 @@ def test_chorded_cycle_against_a_spider():
 def test_end_chord_path_at_twenty_thousand():
     # a walk of the remainder at every opened node made this quadratic in n
     n = 20_001
-    g = end_chord_path(n)
+    g, target = end_chord_path(n), _centre_rooted(path(n))
     stats = SolveStats()
-    v = solve_undirected(g, path(n), stats=stats)
-    assert v.is_yes and certify_undirected(g, path(n), v)
+    v = solve_undirected(g, target, stats=stats)
+    assert v.is_yes and certify_undirected(g, target, v)
     assert stats.attempts == 4
 
 
@@ -896,7 +944,7 @@ def test_anchor_count_is_the_kernels():
     for g in graphs:
         target = gen_tree(g.n, g.m)
         stats = SolveStats(k=g.m - g.n + 1)
-        _solve_core(g, target, stats.k, stats, None)  # below the degree screen
+        _solve_core(g, TargetTree(target, 0), stats.k, stats, None)  # below the degree screen
         assert stats.k >= 2 and stats.anchors == len(make_contractible(g).anchors), g.edges
         screened += _screened(g, target)
     assert screened == 17  # of 45: those runs count no anchors in solve_undirected
@@ -931,12 +979,12 @@ def test_connectivity_checked_once_per_solve(monkeypatch):
 
 
 def test_target_tree_not_revalidated_per_solve(monkeypatch):
-    # k = 0, 1, and >= 2, the target rooted at vertex 1 and at a center.  The
-    # search reuses the caller's rooting if it is at the first center; any other
-    # costs one fresh rooting there.  No solve prints a string code (no call to
-    # rooted_code) or checks the target's connectivity, and its centres are read
-    # once off the caller's rooting
-    from stiso import treecode, undirected
+    # k = 0, 1, and >= 2.  A TargetTree, rooted at vertex 1 or at a centre, is
+    # searched from its root as given: the solve neither roots it again nor
+    # walks it (no rooting, no centre walk, no connectivity check, no printed
+    # code).  A plain target costs one rooting, at its smallest-id vertex of
+    # maximum degree, and no centre walk
+    from stiso import treecode
     from stiso.undirected import _solve_core
 
     cases = [
@@ -949,9 +997,9 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
     real, real_code, real_order = UGraph.is_connected, treecode.rooted_code, treecode._rooted_order
     real_centers = treecode._centers_from
     for g, tree, answer in cases:
-        centers = treecode.tree_centers(tree)
-        for root in (1, centers[-1]):
-            target = TargetTree(tree, root)
+        top = max(range(tree.n), key=tree.degree)
+        for target in (TargetTree(tree, 1), _centre_rooted(tree), tree):
+            rooted = isinstance(target, TargetTree)
             calls, codes, rootings, walks = [], [], [], []
 
             def counted(self, *args, **kwargs):
@@ -969,18 +1017,16 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
                 return real_order(t, r)
 
             def counted_centers(t, order, parent):
-                if t is tree:
-                    walks.append(order is target._bfs)
+                walks.append(t)
                 return real_centers(t, order, parent)
 
             monkeypatch.setattr(UGraph, "is_connected", counted)
             monkeypatch.setattr(treecode, "rooted_code", counted_code)
             monkeypatch.setattr(treecode, "_rooted_order", counted_order)
-            for module in (treecode, undirected):
-                monkeypatch.setattr(module, "_centers_from", counted_centers)
+            monkeypatch.setattr(treecode, "_centers_from", counted_centers)
             lines = []
             k = g.m - g.n + 1
-            if answer:
+            if answer or not rooted:
                 verdict = solve_undirected(g, target, trace=lines.append)
             else:  # the degree screen rejects both NOs: search below it
                 verdict = _solve_core(g, target, k, SolveStats(), lines.append)
@@ -988,10 +1034,12 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
             monkeypatch.setattr(UGraph, "is_connected", real)
             monkeypatch.setattr(treecode, "rooted_code", real_code)
             monkeypatch.setattr(treecode, "_rooted_order", real_order)
-            for module in (treecode, undirected):
-                monkeypatch.setattr(module, "_centers_from", real_centers)
-            assert calls == [] and codes == [] and walks == [True]
+            monkeypatch.setattr(treecode, "_centers_from", real_centers)
+            assert calls == [] and codes == [] and walks == []
             assert answer or _screened(g, target)
-            assert rootings == ([] if root == centers[0] else [centers[0]]), (tree.n, root)
-            if not answer and g.m - g.n >= 1:  # a k >= 2 NO scans the one rooting
-                assert {line.split()[0] for line in lines} == {f"troot={centers[0]}"}
+            assert rootings == ([] if rooted else [top]), (tree.n, target)
+            if rooted or answer:  # searched from the root given, or from the top one
+                root = target.root if rooted else top
+                assert all(line.startswith(f"troot={root} ") for line in lines), lines
+            else:
+                assert lines == [SCREEN_LINE]
