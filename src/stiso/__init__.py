@@ -24,7 +24,6 @@ from .graphs import (
     Verdict,
     parse_graph,
     reachable_all,
-    redundant_size,
 )
 from .kernel import AnchorChain, Kernel, KernelError, make_contractible
 from .oracle import (
@@ -43,7 +42,6 @@ from .treecode import (
     rooted_iso_mapping,
     tree_centers,
     unrooted_code,
-    unrooted_iso,
 )
 from .undirected import SolveStats, certify_undirected, solve_undirected
 
@@ -78,7 +76,6 @@ __all__ = [
     "oracle_undirected",
     "parse_graph",
     "reachable_all",
-    "redundant_size",
     "rooted_code",
     "rooted_iso_mapping",
     "solve_directed",
@@ -86,5 +83,4 @@ __all__ = [
     "target_tree_from_digraph",
     "tree_centers",
     "unrooted_code",
-    "unrooted_iso",
 ]

@@ -33,10 +33,12 @@ So the screen's count of how the graph's out-degree histogram differs from
 the target's (in at most ``2k`` entries, as the graph has ``k`` arcs more)
 serves the whole solve: each plan whose deletions do not cancel that
 difference exactly is rejected in O(k) (:func:`~stiso.graphs.degree_shift`).
-The test is only necessary, and plans keep their order, so the first plan
+An isomorphism also maps root to root, so a plan is rejected, in O(k) too,
+unless the root keeps as many out-arcs as the target's root has children.
+Both tests are only necessary, and plans keep their order, so the first plan
 to pass the full check, and with it the answer, is unchanged; only the
-plans it keeps are searched and count as ``arborescence_hits``.  A NO that
-the screen or this test decides never builds the target's canonical codes:
+plans they keep are searched and count as ``arborescence_hits``.  A NO that
+the screen or these tests decide never builds the target's canonical codes:
 only :meth:`~stiso.treecode.TargetTree.match` builds them, on a plan that spans.
 
 Each plan left is checked by one search from the root over the kept arcs
@@ -80,9 +82,12 @@ class DirectedStats:
 
     ``plans_examined`` counts in-arc choices tried, ``plans_max_per_root``
     the most at one root, and ``arborescence_hits`` the plans that pass the
-    out-degree test and span.  ``subsets_examined`` has nothing left to count
-    and stays 0; it is kept because ``perfbench/decide.py`` reads counters
-    by field name.  The out-degree screen leaves every counter but ``k`` at 0.
+    out-degree tests, the histogram's and the root's, and span.
+    ``subsets_examined`` has nothing left to count and stays 0.  It is kept
+    because ``test_benchmark_counters_are_stats_fields`` checks that every
+    counter ``perfbench/decide.py`` lists in ``STATS_FIELDS`` is a field here;
+    without it the benchmark would report null, not crash.  The out-degree
+    screen leaves every counter but ``k`` at 0.
     """
 
     k: int = 0
@@ -96,22 +101,16 @@ class DirectedStats:
 
 @dataclass(frozen=True)
 class ChainCandidates:
-    """Removable-arc options for one anchor chain.
+    """Removable-arc options for one anchor chain: ``candidates`` holds at
+    most two arc ids."""
 
-    ``root_entry`` is the chain position (index into ``chain.vertices``)
-    through which the root first meets the chain, or None; ``candidates``
-    holds at most two arc ids; ``reversal_count`` is the number of
-    arc-direction sign changes along the chain.
-    """
-
-    chain: AnchorChain
-    root_entry: int | None
     candidates: frozenset[int]
-    reversal_count: int
 
 
 def chain_candidates(d: DiGraph, chain: AnchorChain, root_entry: int | None = None) -> ChainCandidates:
-    """Arcs on ``chain`` whose single deletion satisfies the interior in-degree rule."""
+    """Arcs on ``chain`` whose single deletion satisfies the interior in-degree
+    rule; ``root_entry`` is the chain position (index into ``chain.vertices``)
+    through which the root first meets the chain, or None."""
     verts = chain.vertices
     hops = len(chain.edge_ids)
     if hops != len(verts) - 1 or hops == 0:
@@ -119,20 +118,16 @@ def chain_candidates(d: DiGraph, chain: AnchorChain, root_entry: int | None = No
     if root_entry is not None and not 0 < root_entry < len(verts) - 1:
         raise ValueError(f"root entry {root_entry} is not an interior position")
     heads: list[int | None] = []  # head position of each hop arc, None for anchors
-    directions: list[bool] = []  # True when the arc runs with the chain
     for i, aid in enumerate(chain.edge_ids):
         tail, head = d.arcs[aid]
         a, b = verts[i], verts[i + 1]
         if (tail, head) == (a, b):
-            forward = True
+            head_pos = i + 1
         elif (tail, head) == (b, a):
-            forward = False
+            head_pos = i
         else:
             raise ValueError(f"arc {aid} does not join chain hop {i}")
-        directions.append(forward)
-        head_pos = i + 1 if forward else i
         heads.append(head_pos if 0 < head_pos < len(verts) - 1 else None)
-    reversals = sum(1 for i in range(1, hops) if directions[i] != directions[i - 1])
 
     indeg = [0] * len(verts)
     for pos in heads:
@@ -157,12 +152,7 @@ def chain_candidates(d: DiGraph, chain: AnchorChain, root_entry: int | None = No
             cands.append(aid)
     if len(cands) > 2:
         raise RuntimeError(f"{len(cands)} candidate arcs on one chain, expected at most 2")
-    return ChainCandidates(
-        chain=chain,
-        root_entry=root_entry,
-        candidates=frozenset(cands),
-        reversal_count=reversals,
-    )
+    return ChainCandidates(frozenset(cands))
 
 
 def is_spanning_arborescence(f: DiGraph, r: int) -> bool:
@@ -229,10 +219,12 @@ def _search(
     trace,
 ) -> Verdict:
     """The first plan, roots in id order and plans in product order, whose
-    out-degrees shift by ``gap`` and whose kept arcs span a copy of the
-    target, or NO; ``out_deg`` lists ``d``'s out-degrees."""
+    out-degrees shift by ``gap``, whose root keeps the target root's
+    out-degree and whose kept arcs span a copy of the target, or NO;
+    ``out_deg`` lists ``d``'s out-degrees."""
     multi = {v: [aid for aid, _ in pairs] for v, pairs in enumerate(d.in_inc) if len(pairs) >= 2}
     arcs = d.arcs
+    root_out = len(target.tree.incidence[target.root])
 
     for r in range(d.n):
         stats.roots_tried += 1
@@ -250,7 +242,8 @@ def _search(
             plans_this_root += 1
             stats.plans_examined += 1
             deleted = pool.difference(kept)
-            if degree_shift(out_deg, [arcs[a][0] for a in deleted]) != gap:
+            tails = [arcs[a][0] for a in deleted]
+            if degree_shift(out_deg, tails) != gap or out_deg[r] - tails.count(r) != root_out:
                 continue
             witness = _arborescence_without(d, r, deleted)
             if witness is None:

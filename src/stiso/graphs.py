@@ -190,19 +190,15 @@ class DiGraph:
     def in_degree(self, v: int) -> int:
         return len(self.in_inc[v])
 
-    def out_degree(self, v: int) -> int:
-        return len(self.out_inc[v])
-
     def underlying(self) -> UGraph:
         """Undirected multigraph with one edge per arc; edge id == arc id.
 
-        Equal to ``UGraph.multigraph(self.n, list(self.arcs))``: a vertex's
-        edges are its out- and in-arcs merged by arc id, as that constructor
-        lists them, so the arcs are not checked or walked again.
+        A vertex's edges are its out-arcs, then its in-arcs, so the arcs are
+        not checked or walked again.
         """
         g = UGraph.__new__(UGraph)
         g.n, g.edges, g.is_multigraph = self.n, self.arcs, True
-        g.incidence = tuple(map(tuple, map(sorted, map(add, self.out_inc, self.in_inc))))
+        g.incidence = tuple(map(add, self.out_inc, self.in_inc))
         return g
 
     def relabeled(self, perm: list[int]) -> "DiGraph":
@@ -325,13 +321,6 @@ def _parse_lines(text: str) -> UGraph | DiGraph:
     if header[2] == "U":
         return UGraph(n, pairs)
     return DiGraph(n, pairs)
-
-
-def redundant_size(g: UGraph) -> int:
-    """Size of the redundant set, ``m - (n - 1)``; requires a connected graph."""
-    if not g.is_connected():
-        raise ValueError("redundant set size is undefined for a disconnected graph")
-    return g.m - (g.n - 1)
 
 
 def bfs(

@@ -58,10 +58,6 @@ class AnchorChain:
     vertices: tuple[int, ...]
     edge_ids: tuple[int, ...]
 
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -82,11 +78,6 @@ class Kernel:
     trim_order: tuple[int, ...]
     trim_parent: tuple[int, ...]
     steps: tuple[tuple[str, int, int, int], ...] | None = None  # (op, vertex, |V|, |E|)
-
-    def chain_of(self, kernel_edge_id: int) -> AnchorChain:
-        if not 0 <= kernel_edge_id < len(self.chains):
-            raise KeyError(f"unknown kernel edge id {kernel_edge_id}")
-        return self.chains[kernel_edge_id]
 
 
 def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:

@@ -42,8 +42,7 @@ from itertools import combinations
 from math import comb
 
 from .graphs import DiGraph, UGraph, Verdict, bfs
-from .treecode import NotArborescenceError, TargetTree, arborescence_root, rooted_code
-from .treecode import target_graph, tree_centers
+from .treecode import NotArborescenceError, TargetTree, arborescence_root, rooted_code, tree_centers
 
 SUBSET_GUARD = 10**7
 
@@ -63,7 +62,7 @@ def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     """Try every k-subset of edges; YES iff some removal leaves a spanning
     tree isomorphic to the target.  A plain target must be a tree, or
     :class:`~stiso.treecode.NotATreeError` is raised before any answer."""
-    ttree = target_graph(target)
+    ttree = target.tree if isinstance(target, TargetTree) else target
     centre_of = {rooted_code(ttree, c): c for c in tree_centers(ttree)}  # validates the tree
     if g.n != ttree.n:
         raise ValueError(f"vertex counts differ: graph {g.n}, target {ttree.n}")
@@ -157,12 +156,10 @@ def _degree_test(
 
 @dataclass(frozen=True)
 class InvalidNeighborReport:
-    """Neighbors of ``vertex`` whose component after dropping the shared edge
-    is cyclic or still contains ``vertex``; at most ``bound`` = 2k of them."""
+    """The neighbours of a probed vertex whose component after dropping the
+    shared edge is cyclic or still contains the vertex; at most 2k of them."""
 
-    vertex: int
     invalid: frozenset[int]
-    bound: int
 
 
 def invalid_neighbors(g: UGraph, v: int) -> InvalidNeighborReport:
@@ -170,14 +167,13 @@ def invalid_neighbors(g: UGraph, v: int) -> InvalidNeighborReport:
     whether u's component contains a cycle or reaches back to ``v``."""
     if not g.is_connected():
         raise ValueError("invalid_neighbors requires a connected graph")
-    k = g.m - (g.n - 1)
     bad: set[int] = set()
     for eid, u in g.incidence[v]:
         reached, parent = bfs(g.incidence, u, {eid})
         # v unreached: u's side has (incidences - 1) / 2 edges, a cycle iff >= its vertices
         if parent[v] != -1 or sum(len(g.incidence[x]) for x in reached) - 1 >= 2 * len(reached):
             bad.add(u)
-    return InvalidNeighborReport(vertex=v, invalid=frozenset(bad), bound=2 * k)
+    return InvalidNeighborReport(frozenset(bad))
 
 
 def _bijection_search(t: UGraph, h: UGraph, start: int, image: int) -> dict[int, int] | None:

@@ -123,26 +123,22 @@ def rooted_code(tree: UGraph, root: int) -> str:
 
 
 def tree_centers(tree: UGraph) -> list[int]:
-    """The 1 or 2 center vertices of a tree, sorted."""
-    return _centers_from(tree, *_rooted_order(tree, 0))  # raises NotATreeError unless a tree
-
-
-def _centers_from(tree: UGraph, order: Sequence[int], parent: Sequence[int]) -> list[int]:
-    """:func:`tree_centers`, read off any rooting's BFS order and parent array.
+    """The 1 or 2 center vertices of a tree, sorted; NotATreeError unless a tree.
 
     A branch of ``v`` is a longest path that leaves ``v`` by one edge.  ``v`` is
     a centre iff its two longest branches (0 for a missing one) differ by at
     most one; when they differ by exactly one, the neighbour the longer one
     leaves by is the other centre.  When they differ by more, every centre
-    lies beyond that neighbour, so the walk from the root steps there.
+    lies beyond that neighbour, so the walk from vertex 0 steps there.
     """
+    order, parent = _rooted_order(tree, 0)
     inc = tree.incidence
-    height = [0] * len(parent)  # of each vertex's subtree under the rooting
+    height = [0] * len(parent)  # of each vertex's subtree under the rooting at 0
     for x in reversed(order):
         p = parent[x]
         if p != -1 and height[p] <= height[x]:
             height[p] = height[x] + 1
-    v, up = order[0], 0  # up: v's branch through its parent
+    v, up = 0, 0  # up: v's branch through its parent
     while True:
         top, a1, a2 = -1, 0, up  # the longest branch, by child ``top``, and the next
         for _, c in inc[v]:
@@ -160,15 +156,6 @@ def _centers_from(tree: UGraph, order: Sequence[int], parent: Sequence[int]) -> 
 def unrooted_code(tree: UGraph) -> str:
     """Canonical code of an unrooted tree: the smaller code over its centers."""
     return min(rooted_code(tree, c) for c in tree_centers(tree))
-
-
-def unrooted_iso(t1: UGraph, t2: UGraph) -> bool:
-    """Unrooted-tree isomorphism: root both at their centers and compare."""
-    if t1.n != t2.n:
-        _rooted_order(t1, 0)  # each raises NotATreeError unless a tree
-        _rooted_order(t2, 0)
-        return False
-    return unrooted_code(t1) == unrooted_code(t2)
 
 
 def rooted_iso_mapping(t1: UGraph, r1: int, t2: UGraph, r2: int) -> dict[int, int] | None:
@@ -302,8 +289,3 @@ def certify_witness(
     below, image = target._bfs[1:], mapping.__getitem__
     walk_parents = list(map(parent.__getitem__, map(image, below)))
     return walk_parents == list(map(image, map(target.parent.__getitem__, below)))
-
-
-def target_graph(target: TargetTree | UGraph) -> UGraph:
-    """The unrooted tree behind a target given rooted or plain."""
-    return target.tree if isinstance(target, TargetTree) else target

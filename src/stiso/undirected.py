@@ -88,9 +88,8 @@ class SolveStats:
     target root has children, ``attempts`` those the root prune passes.
     ``nodes_opened`` counts the placements of a target vertex with children
     that pass the budget and room checks, the root's included, and
-    ``branches_examined`` the neighbours tried for a target vertex.
-    ``anchors`` counts the 2-core vertices of degree at least 3.  The degree
-    screen leaves all but ``k`` at 0.
+    ``branches_examined`` the neighbours tried for a target vertex.  The
+    degree screen leaves all but ``k`` at 0.
     """
 
     k: int = 0
@@ -98,7 +97,6 @@ class SolveStats:
     attempts: int = 0
     nodes_opened: int = 0
     branches_examined: int = 0
-    anchors: int = 0
 
 
 TraceFn = Callable[[str], None]
@@ -345,8 +343,7 @@ def _solve_core(
 
 def _scan(g: UGraph, tt: TargetTree, k: int, stats: SolveStats, trace: TraceFn | None) -> Verdict:
     """The first witness the root scan finds, trying roots in id order, or NO."""
-    trim_order, trim_parent, deg = peel_leaves(g)
-    stats.anchors = sum(d >= 3 for d in deg)  # the kernel's vertices
+    trim_order, trim_parent, _ = peel_leaves(g)
     engine = _Engine(g, tt, k, stats, _Forest(trim_order, trim_parent, tt.table))
     min_children = len(tt.children[tt.root])
     for v, pairs in enumerate(g.incidence):

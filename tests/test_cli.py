@@ -149,19 +149,19 @@ def test_undirected_verdict_roots_the_target_once(files, monkeypatch):
     from stiso import treecode
     from stiso.cli import main
 
-    real_order, real_centers = treecode._rooted_order, treecode._centers_from
+    real_order, real_centers = treecode._rooted_order, treecode.tree_centers
     rootings, centres = [], []
 
     def counted_order(tree, root):
         rootings.append((tree.edges, root))
         return real_order(tree, root)
 
-    def counted_centers(tree, order, parent):
+    def counted_centers(tree):
         centres.append(tree.edges)
-        return real_centers(tree, order, parent)
+        return real_centers(tree)
 
     monkeypatch.setattr(treecode, "_rooted_order", counted_order)
-    monkeypatch.setattr(treecode, "_centers_from", counted_centers)
+    monkeypatch.setattr(treecode, "tree_centers", counted_centers)
     _, write = files
     g = write("g.txt", C4)
     assert main(["solve", "-g", g, "-t", write("t.txt", K13)]) == 1

@@ -30,6 +30,7 @@ from stiso import (
 from stiso.directed import _arborescence_without, _search
 from stiso.graphs import degree_gap, degree_shift, degrees_cover, roots_reaching_all
 from stiso.treecode import _ahu, _pair_children
+from util import root_cycle_arborescence
 
 
 def _chain(verts, eids):
@@ -46,7 +47,6 @@ def test_chain_candidates_consistent_direction_root_off_chain():
     d = _digraph_for([(0, 1), (1, 2), (2, 3)], 4)
     cc = chain_candidates(d, _chain([0, 1, 2, 3], [0, 1, 2]), None)
     assert cc.candidates == {2}
-    assert cc.reversal_count == 0
 
 
 def test_chain_candidates_one_reversal_root_off_chain():
@@ -54,7 +54,6 @@ def test_chain_candidates_one_reversal_root_off_chain():
     d = _digraph_for([(0, 1), (2, 1), (3, 2)], 4)
     cc = chain_candidates(d, _chain([0, 1, 2, 3], [0, 1, 2]), None)
     assert cc.candidates == {0, 1}
-    assert cc.reversal_count == 1
 
 
 def test_chain_candidates_root_entry_interior():
@@ -69,7 +68,6 @@ def test_chain_candidates_two_reversals_unsatisfiable_off_root():
     d = _digraph_for([(0, 1), (2, 1), (2, 3)], 4)
     cc = chain_candidates(d, _chain([0, 1, 2, 3], [0, 1, 2]), None)
     assert cc.candidates == set()
-    assert cc.reversal_count == 2
 
 
 def test_chain_candidates_single_hop():
@@ -507,6 +505,44 @@ def test_filtered_search_matches_unfiltered_reference():
     assert answers == {"YES", "NO"}
 
 
+def test_root_out_degree_test_is_exact():
+    """A plan that leaves the root another out-degree than the target root's
+    never spans a copy of the target, and ``arborescence_hits`` counts, up to
+    the first plan that does, exactly the plans that pass both out-degree
+    tests and span."""
+    rejected = 0
+    for inst in _small_directed_grid():
+        d, target = inst.graph, inst.target.build()
+        root_out = len(target.children[target.root])
+        hits = 0
+        for r, deleted, passes, kids, hit in _plans_unfiltered(d, target):
+            keeps = len(d.out_inc[r]) - sum(d.arcs[a][0] == r for a in deleted) == root_out
+            assert keeps or not hit, (inst.spec, r, deleted)
+            rejected += passes and not keeps
+            hits += passes and keeps and kids is not None
+            if hit:
+                break
+        stats = DirectedStats()
+        solve_directed(d, target, stats=stats)
+        assert stats.arborescence_hits == hits, inst.spec
+    assert rejected > 0
+
+
+def test_root_cycle_family_matches_few_plans():
+    """On the root-cycle family every vertex of the root's cycle is a root,
+    and at each most plans that pass the histogram test span.  The root's
+    out-degree test keeps 89 of them from the walk and the match (263 pass
+    without it), and it changes no plan count."""
+    d, target = root_cycle_arborescence(4000, 6, 2)
+    stats, lines = DirectedStats(), []
+    v = solve_directed(d, target, stats=stats, trace=lines.append)
+    assert v.is_yes and certify_directed(d, target, v)
+    assert (stats.roots_reachable, stats.plans_examined, stats.plans_max_per_root) == (163, 5185, 32)
+    assert stats.arborescence_hits == 89
+    surviving = [int(m[1]) for line in lines if (m := re.search(r"surviving=(\d+)", line))]
+    assert len(surviving) == stats.roots_reachable and sum(surviving) == stats.arborescence_hits
+
+
 def test_rare_giant_searches_no_plan():
     """Every plan of this instance spans (the extra arcs feed the admissible
     roots); below the screen, the out-degree test rejects all of them before
@@ -527,7 +563,7 @@ SCREEN_LINE = "screen=out-degrees fail:uncovered"
 
 def _out_gap(d: DiGraph, target) -> tuple[list[int], dict[int, int]]:
     """``d``'s out-degrees, and their gap to the target's child counts."""
-    out_deg = [d.out_degree(v) for v in range(d.n)]
+    out_deg = list(map(len, d.out_inc))
     return out_deg, degree_gap(out_deg, [len(c) for c in target.build().children])
 
 

@@ -42,13 +42,6 @@ def test_figure_eight_contracts_to_two_loops():
     assert [c.edge_ids for c in kern.chains] == [(2, 1, 0), (5, 4, 3)]
 
 
-def test_chain_of_bounds():
-    kern = make_contractible(THETA)
-    assert kern.chain_of(0).vertices == (0, 2, 1)
-    with pytest.raises(KeyError):
-        kern.chain_of(3)
-
-
 def test_rejects_low_surplus_and_disconnection():
     with pytest.raises(KernelError):
         make_contractible(cycle(5))  # k = 1
@@ -80,7 +73,7 @@ def test_core_invariants_random(seed):
     used_edges = []
     for chain in kern.chains:
         assert chain.vertices[0] in kern.anchors and chain.vertices[-1] in kern.anchors
-        for v in chain.interior:
+        for v in chain.vertices[1:-1]:
             assert v not in kern.anchors
             assert v not in seen_interiors
             seen_interiors.add(v)
@@ -120,7 +113,7 @@ def test_trim_forest_invariants_random():
         rng = random.Random(seed)
         g = _random_connected(rng.randint(6, 40), rng.randint(2, 6), seed)
         kern = make_contractible(g)
-        core = set(kern.anchors) | {v for c in kern.chains for v in c.interior}
+        core = set(kern.anchors) | {v for c in kern.chains for v in c.vertices[1:-1]}
         assert sorted(kern.trim_order) == sorted(set(range(g.n)) - core)
         position = {v: i for i, v in enumerate(kern.trim_order)}
         for v in range(g.n):

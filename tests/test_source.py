@@ -56,7 +56,7 @@ def test_no_function_calls_itself():
 
 
 ORACLE_TREECODE_NAMES = {
-    "NotArborescenceError", "TargetTree", "arborescence_root", "target_graph", "rooted_code", "tree_centers",
+    "NotArborescenceError", "TargetTree", "arborescence_root", "rooted_code", "tree_centers",
 }
 
 
@@ -97,10 +97,10 @@ def test_kernel_is_imported_only_where_it_is_asked_for():
 def test_undirected_solver_has_no_rooting_policy():
     """The undirected solver searches from the root it is given and roots a
     plain target at a vertex of maximum degree, so no centre finder returns to
-    it: ``undirected.py`` imports, and names, neither ``tree_centers`` nor
-    ``_centers_from``."""
+    it: ``undirected.py`` neither imports nor names ``tree_centers``, the one
+    centre finder."""
     path = SRC / "undirected.py"
-    centre_finders = {"tree_centers", "_centers_from"}
+    centre_finders = {"tree_centers"}
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -110,3 +110,59 @@ def test_undirected_solver_has_no_rooting_policy():
         elif isinstance(node, ast.Attribute) and node.attr in centre_finders:
             found.append(f"{node.lineno} .{node.attr}")
     assert found == []
+
+
+ROOT = SRC.parent.parent
+READERS = [
+    *(p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+
+
+def _public_names() -> list[tuple[str, str]]:
+    """Every public module-level function and class of the package, and every
+    public method and annotated field of its classes, as ``(shown, name)``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found.append((node.name, node.name))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    found.append((f"{node.name}.{name}", name))
+    return found
+
+
+def _names_read() -> set[str]:
+    """Every name the readers load, as a variable or an attribute, import, or
+    spell out as a string constant (perfbench reads stats fields by name)."""
+    read: set[str] = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def test_every_public_name_has_a_reader():
+    """The public surface is what a caller needs: every public function,
+    class, method and record field of the package is read by the package
+    itself (its ``__init__`` exports do not count), by the benchmark, or by
+    the acceptance suite.  A name only other tests read is not a caller's."""
+    read = _names_read()
+    assert [shown for shown, name in _public_names() if name not in read] == []

@@ -16,10 +16,9 @@ from stiso import (
     rooted_iso_mapping,
     tree_centers,
     unrooted_code,
-    unrooted_iso,
 )
 
-from stiso.treecode import _ahu, _centers_from, _rooted_order
+from stiso.treecode import _ahu, _rooted_order
 from util import (
     all_free_trees,
     brute_centers,
@@ -102,11 +101,11 @@ def test_rooted_iso_examples():
 
 
 def test_unrooted_iso_examples():
-    assert not unrooted_iso(path(4), star(4))
+    assert unrooted_code(path(4)) != unrooted_code(star(4))
     t = gen_tree(9, 7)
     perm = list(range(9))
     random.Random(1).shuffle(perm)
-    assert unrooted_iso(t, t.relabeled(perm))
+    assert unrooted_code(t) == unrooted_code(t.relabeled(perm))
 
 
 def test_tree_centers():
@@ -118,18 +117,14 @@ def test_tree_centers():
 
 
 def test_first_center_from_any_rooting():
-    """``tree_centers``, and the centre walk from every rooting's BFS order and
-    parent array, give the vertices of least eccentricity: every free tree on up
-    to 9 vertices and a grid of random trees."""
+    """``tree_centers`` gives the vertices of least eccentricity: every free
+    tree on up to 9 vertices and a grid of random trees."""
     trees = [t for ts in all_free_trees(9).values() for t in ts]
     trees += [path(2), path(9), star(7)]
     trees += [gen_tree(n, seed) for n in range(2, 61) for seed in range(10)]
     for t in trees:
         centers = brute_centers(t)
         assert tree_centers(t) == centers, t.edges
-        for r in range(t.n):
-            tt = TargetTree(t, r)
-            assert _centers_from(t, tt._bfs, tt.parent) == centers, (t.edges, r)
 
 
 def test_centers_and_unrooted_iso_reject_non_trees():
@@ -139,10 +134,8 @@ def test_centers_and_unrooted_iso_reject_non_trees():
         with pytest.raises(NotATreeError):
             tree_centers(bad)
         with pytest.raises(NotATreeError):
-            unrooted_iso(path(5), bad)
-        with pytest.raises(NotATreeError):
-            unrooted_iso(bad, path(5))
-    assert not unrooted_iso(path(3), path(4))
+            unrooted_code(bad)
+    assert unrooted_code(path(3)) != unrooted_code(path(4))
 
 
 def test_transitivity_on_sampled_triples():
@@ -154,8 +147,8 @@ def test_transitivity_on_sampled_triples():
         random.Random(seed + 100).shuffle(perm2)
         b = a.relabeled(perm1)
         c = b.relabeled(perm2)
-        assert unrooted_iso(a, b) and unrooted_iso(b, c)
-        assert unrooted_iso(a, c)
+        assert unrooted_code(a) == unrooted_code(b) and unrooted_code(b) == unrooted_code(c)
+        assert unrooted_code(a) == unrooted_code(c)
 
 
 def test_rooted_iso_mapping_is_an_isomorphism():
@@ -254,7 +247,7 @@ def test_arborescence_iso_implies_underlying_iso():
         random.Random(seed).shuffle(perm)
         d2 = d1.relabeled(perm)
         assert _arborescence_code(d1) == _arborescence_code(d2)
-        assert unrooted_iso(d1.underlying(), d2.underlying())
+        assert unrooted_code(d1.underlying()) == unrooted_code(d2.underlying())
 
 
 def test_dfs_order_examples():

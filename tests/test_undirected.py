@@ -17,8 +17,9 @@ from stiso import (
     oracle_undirected,
     solve_undirected,
     tree_centers,
+    unrooted_code,
 )
-from stiso.graphs import degree_gap, degrees_cover
+from stiso.graphs import degree_gap, degrees_cover, peel_leaves
 
 from util import (
     THETA,
@@ -48,7 +49,7 @@ def _screened(g, target):
     if lines != [SCREEN_LINE]:
         return False
     assert v.answer == "NO" and v.note.startswith("degree screen")
-    assert (stats.roots_tried, stats.attempts, stats.nodes_opened, stats.anchors) == (0, 0, 0, 0)
+    assert (stats.roots_tried, stats.attempts, stats.nodes_opened) == (0, 0, 0)
     return True
 
 
@@ -82,9 +83,7 @@ def test_theta_vs_path_yes():
     assert v.is_yes and certify_undirected(THETA, p5, v)
     # the specific removal {xb, az} leaves the path x-a-y-b-z
     witness = UGraph(5, [e for i, e in enumerate(THETA.edges) if i not in (1, 4)])
-    from stiso import unrooted_iso
-
-    assert unrooted_iso(witness, p5)
+    assert unrooted_code(witness) == unrooted_code(p5)
 
 
 def test_identical_trees_k0():
@@ -657,7 +656,8 @@ def test_search_hash_pinned():
                         stats.attempts,
                         stats.nodes_opened,
                         stats.branches_examined,
-                        stats.anchors,
+                        # the anchor count SolveStats kept when the hash was made
+                        sum(d >= 3 for d in peel_leaves(g)[2]) if v.note is None else 0,
                     )
                     h.update(f"{n} {k} {mode} {seed} {v.answer} {mapping} {removed}\n".encode())
                     h.update(f"{counters}\n".encode())
@@ -929,27 +929,6 @@ def test_hub_with_ten_thousand_leaves():
     assert stats.attempts == 1
 
 
-def test_anchor_count_is_the_kernels():
-    """The solver counts anchors from the leaf peel alone; the count equals the
-    kernel's."""
-    from stiso.kernel import make_contractible
-    from stiso.undirected import _solve_core
-
-    graphs = [THETA, complete(5), chorded_path(30), end_chord_path(20), hub_with_leaves(12)]
-    for seed in range(40):
-        k = 2 + seed % 5
-        mode = "planted-yes" if seed % 2 == 0 else "random"
-        graphs.append(gen_instance(GenSpec(n=k + 4 + seed % 30, k=k, seed=seed, mode=mode)).graph)
-    screened = 0
-    for g in graphs:
-        target = gen_tree(g.n, g.m)
-        stats = SolveStats(k=g.m - g.n + 1)
-        _solve_core(g, TargetTree(target, 0), stats.k, stats, None)  # below the degree screen
-        assert stats.k >= 2 and stats.anchors == len(make_contractible(g).anchors), g.edges
-        screened += _screened(g, target)
-    assert screened == 17  # of 45: those runs count no anchors in solve_undirected
-
-
 def test_connectivity_checked_once_per_solve(monkeypatch):
     # k >= 2 and k = 1
     from stiso import graphs, treecode
@@ -995,7 +974,7 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
         (hub_with_leaves(30), path(30), False),
     ]
     real, real_code, real_order = UGraph.is_connected, treecode.rooted_code, treecode._rooted_order
-    real_centers = treecode._centers_from
+    real_centers = treecode.tree_centers
     for g, tree, answer in cases:
         top = max(range(tree.n), key=tree.degree)
         for target in (TargetTree(tree, 1), _centre_rooted(tree), tree):
@@ -1016,14 +995,14 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
                     rootings.append(r)
                 return real_order(t, r)
 
-            def counted_centers(t, order, parent):
+            def counted_centers(t):
                 walks.append(t)
-                return real_centers(t, order, parent)
+                return real_centers(t)
 
             monkeypatch.setattr(UGraph, "is_connected", counted)
             monkeypatch.setattr(treecode, "rooted_code", counted_code)
             monkeypatch.setattr(treecode, "_rooted_order", counted_order)
-            monkeypatch.setattr(treecode, "_centers_from", counted_centers)
+            monkeypatch.setattr(treecode, "tree_centers", counted_centers)
             lines = []
             k = g.m - g.n + 1
             if answer or not rooted:
@@ -1034,7 +1013,7 @@ def test_target_tree_not_revalidated_per_solve(monkeypatch):
             monkeypatch.setattr(UGraph, "is_connected", real)
             monkeypatch.setattr(treecode, "rooted_code", real_code)
             monkeypatch.setattr(treecode, "_rooted_order", real_order)
-            monkeypatch.setattr(treecode, "_centers_from", real_centers)
+            monkeypatch.setattr(treecode, "tree_centers", real_centers)
             assert calls == [] and codes == [] and walks == []
             assert answer or _screened(g, target)
             assert rootings == ([] if rooted else [top]), (tree.n, target)

@@ -23,16 +23,18 @@ from itertools import combinations
 
 from stiso import (
     DiGraph,
+    GenSpec,
     GraphFormatError,
     TargetTree,
     UGraph,
     Verdict,
+    gen_instance,
     is_spanning_arborescence,
     tree_centers,
 )
 from stiso.directed import _arborescence_without
+from stiso.graphs import bfs
 from stiso.oracle import _bijection_search, _guard
-from stiso.treecode import target_graph
 
 
 def brute_iso(t1: UGraph, t2: UGraph, fixed: tuple[int, int] | None = None) -> bool:
@@ -219,6 +221,22 @@ def chorded_cycle_and_spider(n: int, k: int, seed: int) -> tuple[UGraph, UGraph]
     return UGraph(n, edges), UGraph(n, legs)
 
 
+def root_cycle_arborescence(n: int, k: int, seed: int) -> tuple[DiGraph, TargetTree]:
+    """A planted directed YES with k - 1 random extra arcs, plus one arc from
+    the vertex a search from the root reaches last back into the root.
+
+    The root is the planted arborescence's, the tail of the graph's first
+    arc.  Every vertex on the new cycle through it reaches every vertex, so
+    each is an admissible root, and every plan at one of them that spans
+    costs a walk of the whole graph.
+    """
+    inst = gen_instance(GenSpec(n=n, k=k - 1, seed=seed, mode="planted-yes", directed=True))
+    d = inst.graph
+    r = d.arcs[0][0]
+    last = bfs(d.out_inc, r)[0][-1]
+    return DiGraph(n, [*d.arcs, (last, r)]), inst.target
+
+
 def reference_incidence(n: int, pairs, *, directed: bool, simple: bool = True):
     """The graph constructors' work one edge at a time: the checked pairs and
     the incidence lists (``(out, in)`` when ``directed``), or the
@@ -289,7 +307,7 @@ def reference_oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdi
     ``combinations`` order, goes to the connectivity check and the reference
     rooted code, :func:`subtree_codes`, at the kept tree's first centre, which
     picks the target centre the search pins there."""
-    ttree = target_graph(target)
+    ttree = target.tree if isinstance(target, TargetTree) else target
     if not g.is_connected():
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
@@ -335,7 +353,7 @@ def reference_certify_undirected(g: UGraph, target: TargetTree | UGraph, verdict
     pairs, must equal the mapped target edges."""
     if not verdict.is_yes or verdict.mapping is None or verdict.removed is None:
         return False
-    ttree = target_graph(target)
+    ttree = target.tree if isinstance(target, TargetTree) else target
     n = g.n
     if ttree.n != n:
         return False
