@@ -70,6 +70,7 @@ from .graphs import (
     degree_gap,
     degree_shift,
     degrees_cover,
+    gc_paused,
     roots_reaching_all,
 )
 from .kernel import AnchorChain
@@ -163,6 +164,7 @@ def is_spanning_arborescence(f: DiGraph, r: int) -> bool:
         return False
 
 
+@gc_paused
 def solve_directed(
     d: DiGraph,
     target: TargetTree,

@@ -22,10 +22,17 @@ refuses, ...) goes line by line, and that path alone words the
 
 Every breadth-first search in the package is :func:`bfs`, and every leaf
 peel is :func:`peel_leaves`.
+
+The O(n) entry points that ``stiso solve`` calls, :func:`parse_graph` and
+the two solvers, run with the cyclic garbage collector paused
+(:func:`gc_paused`): every object they make is acyclic and is freed by
+reference counting, so the collector's passes over them find nothing.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import json
 import re
@@ -33,6 +40,29 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import add, eq
+from typing import Callable, TypeVar
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def gc_paused(fn: _F) -> _F:
+    """``fn`` with the cyclic garbage collector disabled while it runs.
+
+    The collector is enabled again when ``fn`` returns or raises, and a
+    collector that the caller had already disabled is left alone.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused  # type: ignore[return-value]
 
 
 class GraphFormatError(ValueError):
@@ -262,6 +292,7 @@ _PLAIN = re.compile(
 _JSON = json.JSONDecoder()
 
 
+@gc_paused
 def parse_graph(text: str) -> UGraph | DiGraph:
     """Parse the toolkit's text format.
 

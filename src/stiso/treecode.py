@@ -5,13 +5,14 @@ bottom-up pass, :func:`_ahu`, gives every rooted tree its ids and its
 children in ``(id, vertex)`` order: it interns into a table once per
 target, in :meth:`TargetTree.build`, which the undirected solver
 calls once its screens pass and :meth:`TargetTree.match` calls before its
-first lookup, so a NO that a degree screen decides never builds the codes;
+first lookup, so a NO that a degree screen decides never builds the codes.
+The canonical layer is the target's ``ids``, ``table`` and ``children``;
 every candidate (a whole tree in :meth:`TargetTree.match`, and the trim
 forest in the undirected search) is only looked up in that table,
 with -1 for a shape the target lacks, so no solve changes the target.
 Siblings are listed by ``(id, vertex)`` on both sides, which puts
 isomorphic siblings next to each other, and :func:`_pair_children` pairs
-them on equal root ids.
+them on equal root ids, into two lists of vertices.
 
 :func:`rooted_code` prints a tree's ids as a balanced parenthesis string: a
 leaf is ``()`` and an internal vertex wraps its children's strings, listed
@@ -22,7 +23,7 @@ ids, not a second code, and no solve builds one.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import groupby
 
 from .graphs import DiGraph, UGraph, Verdict, bfs, reachable_all
@@ -67,18 +68,27 @@ def _ahu(
     A vertex's id is ``table``'s value for its children's ids in that order.
     With ``intern`` a key the table lacks gets the next id; otherwise the
     vertex gets -1, which no key holds, so its ancestors get -1 too, and
-    ``table`` is never changed.
+    ``table`` is never changed.  The leaf key ``()`` is looked up once per
+    call: the first vertex of a non-empty bottom-up order is a leaf, so
+    interning it first adds it where a vertex-by-vertex pass would.  Only a
+    vertex with two or more children sorts them.
     """
     ids = [-1] * len(parent)
     kids: list[list[int]] = [[] for _ in parent]
     id_of = ids.__getitem__
+    leaf = table.setdefault((), len(table)) if intern else table.get((), -1)
     for x in bottom_up:
         ks = kids[x]
-        if len(ks) > 1:
-            ks.sort()
-            ks.sort(key=id_of)  # stable: by id, then vertex
-        key = tuple(map(id_of, ks))
-        ids[x] = table.setdefault(key, len(table)) if intern else table.get(key, -1)
+        if not ks:
+            ids[x] = leaf
+        else:
+            if len(ks) == 1:
+                key = (ids[ks[0]],)
+            else:
+                ks.sort()
+                ks.sort(key=id_of)  # stable: by id, then vertex
+                key = tuple(map(id_of, ks))
+            ids[x] = table.setdefault(key, len(table)) if intern else table.get(key, -1)
         p = parent[x]
         if p != -1:
             kids[p].append(x)
@@ -166,19 +176,23 @@ def rooted_iso_mapping(t1: UGraph, r1: int, t2: UGraph, r2: int) -> dict[int, in
 
 def _pair_children(
     r1: int, kids1: Sequence[Sequence[int]], r2: int, kids2: Sequence[Sequence[int]]
-) -> Iterator[tuple[int, int]]:
-    """The pairs of the isomorphism ``r1 -> r2``, root pair first, between two
-    rooted trees whose vertex ids come from one table and whose root ids are
-    equal, given each vertex's children in ``(id, vertex)`` order (:func:`_ahu`).
+) -> tuple[list[int], list[int]]:
+    """The isomorphism ``r1 -> r2`` as two lists, each vertex of the first
+    sent to the vertex at the same place in the second, root pair first,
+    between two rooted trees whose vertex ids come from one table and whose
+    root ids are equal, given each vertex's children in ``(id, vertex)`` order
+    (:func:`_ahu`).
 
     Children with equal ids are interchangeable, so pairing the children of
     each matched pair in that order on both sides is a valid bijection.
+    Matched vertices have equal ids and so equally many children, and the
+    two lists grow in step while they are walked, as in :func:`bfs`.
     """
-    stack = [(r1, r2)]
-    while stack:
-        pair = stack.pop()
-        yield pair
-        stack.extend(zip(kids1[pair[0]], kids2[pair[1]]))
+    left, right = [r1], [r2]
+    for a, b in zip(left, right):
+        left.extend(kids1[a])
+        right.extend(kids2[b])
+    return left, right
 
 
 def arborescence_root(d: DiGraph) -> int:
@@ -200,24 +214,24 @@ def arborescence_root(d: DiGraph) -> int:
 
 
 class TargetTree:
-    """Rooted target tree with its canonical DFS preorder and integer codes.
+    """Rooted target tree with its integer codes.
 
     ``ids[v]`` is the Aho-Hopcroft-Ullman id of ``v``'s subtree: ``table`` maps
     the sorted ids of a vertex's children to its id, so two subtrees have equal
     ids iff they are isomorphic, and a candidate is compared with the target by
     looking it up in ``table``.
 
-    ``children[v]`` lists ``v``'s children by ``(ids[c], c)``, and ``order`` is the
-    preorder that follows those lists, so isomorphic sibling subtrees are
-    adjacent in the order and the order is identical across runs.
+    ``children[v]`` lists ``v``'s children by ``(ids[c], c)``, so isomorphic
+    siblings are adjacent and the lists are identical across runs.  The
+    undirected search builds its own preorder from them.
 
     Construction validates the tree and keeps the parent array; the canonical
-    layer (``ids``, ``table``, ``children`` and ``order``) exists only after
+    layer (``ids``, ``table`` and ``children``) exists only after
     :meth:`build`, so a caller whose answer never needs it, such as a NO that
     a degree screen decides, never pays for it.
     """
 
-    __slots__ = ("tree", "root", "parent", "_bfs", "order", "children", "ids", "table")
+    __slots__ = ("tree", "root", "parent", "_bfs", "children", "ids", "table")
 
     def __init__(self, tree: UGraph, root: int):
         self._bfs, self.parent = _rooted_order(tree, root)
@@ -230,7 +244,6 @@ class TargetTree:
             self.table: CodeTable = {}
             ids, kids = _ahu(reversed(self._bfs), self.parent, self.table, intern=True)
             self.ids, self.children = tuple(ids), tuple(map(tuple, kids))
-            self.order = _preorder(self.root, self.children)
         return self
 
     def match(self, order: Sequence[int], parent: Sequence[int]) -> dict[int, int] | None:
@@ -247,7 +260,7 @@ class TargetTree:
         ids, kids = _ahu(reversed(order), parent, self.table)
         if ids[order[0]] != self.ids[self.root]:
             return None
-        return dict(_pair_children(self.root, self.children, order[0], kids))
+        return dict(zip(*_pair_children(self.root, self.children, order[0], kids)))
 
     @property
     def n(self) -> int:
@@ -255,15 +268,6 @@ class TargetTree:
 
     def __repr__(self) -> str:
         return f"TargetTree(n={self.n}, root={self.root})"
-
-
-def _preorder(root: int, children: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    order, stack = [], [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        stack.extend(children[x][::-1])
-    return tuple(order)
 
 
 def certify_witness(

@@ -2,14 +2,15 @@
 
 One search decides every redundant-set size ``k = m - (n-1)``: peel the
 graph's leaves down to its 2-core, and for every graph root try to grow the
-target tree through the graph in the target's DFS order.  It searches from
-the target's root as given, and a plain target is rooted once, at its
-smallest-id vertex of maximum degree.  It is exact for every k, 0 and 1
-included, and for every rooting: any witness maps the target root to some
-graph vertex with at least as many neighbours as the root has children, and
-the root scan tries every such vertex, so one rooting of the target
-suffices.  A root of maximum degree leaves the scan the fewest such
-vertices.
+target tree through the graph in a DFS preorder of the target, which the
+search engine builds once per solve from the target's child lists, each in
+``(id, vertex)`` order.  It searches from the target's root as given, and a
+plain target is rooted once, at its smallest-id vertex of maximum degree.
+It is exact for every k, 0 and 1 included, and for every rooting: any
+witness maps the target root to some graph vertex with at least as many
+neighbours as the root has children, and the root scan tries every such
+vertex, so one rooting of the target suffices.  A root of maximum degree
+leaves the scan the fewest such vertices.
 
 Before any walk of the graph, the connectivity check included, a degree
 screen decides a NO in O(n), with no leaf peel or code table
@@ -75,7 +76,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import UGraph, Verdict, degree_gap, degrees_cover, peel_leaves
+from .graphs import UGraph, Verdict, degree_gap, degrees_cover, gc_paused, peel_leaves
 from .treecode import CodeTable, NotATreeError, TargetTree, _ahu, _pair_children
 from .treecode import certify_witness
 
@@ -102,6 +103,7 @@ class SolveStats:
 TraceFn = Callable[[str], None]
 
 
+@gc_paused
 def solve_undirected(
     g: UGraph,
     target: TargetTree | UGraph,
@@ -172,6 +174,17 @@ class _Forest:
         self.ids, self.kids = _ahu([*bottom_up, *roots], parent, table)
 
 
+def _preorder(root: int, children: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The preorder of the tree under ``root`` that visits each vertex's
+    children in the order ``children`` lists them."""
+    order, stack = [], [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack.extend(children[x][::-1])
+    return tuple(order)
+
+
 class _Engine:
     def __init__(self, g: UGraph, tt: TargetTree, k: int, stats: SolveStats, trim: _Forest):
         self.g = g
@@ -180,6 +193,7 @@ class _Engine:
         self.stats = stats
         self.trim = trim
         self.root_ids = Counter(tt.ids[c] for c in tt.children[tt.root])
+        self.order = _preorder(tt.root, tt.children)  # the search's target positions
         self.t2g = [-1] * g.n
         self.g2t = [-1] * g.n
         self.removed: set[int] = set()
@@ -218,10 +232,15 @@ class _Engine:
         return False
 
     def _bind_tree(self, gu: int, tw: int) -> None:
-        """Bind ``gu``'s trim subtree onto the equal-id target subtree at ``tw``;
-        both sides list children by ``(id, vertex)``."""
-        for tx, gx in _pair_children(tw, self.tt.children, gu, self.trim.kids):
-            self._bind(tx, gx)
+        """Bind ``gu``'s trim subtree onto the equal-id target subtree at ``tw``,
+        as :meth:`_bind` would pair by pair; both sides list children by
+        ``(id, vertex)``."""
+        t2g, g2t = self.t2g, self.g2t
+        tws, gus = _pair_children(tw, self.tt.children, gu, self.trim.kids)
+        for tx, gx in zip(tws, gus):
+            t2g[tx] = gx
+            g2t[gx] = tx
+        self.trail.extend(tws)
 
     # -- placement -----------------------------------------------------------
 
@@ -276,7 +295,7 @@ class _Engine:
     def _search(self) -> bool:
         """Place every unmatched target vertex in preorder; True once all are.
         A frame is (position, iterator over its parent's branch list, trail mark)."""
-        order, parent, t2g = self.tt.order, self.tt.parent, self.t2g
+        order, parent, t2g = self.order, self.tt.parent, self.t2g
         stack: list[tuple[int, Iterator[tuple[int, int]], int]] = []
         i = 1
         while True:
@@ -294,7 +313,7 @@ class _Engine:
     def _next_branch(self, i: int, branches: Iterator[tuple[int, int]], mark: int) -> bool:
         """Undo to ``mark`` and place position ``i`` on its next branch that holds;
         False once none is left."""
-        w = self.tt.order[i]
+        w = self.order[i]
         self._rollback(mark)
         for u, eid in branches:
             if self.g2t[u] >= 0:

@@ -30,6 +30,7 @@ from stiso import (
 from stiso.directed import _arborescence_without, _search
 from stiso.graphs import degree_gap, degree_shift, degrees_cover, roots_reaching_all
 from stiso.treecode import _ahu, _pair_children
+from stiso.undirected import _preorder
 from util import root_cycle_arborescence
 
 
@@ -490,11 +491,13 @@ def test_filtered_search_matches_unfiltered_reference():
     for inst in _small_directed_grid():
         d, target = inst.graph, inst.target.build()
         expected = Verdict("NO")
-        # the target's children by this test's own lookup, not read off ``target.children``
-        target_kids = _ahu(reversed(target.order), target.parent, target.table)[1]
+        # the target's children by this test's own lookup, not read off
+        # ``target.children``, which only fix a bottom-up order here
+        top_down = _preorder(target.root, target.children)
+        target_kids = _ahu(reversed(top_down), target.parent, target.table)[1]
         for r, deleted, _, kids, hit in _plans_unfiltered(d, target):
             if hit:
-                mapping = dict(_pair_children(target.root, target_kids, r, kids))
+                mapping = dict(zip(*_pair_children(target.root, target_kids, r, kids)))
                 expected = Verdict("YES", mapping=mapping, removed=frozenset(deleted))
                 break
         stats = DirectedStats()

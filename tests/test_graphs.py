@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -430,3 +431,40 @@ def test_cover_bounds_the_histogram_distance(pairs, rnd):
     gap = degree_gap(have, want)
     assert degrees_cover(gap)
     assert sum(map(abs, gap.values())) <= 2 * (sum(have) - sum(want))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_entry_points_leave_the_collector_as_they_found_it(enabled):
+    """``parse_graph`` and both solvers run with the cyclic collector paused
+    and restore it on a return and on a raise; a collector the caller had
+    disabled stays disabled."""
+    from stiso import NotATreeError, solve_directed, solve_undirected, target_tree_from_digraph
+
+    was = gc.isenabled()
+    inside: list[bool] = []
+
+    def seen(_line: str) -> None:
+        inside.append(gc.isenabled())
+
+    try:
+        gc.enable() if enabled else gc.disable()
+        g = parse_graph(complete(4).serialize())
+        d = parse_graph("4 5 D\n0 1\n1 2\n2 3\n0 2\n1 3\n")
+        assert gc.isenabled() is enabled
+        assert solve_undirected(g, path(4), trace=seen).is_yes
+        assert gc.isenabled() is enabled
+        target = target_tree_from_digraph(DiGraph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert solve_directed(d, target, trace=seen).is_yes
+        assert gc.isenabled() is enabled
+        assert inside and not any(inside)
+        with pytest.raises(GraphFormatError):
+            parse_graph("3 1 U\n0 0\n")
+        assert gc.isenabled() is enabled
+        with pytest.raises(NotATreeError):
+            solve_undirected(g, cycle(4))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="vertex counts differ"):
+            solve_undirected(g, path(5))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()

@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from stiso import (
 )
 
 from stiso.treecode import _ahu, _rooted_order
+from stiso.undirected import _preorder
 from util import (
     all_free_trees,
     brute_centers,
@@ -250,21 +252,26 @@ def test_arborescence_iso_implies_underlying_iso():
         assert unrooted_code(d1.underlying()) == unrooted_code(d2.underlying())
 
 
+def _order(tt: TargetTree) -> tuple[int, ...]:
+    """The undirected search's preorder of a built target."""
+    return _preorder(tt.root, tt.children)
+
+
 def test_dfs_order_examples():
     p3 = TargetTree(path(3), 0).build()
-    assert p3.order == (0, 1, 2)
+    assert _order(p3) == (0, 1, 2)
     s4 = TargetTree(star(4), 0).build()
-    assert s4.order == (0, 1, 2, 3)
+    assert _order(s4) == (0, 1, 2, 3)
     # root 0 with leaf child 1 and path child 2-3: leaf code sorts first
     spider = TargetTree(UGraph(4, [(0, 1), (0, 2), (2, 3)]), 0).build()
-    assert spider.order == (0, 1, 2, 3)
+    assert _order(spider) == (0, 1, 2, 3)
 
 
 def test_dfs_order_is_preorder_permutation():
     for seed in range(20):
         t = gen_tree(11, seed)
         tt = TargetTree(t, tree_centers(t)[0]).build()
-        order = tt.order
+        order = _order(tt)
         assert sorted(order) == list(range(11))
         assert order[0] == tt.root
         # every vertex appears after its parent
@@ -293,7 +300,7 @@ def test_dfs_order_deterministic():
     t = gen_tree(14, 5)
     a = TargetTree(t, 3).build()
     b = TargetTree(t, 3).build()
-    assert a.order == b.order
+    assert _order(a) == _order(b)
 
 
 def test_unrooted_code_brute_force_spot_check():
@@ -455,7 +462,7 @@ def test_target_tree_on_a_long_path():
     n = 10**5
     tt = TargetTree(path(n), n // 2).build()
     # the right half (one vertex fewer) is visited first
-    assert tt.order == (n // 2, *range(n // 2 + 1, n), *range(n // 2 - 1, -1, -1))
+    assert _order(tt) == (n // 2, *range(n // 2 + 1, n), *range(n // 2 - 1, -1, -1))
     assert len(tt.table) == n // 2 + 1
 
 
@@ -522,7 +529,8 @@ def test_ahu_pass_interns_and_looks_up_alike():
 
 
 def _canonical(tt: TargetTree) -> tuple:
-    return tuple(getattr(tt.build(), f) for f in ("root", "parent", "order", "children", "ids", "table"))
+    tt.build()
+    return (*(getattr(tt, f) for f in ("root", "parent", "children", "ids", "table")), _order(tt))
 
 
 def test_canonical_layer_is_built_once_by_build_never_on_a_screened_no(monkeypatch):
@@ -580,3 +588,135 @@ def test_canonical_layer_is_built_once_by_build_never_on_a_screened_no(monkeypat
             assert interned == ([target.parent] if verdict.note is None else [])
             assert _canonical(target) == _canonical(TargetTree(t, r))
     assert screened >= 10 and hits >= 10
+
+
+def _reference_ahu(bottom_up, parent, table, *, intern=False):
+    """``_ahu`` as it was before its leaf and one-child fast paths: every
+    vertex builds its key by the double sort and ``map``."""
+    ids = [-1] * len(parent)
+    kids = [[] for _ in parent]
+    id_of = ids.__getitem__
+    for x in bottom_up:
+        ks = kids[x]
+        if len(ks) > 1:
+            ks.sort()
+            ks.sort(key=id_of)
+        key = tuple(map(id_of, ks))
+        ids[x] = table.setdefault(key, len(table)) if intern else table.get(key, -1)
+        p = parent[x]
+        if p != -1:
+            kids[p].append(x)
+    return ids, kids
+
+
+def _ahu_forests():
+    """``(bottom_up, parent)`` pairs: trim forests of seeded graphs, with many
+    roots each, random rooted forests, relabelled paths and stars, and one
+    vertex."""
+    from stiso import GenSpec, gen_instance
+    from stiso.graphs import peel_leaves
+
+    for seed in range(24):
+        mode = "planted-yes" if seed % 2 else "random"
+        g = gen_instance(GenSpec(n=12 + 7 * seed, k=2 + seed % 5, seed=seed, mode=mode)).graph
+        trim_order, trim_parent, _ = peel_leaves(g)
+        yield [*trim_order, *(v for v, p in enumerate(trim_parent) if p == -1)], trim_parent
+    for seed in range(24):
+        rnd = random.Random(seed)
+        n = rnd.randint(2, 60)
+        top_down = list(range(n))
+        rnd.shuffle(top_down)
+        roots = rnd.randint(1, 4)
+        parent = [-1] * n
+        for i in range(roots, n):
+            parent[top_down[i]] = top_down[rnd.randrange(i)]
+        yield top_down[::-1], parent
+    for n in (2, 3, 9, 40):
+        perm = list(range(n))
+        random.Random(n).shuffle(perm)
+        chain = [-1] * n  # every vertex but the last has one child
+        for i in range(1, n):
+            chain[perm[i]] = perm[i - 1]
+        yield perm[::-1], chain
+        hub = [perm[0] if v != perm[0] else -1 for v in range(n)]  # every child a leaf
+        yield [*perm[1:], perm[0]], hub
+    yield [0], [-1]
+
+
+def test_ahu_fast_paths_match_the_reference():
+    """Leaves and one-child vertices skip the sort and ``map``, with the same
+    ids, child lists and table contents and insertion order as the reference,
+    interning and looking up; the lookup table lacks some shapes, so -1 runs
+    up to the roots."""
+    interned: dict = {}
+    looked_up = misses = 0
+    for i, (bottom_up, parent) in enumerate(_ahu_forests()):
+        for seed_table in ({}, dict(interned)):
+            mine, theirs = dict(seed_table), dict(seed_table)
+            got = _ahu(bottom_up, parent, mine, intern=True)
+            assert got == _reference_ahu(bottom_up, parent, theirs, intern=True), i
+            assert list(mine.items()) == list(theirs.items()), i
+        if i % 3 == 0:  # intern a third of the forests, so the rest miss some shapes
+            _ahu(bottom_up, parent, interned, intern=True)
+        size = list(interned.items())
+        ids, kids = _ahu(bottom_up, parent, interned)
+        assert (ids, kids) == _reference_ahu(bottom_up, parent, interned), i
+        assert list(interned.items()) == size
+        looked_up += ids.count(-1) < len(ids)
+        misses += -1 in ids
+    assert looked_up > 10 and misses > 10
+
+
+def test_solve_pass_counts(monkeypatch):
+    """The whole-tree passes a solve makes: ``_ahu`` bottom-up ids, the
+    undirected search's ``_preorder`` and ``bfs`` walks.  An undirected
+    planted YES on a ``TargetTree`` interns the target and looks the trim
+    forest up (2 ``_ahu``), builds one preorder, and walks the graph to check
+    connectivity and to certify (2 ``bfs``).  A NO that the degree screen
+    decides makes none.  A directed planted YES makes no preorder: it interns
+    the target, looks up and walks every plan that spans, and walks once or
+    twice to find the roots and once to certify."""
+    from stiso import DirectedStats, GenSpec, gen_instance, solve_directed, solve_undirected
+    from stiso import directed, graphs, treecode, undirected
+
+    counts: Counter = Counter()
+    for name in ("_ahu", "_preorder", "bfs"):
+        for module in (graphs, treecode, undirected, directed):
+            real = getattr(module, name, None)
+            if real is not None:
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+
+    for seed in range(15):
+        inst = gen_instance(GenSpec(n=20 + 10 * seed, k=seed % 7, seed=seed))
+        target = TargetTree(inst.target.tree, inst.target.root)
+        counts.clear()
+        assert solve_undirected(inst.graph, target).is_yes
+        assert counts == {"_ahu": 2, "_preorder": 1, "bfs": 2}, seed
+
+    screened = 0
+    for seed in range(30):
+        inst = gen_instance(GenSpec(n=40, k=2 + seed % 4, seed=seed, mode="random"))
+        target = TargetTree(inst.target.tree, inst.target.root)
+        counts.clear()
+        verdict = solve_undirected(inst.graph, target)
+        if verdict.note is not None and verdict.note.startswith("degree screen"):
+            screened += 1
+            assert counts == {}, seed
+    assert screened >= 10
+
+    hits = 0
+    for seed in range(15):
+        inst = gen_instance(GenSpec(n=20 + 10 * seed, k=seed % 7, seed=seed, directed=True))
+        d, stats = inst.graph, DirectedStats()
+        target = TargetTree(inst.target.tree, inst.target.root)
+        counts.clear()
+        assert solve_directed(d, target, stats=stats).is_yes
+        find_roots = 1 if d.in_inc.count(()) == 1 else 2
+        expected = {"_ahu": 1 + stats.arborescence_hits, "bfs": find_roots + stats.arborescence_hits + 1}
+        assert counts == expected, seed
+        hits += stats.arborescence_hits
+    assert hits < 20
