@@ -8,10 +8,8 @@ codes, a seeded instance generator, and a CLI (``stiso``).
 """
 
 from .directed import (
-    ChainCandidates,
     DirectedStats,
     certify_directed,
-    chain_candidates,
     is_spanning_arborescence,
     solve_directed,
     target_tree_from_digraph,
@@ -25,7 +23,14 @@ from .graphs import (
     parse_graph,
     reachable_all,
 )
-from .kernel import AnchorChain, Kernel, KernelError, make_contractible
+from .kernel import (
+    AnchorChain,
+    ChainCandidates,
+    Kernel,
+    KernelError,
+    chain_candidates,
+    make_contractible,
+)
 from .oracle import (
     InvalidNeighborReport,
     OracleScaleError,

@@ -9,7 +9,9 @@ but one, trying each choice of the kept one.  The in-degrees sum to
 ``n - 1 + k`` and every other vertex has in-degree at least 1, so a root
 has in-degree at most ``k`` and forms at most ``2^(k - indeg r)`` plans.
 A vertex of in-degree 0 is the only root that can reach every vertex, and
-two of them leave none.
+two of them leave none.  The solver builds no kernel: the paper's form of
+this rule, per anchor chain of the contracted core, is
+:func:`~stiso.kernel.chain_candidates`.
 
 Before any walk of the graph, an out-degree screen decides a NO in O(n)
 (:func:`~stiso.graphs.degrees_cover`): the undirected solver's degree
@@ -48,14 +50,6 @@ up in the table of Aho-Hopcroft-Ullman ids the target carries, bottom-up
 along the search, with -1 for a subtree the target has no copy of.  Equal
 root ids mean isomorphic arborescences, and the vertex mapping pairs the
 children of matched vertices in ``(id, vertex)`` order on both sides.
-
-:func:`chain_candidates` states the same in-degree rule per anchor chain of
-the contracted core (the paper's lemma): deleting arc ``a`` must leave
-every interior chain vertex with exactly one incoming chain arc, except the
-vertex through which the root first meets the chain (if any), which must
-end up with zero.  Pendant in-arcs can feed only that entry vertex in a
-valid arborescence, so counting chain arcs alone never excludes a
-deletable arc.  The solver itself applies the rule to all in-arcs at once.
 """
 
 from __future__ import annotations
@@ -73,7 +67,6 @@ from .graphs import (
     gc_paused,
     roots_reaching_all,
 )
-from .kernel import AnchorChain
 from .treecode import NotArborescenceError, TargetTree, arborescence_root, certify_witness
 
 
@@ -98,62 +91,6 @@ class DirectedStats:
     plans_examined: int = 0
     plans_max_per_root: int = 0
     arborescence_hits: int = 0
-
-
-@dataclass(frozen=True)
-class ChainCandidates:
-    """Removable-arc options for one anchor chain: ``candidates`` holds at
-    most two arc ids."""
-
-    candidates: frozenset[int]
-
-
-def chain_candidates(d: DiGraph, chain: AnchorChain, root_entry: int | None = None) -> ChainCandidates:
-    """Arcs on ``chain`` whose single deletion satisfies the interior in-degree
-    rule; ``root_entry`` is the chain position (index into ``chain.vertices``)
-    through which the root first meets the chain, or None."""
-    verts = chain.vertices
-    hops = len(chain.edge_ids)
-    if hops != len(verts) - 1 or hops == 0:
-        raise ValueError("malformed chain")
-    if root_entry is not None and not 0 < root_entry < len(verts) - 1:
-        raise ValueError(f"root entry {root_entry} is not an interior position")
-    heads: list[int | None] = []  # head position of each hop arc, None for anchors
-    for i, aid in enumerate(chain.edge_ids):
-        tail, head = d.arcs[aid]
-        a, b = verts[i], verts[i + 1]
-        if (tail, head) == (a, b):
-            head_pos = i + 1
-        elif (tail, head) == (b, a):
-            head_pos = i
-        else:
-            raise ValueError(f"arc {aid} does not join chain hop {i}")
-        heads.append(head_pos if 0 < head_pos < len(verts) - 1 else None)
-
-    indeg = [0] * len(verts)
-    for pos in heads:
-        if pos is not None:
-            indeg[pos] += 1
-    target = [1] * len(verts)
-    if root_entry is not None:
-        target[root_entry] = 0
-    bad = [
-        pos
-        for pos in range(1, len(verts) - 1)
-        if indeg[pos] != target[pos]
-    ]
-    cands = []
-    for i, aid in enumerate(chain.edge_ids):
-        pos = heads[i]
-        if pos is None:
-            ok = not bad
-        else:
-            ok = bad == [pos] and indeg[pos] == target[pos] + 1
-        if ok:
-            cands.append(aid)
-    if len(cands) > 2:
-        raise RuntimeError(f"{len(cands)} candidate arcs on one chain, expected at most 2")
-    return ChainCandidates(frozenset(cands))
 
 
 def is_spanning_arborescence(f: DiGraph, r: int) -> bool:

@@ -64,7 +64,6 @@ class GenInstance:
     redundant set of a planted instance (empty in random mode).
     """
 
-    spec: GenSpec
     graph: UGraph | DiGraph
     target: TargetTree
     target_graph: UGraph | DiGraph
@@ -188,8 +187,8 @@ def gen_instance(spec: GenSpec) -> GenInstance:
         else:
             ttree = UGraph(n, [(perm[u], perm[v]) for u, v in tree_edges])
             target_graph = ttree
-            # rooted at the first centre, where perfbench/inputs.py places each
-            # planted witness a fixed depth into the root scan
+            # rooted at the first centre: perfbench's scan-depth check and
+            # calibrate.py solve this target and count the roots tried from it
             target = TargetTree(ttree, tree_centers(ttree)[0])
         truth = "YES"
     else:
@@ -207,7 +206,6 @@ def gen_instance(spec: GenSpec) -> GenInstance:
         extra_ids = ()
 
     return GenInstance(
-        spec=spec,
         graph=graph,
         target=target,
         target_graph=target_graph,

@@ -1,6 +1,6 @@
 """Reduction of a connected graph to its minimum-degree-3 core.
 
-:func:`make_contractible` is the one entry point.  The kernel is an analysis
+:func:`make_contractible` is the reduction's one entry point.  The kernel is an analysis
 of an input: neither solver builds one, and only ``stiso kernel``, acceptance
 criteria 3 and 5 and the tests do.
 
@@ -33,13 +33,22 @@ result is therefore computed in two linear passes instead of step by step:
    its kernel edge when the chain's largest interior vertex was
    suppressed, which fixes the chain's position and orientation
    (:func:`_chain_in_reduction_order`).
+
+:func:`chain_candidates` states the directed solver's in-degree rule per
+anchor chain (the paper's lemma): deleting arc ``a`` must leave every
+interior chain vertex with exactly one incoming chain arc, except the
+vertex through which the root first meets the chain (if any), which must
+end up with zero.  Pendant in-arcs can feed only that entry vertex in a
+valid arborescence, so counting chain arcs alone never excludes a
+deletable arc.  No solver runs it: the directed solver applies the rule to
+all in-arcs at once, without a kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import UGraph, peel_leaves
+from .graphs import DiGraph, UGraph, peel_leaves
 
 
 class KernelError(ValueError):
@@ -65,18 +74,14 @@ class Kernel:
 
     ``graph`` uses dense kernel ids; ``delta[kernel_id]`` is the original
     vertex id (so ``anchors == set(delta)``).  ``chains[e]`` is the chain of
-    kernel edge ``e``, written in original ids.  ``trim_order`` lists the
-    vertices outside the 2-core in the order they were trimmed, so each
-    comes after all of its children in the trim forest; ``trim_parent[v]``
-    is the neighbour ``v`` hung from when trimmed, or -1 for a 2-core vertex.
+    kernel edge ``e``, written in original ids.  The trimmed forest is not
+    kept: :func:`~stiso.graphs.peel_leaves` returns it.
     """
 
     graph: UGraph
     delta: tuple[int, ...]
     anchors: frozenset[int]
     chains: tuple[AnchorChain, ...]
-    trim_order: tuple[int, ...]
-    trim_parent: tuple[int, ...]
     steps: tuple[tuple[str, int, int, int], ...] | None = None  # (op, vertex, |V|, |E|)
 
 
@@ -153,8 +158,6 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
         delta=tuple(anchors),
         anchors=frozenset(anchors),
         chains=chains,
-        trim_order=tuple(trim_order),
-        trim_parent=tuple(trim_parent),
         steps=steps,
     )
 
@@ -184,3 +187,59 @@ def _chain_in_reduction_order(
         path.reverse()
         eids.reverse()
     return (1, top), AnchorChain(tuple(path), tuple(eids))
+
+
+@dataclass(frozen=True)
+class ChainCandidates:
+    """Removable-arc options for one anchor chain: ``candidates`` holds at
+    most two arc ids."""
+
+    candidates: frozenset[int]
+
+
+def chain_candidates(d: DiGraph, chain: AnchorChain, root_entry: int | None = None) -> ChainCandidates:
+    """Arcs on ``chain`` whose single deletion satisfies the interior in-degree
+    rule; ``root_entry`` is the chain position (index into ``chain.vertices``)
+    through which the root first meets the chain, or None."""
+    verts = chain.vertices
+    hops = len(chain.edge_ids)
+    if hops != len(verts) - 1 or hops == 0:
+        raise ValueError("malformed chain")
+    if root_entry is not None and not 0 < root_entry < len(verts) - 1:
+        raise ValueError(f"root entry {root_entry} is not an interior position")
+    heads: list[int | None] = []  # head position of each hop arc, None for anchors
+    for i, aid in enumerate(chain.edge_ids):
+        tail, head = d.arcs[aid]
+        a, b = verts[i], verts[i + 1]
+        if (tail, head) == (a, b):
+            head_pos = i + 1
+        elif (tail, head) == (b, a):
+            head_pos = i
+        else:
+            raise ValueError(f"arc {aid} does not join chain hop {i}")
+        heads.append(head_pos if 0 < head_pos < len(verts) - 1 else None)
+
+    indeg = [0] * len(verts)
+    for pos in heads:
+        if pos is not None:
+            indeg[pos] += 1
+    target = [1] * len(verts)
+    if root_entry is not None:
+        target[root_entry] = 0
+    bad = [
+        pos
+        for pos in range(1, len(verts) - 1)
+        if indeg[pos] != target[pos]
+    ]
+    cands = []
+    for i, aid in enumerate(chain.edge_ids):
+        pos = heads[i]
+        if pos is None:
+            ok = not bad
+        else:
+            ok = bad == [pos] and indeg[pos] == target[pos] + 1
+        if ok:
+            cands.append(aid)
+    if len(cands) > 2:
+        raise RuntimeError(f"{len(cands)} candidate arcs on one chain, expected at most 2")
+    return ChainCandidates(frozenset(cands))

@@ -463,22 +463,23 @@ def _small_directed_grid():
         k = 2 + seed % 5
         mode = "planted-yes" if seed % 2 == 0 else "random"
         n = min(40, k + 4 + seed % 31)
-        yield gen_instance(GenSpec(n=n, k=k, seed=4000 + seed, mode=mode, directed=True))
+        spec = GenSpec(n=n, k=k, seed=4000 + seed, mode=mode, directed=True)
+        yield spec, gen_instance(spec)
 
 
 def test_out_degree_filter_is_exact():
     """A plan the out-degree test rejects never spans a copy of the target, and
     the O(k) test agrees with comparing the sorted out-degrees in full."""
     rejected = passed = 0
-    for inst in _small_directed_grid():
+    for spec, inst in _small_directed_grid():
         d, target = inst.graph, inst.target.build()
         want = sorted(len(c) for c in target.children)
         for r, deleted, passes, _, hit in _plans_unfiltered(d, target):
             out = [0] * d.n
             for a, (u, _) in enumerate(d.arcs):
                 out[u] += a not in deleted
-            assert passes == (sorted(out) == want), (inst.spec, r, deleted)
-            assert passes or not hit, (inst.spec, r, deleted)
+            assert passes == (sorted(out) == want), (spec, r, deleted)
+            assert passes or not hit, (spec, r, deleted)
             rejected += not passes
             passed += passes
     assert rejected > passed > 0
@@ -488,7 +489,7 @@ def test_filtered_search_matches_unfiltered_reference():
     """The answer, mapping and removed set equal those of the first plan, in
     product order, that passes the full check without the out-degree test."""
     answers = set()
-    for inst in _small_directed_grid():
+    for spec, inst in _small_directed_grid():
         d, target = inst.graph, inst.target.build()
         expected = Verdict("NO")
         # the target's children by this test's own lookup, not read off
@@ -514,20 +515,20 @@ def test_root_out_degree_test_is_exact():
     the first plan that does, exactly the plans that pass both out-degree
     tests and span."""
     rejected = 0
-    for inst in _small_directed_grid():
+    for spec, inst in _small_directed_grid():
         d, target = inst.graph, inst.target.build()
         root_out = len(target.children[target.root])
         hits = 0
         for r, deleted, passes, kids, hit in _plans_unfiltered(d, target):
             keeps = len(d.out_inc[r]) - sum(d.arcs[a][0] == r for a in deleted) == root_out
-            assert keeps or not hit, (inst.spec, r, deleted)
+            assert keeps or not hit, (spec, r, deleted)
             rejected += passes and not keeps
             hits += passes and keeps and kids is not None
             if hit:
                 break
         stats = DirectedStats()
         solve_directed(d, target, stats=stats)
-        assert stats.arborescence_hits == hits, inst.spec
+        assert stats.arborescence_hits == hits, spec
     assert rejected > 0
 
 

@@ -163,7 +163,7 @@ def _candidate_list_instance(spec: GenSpec) -> GenInstance:
             target = TargetTree(target_graph, tree_centers(target_graph)[0])
         truth = "UNKNOWN"
         extra_ids = ()
-    return GenInstance(spec, graph, target, target_graph, truth, extra_ids)
+    return GenInstance(graph, target, target_graph, truth, extra_ids)
 
 
 def _cap(n: int, directed: bool) -> int:

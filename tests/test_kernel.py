@@ -12,6 +12,7 @@ from stiso import (
     GenSpec,
     make_contractible,
 )
+from stiso.graphs import peel_leaves
 
 from util import FIGURE_EIGHT, THETA, chorded_path, complete, cycle, end_chord_path
 
@@ -101,10 +102,10 @@ def test_audit_off_by_default():
 def test_trim_forest_of_pendant_path():
     # THETA with the path 0-5-6 hung on anchor 0: 6 is trimmed first, then 5
     g = UGraph(7, list(THETA.edges) + [(0, 5), (5, 6)])
-    kern = make_contractible(g)
-    assert kern.trim_order == (6, 5)
-    assert kern.trim_parent == (-1, -1, -1, -1, -1, 0, 5)
-    assert make_contractible(THETA).trim_order == ()
+    trim_order, trim_parent, _ = peel_leaves(g)
+    assert trim_order == [6, 5]
+    assert trim_parent == [-1, -1, -1, -1, -1, 0, 5]
+    assert peel_leaves(THETA)[0] == []
 
 
 def test_trim_forest_invariants_random():
@@ -113,11 +114,12 @@ def test_trim_forest_invariants_random():
         rng = random.Random(seed)
         g = _random_connected(rng.randint(6, 40), rng.randint(2, 6), seed)
         kern = make_contractible(g)
+        trim_order, trim_parent, _ = peel_leaves(g)
         core = set(kern.anchors) | {v for c in kern.chains for v in c.vertices[1:-1]}
-        assert sorted(kern.trim_order) == sorted(set(range(g.n)) - core)
-        position = {v: i for i, v in enumerate(kern.trim_order)}
+        assert sorted(trim_order) == sorted(set(range(g.n)) - core)
+        position = {v: i for i, v in enumerate(trim_order)}
         for v in range(g.n):
-            parent = kern.trim_parent[v]
+            parent = trim_parent[v]
             if v in core:
                 assert parent == -1
                 continue
@@ -126,17 +128,20 @@ def test_trim_forest_invariants_random():
             assert parent in core or position[parent] > position[v]
             x, hops = v, 0
             while x not in core:
-                x = kern.trim_parent[x]
+                x = trim_parent[x]
                 hops += 1
                 assert hops <= g.n
-        trimmed += len(kern.trim_order)
+        trimmed += len(trim_order)
     assert trimmed > 0
 
 
 # The reducer as it ran before the two-pass kernel: one heap of leaves, one
-# of degree-2 vertices, an edge per merge.  Copied unchanged.
-def _heap_reducer(g: UGraph, audit: bool = False) -> Kernel:
-    """The step-by-step reducer that the two-pass kernel replaced, kept as the reference."""
+# of degree-2 vertices, an edge per merge.  Copied unchanged but for its
+# return: the trim order and parents, which the kernel no longer keeps, come
+# beside it.
+def _heap_reducer(g: UGraph, audit: bool = False) -> tuple[Kernel, list[int], list[int]]:
+    """The step-by-step reducer that the two-pass kernel replaced, kept as the
+    reference; returns the kernel, the trim order and the trim parents."""
     k = g.m - (g.n - 1)
     if k < 2:
         raise KernelError(f"kernelization requires redundant size >= 2, got {k}")
@@ -281,15 +286,14 @@ def _heap_reducer(g: UGraph, audit: bool = False) -> Kernel:
             f"core size out of bounds: |V'|={kernel_graph.n}, |E'|={kernel_graph.m}, k={k}"
         )
     kernel_chains = tuple(AnchorChain(*chains[e]) for e in live_eids)
-    return Kernel(
+    kernel = Kernel(
         graph=kernel_graph,
         delta=tuple(survivors),
         anchors=frozenset(survivors),
         chains=kernel_chains,
-        trim_order=tuple(trim_order),
-        trim_parent=tuple(trim_parent),
         steps=tuple(steps) if audit else None,
     )
+    return kernel, trim_order, trim_parent
 
 
 def _other_end(endpoints: tuple[int, int], v: int) -> int:
@@ -330,7 +334,9 @@ def _reference_grid():
 def test_matches_heap_reducer():
     count = 0
     for g in _reference_grid():
-        assert make_contractible(g, audit=True) == _heap_reducer(g, audit=True), g.edges
+        kernel, trim_order, trim_parent = _heap_reducer(g, audit=True)
+        assert make_contractible(g, audit=True) == kernel, g.edges
+        assert peel_leaves(g)[:2] == (trim_order, trim_parent), g.edges
         count += 1
     assert count >= 10_000
 

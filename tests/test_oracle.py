@@ -217,21 +217,22 @@ def test_directed_oracle_never_builds_the_target_codes(monkeypatch):
 
     from stiso import solve_directed
 
-    cases = [
-        (inst, TargetTree(inst.target.tree, inst.target.root), solve_directed(inst.graph, inst.target).answer)
-        for inst in map(gen_instance, _corpus_specs(directed=True))
-    ]
+    cases = []
+    for spec in _corpus_specs(directed=True):
+        inst = gen_instance(spec)
+        target = TargetTree(inst.target.tree, inst.target.root)
+        cases.append((spec, inst, target, solve_directed(inst.graph, inst.target).answer))
 
     def refuse(tt):
         raise AssertionError("the oracle built the target's canonical codes")
 
     monkeypatch.setattr(TargetTree, "build", refuse)
     yes = 0
-    for inst, target, answer in cases:  # a fresh target: no canonical field is set
+    for spec, inst, target, answer in cases:  # a fresh target: no canonical field is set
         verdict = oracle_directed(inst.graph, target)
-        assert verdict.answer == answer, inst.spec
+        assert verdict.answer == answer, spec
         if verdict.is_yes:
-            assert certify_directed(inst.graph, target, verdict), inst.spec
+            assert certify_directed(inst.graph, target, verdict), spec
             yes += 1
     assert yes >= len(cases) // 2
 

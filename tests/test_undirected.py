@@ -388,7 +388,6 @@ def test_root_prune_is_exact():
     """A root the scan tries is rejected iff its attempt fails pendant-unmatched
     at the first open.  A root with fewer neighbours than the target root has
     children, which the scan never tries, fails its room check with no reason."""
-    from stiso.kernel import make_contractible
     from stiso.undirected import _Engine, _Forest
 
     rejected_total = kept_total = roomless_total = 0
@@ -398,10 +397,10 @@ def test_root_prune_is_exact():
         mode = "planted-yes" if seed % 2 else "random"
         inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode))
         g = inst.graph
-        kernel = make_contractible(g)
+        order, parent, _ = peel_leaves(g)
         t = inst.target.tree
         for tt in (TargetTree(t, c).build() for c in tree_centers(t)):
-            trim = _Forest(kernel.trim_order, kernel.trim_parent, tt.table)
+            trim = _Forest(order, parent, tt.table)
             scan = _Engine(g, tt, k, SolveStats(), trim)
             rejected = {v for v in range(n) if not scan.root_fits(v)}
             for v in range(n):
@@ -470,13 +469,12 @@ def test_root_prune_two_equal_pendants_at_core_root():
 def test_root_prune_inside_a_pendant_tree():
     # K4 with the pendant tree 0-4-5 and leaves 6, 7, 8 on 5: root 5's pendant
     # components are its three leaves, the side toward the core is cyclic
-    from stiso.kernel import make_contractible
     from stiso.undirected import _Engine, _Forest, _solve_core
 
     g = UGraph(9, list(complete(4).edges) + [(0, 4), (4, 5), (5, 6), (5, 7), (5, 8)])
-    kernel = make_contractible(g)
+    order, parent, _ = peel_leaves(g)
     tt = TargetTree(path(9), 4).build()
-    trim = _Forest(kernel.trim_order, kernel.trim_parent, tt.table)
+    trim = _Forest(order, parent, tt.table)
     leaf = tt.table[()]
     assert [trim.ids[c] for c in trim.kids[5]] == [leaf] * 3
     assert len(trim.kids[4]) == len(trim.kids[0]) == 1
