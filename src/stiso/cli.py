@@ -13,14 +13,13 @@ import csv
 import sys
 import time
 import traceback
-from math import comb
 from pathlib import Path
 
 from .directed import DirectedStats, solve_directed, target_tree_from_digraph
 from .generate import PLANTED, RANDOM, GenSpec, gen_instance
 from .graphs import DiGraph, UGraph, parse_graph
 from .kernel import make_contractible
-from .oracle import oracle_directed, oracle_undirected
+from .oracle import oracle_directed, oracle_undirected, subsets_enumerated
 from .treecode import TargetTree, rooted_code, unrooted_code
 from .undirected import SolveStats, solve_undirected
 
@@ -195,7 +194,7 @@ def cmd_bench(args) -> int:
                     "oracle",
                     overdict.answer,
                     int(dt * 1e6),
-                    comb(inst.graph.m, spec.k),
+                    subsets_enumerated(inst.graph),
                 )
             )
             if overdict.answer != verdict.answer:

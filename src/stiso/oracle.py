@@ -1,8 +1,13 @@
-"""Brute-force ground truth for both solvers, usable at desk scale.
+"""Brute-force ground truth for both solvers, at desk scale and, for small k, beyond it.
 
-Both oracles enumerate every k-subset of edges (arcs) outright, in
-``itertools.combinations`` order, so they share no search structure with the
-solvers.  Both recover a witness mapping with one backtracking bijection
+Both oracles enumerate k-subsets of edges (arcs) in ``itertools.combinations``
+order.  For k <= 1 they take every subset.  For k >= 2 they take only the
+subsets that take one edge on each of k distinct chains of the kernel
+(:func:`~stiso.kernel.make_contractible`, run on a digraph's underlying
+multigraph, where edge id == arc id) and isolate no anchor
+(:func:`_one_edge_per_chain`); every other subset disconnects the graph.
+Neither solver reads the kernel, so the oracles share no search with them.
+Both recover a witness mapping with one backtracking bijection
 search, :func:`_bijection_search`, from one target vertex to its known
 image, on an explicit stack, so no tree is too deep for it; neither reads a
 :class:`~stiso.treecode.TargetTree`'s canonical codes.  Both pins are exact:
@@ -29,19 +34,21 @@ a subset those checks would accept:
   as no vertex keeping two or more in-arcs, and it leaves exactly one root.
 
 The subsets that pass keep their order, so the first subset accepted, and
-with it every verdict and witness, is the one the untested enumeration finds.
-The ``work`` column of ``stiso bench --compare-oracle`` still counts every
-subset enumerated, ``comb(m, k)``.
+with it every verdict and witness, is the one the plain enumeration of every
+k-subset finds.  :data:`SUBSET_GUARD` bounds the subsets the enumeration can
+yield, :func:`subsets_enumerated`, which the ``work`` column of
+``stiso bench --compare-oracle`` prints.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .graphs import DiGraph, UGraph, Verdict, bfs
+from .kernel import AnchorChain, make_contractible
 from .treecode import NotArborescenceError, TargetTree, arborescence_root, rooted_code, tree_centers
 
 SUBSET_GUARD = 10**7
@@ -51,11 +58,124 @@ class OracleScaleError(ValueError):
     """Instance too large for exhaustive subset enumeration."""
 
 
-def _guard(m: int, k: int) -> None:
+def _guard(k: int, lengths: Sequence[int]) -> None:
+    """Raise unless at most ``SUBSET_GUARD`` k-subsets take at most one element
+    of each group of the given sizes.  The count, :func:`_one_per_group`, is
+    summed only when ``comb(sum, k)`` exceeds the guard, and is not needed
+    when ``comb(groups, k)``, a lower bound on it, already does."""
     if k < 0:
         raise ValueError("negative redundant size")
-    if comb(m, k) > SUBSET_GUARD:
-        raise OracleScaleError(f"C({m},{k}) exceeds the {SUBSET_GUARD} subset guard")
+    m = sum(lengths)
+    if comb(m, k) > SUBSET_GUARD and (
+        comb(len(lengths), k) > SUBSET_GUARD or _one_per_group(k, lengths) > SUBSET_GUARD
+    ):
+        raise OracleScaleError(
+            f"the {m} edges in {len(lengths)} chains give over {SUBSET_GUARD} {k}-subsets"
+        )
+
+
+def _one_per_group(k: int, lengths: Sequence[int]) -> int:
+    """The number of k-subsets that take at most one element of each group of
+    the given sizes: the k-th elementary symmetric sum of ``lengths``."""
+    e = [1] + [0] * k  # e[j]: the sum over the groups seen so far
+    for x in lengths:
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * x
+    return e[k]
+
+
+def _subsets(g: UGraph, k: int) -> Iterable[tuple[int, ...]]:
+    """The k-subsets of ``g``'s edges the oracle checks, in ``combinations``
+    order, once the guard has passed them: every subset for k <= 1, else
+    :func:`_one_edge_per_chain` on the kernel's chains."""
+    if k < 2:
+        _guard(k, [1] * g.m)
+        return combinations(range(g.m), k)
+    chains = make_contractible(g).chains
+    _guard(k, [len(c.edge_ids) for c in chains])
+    return _one_edge_per_chain(chains, k)
+
+
+def subsets_enumerated(g: UGraph | DiGraph) -> int:
+    """The number of subsets the oracle's guard bounds on a connected ``g``:
+    ``comb(m, k)`` for k <= 1, else the k-subsets that take one edge (arc) on
+    each of k distinct kernel chains."""
+    u = g.underlying() if isinstance(g, DiGraph) else g
+    k = u.m - (u.n - 1)
+    if k < 2:
+        return comb(u.m, k)
+    return _one_per_group(k, [len(c.edge_ids) for c in make_contractible(u).chains])
+
+
+def _one_edge_per_chain(chains: Sequence[AnchorChain], k: int) -> Iterator[tuple[int, ...]]:
+    """The k-subsets of core edges, in ``combinations`` order, that take at most
+    one edge of each chain and cut no anchor's last non-loop chain.
+
+    Every k-subset it skips disconnects the graph, so it yields every subset
+    whose removal leaves a spanning tree:
+
+    * an edge outside the 2-core, in no chain, is a bridge;
+    * two edges of one chain cut off the chain's interior between them;
+    * an anchor whose every non-loop chain loses an edge keeps only its
+      pendant trees, its loop chains and the parts of its other chains on
+      its side, so it is cut off from the other end of such a chain, another
+      anchor.
+
+    A depth-first walk over the core edge ids in increasing order, on an
+    explicit stack of position iterators: depth ``d`` (from 0) picks the
+    subset's edge ``d``, and the last depth yields one subset per position
+    it may pick.
+    """
+    core = sorted((e, c) for c, chain in enumerate(chains) for e in chain.edge_ids)
+    edge_at = [e for e, _ in core]
+    chain_at = [c for _, c in core]
+    ends = [(chain.vertices[0], chain.vertices[-1]) for chain in chains]
+    live: dict[int, int] = {}  # anchor -> its non-loop chains not yet cut
+    for a, b in ends:
+        if a != b:
+            live[a] = live.get(a, 0) + 1
+            live[b] = live.get(b, 0) + 1
+    cut = [False] * len(chains)
+
+    def free(start: int, stop: int) -> Iterator[int]:
+        """The core positions in ``[start, stop)`` whose edge can be taken
+        beside the chains cut when the position is reached."""
+        for i in range(start, stop):
+            c = chain_at[i]
+            if not cut[c]:
+                a, b = ends[c]
+                if a == b or (live[a] > 1 and live[b] > 1):
+                    yield i
+
+    stop = len(core) - k + 1  # depth d stops at stop + d: the deeper edges need room
+    tries = [free(0, stop)]  # tries[d]: the positions depth d has not tried
+    taken: list[int] = []  # taken[d]: the core position depth d took
+    while tries:
+        d = len(tries) - 1
+        if len(taken) > d:  # back at depth d: restore the chain it cut
+            c = chain_at[taken.pop()]
+            cut[c] = False
+            a, b = ends[c]
+            if a != b:
+                live[a] += 1
+                live[b] += 1
+        if d == k - 1:  # no deeper edge reads what the last one cuts
+            prefix = tuple([edge_at[j] for j in taken])
+            for i in tries.pop():
+                yield prefix + (edge_at[i],)
+            continue
+        i = next(tries[-1], -1)
+        if i == -1:
+            tries.pop()
+            continue
+        c = chain_at[i]
+        cut[c] = True
+        a, b = ends[c]
+        if a != b:
+            live[a] -= 1
+            live[b] -= 1
+        taken.append(i)
+        tries.append(free(i + 1, stop + d + 1))
 
 
 def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
@@ -69,9 +189,8 @@ def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     if not g.is_connected():
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
-    _guard(g.m, k)
     fits = _degree_test(g.edges, list(map(len, g.incidence)), list(map(len, ttree.incidence)))
-    for subset in combinations(range(g.m), k):
+    for subset in _subsets(g, k):
         if not fits(subset):
             continue
         removed = frozenset(subset)
@@ -94,13 +213,13 @@ def oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
     arborescence isomorphic to the rooted target."""
     if d.n != target.n:
         raise ValueError(f"vertex counts differ: graph {d.n}, target {target.n}")
-    if not d.underlying().is_connected():
+    g = d.underlying()  # edge id == arc id
+    if not g.is_connected():
         return Verdict("NO", note="graph is weakly disconnected: no spanning tree exists")
     k = d.m - (d.n - 1)
-    _guard(d.m, k)
     heads = [(head,) for _, head in d.arcs]
     fits = _degree_test(heads, list(map(len, d.in_inc)), [0] + [1] * (d.n - 1))
-    for subset in combinations(range(d.m), k):
+    for subset in _subsets(g, k):
         if not fits(subset):
             continue
         removed = frozenset(subset)

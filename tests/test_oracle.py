@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import stiso.oracle
+from stiso.oracle import subsets_enumerated
 from stiso import (
     DiGraph,
     GenSpec,
@@ -19,6 +20,8 @@ from stiso import (
     invalid_neighbors,
     oracle_directed,
     oracle_undirected,
+    solve_directed,
+    solve_undirected,
     target_tree_from_digraph,
     unrooted_code,
 )
@@ -96,6 +99,86 @@ def test_scale_guard():
     g = complete(n)
     with pytest.raises(OracleScaleError):
         oracle_undirected(g, path(n))
+
+
+def test_scale_guard_counts_one_edge_per_chain():
+    """The guard bounds the subsets the oracle enumerates, one edge on each of
+    k chains, not comb(m, k): a planted n = 100, k = 5 instance, where
+    C(104, 5) is about 9.2e7, is answered by both oracles, and each YES
+    certifies and agrees with its solver."""
+    for directed in (False, True):
+        inst = gen_instance(GenSpec(n=100, k=5, seed=0, mode="planted-yes", directed=directed))
+        g = inst.graph
+        assert comb(g.m, 5) > stiso.oracle.SUBSET_GUARD >= subsets_enumerated(g)
+        if directed:
+            verdict = oracle_directed(g, inst.target)
+            assert certify_directed(g, inst.target, verdict)
+            assert solve_directed(g, inst.target).is_yes
+        else:
+            verdict = oracle_undirected(g, inst.target_graph)
+            assert certify_undirected(g, inst.target_graph, verdict)
+            assert solve_undirected(g, inst.target_graph).is_yes
+
+
+def _surplus_graphs(count: int):
+    """``count`` seeded connected graphs at n 5-30 and surplus k 2-6, as
+    ``(g, k)``: alternately a simple graph and the underlying multigraph of a
+    digraph with at least one antiparallel pair, each with its edge ids
+    shuffled."""
+    rng = random.Random(38)
+    for i in range(count):
+        n, k = rng.randint(5, 30), rng.randint(2, 6)
+        tree = gen_tree(n, rng.randrange(10**6))
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in tree.edges]
+        directed = i % 2 == 1
+        if directed:
+            u, v = rng.choice(pairs)
+            pairs.append((v, u))
+        present = set(pairs) if directed else {frozenset(p) for p in pairs}
+        while len(pairs) < n - 1 + k:
+            pair = tuple(rng.sample(range(n), 2))
+            key = pair if directed else frozenset(pair)
+            if key not in present:
+                present.add(key)
+                pairs.append(pair)
+        rng.shuffle(pairs)
+        yield (DiGraph(n, pairs).underlying() if directed else UGraph(n, pairs)), k
+
+
+def _connected_deletions(g: UGraph, k: int) -> list[tuple[int, ...]]:
+    """Every k-subset of ``g``'s edges whose removal leaves ``g`` connected,
+    by brute force.  Removing more edges never reconnects a graph, so each
+    such (j+1)-subset extends such a j-subset by a larger edge id."""
+    level: list[tuple[int, ...]] = [()]
+    for _ in range(k):
+        level = [
+            s + (e,)
+            for s in level
+            for e in range(s[-1] + 1 if s else 0, g.m)
+            if g.is_connected(skip_edges=set(s + (e,)))
+        ]
+    return level
+
+
+def test_chain_enumeration_keeps_every_spanning_tree():
+    """On 60 seeded graphs, simple and the underlying multigraphs of digraphs
+    with antiparallel pairs, at n 5-30 and k 2-6, the oracle's subsets are a
+    subsequence of ``combinations(range(m), k)``, in order, and include every
+    k-subset whose removal leaves a spanning tree.  A list is such a
+    subsequence iff each entry is strictly increasing in ``range(m)`` and the
+    entries strictly increase in lexicographic order."""
+    graphs = enumerated = checked = 0
+    for g, k in _surplus_graphs(60):
+        got = list(stiso.oracle._subsets(g, k))
+        assert all(len(s) == k and 0 <= s[0] and s[-1] < g.m for s in got)
+        assert all(a < b for s in got for a, b in zip(s, s[1:]))
+        assert all(a < b for a, b in zip(got, got[1:]))
+        want = _connected_deletions(g, k)
+        assert set(want) <= set(got), (g, k)
+        graphs += g.is_multigraph
+        enumerated += len(got)
+        checked += len(want)
+    assert (graphs, enumerated, checked) == (30, 64248, 37943)  # comb(m, k) sums to 2483979
 
 
 def test_invalid_neighbors_tree():

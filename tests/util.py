@@ -311,7 +311,7 @@ def reference_oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdi
     if not g.is_connected():
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
-    _guard(g.m, k)
+    _guard(k, [1] * g.m)
     centre_of = {subtree_codes(ttree, c)[c]: c for c in tree_centers(ttree)}
     for subset in combinations(range(g.m), k):
         removed = frozenset(subset)
@@ -335,7 +335,7 @@ def reference_oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
     if not d.underlying().is_connected():
         return Verdict("NO", note="graph is weakly disconnected: no spanning tree exists")
     k = d.m - (d.n - 1)
-    _guard(d.m, k)
+    _guard(k, [1] * d.m)
     for subset in combinations(range(d.m), k):
         removed = frozenset(subset)
         f = DiGraph(d.n, [a for i, a in enumerate(d.arcs) if i not in removed])
