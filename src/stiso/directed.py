@@ -67,7 +67,13 @@ from .graphs import (
     gc_paused,
     roots_reaching_all,
 )
-from .treecode import NotArborescenceError, TargetTree, arborescence_root, certify_witness
+from .treecode import (
+    NotArborescenceError,
+    NotATreeError,
+    TargetTree,
+    arborescence_root,
+    certify_witness,
+)
 
 
 @dataclass
@@ -212,6 +218,19 @@ def _arborescence_without(
 
 
 def target_tree_from_digraph(t: DiGraph) -> TargetTree:
-    """Validate a digraph as an out-arborescence and wrap it as a rooted target."""
-    root = arborescence_root(t)
-    return TargetTree(t.underlying(), root)
+    """Validate a digraph as an out-arborescence and wrap it as a rooted target.
+
+    Its arcs are walked once, by the target's own search from the root.  With
+    n - 1 arcs and one vertex of in-degree 0, ``t`` is an out-arborescence iff
+    its underlying graph is a tree: the other n - 1 in-degrees are then each
+    1, and in-arcs followed back from any vertex cannot close a cycle of the
+    tree, so they end at the root.  The faults are named as
+    :func:`~stiso.treecode.arborescence_root` names them.
+    """
+    if t.m != t.n - 1 or t.in_inc.count(()) != 1:
+        arborescence_root(t)  # raises, naming the arc count or the sources
+    root = t.in_inc.index(())
+    try:
+        return TargetTree(t.underlying(), root)
+    except NotATreeError:
+        raise NotArborescenceError(f"some vertex is unreachable from the root {root}") from None

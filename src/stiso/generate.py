@@ -19,7 +19,6 @@ free pairs (the O(n^2) list earlier versions built).
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -72,21 +71,31 @@ class GenInstance:
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
+    """The tree of the Prufer sequence ``seq`` (n >= 3): each entry, in turn,
+    is joined to the lowest-id leaf left, and the last edge joins the last
+    leaf to n - 1, the one vertex never the lowest leaf.
+
+    The lowest leaf is found by a linear scan, as in
+    :func:`~stiso.graphs.peel_leaves`: the scan stops at a leaf, and an entry
+    that becomes a leaf below it is the lowest leaf next.
+    """
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    scan = degree.index(1)
+    leaf = scan
     edges: list[tuple[int, int]] = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
         edges.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
+        if x < scan and degree[x] == 1:
+            leaf = x
+        else:
+            scan += 1
+            while degree[scan] != 1:
+                scan += 1
+            leaf = scan
+    edges.append((leaf, n - 1))
     return edges
 
 

@@ -10,15 +10,18 @@ graphs.  Kernelization needs parallel edges and self-loops, so
 :meth:`UGraph.multigraph` exists for internal callers; a self-loop
 contributes 2 to its endpoint's degree.
 
-The constructors check a long edge list in a few whole-list passes at C
-speed (:func:`_checked_pairs`), and a short one, or one with a fault, edge
-by edge, which also names the first bad edge.  :func:`parse_graph` reads text in the plain form
+A long edge list is checked in a few whole-list passes at C speed over its
+tail and head columns (:func:`_bulk_ok`), and a short one, or one with
+a fault, edge by edge (:func:`_checked_each`), which alone names the first
+bad edge.  :func:`parse_graph` reads text in the plain form
 :meth:`UGraph.serialize` writes in one pass: its edge lines, with every
 space and line end made a comma, are one JSON array, which the ``json``
-decoder reads at C speed.  Any other text (inline comments, CRLF line
-ends, signs, a wrong edge count, a number with a leading zero, which JSON
-refuses, ...) goes line by line, and that path alone words the
-:class:`GraphFormatError` messages about text.
+decoder reads at C speed.  The array's even and odd places are the tail
+and head columns, so a long list is checked there and built without a
+second check; a short or faulty one goes to the constructors.  Any other
+text (inline comments, CRLF line ends, signs, a wrong edge count, a number
+with a leading zero, which JSON refuses, ...) goes line by line, and that
+path alone words the :class:`GraphFormatError` messages about text.
 
 Every breadth-first search in the package is :func:`bfs`, and every leaf
 peel is :func:`peel_leaves`.
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import heapq
 import json
 import re
 from collections import Counter
@@ -74,31 +76,55 @@ class GraphFormatError(ValueError):
 _BULK_MIN = 64
 
 
+def _bulk_ok(
+    n: int,
+    pairs: Sequence[tuple[int, int]],
+    ends: Sequence[int],
+    tails: Sequence[int],
+    heads: Sequence[int],
+    *,
+    simple: bool,
+    symmetric: bool,
+) -> bool:
+    """Whether whole-list passes at C speed find that each of ``pairs`` joins
+    two vertices in ``[0, n)`` and, when ``simple``, that none is a self-loop
+    or a duplicate, ``(v, u)`` counting as ``(u, v)`` when ``symmetric``.
+
+    ``tails`` and ``heads`` are the pairs' columns and ``ends`` holds the
+    values of both.  Values that do not compare or hash fail, and a list that
+    fails goes to :func:`_checked_each`, which words the fault.
+    """
+    try:
+        if not (min(ends) >= 0 and max(ends) < n):  # not negated: NaN compares false, and fails
+            return False
+        if simple:
+            distinct = set(pairs)
+            if any(map(eq, tails, heads)) or len(distinct) != len(pairs):
+                return False
+            if symmetric and not distinct.isdisjoint(zip(heads, tails)):
+                return False
+    except TypeError:
+        return False
+    return True
+
+
 def _checked_pairs(
     n: int, pairs: Sequence[Sequence[int]], what: str, *, simple: bool, symmetric: bool
 ) -> tuple[tuple[int, int], ...]:
-    """``pairs`` as a tuple of ``(u, v)`` tuples, once every pair is checked to
-    join two vertices in ``[0, n)`` and, when ``simple``, to be no self-loop and
-    no duplicate, ``(v, u)`` counting as ``(u, v)`` when ``symmetric``.
-
-    A long list is checked in whole-list passes at C speed.  A short one, or
-    one that fails a pass, goes through :func:`_checked_each`, which raises
-    for the first offending pair.
+    """``pairs`` as a tuple of ``(u, v)`` tuples, once every pair is checked
+    as :func:`_bulk_ok` states: in whole-list passes for a list of at least
+    :data:`_BULK_MIN` pairs, else, or when a pass fails, by
+    :func:`_checked_each`, which raises for the first offending pair.
     """
     if len(pairs) >= _BULK_MIN:
         try:
             out = tuple(map(tuple, pairs))
-            tails, heads = zip(*out, strict=True)  # ValueError unless every pair has 2 ends
-            ends = tails + heads
-            ok = min(ends) >= 0 and max(ends) < n
-            if ok and simple:
-                distinct = set(out)
-                ok = not any(map(eq, tails, heads)) and len(distinct) == len(out)
-                ok = ok and not (symmetric and not distinct.isdisjoint(zip(heads, tails)))
-            if ok:
-                return out
-        except (TypeError, ValueError):  # a pair of another length or of values that do not compare
+            tails, heads = zip(*out, strict=True)
+        except (TypeError, ValueError):  # an item that is not a pair of values
             pass
+        else:
+            if _bulk_ok(n, out, tails + heads, tails, heads, simple=simple, symmetric=symmetric):
+                return out
     return _checked_each(n, pairs, what, simple=simple, symmetric=symmetric)
 
 
@@ -129,6 +155,10 @@ class UGraph:
         if n < 0:
             raise GraphFormatError("vertex count must be non-negative")
         pairs = _checked_pairs(n, edges, "edge", simple=not _allow_multi, symmetric=True)
+        self._fill(n, pairs, _allow_multi)
+
+    def _fill(self, n: int, pairs: tuple[tuple[int, int], ...], multi: bool = False) -> None:
+        """Set every slot from ``pairs``, already checked."""
         inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(pairs):
             inc[u].append((eid, v))
@@ -136,9 +166,9 @@ class UGraph:
         self.n = n
         self.edges = pairs
         self.incidence = tuple(map(tuple, inc))
-        self.is_multigraph = _allow_multi
+        self.is_multigraph = multi
         # handshaking: every edge contributes exactly two incidence entries
-        if sum(map(len, self.incidence)) != 2 * self.m:
+        if sum(map(len, self.incidence)) != 2 * len(pairs):
             raise RuntimeError("incidence lists break the handshake lemma")
 
     @classmethod
@@ -202,7 +232,10 @@ class DiGraph:
     def __init__(self, n: int, arcs: list[tuple[int, int]]):
         if n < 0:
             raise GraphFormatError("vertex count must be non-negative")
-        pairs = _checked_pairs(n, arcs, "arc", simple=True, symmetric=False)
+        self._fill(n, _checked_pairs(n, arcs, "arc", simple=True, symmetric=False))
+
+    def _fill(self, n: int, pairs: tuple[tuple[int, int], ...]) -> None:
+        """Set every slot from ``pairs``, already checked."""
         out_inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         in_inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for aid, (u, v) in enumerate(pairs):
@@ -301,9 +334,9 @@ def parse_graph(text: str) -> UGraph | DiGraph:
     format additionally allows the antiparallel pair).
 
     Text in the plain form (:data:`_PLAIN`) with ``m`` edge lines is read in
-    one pass, as one JSON array; any other goes line by line
-    (:func:`_parse_lines`), which accepts the same texts with the same result
-    and words every error.
+    one pass, as one JSON array, whose tail and head columns are checked in
+    place; any other goes line by line (:func:`_parse_lines`), which accepts
+    the same texts with the same result and words every error.
     """
     plain = _PLAIN.fullmatch(text)
     if plain is not None:
@@ -314,8 +347,16 @@ def parse_graph(text: str) -> UGraph | DiGraph:
         except ValueError:  # a leading zero, which JSON refuses, or a number past int()'s digit limit
             return _parse_lines(text)
         if len(ends) == 2 * m:
-            pairs = list(zip(ends[::2], ends[1::2]))
-            return UGraph(n, pairs) if plain["kind"] == "U" else DiGraph(n, pairs)
+            cls = UGraph if plain["kind"] == "U" else DiGraph
+            tails, heads = ends[::2], ends[1::2]
+            pairs = tuple(zip(tails, heads))
+            if m >= _BULK_MIN and _bulk_ok(
+                n, pairs, ends, tails, heads, simple=True, symmetric=cls is UGraph
+            ):
+                graph = cls.__new__(cls)
+                graph._fill(n, pairs)
+                return graph
+            return cls(n, pairs)  # short, or faulty: the constructor checks and words the fault
     return _parse_lines(text)
 
 
@@ -476,24 +517,32 @@ def peel_leaves(g: UGraph) -> tuple[list[int], list[int], list[int]]:
     neighbour it hung from when trimmed, or -1 for a vertex left in the
     2-core; and the degrees at the end, in which a trimmed vertex keeps 1
     and a self-loop counts 2.  A tree keeps one vertex, of degree 0.
+
+    The lowest-id leaf is found by the linear scan that decodes a Prufer
+    sequence: ``i`` runs up through the ids, and a leaf ``i`` is trimmed.
+    Before that no leaf is below ``i``, and a trim makes at most one new
+    leaf, its parent ``u``.  A ``u`` below ``i`` is then the lowest leaf and
+    is trimmed at once, and so on up the chain; a ``u`` above ``i`` waits
+    for the scan.
     """
-    deg = [len(pairs) for pairs in g.incidence]
+    inc = g.incidence
+    deg = [len(pairs) for pairs in inc]
     alive = bytearray([1] * g.n)
     trim_order: list[int] = []
     trim_parent = [-1] * g.n
-    heap = [v for v in range(g.n) if deg[v] == 1]
-    while heap:
-        v = heapq.heappop(heap)
-        if not alive[v] or deg[v] != 1:
+    for i in range(g.n):
+        if deg[i] != 1:  # a vertex at or above i is trimmed only here, so i is alive
             continue
-        for _, u in g.incidence[v]:  # the one neighbour left
-            if alive[u]:
+        v = i
+        while True:
+            for _, u in inc[v]:  # the one neighbour left
+                if alive[u]:
+                    break
+            alive[v] = 0
+            trim_order.append(v)
+            trim_parent[v] = u
+            deg[u] -= 1
+            if u > i or deg[u] != 1:
                 break
-        alive[v] = 0
-        trim_order.append(v)
-        trim_parent[v] = u
-        deg[u] -= 1
-        if deg[u] == 1:
-            heapq.heappush(heap, u)
+            v = u
     return trim_order, trim_parent, deg
-

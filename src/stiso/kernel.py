@@ -21,12 +21,12 @@ never changes a degree, so every trim runs before any suppression, and the
 suppressions then take the core's degree-2 vertices in increasing id.  The
 result is therefore computed in two linear passes instead of step by step:
 
-1. *Peel* (:func:`~stiso.graphs.peel_leaves`): a lowest-id leaf heap
-   trims the graph to its 2-core.  The trimmed vertices form a forest of
-   pendant trees hanging off the 2-core, and each one's parent (its last
-   neighbour when it was trimmed) is an original neighbour.  The
-   undirected solver reads this forest from the same function without
-   building the rest of the kernel.
+1. *Peel* (:func:`~stiso.graphs.peel_leaves`): a linear scan for the
+   lowest-id leaf trims the graph to its 2-core.  The trimmed vertices
+   form a forest of pendant trees hanging off the 2-core, and each one's
+   parent (its last neighbour when it was trimmed) is an original
+   neighbour.  The undirected solver reads this forest from the same
+   function without building the rest of the kernel.
 2. *Walk*: the anchors are the core vertices of degree at least 3.  From
    each, every unused core edge is followed through degree-2 vertices to
    the next anchor; that path is one chain.  The reduction would have made
@@ -95,7 +95,7 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
     the search they run for every k.  The result is that of the
     deterministic reduction order: the lowest-id degree-1 vertex first, else
     the lowest-id degree-2 vertex.  It is computed in two linear passes: peel
-    the leaves from a lowest-id heap, then walk the chains between anchors.
+    the lowest-id leaf until none is left, then walk the chains between anchors.
     Suppressing never changes a degree, so that order runs every trim first
     and then suppresses the core's degree-2 vertices in increasing id; a
     chain's kernel edge is therefore made when its largest interior vertex

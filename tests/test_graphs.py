@@ -1,4 +1,5 @@
 import gc
+import heapq
 import random
 from collections import Counter
 
@@ -16,7 +17,7 @@ from stiso import (
 
 from stiso import graphs
 from stiso.graphs import degree_gap, degrees_cover, roots_reaching_all
-from util import complete, cycle, path, reference_incidence, reference_parse, star
+from util import chorded_path, complete, cycle, path, reference_incidence, reference_parse, star
 
 
 def test_parse_undirected_path():
@@ -191,6 +192,61 @@ def test_serialized_instances_take_the_one_pass_path(monkeypatch):
         assert _fields(parse_graph(text)) == _fields(g)
     with pytest.raises(AssertionError, match="line-by-line"):
         parse_graph(texts[-1].replace("\n", "\r\n"))
+
+
+def _long_faulty_text(kind: str, fault: str, at: int) -> tuple[str, int]:
+    """Plain text of a path on ``_BULK_MIN + 6`` edge lines, with edge line
+    ``at`` replaced by one fault, and the edge line that a check of one edge
+    at a time finds at fault."""
+    m = graphs._BULK_MIN + 6
+    n = m + 1
+    rows = [(v, v + 1) for v in range(m)]
+    u, v = rows[at]
+    other = (at + 7) % m  # the line a duplicate copies, which may come later
+    rows[at] = {
+        "range": (u, n + at % 3),
+        "loop": (u, u),
+        "dup": rows[other],
+        "reversed": rows[other][::-1],
+        "antiparallel": (v, u),
+    }[fault]
+    if fault in ("dup", "reversed"):
+        at = max(at, other)
+    elif fault == "antiparallel":  # the edge it reverses stays too: m + 1 lines
+        rows.insert(at, (u, v))
+        at += 1
+    body = "".join(f"{a} {b}\n" for a, b in rows)
+    return f"# n={n}\n{n} {len(rows)} {kind}\n{body}", at
+
+
+@pytest.mark.parametrize("kind, fault", [
+    ("U", "range"), ("D", "range"), ("U", "loop"), ("D", "loop"), ("U", "dup"), ("D", "dup"),
+    ("U", "reversed"), ("D", "reversed"), ("U", "antiparallel"), ("D", "antiparallel"),
+])
+def test_long_faulty_texts_match_the_reference(kind, fault, monkeypatch):
+    """Texts past the whole-list checks' crossover, each with one fault at
+    the start, in the middle or at the end, go the one-pass path and end as
+    the line-by-line reference ends: a reversed edge is a duplicate only in
+    an undirected graph, and an antiparallel arc pair is accepted."""
+    accepted = (kind, fault) in (("D", "reversed"), ("D", "antiparallel"))
+    word = {"range": "endpoint out of range", "loop": "is a self-loop", "dup": "duplicates",
+            "reversed": "duplicates", "antiparallel": "duplicates"}[fault]
+    places = (0, graphs._BULK_MIN // 2, graphs._BULK_MIN + 5)
+    texts = [_long_faulty_text(kind, fault, at) for at in places]
+    expected = [_parsed(reference_parse, text) for text, _ in texts]
+
+    def refuse(text):
+        raise AssertionError("line-by-line path taken")
+
+    monkeypatch.setattr(graphs, "_parse_lines", refuse)
+    for (text, line), want in zip(texts, expected):
+        got = _parsed(parse_graph, text)
+        assert got == want, text
+        if accepted:
+            assert got[0] == kind and len(got[2]) >= graphs._BULK_MIN + 6
+        else:
+            what = "edge" if kind == "U" else "arc"
+            assert got[0] == "error" and got[1].startswith(f"{what} {line} {word}"), got
 
 
 def _built(n, pairs, kind) -> tuple:
@@ -468,3 +524,68 @@ def test_entry_points_leave_the_collector_as_they_found_it(enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
+
+
+def _heap_peel(g: UGraph) -> tuple[list[int], list[int], list[int]]:
+    """``peel_leaves`` as a lowest-id heap pops it: always the smallest leaf."""
+    deg = [len(pairs) for pairs in g.incidence]
+    alive = [True] * g.n
+    order, parent = [], [-1] * g.n
+    heap = [v for v in range(g.n) if deg[v] == 1]
+    while heap:
+        v = heapq.heappop(heap)
+        if not alive[v] or deg[v] != 1:
+            continue
+        u = next(w for _, w in g.incidence[v] if alive[w])
+        alive[v] = False
+        order.append(v)
+        parent[v] = u
+        deg[u] -= 1
+        if deg[u] == 1:
+            heapq.heappush(heap, u)
+    return order, parent, deg
+
+
+def _peel_grid(rnd: random.Random):
+    """Seeded graphs the kernel's own check never sees: trees, unicyclic and
+    disconnected graphs, multigraphs with loops and parallel edges, and
+    relabelled chorded paths with pendant trees."""
+    for _ in range(400):
+        n = rnd.randint(1, 40)
+        tree = [(rnd.randrange(v), v) for v in range(1, n)]
+        yield "tree", n, tree
+        if n >= 3:
+            u, v = rnd.sample(range(n), 2)
+            if (u, v) not in tree and (v, u) not in tree:
+                yield "unicyclic", n, tree + [(u, v)]
+        cut = rnd.randint(0, n)  # the tree cut into pieces, isolated vertices among them
+        yield "disconnected", n, [e for e in tree if rnd.random() < 0.7] + [
+            (rnd.randrange(cut), rnd.randrange(cut)) for _ in range(rnd.randint(0, 2)) if cut
+        ]
+        extra = [(u, u) for u in rnd.sample(range(n), min(n, 2))]  # loops
+        extra += [rnd.choice(tree) for _ in range(rnd.randint(0, 2)) if tree]  # parallel edges
+        yield "multigraph", n, tree + extra
+    for n in (7, 12, 30, 101):
+        g = chorded_path(n)
+        pendants = [(rnd.randrange(n + i), n + i) for i in range(rnd.randint(0, n))]
+        yield "chorded path", n + len(pendants), list(g.edges) + pendants
+
+
+def test_peel_matches_a_heap_reference():
+    """The linear scan trims in the heap's order, with its parents and
+    degrees, where the kernel's reference check cannot reach: a tree's
+    surviving vertex, a unicyclic graph's cycle, every component of a
+    disconnected graph, and loops and parallel edges."""
+    rnd = random.Random(20261021)
+    seen: Counter = Counter()
+    for family, n, edges in _peel_grid(rnd):
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        for g in (UGraph.multigraph(n, edges), UGraph.multigraph(n, edges).relabeled(perm)):
+            got = graphs.peel_leaves(g)
+            assert got == _heap_peel(g), (family, g.n, g.edges)
+            seen[family] += 1
+            if family == "tree":  # one vertex survives, of degree 0
+                survivors = [v for v in range(n) if got[1][v] == -1]
+                assert len(survivors) == 1 and got[2][survivors[0]] == 0
+    assert min(seen.values()) >= 8 and sum(seen.values()) >= 2500, seen

@@ -720,3 +720,97 @@ def test_solve_pass_counts(monkeypatch):
         assert counts == expected, seed
         hits += stats.arborescence_hits
     assert hits < 20
+
+
+def test_cli_verdict_pass_counts(monkeypatch, tmp_path, capsys):
+    """The whole-graph walks of one ``stiso solve`` verdict, from the two
+    texts to the answer: ``bfs`` walks, ``_ahu`` passes and leaf peels.
+    Parsing walks nothing.  An undirected planted YES roots the plain target
+    (1 ``bfs``), checks connectivity and certifies (2 ``bfs``), interns the
+    target and looks the trim forest up (2 ``_ahu``), and peels once.  A
+    directed target is walked once, by the search that roots it, and its
+    solve walks as ``test_solve_pass_counts`` has it."""
+    from stiso import DirectedStats, GenSpec, cli, gen_instance
+    from stiso import directed, graphs, treecode, undirected
+
+    counts: Counter = Counter()
+    for name in ("_ahu", "bfs", "peel_leaves"):
+        for module in (graphs, treecode, undirected, directed):
+            real = getattr(module, name, None)
+            if real is not None:
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+
+    def verdict(inst, flags):
+        g, t = tmp_path / "g.txt", tmp_path / "t.txt"
+        g.write_text(inst.graph.serialize())
+        t.write_text(inst.target_graph.serialize())
+        counts.clear()
+        assert cli.main(["solve", "-g", str(g), "-t", str(t), *flags]) == 0
+        assert capsys.readouterr().out == "YES\n"
+        return dict(counts)
+
+    for seed in range(8):
+        inst = gen_instance(GenSpec(n=30 + 20 * seed, k=seed % 7, seed=seed))
+        assert verdict(inst, []) == {"_ahu": 2, "bfs": 3, "peel_leaves": 1}, seed
+
+    for seed in range(8):
+        inst = gen_instance(GenSpec(n=30 + 20 * seed, k=seed % 7, seed=seed, directed=True))
+        got = verdict(inst, ["--directed"])
+        d = inst.graph
+        counts.clear()
+        target = directed.target_tree_from_digraph(inst.target_graph)
+        assert counts == {"bfs": 1}, seed
+        stats = DirectedStats()
+        directed.solve_directed(d, target, stats=stats)
+        find_roots = 1 if d.in_inc.count(()) == 1 else 2
+        hits = stats.arborescence_hits
+        assert got == {"_ahu": 1 + hits, "bfs": 1 + find_roots + hits + 1}, seed
+
+
+@pytest.mark.parametrize("arcs, n, message", [
+    ([(0, 1), (1, 2), (0, 2)], 3, "underlying graph is not a tree"),  # m != n - 1
+    ([(0, 1), (1, 2), (2, 0)], 3, "underlying graph is not a tree"),  # no source: m >= n
+    ([(0, 1), (1, 2), (3, 2)], 4, "2 vertices of in-degree 0, expected 1"),
+    ([(0, 1), (2, 3), (3, 2)], 4, "some vertex is unreachable from the root 0"),
+    ([(0, 1), (1, 2), (3, 4), (4, 3)], 5, "some vertex is unreachable from the root 0"),
+])
+def test_directed_target_names_each_fault_as_arborescence_root_does(arcs, n, message):
+    """``target_tree_from_digraph`` checks with one walk, the target's own,
+    and words every fault as :func:`arborescence_root` does.  A digraph with
+    n - 1 arcs always has a source, so one without fails the arc count."""
+    from stiso import target_tree_from_digraph
+
+    d = DiGraph(n, arcs)
+    for check in (arborescence_root, target_tree_from_digraph):
+        with pytest.raises(NotArborescenceError) as info:
+            check(d)
+        assert str(info.value) == message
+
+
+def test_directed_target_agrees_with_arborescence_root():
+    """On seeded digraphs with n - 1 arcs, most of them not arborescences, the
+    one-walk check accepts exactly what :func:`arborescence_root` accepts,
+    with its root, and otherwise raises its message."""
+    from stiso import target_tree_from_digraph
+
+    rnd = random.Random(39)
+    accepted = 0
+    for _ in range(1500):
+        n = rnd.randint(1, 8)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        d = DiGraph(n, rnd.sample(pairs, n - 1) if n > 1 else [])
+        try:
+            want = arborescence_root(d)
+        except NotArborescenceError as exc:
+            with pytest.raises(NotArborescenceError) as info:
+                target_tree_from_digraph(d)
+            assert str(info.value) == str(exc), d.arcs
+        else:
+            target = target_tree_from_digraph(d)
+            assert (target.root, target.tree.edges) == (want, d.arcs)
+            accepted += 1
+    assert 50 <= accepted <= 1400, accepted
