@@ -8,7 +8,6 @@ codes, a seeded instance generator, and a CLI (``stiso``).
 """
 
 from .directed import (
-    DirectedStats,
     certify_directed,
     is_spanning_arborescence,
     solve_directed,
@@ -18,6 +17,7 @@ from .generate import GenInstance, GenSpec, gen_instance, gen_tree
 from .graphs import (
     DiGraph,
     GraphFormatError,
+    SolveStats,
     UGraph,
     Verdict,
     parse_graph,
@@ -48,7 +48,10 @@ from .treecode import (
     tree_centers,
     unrooted_code,
 )
-from .undirected import SolveStats, certify_undirected, solve_undirected
+from .undirected import certify_undirected, solve_undirected
+
+# the directed solver's name for the one stats record, which callers still import
+DirectedStats = SolveStats
 
 __all__ = [
     "AnchorChain",

@@ -15,13 +15,13 @@ import time
 import traceback
 from pathlib import Path
 
-from .directed import DirectedStats, solve_directed, target_tree_from_digraph
+from .directed import solve_directed, target_tree_from_digraph
 from .generate import PLANTED, RANDOM, GenSpec, gen_instance
-from .graphs import DiGraph, UGraph, parse_graph
+from .graphs import DiGraph, SolveStats, UGraph, parse_graph
 from .kernel import make_contractible
 from .oracle import oracle_directed, oracle_undirected, subsets_enumerated
 from .treecode import TargetTree, rooted_code, unrooted_code
-from .undirected import SolveStats, solve_undirected
+from .undirected import solve_undirected
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -165,18 +165,12 @@ def cmd_bench(args) -> int:
     for spec in _bench_rows(args):
         inst = gen_instance(spec)
         mode_tag = f"{spec.mode}-{'d' if spec.directed else 'u'}"
-        if spec.directed:
-            stats_d = DirectedStats()
-            t0 = time.perf_counter()
-            verdict = solve_directed(inst.graph, inst.target, stats=stats_d)
-            dt = time.perf_counter() - t0
-            work = stats_d.plans_examined
-        else:
-            stats_u = SolveStats()
-            t0 = time.perf_counter()
-            verdict = solve_undirected(inst.graph, inst.target, stats=stats_u)
-            dt = time.perf_counter() - t0
-            work = stats_u.branches_examined
+        solve = solve_directed if spec.directed else solve_undirected
+        stats = SolveStats()
+        t0 = time.perf_counter()
+        verdict = solve(inst.graph, inst.target, stats=stats)
+        dt = time.perf_counter() - t0
+        work = stats.plans_examined + stats.branches_examined  # each solver leaves the other's 0
         rows.append(
             (spec.n, spec.k, mode_tag, spec.seed, "fpt", verdict.answer, int(dt * 1e6), work)
         )

@@ -54,11 +54,12 @@ children of matched vertices in ``(id, vertex)`` order on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .graphs import (
     DiGraph,
+    SolveStats,
+    TraceFn,
     Verdict,
     bfs,
     degree_gap,
@@ -76,29 +77,6 @@ from .treecode import (
 )
 
 
-@dataclass
-class DirectedStats:
-    """Search effort counters for one directed solve call.
-
-    ``plans_examined`` counts in-arc choices tried, ``plans_max_per_root``
-    the most at one root, and ``arborescence_hits`` the plans that pass the
-    out-degree tests, the histogram's and the root's, and span.
-    ``subsets_examined`` has nothing left to count and stays 0.  It is kept
-    because ``test_benchmark_counters_are_stats_fields`` checks that every
-    counter ``perfbench/decide.py`` lists in ``STATS_FIELDS`` is a field here;
-    without it the benchmark would report null, not crash.  The out-degree
-    screen leaves every counter but ``k`` at 0.
-    """
-
-    k: int = 0
-    roots_tried: int = 0
-    roots_reachable: int = 0
-    subsets_examined: int = 0
-    plans_examined: int = 0
-    plans_max_per_root: int = 0
-    arborescence_hits: int = 0
-
-
 def is_spanning_arborescence(f: DiGraph, r: int) -> bool:
     """n-1 arcs, in-degree 0 at ``r``, 1 elsewhere, everything reachable from ``r``."""
     try:
@@ -112,14 +90,14 @@ def solve_directed(
     d: DiGraph,
     target: TargetTree,
     *,
-    stats: DirectedStats | None = None,
-    trace=None,
+    stats: SolveStats | None = None,
+    trace: TraceFn | None = None,
 ) -> Verdict:
     """Decide whether deleting k arcs from ``d`` leaves an arborescence
     isomorphic to the rooted target tree."""
     if d.n != target.n:
         raise ValueError(f"vertex counts differ: graph {d.n}, target {target.n}")
-    stats = stats if stats is not None else DirectedStats()
+    stats = stats if stats is not None else SolveStats()
     stats.k = d.m - (d.n - 1)
     out_deg = list(map(len, d.out_inc))
     # out-degree: tree degree less the in-arc every vertex but the root has
@@ -160,8 +138,8 @@ def _search(
     admissible: list[bool],
     out_deg: list[int],
     gap: dict[int, int],
-    stats,
-    trace,
+    stats: SolveStats,
+    trace: TraceFn | None,
 ) -> Verdict:
     """The first plan, roots in id order and plans in product order, whose
     out-degrees shift by ``gap``, whose root keeps the target root's

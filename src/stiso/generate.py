@@ -24,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
+from .directed import target_tree_from_digraph
 from .graphs import DiGraph, UGraph
 from .treecode import TargetTree, tree_centers
 
@@ -57,8 +58,9 @@ class GenSpec:
 class GenInstance:
     """A generated instance: the graph, its target, and what is known about it.
 
-    ``target`` is the rooted form used by the solvers; ``target_graph`` is the
-    serializable form (a tree ``UGraph``, or a ``DiGraph`` arborescence).
+    ``target`` is the rooted form used by the solvers, built once from
+    ``target_graph``, the serializable form (a tree ``UGraph``, rooted at its
+    first centre, or a ``DiGraph`` arborescence, rooted at its source).
     ``planted_extra_ids`` are edge/arc ids in ``graph`` forming the known
     redundant set of a planted instance (empty in random mode).
     """
@@ -71,7 +73,7 @@ class GenInstance:
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
-    """The tree of the Prufer sequence ``seq`` (n >= 3): each entry, in turn,
+    """The tree of the Prufer sequence ``seq`` (n >= 2): each entry, in turn,
     is joined to the lowest-id leaf left, and the last edge joins the last
     leaf to n - 1, the one vertex never the lowest leaf.
 
@@ -100,8 +102,6 @@ def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
 
 
 def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return _prufer_decode(seq, n)
 
@@ -171,48 +171,37 @@ def _draw_free_pairs(
 
 
 def gen_instance(spec: GenSpec) -> GenInstance:
-    """Generate the instance a spec describes (identical spec, identical bytes)."""
+    """Generate the instance a spec describes (identical spec, identical bytes).
+
+    The mode chooses only the target's pairs (arcs), and the target is built
+    once: by :func:`~stiso.directed.target_tree_from_digraph`, as the CLI and
+    perfbench build it, or rooted at its first centre, from which perfbench's
+    scan-depth check and ``calibrate.py`` count the roots tried.
+    """
     rng = random.Random(spec.seed)
     n, k = spec.n, spec.k
-    tree_edges = _random_tree_edges(n, rng)
+    tree = _random_tree_edges(n, rng)
     if spec.directed:
-        root = rng.randrange(n)
-        base = _orient_from_root(n, tree_edges, root)
-        extras = _draw_free_pairs(n, base, k, rng, directed=True)
-        graph: UGraph | DiGraph = DiGraph(n, base + extras)
-    else:
-        extras = _draw_free_pairs(n, tree_edges, k, rng, directed=False)
-        graph = UGraph(n, tree_edges + extras)
-    extra_ids = tuple(range(n - 1, n - 1 + k))
+        tree = _orient_from_root(n, tree, rng.randrange(n))
+    extras = _draw_free_pairs(n, tree, k, rng, spec.directed)
+    graph: UGraph | DiGraph = (DiGraph if spec.directed else UGraph)(n, tree + extras)
 
     if spec.mode == PLANTED:
         perm = list(range(n))
         rng.shuffle(perm)
-        if spec.directed:
-            target_graph: UGraph | DiGraph = DiGraph(
-                n, [(perm[u], perm[v]) for u, v in base]
-            )
-            target = TargetTree(target_graph.underlying(), perm[root])
-        else:
-            ttree = UGraph(n, [(perm[u], perm[v]) for u, v in tree_edges])
-            target_graph = ttree
-            # rooted at the first centre: perfbench's scan-depth check and
-            # calibrate.py solve this target and count the roots tried from it
-            target = TargetTree(ttree, tree_centers(ttree)[0])
-        truth = "YES"
+        pairs = [(perm[u], perm[v]) for u, v in tree]
+        truth, extra_ids = "YES", tuple(range(n - 1, n - 1 + k))
     else:
-        t_edges = _random_tree_edges(n, rng)
+        pairs = _random_tree_edges(n, rng)
         if spec.directed:
-            t_root = rng.randrange(n)
-            t_arcs = _orient_from_root(n, t_edges, t_root)
-            target_graph = DiGraph(n, t_arcs)
-            target = TargetTree(target_graph.underlying(), t_root)
-        else:
-            ttree = UGraph(n, t_edges)
-            target_graph = ttree
-            target = TargetTree(ttree, tree_centers(ttree)[0])
-        truth = "UNKNOWN"
-        extra_ids = ()
+            pairs = _orient_from_root(n, pairs, rng.randrange(n))
+        truth, extra_ids = "UNKNOWN", ()
+    if spec.directed:
+        target_graph: UGraph | DiGraph = DiGraph(n, pairs)
+        target = target_tree_from_digraph(target_graph)
+    else:
+        target_graph = UGraph(n, pairs)
+        target = TargetTree(target_graph, tree_centers(target_graph)[0])
 
     return GenInstance(
         graph=graph,

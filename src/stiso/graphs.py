@@ -307,6 +307,45 @@ class Verdict:
         return self.answer == "YES"
 
 
+@dataclass
+class SolveStats:
+    """Search effort counters for one solve call, of either solver.
+
+    Each solver counts in its own fields and leaves the other's at 0, and
+    its degree screen leaves every counter but ``k`` at 0.
+
+    Undirected: ``roots_tried`` counts the graph vertices with as many
+    neighbours as the target root has children, ``attempts`` those the root
+    prune passes.  ``nodes_opened`` counts the placements of a target vertex
+    with children that pass the budget and room checks, the root's included,
+    and ``branches_examined`` the neighbours tried for a target vertex.
+
+    Directed: ``roots_tried`` counts the vertices tried as the root and
+    ``roots_reachable`` those that reach every vertex.  ``plans_examined``
+    counts in-arc choices tried, ``plans_max_per_root`` the most at one root,
+    and ``arborescence_hits`` the plans that pass the out-degree tests, the
+    histogram's and the root's, and span.  ``subsets_examined`` has nothing
+    left to count and stays 0.  It is kept because
+    ``test_benchmark_counters_are_stats_fields`` checks that every counter
+    ``perfbench/decide.py`` lists in ``STATS_FIELDS`` is a field here;
+    without it the benchmark would report null, not crash.
+    """
+
+    k: int = 0
+    roots_tried: int = 0
+    attempts: int = 0
+    nodes_opened: int = 0
+    branches_examined: int = 0
+    roots_reachable: int = 0
+    subsets_examined: int = 0
+    plans_examined: int = 0
+    plans_max_per_root: int = 0
+    arborescence_hits: int = 0
+
+
+TraceFn = Callable[[str], None]
+
+
 # The plain form ``serialize`` writes: whole-line comments and blank lines,
 # then the header and the edge lines, each ending in "\n".  Numbers are ASCII
 # ``[0-9]`` (``\d`` would also take the other digits ``int`` reads), and a

@@ -1,8 +1,11 @@
 """Reduction of a connected graph to its minimum-degree-3 core.
 
 :func:`make_contractible` is the reduction's one entry point.  The kernel is an analysis
-of an input: neither solver builds one, and only ``stiso kernel``, acceptance
-criteria 3 and 5 and the tests do.
+of an input: neither solver builds one.  Both oracles build one on every
+connected input with k >= 2, to enumerate one edge per chain, as does
+:func:`~stiso.oracle.subsets_enumerated`, which counts those subsets; so do
+``stiso kernel``, perfbench's traced probe, acceptance criteria 3 and 5 and
+the tests.
 
 Two operations are applied until neither fires: removing a degree-1 vertex
 with its edge, and replacing a degree-2 vertex's two edges by one edge
@@ -88,8 +91,10 @@ class Kernel:
 def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
     """Contract ``g`` to its core, recording anchors and per-edge chains.
 
-    The kernel's one entry point: neither solver builds a kernel, and only
-    ``stiso kernel``, acceptance criteria 3 and 5 and the tests call it.
+    The kernel's one entry point: neither solver builds a kernel.  Both
+    oracles and ``oracle.subsets_enumerated`` call it on every connected
+    input with k >= 2, and so do ``stiso kernel``, perfbench's traced probe,
+    acceptance criteria 3 and 5 and the tests.
     Requires a connected graph with surplus ``k = m - (n-1) >= 2``: smaller
     surpluses have empty or degenerate cores, and the solvers decide them by
     the search they run for every k.  The result is that of the

@@ -73,34 +73,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from typing import Callable
 
-from .graphs import UGraph, Verdict, degree_gap, degrees_cover, gc_paused, peel_leaves
+from .graphs import SolveStats, TraceFn, UGraph, Verdict, degree_gap, degrees_cover
+from .graphs import gc_paused, peel_leaves
 from .treecode import CodeTable, NotATreeError, TargetTree, _ahu, _pair_children
 from .treecode import certify_witness
-
-
-@dataclass
-class SolveStats:
-    """Search effort counters for one undirected solve call.
-
-    ``roots_tried`` counts the graph vertices with as many neighbours as the
-    target root has children, ``attempts`` those the root prune passes.
-    ``nodes_opened`` counts the placements of a target vertex with children
-    that pass the budget and room checks, the root's included, and
-    ``branches_examined`` the neighbours tried for a target vertex.  The
-    degree screen leaves all but ``k`` at 0.
-    """
-
-    k: int = 0
-    roots_tried: int = 0
-    attempts: int = 0
-    nodes_opened: int = 0
-    branches_examined: int = 0
-
-
-TraceFn = Callable[[str], None]
 
 
 @gc_paused

@@ -112,6 +112,8 @@ def test_infeasible_k_rejected():
     with pytest.raises(ValueError):
         GenSpec(n=1, k=0, seed=0)
     with pytest.raises(ValueError):
+        GenSpec(n=5, k=-1, seed=0)
+    with pytest.raises(ValueError):
         GenSpec(n=5, k=1, seed=0, mode="bogus")
 
 

@@ -62,6 +62,7 @@ def test_parse_rejects_duplicate_arc():
         "3 2 U\n0 1\n1 2\n2 0",
         "3 2 U\n0 3\n1 2",
         "3 2 U\n0 one\n1 2",
+        "three 2 U\n0 1\n1 2",
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -458,6 +459,8 @@ def test_bfs_order_and_parent():
 def test_relabeled_rejects_non_permutation():
     with pytest.raises(GraphFormatError):
         path(3).relabeled([0, 0, 1])
+    with pytest.raises(GraphFormatError):
+        DiGraph(3, [(0, 1), (1, 2)]).relabeled([0, 0, 1])
 
 
 degree_lists = st.lists(st.integers(0, 8), max_size=40)

@@ -211,6 +211,47 @@ def test_invalid_neighbors_bound_random():
             assert len(report.invalid) <= 2 * spec.k
 
 
+def _chain(n: int):
+    """The rooted directed path 0 -> 1 -> ... -> n - 1."""
+    return target_tree_from_digraph(DiGraph(n, [(i, i + 1) for i in range(n - 1)]))
+
+
+@pytest.mark.parametrize(
+    "decide, error, note",
+    [
+        (lambda: solve_directed(DiGraph(3, [(0, 1), (1, 2)]), _chain(4)), "vertex counts differ", None),
+        (lambda: oracle_undirected(cycle(3), path(4)), "vertex counts differ", None),
+        (lambda: oracle_directed(DiGraph(3, [(0, 1), (1, 2)]), _chain(4)), "vertex counts differ", None),
+        (
+            lambda: oracle_undirected(UGraph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]), path(5)),
+            None,
+            "graph is disconnected: no spanning tree exists",
+        ),
+        (
+            lambda: oracle_directed(DiGraph(4, [(0, 1), (1, 0), (2, 3)]), _chain(4)),
+            None,
+            "graph is weakly disconnected: no spanning tree exists",
+        ),
+        (lambda: invalid_neighbors(UGraph(4, [(0, 1), (2, 3)]), 0), "requires a connected graph", None),
+    ],
+    ids=[
+        "solver-directed-counts",
+        "oracle-undirected-counts",
+        "oracle-directed-counts",
+        "oracle-undirected-disconnected",
+        "oracle-directed-disconnected",
+        "invalid-neighbors-disconnected",
+    ],
+)
+def test_refusals_and_disconnected_notes(decide, error, note):
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            decide()
+    else:
+        v = decide()
+        assert (v.answer, v.note) == ("NO", note)
+
+
 def test_degree_test_keeps_every_verdict():
     """Both oracles return the Verdict of the untested enumeration: answer,
     removed set, mapping and note, on a seeded grid of 424 instances."""

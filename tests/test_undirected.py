@@ -612,6 +612,26 @@ def test_benchmark_counters_are_stats_fields():
         assert read[flavour] and set(read[flavour]) <= names, (flavour, read[flavour])
 
 
+def test_each_solver_leaves_the_other_solvers_counters_at_zero():
+    # ``stiso bench`` reports branches plus plans as one solve's work
+    from stiso import DirectedStats, solve_directed
+
+    assert DirectedStats is SolveStats
+    for seed in range(10):
+        spec = GenSpec(n=12, k=3, seed=seed)
+        inst = gen_instance(spec)
+        stats = SolveStats()
+        assert solve_undirected(inst.graph, inst.target, stats=stats).is_yes
+        assert stats.branches_examined > 0
+        assert (stats.roots_reachable, stats.plans_examined) == (0, 0)
+        assert (stats.plans_max_per_root, stats.arborescence_hits) == (0, 0)
+        inst = gen_instance(GenSpec(n=12, k=3, seed=seed, directed=True))
+        stats = SolveStats()
+        assert solve_directed(inst.graph, inst.target, stats=stats).is_yes
+        assert stats.plans_examined > 0
+        assert (stats.attempts, stats.nodes_opened, stats.branches_examined) == (0, 0, 0)
+
+
 # SHA-256 of answers, witnesses, removed sets, SolveStats and trace lines over
 # the grid below, printed by the search that binds only trim-forest pendants
 # and branches on every other neighbour.  Made by running this grid on that
