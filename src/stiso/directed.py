@@ -99,7 +99,7 @@ def solve_directed(
         raise ValueError(f"vertex counts differ: graph {d.n}, target {target.n}")
     stats = stats if stats is not None else SolveStats()
     stats.k = d.m - (d.n - 1)
-    out_deg = list(map(len, d.out_inc))
+    out_deg = d.out_degrees()
     # out-degree: tree degree less the in-arc every vertex but the root has
     want = [len(pairs) - 1 for pairs in target.tree.incidence]
     want[target.root] += 1
@@ -198,16 +198,21 @@ def _arborescence_without(
 def target_tree_from_digraph(t: DiGraph) -> TargetTree:
     """Validate a digraph as an out-arborescence and wrap it as a rooted target.
 
-    Its arcs are walked once, by the target's own search from the root.  With
+    The arc count is checked first, then the sources are found from
+    in-degrees counted on the arcs, so neither ``t.out_inc`` nor ``t.in_inc``
+    is built; the target's lists are those of :meth:`DiGraph.underlying`,
+    filled from the arcs.  Its arcs are walked once, by the target's own
+    search from the root.  With
     n - 1 arcs and one vertex of in-degree 0, ``t`` is an out-arborescence iff
     its underlying graph is a tree: the other n - 1 in-degrees are then each
     1, and in-arcs followed back from any vertex cannot close a cycle of the
     tree, so they end at the root.  The faults are named as
     :func:`~stiso.treecode.arborescence_root` names them.
     """
-    if t.m != t.n - 1 or t.in_inc.count(()) != 1:
+    in_deg = t.in_degrees() if t.m == t.n - 1 else []
+    if in_deg.count(0) != 1:
         arborescence_root(t)  # raises, naming the arc count or the sources
-    root = t.in_inc.index(())
+    root = in_deg.index(0)
     try:
         return TargetTree(t.underlying(), root)
     except NotATreeError:

@@ -23,13 +23,24 @@ text (inline comments, CRLF line ends, signs, a wrong edge count, a number
 with a leading zero, which JSON refuses, ...) goes line by line, and that
 path alone words the :class:`GraphFormatError` messages about text.
 
+A graph keeps only ``n``, its checked pairs and, undirected, its multigraph
+flag.  Each incidence list (``UGraph.incidence``, ``DiGraph.out_inc``,
+``DiGraph.in_inc``) is built the first time it is read and then kept, in
+the same order whichever constructor made the graph, and the degree
+screens count degrees on the pairs (:meth:`UGraph.degrees`,
+:meth:`DiGraph.out_degrees`).  So parsing builds no list, and a NO that a
+screen decides builds none of the graph's.
+
 Every breadth-first search in the package is :func:`bfs`, and every leaf
 peel is :func:`peel_leaves`.
 
 The O(n) entry points that ``stiso solve`` calls, :func:`parse_graph` and
 the two solvers, run with the cyclic garbage collector paused
 (:func:`gc_paused`): every object they make is acyclic and is freed by
-reference counting, so the collector's passes over them find nothing.
+reference counting, so the collector's passes over them find nothing.  A
+paused collection is deferred, not skipped: it runs in the next unpaused
+code that allocates, such as a directed target's construction, and
+traverses the parsed pairs plus only the lists that a verdict has read.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from operator import add, eq
+from operator import eq
 from typing import Callable, TypeVar
 
 _F = TypeVar("_F", bound=Callable)
@@ -147,9 +158,15 @@ def _checked_each(
 
 
 class UGraph:
-    """Immutable undirected graph with stable edge ids."""
+    """Immutable undirected graph with stable edge ids.
 
-    __slots__ = ("n", "edges", "incidence", "is_multigraph")
+    A graph keeps ``n``, its checked ``edges`` and ``is_multigraph``; its
+    incidence lists are built on first read and then kept.  Its
+    :meth:`degrees` are counted on the edges, so a caller that reads only
+    degrees never builds them.
+    """
+
+    __slots__ = ("n", "edges", "is_multigraph", "_incidence")
 
     def __init__(self, n: int, edges: list[tuple[int, int]], *, _allow_multi: bool = False):
         if n < 0:
@@ -158,18 +175,27 @@ class UGraph:
         self._fill(n, pairs, _allow_multi)
 
     def _fill(self, n: int, pairs: tuple[tuple[int, int], ...], multi: bool = False) -> None:
-        """Set every slot from ``pairs``, already checked."""
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(pairs):
-            inc[u].append((eid, v))
-            inc[v].append((eid, u))  # a self-loop lands twice on purpose
+        """Set every slot from ``pairs``, already checked; the lists wait for a read."""
         self.n = n
         self.edges = pairs
-        self.incidence = tuple(map(tuple, inc))
         self.is_multigraph = multi
-        # handshaking: every edge contributes exactly two incidence entries
-        if sum(map(len, self.incidence)) != 2 * len(pairs):
-            raise RuntimeError("incidence lists break the handshake lemma")
+        self._incidence: tuple[tuple[tuple[int, int], ...], ...] | None = None
+
+    @property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, ``(edge id, other end)`` for each edge at it in edge-id
+        order; a self-loop is listed twice.  Built on first read."""
+        if self._incidence is None:
+            inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for eid, (u, v) in enumerate(self.edges):
+                inc[u].append((eid, v))
+                inc[v].append((eid, u))  # a self-loop lands twice on purpose
+            built = tuple(map(tuple, inc))
+            # handshaking: every edge contributes exactly two incidence entries
+            if sum(map(len, built)) != 2 * len(self.edges):
+                raise RuntimeError("incidence lists break the handshake lemma")
+            self._incidence = built
+        return self._incidence
 
     @classmethod
     def multigraph(cls, n: int, edges: list[tuple[int, int]]) -> "UGraph":
@@ -182,6 +208,14 @@ class UGraph:
 
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
+
+    def degrees(self) -> list[int]:
+        """Every vertex's degree, counted on the edges in one pass; a self-loop counts 2."""
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return deg
 
     def neighbors(self, v: int) -> list[int]:
         return [w for _, w in self.incidence[v]]
@@ -225,9 +259,13 @@ class DiGraph:
 
     Duplicate ``(tail, head)`` arcs and self-loop arcs are rejected; the
     antiparallel pair ``(u, v), (v, u)`` is allowed.
+
+    A digraph keeps ``n`` and its checked ``arcs``; ``out_inc`` and
+    ``in_inc`` are each built on first read and then kept, and
+    :meth:`out_degrees` and :meth:`in_degrees` are counted on the arcs.
     """
 
-    __slots__ = ("n", "arcs", "out_inc", "in_inc")
+    __slots__ = ("n", "arcs", "_out_inc", "_in_inc")
 
     def __init__(self, n: int, arcs: list[tuple[int, int]]):
         if n < 0:
@@ -235,16 +273,33 @@ class DiGraph:
         self._fill(n, _checked_pairs(n, arcs, "arc", simple=True, symmetric=False))
 
     def _fill(self, n: int, pairs: tuple[tuple[int, int], ...]) -> None:
-        """Set every slot from ``pairs``, already checked."""
-        out_inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        in_inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for aid, (u, v) in enumerate(pairs):
-            out_inc[u].append((aid, v))
-            in_inc[v].append((aid, u))
+        """Set every slot from ``pairs``, already checked; the lists wait for a read."""
         self.n = n
         self.arcs = pairs
-        self.out_inc = tuple(map(tuple, out_inc))
-        self.in_inc = tuple(map(tuple, in_inc))
+        self._out_inc: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._in_inc: tuple[tuple[tuple[int, int], ...], ...] | None = None
+
+    @property
+    def out_inc(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, ``(arc id, head)`` for each arc out of it in arc-id
+        order.  Built on first read."""
+        if self._out_inc is None:
+            out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for aid, (u, v) in enumerate(self.arcs):
+                out[u].append((aid, v))
+            self._out_inc = tuple(map(tuple, out))
+        return self._out_inc
+
+    @property
+    def in_inc(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, ``(arc id, tail)`` for each arc into it in arc-id
+        order.  Built on first read."""
+        if self._in_inc is None:
+            into: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for aid, (u, v) in enumerate(self.arcs):
+                into[v].append((aid, u))
+            self._in_inc = tuple(map(tuple, into))
+        return self._in_inc
 
     @property
     def m(self) -> int:
@@ -253,15 +308,36 @@ class DiGraph:
     def in_degree(self, v: int) -> int:
         return len(self.in_inc[v])
 
+    def out_degrees(self) -> list[int]:
+        """Every vertex's out-degree, counted on the arcs in one pass."""
+        deg = [0] * self.n
+        for u, _ in self.arcs:
+            deg[u] += 1
+        return deg
+
+    def in_degrees(self) -> list[int]:
+        """Every vertex's in-degree, counted on the arcs in one pass."""
+        deg = [0] * self.n
+        for _, v in self.arcs:
+            deg[v] += 1
+        return deg
+
     def underlying(self) -> UGraph:
         """Undirected multigraph with one edge per arc; edge id == arc id.
 
-        A vertex's edges are its out-arcs, then its in-arcs, so the arcs are
-        not checked or walked again.
+        A vertex's edges are its out-arcs, then its in-arcs, each in arc-id
+        order.  Its incidence lists are filled straight from the arcs, one
+        pass for the out-arcs and one for the in-arcs, so the arcs are not
+        checked again and neither of this digraph's lists is built.
         """
+        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for aid, (u, v) in enumerate(self.arcs):
+            inc[u].append((aid, v))
+        for aid, (u, v) in enumerate(self.arcs):
+            inc[v].append((aid, u))
         g = UGraph.__new__(UGraph)
-        g.n, g.edges, g.is_multigraph = self.n, self.arcs, True
-        g.incidence = tuple(map(add, self.out_inc, self.in_inc))
+        g._fill(self.n, self.arcs, True)
+        g._incidence = tuple(map(tuple, inc))
         return g
 
     def relabeled(self, perm: list[int]) -> "DiGraph":

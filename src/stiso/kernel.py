@@ -118,10 +118,10 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
 
     # pass 2: walk each chain from an anchor through degree-2 vertices
     anchors = [v for v in range(g.n) if alive[v] and deg[v] >= 3]
-    used = bytearray(g.m)
+    inc, used = g.incidence, bytearray(g.m)
     keyed: list[tuple[tuple[int, int], AnchorChain]] = []
     for a in anchors:
-        for eid, w in g.incidence[a]:
+        for eid, w in inc[a]:
             if used[eid] or not alive[w]:
                 continue
             path, eids = [a], []
@@ -131,7 +131,7 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
                 eids.append(eid)
                 if deg[w] != 2:
                     break
-                eid, w = next((e, x) for e, x in g.incidence[w] if e != eid and alive[x])
+                eid, w = next((e, x) for e, x in inc[w] if e != eid and alive[x])
             keyed.append(_chain_in_reduction_order(g, path, eids))
     keyed.sort(key=lambda item: item[0])
     chains = tuple(chain for _, chain in keyed)
@@ -146,7 +146,7 @@ def make_contractible(g: UGraph, *, audit: bool = False) -> Kernel:
     kernel_graph = UGraph.multigraph(
         len(anchors), [(dense[c.vertices[0]], dense[c.vertices[-1]]) for c in chains]
     )
-    if min(kernel_graph.degree(v) for v in range(kernel_graph.n)) < 3:
+    if min(kernel_graph.degrees()) < 3:
         raise RuntimeError("core has a vertex of degree below 3")
     if kernel_graph.n > 2 * k - 2 or kernel_graph.m != kernel_graph.n + k - 1:
         raise RuntimeError(

@@ -218,7 +218,7 @@ def oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
         return Verdict("NO", note="graph is weakly disconnected: no spanning tree exists")
     k = d.m - (d.n - 1)
     heads = [(head,) for _, head in d.arcs]
-    fits = _degree_test(heads, list(map(len, d.in_inc)), [0] + [1] * (d.n - 1))
+    fits = _degree_test(heads, d.in_degrees(), [0] + [1] * (d.n - 1))
     for subset in _subsets(g, k):
         if not fits(subset):
             continue
@@ -310,8 +310,8 @@ def _bijection_search(t: UGraph, h: UGraph, start: int, image: int) -> dict[int,
     another, so the first mapping found is the one the full search finds.
     """
     n = t.n
-    deg_t = [t.degree(v) for v in range(n)]
-    deg_h = [h.degree(v) for v in range(n)]
+    deg_t = list(map(len, t.incidence))
+    deg_h = list(map(len, h.incidence))
     if sorted(deg_t) != sorted(deg_h):
         return None
     adj_t = [set(t.neighbors(v)) for v in range(n)]

@@ -99,7 +99,10 @@ def solve_undirected(
     pair.  ``fallback`` is accepted for compatibility and has no effect.
     """
     if not isinstance(target, TargetTree):
-        root = max(range(target.n), key=target.degree, default=0)  # the smallest id on ties
+        root = 0  # TargetTree refuses a non-tree on its edge count, before any list is built
+        if target.m == target.n - 1:
+            degrees = list(map(len, target.incidence))
+            root = degrees.index(max(degrees))  # the smallest id on ties
         target = TargetTree(target, root)  # validates the tree
     ttree = target.tree
     if g.n != ttree.n:
@@ -109,7 +112,7 @@ def solve_undirected(
     stats = stats if stats is not None else SolveStats()
     k = g.m - (g.n - 1)
     stats.k = k
-    if not degrees_cover(degree_gap(map(len, g.incidence), map(len, ttree.incidence))):
+    if not degrees_cover(degree_gap(g.degrees(), map(len, ttree.incidence))):
         if trace is not None:
             trace("screen=degrees fail:uncovered")
         return Verdict("NO", note="degree screen: the graph's degrees do not cover the target's")

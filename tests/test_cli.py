@@ -142,6 +142,37 @@ def test_target_that_is_not_a_tree_is_an_error(files, capsys, graph, oracle):
     assert out.out == "" and out.err.startswith("error: not a tree")
 
 
+# far below the 8 GB or more that 10**9 empty incidence lists take
+_ADDRESS_SPACE_LIMIT = 400 * 2**20
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_LIMIT, _ADDRESS_SPACE_LIMIT))
+
+
+@pytest.mark.parametrize("kind, flags, message", [
+    ("U", [], "error: not a tree: n={n}, m=0"),
+    ("D", ["--directed"], "error: underlying graph is not a tree"),
+])
+def test_header_only_texts_are_refused_in_bounded_memory(files, kind, flags, message):
+    """A header-only text parses in O(1) memory, and ``stiso solve`` refuses
+    a 10**9-vertex target on its edge count before any Theta(n) work, with
+    the message a 10-vertex one gets.  Each run is under an address-space
+    limit that 10**9 empty lists would break, so a regression ends in a
+    MemoryError, not in exhausting the host."""
+    _, write = files
+    for n in (10, 10**9):
+        text = f"{n} 0 {kind}\n"
+        res = subprocess.run(
+            [sys.executable, "-m", "stiso.cli", "solve",
+             "-g", write("g.txt", text), "-t", write("t.txt", text), *flags],
+            capture_output=True, text=True, timeout=10, preexec_fn=_limit_address_space,
+        )
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", message.format(n=n) + "\n"), n
+
+
 def test_undirected_verdict_roots_the_target_once(files, monkeypatch):
     # the CLI passes the tree as read, and the solver roots it once, at its
     # smallest-id vertex of maximum degree: a screened NO and a YES each walk

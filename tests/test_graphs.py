@@ -2,6 +2,7 @@ import gc
 import heapq
 import random
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -340,6 +341,92 @@ def test_handshake_is_checked_on_construction():
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
     loopy = UGraph.multigraph(2, [(0, 0), (0, 1)])
     assert loopy.degree(0) == 3  # the loop counts twice
+
+
+def _eager_lists(n: int, pairs, kind: str) -> tuple:
+    """Every list as the graphs once built them in their constructors, pair by
+    pair: the incidence when ``kind`` is "U", the out- and in-lists when "D",
+    and a digraph's underlying incidence, out-arcs then in-arcs, when "under"."""
+    inc: list[list] = [[] for _ in range(n)]
+    out: list[list] = [[] for _ in range(n)]
+    into: list[list] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        inc[u].append((i, v))
+        inc[v].append((i, u))
+        out[u].append((i, v))
+        into[v].append((i, u))
+    if kind == "U":
+        return (tuple(map(tuple, inc)),)
+    if kind == "D":
+        return tuple(map(tuple, out)), tuple(map(tuple, into))
+    return (tuple(tuple(a + b) for a, b in zip(out, into)),)
+
+
+def _grid_pairs(rnd: random.Random, kind: str, long: bool) -> tuple[int, list]:
+    """A random edge list: simple for "U", arcs for "D", and for "multi" one
+    with at least one self-loop and one parallel pair; a long one has at
+    least ``_BULK_MIN`` pairs, so the constructors check it in whole-list passes."""
+    n = rnd.randint(30, 60) if long else rnd.randint(2, 9)
+    m = rnd.randint(graphs._BULK_MIN, 3 * n) if long else rnd.randint(0, n * (n - 1) // 2)
+    if kind == "multi":
+        pairs = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(m - 3)]
+        u, v = rnd.randrange(n), rnd.randrange(n)
+        pairs[rnd.randint(0, len(pairs)):0] = [(u, u), (u, v), (v, u)]
+        return n, pairs
+    candidates = list(permutations(range(n), 2) if kind == "D" else combinations(range(n), 2))
+    pairs = rnd.sample(candidates, m)
+    return n, pairs if kind == "D" else [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs]
+
+
+def test_lists_built_on_read_equal_the_eager_reference():
+    """On a seeded grid of undirected, directed and multigraphs, short and
+    long, made by the constructors, by ``parse_graph`` and by ``relabeled``,
+    no list exists until it is read; each then equals the eager reference,
+    order included, and is kept.  The degree counts, which build no list,
+    equal the lists' lengths, and ``underlying`` fills its own lists from the
+    arcs without building the digraph's."""
+    rnd = random.Random(20261022)
+    cells: Counter = Counter()
+    for i in range(180):
+        kind, long = ("U", "D", "multi")[i % 3], i % 2 == 1
+        n, pairs = _grid_pairs(rnd, kind, long)
+        assert (len(pairs) >= graphs._BULK_MIN) == long
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        image = [(perm[u], perm[v]) for u, v in pairs]
+        if kind == "D":
+            made = [("constructor", DiGraph(n, pairs), pairs)]
+            made += [("parse", parse_graph(made[0][1].serialize()), pairs)]
+        elif kind == "U":
+            made = [("constructor", UGraph(n, pairs), pairs)]
+            made += [("parse", parse_graph(made[0][1].serialize()), pairs)]
+        else:
+            made = [("constructor", UGraph.multigraph(n, pairs), pairs)]
+        made += [("relabeled", made[0][1].relabeled(perm), image)]
+        for source, g, want_pairs in made:
+            cells[kind, long, source] += 1
+            if kind == "D":
+                assert (g._out_inc, g._in_inc) == (None, None)
+                out, into = _eager_lists(n, want_pairs, "D")
+                assert g.out_degrees() == list(map(len, out))
+                assert g.in_degrees() == list(map(len, into))
+                under = g.underlying()
+                assert (g._out_inc, g._in_inc) == (None, None)  # underlying builds neither
+                assert (under.n, under.edges, under.is_multigraph) == (n, g.arcs, True)
+                assert (under.incidence,) == _eager_lists(n, want_pairs, "under")
+                assert under.degrees() == list(map(len, under.incidence))
+                assert (g.out_inc, g.in_inc) == (out, into)
+                assert g.out_inc is g.out_inc and g.in_inc is g.in_inc
+                assert g.out_degrees() == list(map(len, g.out_inc))
+                assert g.in_degrees() == list(map(len, g.in_inc))
+            else:
+                assert g._incidence is None
+                (inc,) = _eager_lists(n, want_pairs, "U")
+                assert g.degrees() == list(map(len, inc))
+                assert g._incidence is None  # counting degrees builds no list
+                assert g.incidence == inc and g.incidence is g.incidence
+                assert g.degrees() == list(map(len, g.incidence))
+    assert len(cells) == 16 and min(cells.values()) >= 25, cells
 
 
 def test_reachable_all_examples():

@@ -667,19 +667,40 @@ def test_ahu_fast_paths_match_the_reference():
     assert looked_up > 10 and misses > 10
 
 
+def _count_list_builds(monkeypatch, counts: Counter) -> None:
+    """Count in ``counts``, by name, every incidence list a graph builds: each
+    read of ``incidence``, ``out_inc`` or ``in_inc`` that finds it unbuilt."""
+    for cls, name in ((UGraph, "incidence"), (DiGraph, "out_inc"), (DiGraph, "in_inc")):
+        def read(self, _get=getattr(cls, name).fget, _name=name):
+            if getattr(self, "_" + _name) is None:
+                counts[_name] += 1
+            return _get(self)
+
+        monkeypatch.setattr(cls, name, property(read))
+
+
+def _fresh(g: UGraph | DiGraph) -> UGraph | DiGraph:
+    """A copy of ``g`` that has built no list yet."""
+    return UGraph(g.n, g.edges) if isinstance(g, UGraph) else DiGraph(g.n, g.arcs)
+
+
 def test_solve_pass_counts(monkeypatch):
     """The whole-tree passes a solve makes: ``_ahu`` bottom-up ids, the
-    undirected search's ``_preorder`` and ``bfs`` walks.  An undirected
-    planted YES on a ``TargetTree`` interns the target and looks the trim
-    forest up (2 ``_ahu``), builds one preorder, and walks the graph to check
-    connectivity and to certify (2 ``bfs``).  A NO that the degree screen
-    decides makes none.  A directed planted YES makes no preorder: it interns
-    the target, looks up and walks every plan that spans, and walks once or
-    twice to find the roots and once to certify."""
+    undirected search's ``_preorder`` and ``bfs`` walks, and the graph's
+    incidence lists, each built on its first read.  An undirected planted YES
+    on a ``TargetTree`` interns the target and looks the trim forest up (2
+    ``_ahu``), builds one preorder, builds the graph's incidence once, and
+    walks the graph to check connectivity and to certify (2 ``bfs``).  A NO
+    that a degree screen decides makes none and builds no list, undirected or
+    directed.  A directed planted YES makes no preorder: it interns the
+    target, looks up and walks every plan that spans, walks once or twice to
+    find the roots and once to certify, and builds the out- and in-lists once
+    each."""
     from stiso import DirectedStats, GenSpec, gen_instance, solve_directed, solve_undirected
     from stiso import directed, graphs, treecode, undirected
 
     counts: Counter = Counter()
+    _count_list_builds(monkeypatch, counts)
     for name in ("_ahu", "_preorder", "bfs"):
         for module in (graphs, treecode, undirected, directed):
             real = getattr(module, name, None)
@@ -692,48 +713,55 @@ def test_solve_pass_counts(monkeypatch):
 
     for seed in range(15):
         inst = gen_instance(GenSpec(n=20 + 10 * seed, k=seed % 7, seed=seed))
-        target = TargetTree(inst.target.tree, inst.target.root)
+        g, target = _fresh(inst.graph), TargetTree(inst.target.tree, inst.target.root)
         counts.clear()
-        assert solve_undirected(inst.graph, target).is_yes
-        assert counts == {"_ahu": 2, "_preorder": 1, "bfs": 2}, seed
+        assert solve_undirected(g, target).is_yes
+        assert counts == {"_ahu": 2, "_preorder": 1, "bfs": 2, "incidence": 1}, seed
 
-    screened = 0
-    for seed in range(30):
-        inst = gen_instance(GenSpec(n=40, k=2 + seed % 4, seed=seed, mode="random"))
-        target = TargetTree(inst.target.tree, inst.target.root)
-        counts.clear()
-        verdict = solve_undirected(inst.graph, target)
-        if verdict.note is not None and verdict.note.startswith("degree screen"):
-            screened += 1
-            assert counts == {}, seed
-    assert screened >= 10
+    for directed_flag, solve, word in ((False, solve_undirected, "degree"),
+                                       (True, solve_directed, "out-degree")):
+        screened = 0
+        for seed in range(30):
+            spec = GenSpec(n=40, k=2 + seed % 4, seed=seed, mode="random", directed=directed_flag)
+            inst = gen_instance(spec)
+            g, target = _fresh(inst.graph), TargetTree(inst.target.tree, inst.target.root)
+            counts.clear()
+            verdict = solve(g, target)
+            if verdict.note is not None and verdict.note.startswith(f"{word} screen"):
+                screened += 1
+                assert counts == {}, (directed_flag, seed)
+        assert screened >= 10, directed_flag
 
     hits = 0
     for seed in range(15):
         inst = gen_instance(GenSpec(n=20 + 10 * seed, k=seed % 7, seed=seed, directed=True))
-        d, stats = inst.graph, DirectedStats()
+        d, stats = _fresh(inst.graph), DirectedStats()
         target = TargetTree(inst.target.tree, inst.target.root)
         counts.clear()
         assert solve_directed(d, target, stats=stats).is_yes
         find_roots = 1 if d.in_inc.count(()) == 1 else 2
         expected = {"_ahu": 1 + stats.arborescence_hits, "bfs": find_roots + stats.arborescence_hits + 1}
-        assert counts == expected, seed
+        assert counts == {**expected, "out_inc": 1, "in_inc": 1}, seed
         hits += stats.arborescence_hits
     assert hits < 20
 
 
 def test_cli_verdict_pass_counts(monkeypatch, tmp_path, capsys):
     """The whole-graph walks of one ``stiso solve`` verdict, from the two
-    texts to the answer: ``bfs`` walks, ``_ahu`` passes and leaf peels.
-    Parsing walks nothing.  An undirected planted YES roots the plain target
-    (1 ``bfs``), checks connectivity and certifies (2 ``bfs``), interns the
-    target and looks the trim forest up (2 ``_ahu``), and peels once.  A
-    directed target is walked once, by the search that roots it, and its
-    solve walks as ``test_solve_pass_counts`` has it."""
+    texts to the answer: ``bfs`` walks, ``_ahu`` passes, leaf peels and
+    incidence list builds.  Parsing walks nothing and builds no list.  An
+    undirected planted YES roots the plain target (1 ``bfs``, and its
+    incidence), checks connectivity and certifies (2 ``bfs``, and the graph's
+    incidence), interns the target and looks the trim forest up (2 ``_ahu``),
+    and peels once.  A directed target is walked once, by the search that
+    roots it, and builds neither of the digraph's lists; its solve walks and
+    builds as ``test_solve_pass_counts`` has it.  A NO that a degree screen
+    decides builds only the target's lists and walks only the target."""
     from stiso import DirectedStats, GenSpec, cli, gen_instance
     from stiso import directed, graphs, treecode, undirected
 
     counts: Counter = Counter()
+    _count_list_builds(monkeypatch, counts)
     for name in ("_ahu", "bfs", "peel_leaves"):
         for module in (graphs, treecode, undirected, directed):
             real = getattr(module, name, None)
@@ -749,26 +777,42 @@ def test_cli_verdict_pass_counts(monkeypatch, tmp_path, capsys):
         g.write_text(inst.graph.serialize())
         t.write_text(inst.target_graph.serialize())
         counts.clear()
-        assert cli.main(["solve", "-g", str(g), "-t", str(t), *flags]) == 0
-        assert capsys.readouterr().out == "YES\n"
-        return dict(counts)
+        graphs.parse_graph(g.read_text()), graphs.parse_graph(t.read_text())
+        assert counts == {}
+        code = cli.main(["solve", "-g", str(g), "-t", str(t), *flags])
+        out = capsys.readouterr()
+        return code, out.out, out.err, dict(counts)
 
     for seed in range(8):
         inst = gen_instance(GenSpec(n=30 + 20 * seed, k=seed % 7, seed=seed))
-        assert verdict(inst, []) == {"_ahu": 2, "bfs": 3, "peel_leaves": 1}, seed
+        expected = {"_ahu": 2, "bfs": 3, "peel_leaves": 1, "incidence": 2}
+        assert verdict(inst, []) == (0, "YES\n", "", expected), seed
+
+    screened = 0
+    for seed in range(16):
+        for flags in ([], ["--directed"]):
+            spec = GenSpec(n=40, k=2 + seed % 4, seed=seed, mode="random", directed=bool(flags))
+            code, out, err, got = verdict(gen_instance(spec), flags)
+            if " screen: " in err:
+                screened += 1
+                expected = {"bfs": 1} if flags else {"bfs": 1, "incidence": 1}
+                assert (code, out, got) == (1, "NO\n", expected), (seed, flags)
+    assert screened >= 10
 
     for seed in range(8):
         inst = gen_instance(GenSpec(n=30 + 20 * seed, k=seed % 7, seed=seed, directed=True))
-        got = verdict(inst, ["--directed"])
+        code, out, _, got = verdict(inst, ["--directed"])
+        assert (code, out) == (0, "YES\n"), seed
         d = inst.graph
         counts.clear()
-        target = directed.target_tree_from_digraph(inst.target_graph)
+        target = directed.target_tree_from_digraph(_fresh(inst.target_graph))
         assert counts == {"bfs": 1}, seed
         stats = DirectedStats()
         directed.solve_directed(d, target, stats=stats)
         find_roots = 1 if d.in_inc.count(()) == 1 else 2
         hits = stats.arborescence_hits
-        assert got == {"_ahu": 1 + hits, "bfs": 1 + find_roots + hits + 1}, seed
+        expected = {"_ahu": 1 + hits, "bfs": 1 + find_roots + hits + 1, "out_inc": 1, "in_inc": 1}
+        assert got == expected, seed
 
 
 @pytest.mark.parametrize("arcs, n, message", [

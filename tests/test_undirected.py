@@ -889,7 +889,7 @@ def test_one_incidence_read_per_placement():
         engine = _Engine(g, tt, g.m - g.n + 1, stats, _Forest(order, parent, tt.table))
         min_children = len(tt.children[tt.root])
         roots = [v for v, pairs in enumerate(g.incidence) if len(pairs) >= min_children]
-        g.incidence = CountedReads(g.incidence)
+        g._incidence = CountedReads(g.incidence)  # the built lists, wrapped where the property keeps them
         CountedReads.reads = 0
         for v in roots:
             if engine.root_fits(v) and engine.attempt(v) is not None:
