@@ -18,7 +18,7 @@ from pathlib import Path
 from .directed import solve_directed, target_tree_from_digraph
 from .generate import PLANTED, RANDOM, GenSpec, gen_instance
 from .graphs import DiGraph, SolveStats, UGraph, parse_graph
-from .kernel import make_contractible
+from .kernel import KernelError, make_contractible
 from .oracle import oracle_directed, oracle_undirected, subsets_enumerated
 from .treecode import TargetTree, rooted_code, unrooted_code
 from .undirected import solve_undirected
@@ -106,6 +106,8 @@ def _explain(g, target: TargetTree | UGraph, verdict, directed: bool) -> None:
 
 def cmd_kernel(args) -> int:
     g = _read_graph(args.graph)
+    if g.m < g.n - 1:  # too few edges to connect: refused before any Theta(n) list is built
+        raise KernelError("kernelization requires a connected graph")
     und = g.underlying() if isinstance(g, DiGraph) else g
     kernel = make_contractible(und)
     sys.stdout.write(kernel.graph.serialize())

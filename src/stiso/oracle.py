@@ -1,16 +1,17 @@
 """Brute-force ground truth for both solvers, at desk scale and, for small k, beyond it.
 
-Both oracles enumerate k-subsets of edges (arcs) in ``itertools.combinations``
-order.  For k <= 1 they take every subset.  For k >= 2 they take only the
-subsets that take one edge on each of k distinct chains of the kernel
+Both oracles walk the k-subsets of edges (arcs) in ``itertools.combinations``
+order, :func:`_fitting_subsets`, and reject a subset before they build
+anything for it.  For k <= 1 the walk may take any edge.  For k >= 2 it takes
+only subsets with one edge on each of k distinct chains of the kernel
 (:func:`~stiso.kernel.make_contractible`, run on a digraph's underlying
-multigraph, where edge id == arc id) and isolate no anchor
-(:func:`_one_edge_per_chain`); every other subset disconnects the graph.
-Neither solver reads the kernel, so the oracles share no search with them.
-Both recover a witness mapping with one backtracking bijection
-search, :func:`_bijection_search`, from one target vertex to its known
-image, on an explicit stack, so no tree is too deep for it; neither reads a
-:class:`~stiso.treecode.TargetTree`'s canonical codes.  Both pins are exact:
+multigraph, where edge id == arc id) that isolate no anchor; every other
+subset disconnects the graph.  Neither solver reads the kernel, so the
+oracles share no search with them.  Both recover a witness mapping with one
+backtracking bijection search, :func:`_bijection_search`, from one target
+vertex to its known image, on an explicit stack, so no tree is too deep for
+it; neither reads a :class:`~stiso.treecode.TargetTree`'s canonical codes.
+Both pins are exact:
 
 * directed: root to root.  A tree isomorphism maps the path from a vertex to
   the root onto the path from its image to the root's image, so it maps each
@@ -20,35 +21,47 @@ image, on an explicit stack, so no tree is too deep for it; neither reads a
   maps centres onto centres, so some centre maps there and has that code.
   A subset costs one code; the target's are printed once per call.
 
-Each subset is first tested on degrees in O(k), against degree lists computed
-once per call, and only a subset that passes reaches the full checks and a
-graph built from its kept edges (:func:`_degree_test`).  The test never drops
-a subset those checks would accept:
+Each test below only skips subsets that leave no copy of the target, and
+the walk keeps its order, so the first subset accepted, and with it every
+verdict and witness, is the one the plain enumeration of every k-subset
+finds.
 
-* undirected: the kept degrees must have the target's histogram.  Isomorphic
-  trees have equal degree multisets, so any other deletion leaves no copy of
-  the target; only the at most 2k ends of the deleted edges change degree.
-* directed: the kept in-degrees must be 0 once and 1 everywhere else, the
-  in-degree condition :func:`~stiso.treecode.arborescence_root` already
-  checks, moved ahead of the build.  With n - 1 arcs kept, that is the same
-  as no vertex keeping two or more in-arcs, and it leaves exactly one root.
+* *Degrees, along the walk.*  Undirected, the kept degrees must have the
+  target's histogram, since isomorphic trees have equal degree multisets;
+  directed, the kept in-degrees must be 0 once and 1 everywhere else, the
+  in-degree condition :func:`~stiso.treecode.arborescence_root` checks.
+  The walk keeps, per degree x, the kept vertices of degree >= x less the
+  target's.  A prefix that drives an entry below 0 has no fitting extension,
+  since deleting more edges only lowers degrees (the lemma behind the
+  solvers' degree screen, :func:`~stiso.graphs.degrees_cover`), so it is
+  dropped; the last edge fits iff its ends carry exactly the degrees still
+  in excess, an O(1) test.
+* *Undirected: the depth-1 profile* (:func:`_profile_test`).  Isomorphic
+  trees have equal multisets of (degree, sorted neighbour degrees).  A
+  deletion changes that pair only at the deleted edges' ends and their
+  neighbours, so a subset costs O(k * Delta^2), against tables built on the
+  first subset that reaches the test.
+* *Directed: the out-degree histogram.*  Isomorphic arborescences have equal
+  out-degree multisets, and a deletion changes only its tails' out-degrees
+  (:func:`~stiso.graphs.degree_shift`), so a subset costs O(k).
 
-The subsets that pass keep their order, so the first subset accepted, and
-with it every verdict and witness, is the one the plain enumeration of every
-k-subset finds.  :data:`SUBSET_GUARD` bounds the subsets the enumeration can
-yield, :func:`subsets_enumerated`, which the ``work`` column of
+Only a subset that passes gets a graph built and the full checks.  At k = 0
+the walk yields at most the empty subset, which keeps the whole graph, so it
+skips the last two tests, whose set-up costs about what the full checks do.
+:data:`SUBSET_GUARD` bounds the subsets the walk may visit,
+:func:`subsets_enumerated`, which the ``work`` column of
 ``stiso bench --compare-oracle`` prints.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
-from .graphs import DiGraph, UGraph, Verdict, bfs
-from .kernel import AnchorChain, make_contractible
+from .graphs import DiGraph, UGraph, Verdict, bfs, degree_gap, degree_shift
+from .kernel import make_contractible
 from .treecode import NotArborescenceError, TargetTree, arborescence_root, rooted_code, tree_centers
 
 SUBSET_GUARD = 10**7
@@ -84,18 +97,6 @@ def _one_per_group(k: int, lengths: Sequence[int]) -> int:
     return e[k]
 
 
-def _subsets(g: UGraph, k: int) -> Iterable[tuple[int, ...]]:
-    """The k-subsets of ``g``'s edges the oracle checks, in ``combinations``
-    order, once the guard has passed them: every subset for k <= 1, else
-    :func:`_one_edge_per_chain` on the kernel's chains."""
-    if k < 2:
-        _guard(k, [1] * g.m)
-        return combinations(range(g.m), k)
-    chains = make_contractible(g).chains
-    _guard(k, [len(c.edge_ids) for c in chains])
-    return _one_edge_per_chain(chains, k)
-
-
 def subsets_enumerated(g: UGraph | DiGraph) -> int:
     """The number of subsets the oracle's guard bounds on a connected ``g``:
     ``comb(m, k)`` for k <= 1, else the k-subsets that take one edge (arc) on
@@ -107,12 +108,19 @@ def subsets_enumerated(g: UGraph | DiGraph) -> int:
     return _one_per_group(k, [len(c.edge_ids) for c in make_contractible(u).chains])
 
 
-def _one_edge_per_chain(chains: Sequence[AnchorChain], k: int) -> Iterator[tuple[int, ...]]:
-    """The k-subsets of core edges, in ``combinations`` order, that take at most
-    one edge of each chain and cut no anchor's last non-loop chain.
+def _fitting_subsets(
+    g: UGraph, k: int, ends: Sequence[tuple[int, ...]], degree: list[int], want: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """The k-subsets of ``g``'s edges, in ``combinations`` order, that can leave
+    a spanning tree with the degree histogram of ``want``, once the guard has
+    passed the subsets the walk may visit.  ``degree`` counts, per vertex, the
+    edges (arcs) whose ``ends`` list it: both ends of an edge, the head of an
+    arc.
 
-    Every k-subset it skips disconnects the graph, so it yields every subset
-    whose removal leaves a spanning tree:
+    For k <= 1 every edge is its own group; for k >= 2 the groups are the
+    kernel's chains.  A subset takes at most one edge of each group and cuts
+    no anchor's last non-loop chain, and every subset skipped for it
+    disconnects the graph:
 
     * an edge outside the 2-core, in no chain, is a bridge;
     * two edges of one chain cut off the chain's interior between them;
@@ -121,61 +129,138 @@ def _one_edge_per_chain(chains: Sequence[AnchorChain], k: int) -> Iterator[tuple
       its side, so it is cut off from the other end of such a chain, another
       anchor.
 
-    A depth-first walk over the core edge ids in increasing order, on an
-    explicit stack of position iterators: depth ``d`` (from 0) picks the
-    subset's edge ``d``, and the last depth yields one subset per position
-    it may pick.
+    The degree test runs along the walk.  ``cover[x]`` is the number of kept
+    vertices of degree >= x less the number of ``want`` degrees >= x; taking
+    an edge lowers one entry per end, in O(1), and the histograms are equal
+    iff every entry is 0.
+
+    * *The cover prune.*  Deleting more edges only lowers degrees, so a
+      prefix that leaves some ``cover[x] < 0`` has no fitting extension; the
+      walk drops it, and yields nothing when the check fails before the walk.
+    * *The last-edge test.*  Both sides count ``n`` vertices, and ``want``
+      lists the degrees (in-degrees) of a graph with n - 1 edges (arcs), so
+      after k - 1 deletions the kept degrees exceed ``want``'s in sum by 2
+      for edges (1 for arcs), and the positive entries of ``cover`` sum to
+      that.  The last edge fits iff its ends' kept degrees are exactly those
+      x, counted with multiplicity.  The test relies on an edge having two
+      distinct ends, which holds in the simple graphs and the digraphs'
+      underlying multigraphs the oracles read.
+
+    A depth-first walk over the grouped edge ids in increasing order, on an
+    explicit stack of next positions: depth ``d`` (from 0) picks the subset's
+    edge ``d``, and the last depth builds a subset only for a position that
+    passes both tests.
     """
-    core = sorted((e, c) for c, chain in enumerate(chains) for e in chain.edge_ids)
-    edge_at = [e for e, _ in core]
-    chain_at = [c for _, c in core]
-    ends = [(chain.vertices[0], chain.vertices[-1]) for chain in chains]
+    if k < 2:
+        _guard(k, [1] * g.m)
+    else:
+        chains = make_contractible(g).chains
+        _guard(k, [len(c.edge_ids) for c in chains])
+    cover = [0] * (max(degree + want, default=0) + 2)
+    for x in degree:
+        cover[x] += 1
+    for x in want:
+        cover[x] -= 1
+    for x in range(len(cover) - 2, -1, -1):  # counts per degree -> counts of degree >= x
+        cover[x] += cover[x + 1]
+    if min(cover) < 0:
+        return
+    if k == 0:
+        if not any(cover):
+            yield ()
+        return
+
     live: dict[int, int] = {}  # anchor -> its non-loop chains not yet cut
-    for a, b in ends:
-        if a != b:
-            live[a] = live.get(a, 0) + 1
-            live[b] = live.get(b, 0) + 1
-    cut = [False] * len(chains)
+    if k == 1:  # every edge is its own group, and no group has anchors
+        edge_at = group_at = list(range(g.m))
+        anchors: list[tuple[int, int] | None] = [None] * g.m
+    else:
+        core = sorted((e, c) for c, chain in enumerate(chains) for e in chain.edge_ids)
+        edge_at = [e for e, _ in core]
+        group_at = [c for _, c in core]
+        chain_ends = ((c.vertices[0], c.vertices[-1]) for c in chains)
+        anchors = [None if a == b else (a, b) for a, b in chain_ends]  # a loop chain cuts no anchor
+        for pair in anchors:
+            for a in pair or ():
+                live[a] = live.get(a, 0) + 1
+    tail_at = [ends[e][0] for e in edge_at]  # an edge's first end
+    head_at = [ends[e][-1] for e in edge_at]  # an edge's second end, an arc's one end
+    arcs = len(ends[0]) == 1
+    cut = [False] * len(anchors)
+    kept = list(degree)
 
-    def free(start: int, stop: int) -> Iterator[int]:
-        """The core positions in ``[start, stop)`` whose edge can be taken
-        beside the chains cut when the position is reached."""
-        for i in range(start, stop):
-            c = chain_at[i]
-            if not cut[c]:
-                a, b = ends[c]
-                if a == b or (live[a] > 1 and live[b] > 1):
-                    yield i
+    def closed(c: int) -> bool:
+        """Whether group ``c`` is cut, or taking it cuts an anchor's last non-loop chain."""
+        pair = anchors[c]
+        return cut[c] or pair is not None and (live[pair[0]] == 1 or live[pair[1]] == 1)
 
-    stop = len(core) - k + 1  # depth d stops at stop + d: the deeper edges need room
-    tries = [free(0, stop)]  # tries[d]: the positions depth d has not tried
-    taken: list[int] = []  # taken[d]: the core position depth d took
-    while tries:
-        d = len(tries) - 1
-        if len(taken) > d:  # back at depth d: restore the chain it cut
-            c = chain_at[taken.pop()]
-            cut[c] = False
-            a, b = ends[c]
-            if a != b:
-                live[a] += 1
-                live[b] += 1
-        if d == k - 1:  # no deeper edge reads what the last one cuts
-            prefix = tuple([edge_at[j] for j in taken])
-            for i in tries.pop():
-                yield prefix + (edge_at[i],)
-            continue
-        i = next(tries[-1], -1)
-        if i == -1:
-            tries.pop()
-            continue
-        c = chain_at[i]
+    def take(i: int) -> bool:
+        """Take core position ``i`` if its group is open and the cover prune
+        keeps the prefix; else change nothing."""
+        c = group_at[i]
+        if closed(c):
+            return False
+        bad = False
+        for v in ends[edge_at[i]]:
+            x = kept[v]
+            kept[v] = x - 1
+            cover[x] -= 1
+            bad |= cover[x] < 0
+        if bad:
+            release(i)
+            return False
         cut[c] = True
-        a, b = ends[c]
-        if a != b:
+        for a in anchors[c] or ():
             live[a] -= 1
-            live[b] -= 1
-        taken.append(i)
-        tries.append(free(i + 1, stop + d + 1))
+        return True
+
+    def release(i: int) -> None:
+        """Undo the degree changes of taking position ``i`` and, once taken, its cut."""
+        for v in ends[edge_at[i]]:
+            kept[v] += 1
+            cover[kept[v]] += 1
+        c = group_at[i]
+        if cut[c]:
+            cut[c] = False
+            for a in anchors[c] or ():
+                live[a] += 1
+
+    stop = len(edge_at) - k + 1  # depth d stops at stop + d: the deeper edges need room
+    nxt = [0]  # nxt[d]: the first core position depth d has not tried
+    taken: list[int] = []  # taken[d]: the core position depth d took
+    while nxt:
+        d = len(nxt) - 1
+        if len(taken) > d:  # back at depth d: put back what its last edge took
+            release(taken.pop())
+        if d < k - 1:
+            i = nxt[d]
+            while i < stop + d and not take(i):
+                i += 1
+            if i == stop + d:
+                nxt.pop()
+            else:
+                nxt[d] = i + 1
+                taken.append(i)
+                nxt.append(i + 1)
+            continue
+        span = range(nxt.pop(), stop + d)
+        need = [x for x, c in enumerate(cover) if c]  # the degrees still in excess
+        if arcs:  # the head must be at the one excess in-degree
+            x = need[0]
+            hits = [i for i in span if kept[head_at[i]] == x]
+        else:  # the ends must be at the two excess degrees, in either order
+            x, y = need if len(need) == 2 else need * 2
+            hits = [
+                i
+                for i in span
+                if (kept[tail_at[i]] == x and kept[head_at[i]] == y)
+                or (kept[tail_at[i]] == y and kept[head_at[i]] == x)
+            ]
+        if hits:
+            prefix = tuple([edge_at[j] for j in taken])
+            for i in hits:
+                if not closed(group_at[i]):
+                    yield prefix + (edge_at[i],)
 
 
 def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
@@ -189,10 +274,13 @@ def oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
     if not g.is_connected():
         return Verdict("NO", note="graph is disconnected: no spanning tree exists")
     k = g.m - (g.n - 1)
-    fits = _degree_test(g.edges, list(map(len, g.incidence)), list(map(len, ttree.incidence)))
-    for subset in _subsets(g, k):
-        if not fits(subset):
-            continue
+    profile_fits = None
+    for subset in _fitting_subsets(g, k, g.edges, g.degrees(), ttree.degrees()):
+        if k:  # the empty subset goes straight to the full check (module docstring)
+            if profile_fits is None:
+                profile_fits = _profile_test(g, ttree)
+            if not profile_fits(subset):
+                continue
         removed = frozenset(subset)
         if not g.is_connected(skip_edges=removed):
             continue
@@ -218,10 +306,17 @@ def oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
         return Verdict("NO", note="graph is weakly disconnected: no spanning tree exists")
     k = d.m - (d.n - 1)
     heads = [(head,) for _, head in d.arcs]
-    fits = _degree_test(heads, d.in_degrees(), [0] + [1] * (d.n - 1))
-    for subset in _subsets(g, k):
-        if not fits(subset):
-            continue
+    out_deg: list[int] = []
+    gap = None
+    for subset in _fitting_subsets(g, k, heads, d.in_degrees(), [0] + [1] * (d.n - 1)):
+        if k:  # the empty subset goes straight to the full check (module docstring)
+            if gap is None:
+                out_deg = d.out_degrees()
+                want = [x - 1 for x in target.tree.degrees()]  # a child's edge to its parent
+                want[target.root] += 1
+                gap = degree_gap(out_deg, want)
+            if degree_shift(out_deg, [d.arcs[i][0] for i in subset]) != gap:
+                continue
         removed = frozenset(subset)
         f = DiGraph(d.n, [a for i, a in enumerate(d.arcs) if i not in removed])
         try:
@@ -234,43 +329,49 @@ def oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
     return Verdict("NO")
 
 
-def _degree_test(
-    ends: Sequence[Sequence[int]], degree: list[int], want: list[int]
-) -> Callable[[tuple[int, ...]], bool]:
-    """The per-subset degree test ``fits(subset)``: whether deleting the edges
-    (arcs) ``subset`` leaves the degree histogram of ``want``.  ``degree``
-    counts, per vertex, the elements whose ``ends`` list it: both ends of an
-    edge, the head of an arc.
+def _profile_test(g: UGraph, t: UGraph) -> Callable[[tuple[int, ...]], bool]:
+    """The per-subset depth-1 profile test ``fits(subset)``: whether deleting
+    the edges ``subset`` from ``g`` leaves the multiset of profiles, (degree,
+    sorted neighbour degrees), of the tree ``t``.  Isomorphic graphs have
+    equal profile multisets, so any other deletion leaves no copy of ``t``.
 
-    A call lowers the degrees at the subset's ends in place, in O(k), compares
-    the histogram with the target's and restores both.  The histograms have
-    one entry per degree value, so their comparison and copy run at C speed.
+    A deletion changes a profile only at the ends of the deleted edges and at
+    their neighbours, so a call recomputes those, O(k * Delta^2) for maximum
+    degree Delta, and compares the signed shift with the gap from ``g``'s
+    profiles to ``t``'s, in the form of :func:`~stiso.graphs.degree_gap`.
     """
+    inc = g.incidence
+    degree = g.degrees()
+    have = _profiles(g, degree)
+    diff = Counter(_profiles(t, t.degrees()))
+    diff.subtract(have)
+    gap = {p: c for p, c in diff.items() if c}
     kept = list(degree)
-    size = max(degree + want) + 1
-    base = [0] * size
-    for x in degree:
-        base[x] += 1
-    target = [0] * size
-    for x in want:
-        target[x] += 1
-    hist = list(base)
 
     def fits(subset: tuple[int, ...]) -> bool:
-        for i in subset:
-            for v in ends[i]:
-                x = kept[v]
-                hist[x] -= 1
-                hist[x - 1] += 1
-                kept[v] = x - 1
-        ok = hist == target
-        hist[:] = base
-        for i in subset:
-            for v in ends[i]:
-                kept[v] = degree[v]
-        return ok
+        ends = [v for e in subset for v in g.edges[e]]
+        touched = set(ends)
+        for v in ends:
+            kept[v] -= 1
+            touched.update([w for _, w in inc[v]])
+        shift: dict[tuple, int] = {}
+        for v in touched:
+            now = (kept[v], tuple(sorted([kept[w] for e, w in inc[v] if e not in subset])))
+            if now != have[v]:
+                shift[have[v]] = shift.get(have[v], 0) - 1
+                shift[now] = shift.get(now, 0) + 1
+        for v in ends:
+            kept[v] += 1
+        return {p: c for p, c in shift.items() if c} == gap
 
     return fits
+
+
+def _profiles(g: UGraph, degree: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """Per vertex of ``g``, its degree and its neighbours' degrees, sorted."""
+    return [
+        (degree[v], tuple(sorted([degree[w] for _, w in pairs]))) for v, pairs in enumerate(g.incidence)
+    ]
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,23 @@ def test_header_only_texts_are_refused_in_bounded_memory(files, kind, flags, mes
         assert (res.returncode, res.stdout, res.stderr) == (2, "", message.format(n=n) + "\n"), n
 
 
+@pytest.mark.parametrize("kind", ["U", "D"])
+def test_header_only_kernel_texts_are_refused_in_bounded_memory(files, kind):
+    """``stiso kernel`` refuses a header-only graph on its counts, m < n - 1,
+    before any incidence list or a digraph's underlying graph is built: a
+    10**9-vertex text gets the 10-vertex text's message, under the same
+    address-space limit."""
+    _, write = files
+    for n in (10, 10**9):
+        res = subprocess.run(
+            [sys.executable, "-m", "stiso.cli", "kernel", "-g", write("g.txt", f"{n} 0 {kind}\n")],
+            capture_output=True, text=True, timeout=10, preexec_fn=_limit_address_space,
+        )
+        assert (res.returncode, res.stdout, res.stderr) == (
+            2, "", "error: kernelization requires a connected graph\n"
+        ), n
+
+
 def test_undirected_verdict_roots_the_target_once(files, monkeypatch):
     # the CLI passes the tree as read, and the solver roots it once, at its
     # smallest-id vertex of maximum degree: a screened NO and a YES each walk

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import stiso.oracle
+from stiso.kernel import make_contractible
 from stiso.oracle import subsets_enumerated
 from stiso import (
     DiGraph,
@@ -160,25 +161,167 @@ def _connected_deletions(g: UGraph, k: int) -> list[tuple[int, ...]]:
     return level
 
 
+def _walk_ends(g: UGraph) -> list[tuple[int, ...]]:
+    """The ends the walk reads per edge of a ``_surplus_graphs`` graph: both
+    ends of a simple graph's edge, as the undirected oracle reads them, and
+    the head of a digraph's arc, as the directed oracle reads them."""
+    return [(v,) for _, v in g.edges] if g.is_multigraph else list(g.edges)
+
+
+def _kept_histogram(degree: list[int], ends: list[tuple[int, ...]], subset) -> tuple[int, ...]:
+    """The sorted degrees ``degree`` leaves once the elements ``subset`` of
+    ``ends`` are deleted."""
+    kept = list(degree)
+    for i in subset:
+        for v in ends[i]:
+            kept[v] -= 1
+    return tuple(sorted(kept))
+
+
 def test_chain_enumeration_keeps_every_spanning_tree():
-    """On 60 seeded graphs, simple and the underlying multigraphs of digraphs
-    with antiparallel pairs, at n 5-30 and k 2-6, the oracle's subsets are a
-    subsequence of ``combinations(range(m), k)``, in order, and include every
-    k-subset whose removal leaves a spanning tree.  A list is such a
-    subsequence iff each entry is strictly increasing in ``range(m)`` and the
-    entries strictly increase in lexicographic order."""
-    graphs = enumerated = checked = 0
+    """On 60 seeded graphs at n 5-30 and k 2-6, simple graphs read by both
+    ends and the underlying multigraphs of digraphs with antiparallel pairs
+    read by heads, every k-subset R whose removal leaves a spanning tree is
+    yielded by the walk whose target degrees are those of G - R; every
+    subset that walk yields leaves those degrees; and its output is a
+    subsequence of ``combinations(range(m), k)``, in order.  A list is such
+    a subsequence iff each entry is strictly increasing in ``range(m)`` and
+    the entries strictly increase in lexicographic order."""
+    walks = yielded = checked = 0
     for g, k in _surplus_graphs(60):
-        got = list(stiso.oracle._subsets(g, k))
-        assert all(len(s) == k and 0 <= s[0] and s[-1] < g.m for s in got)
-        assert all(a < b for s in got for a, b in zip(s, s[1:]))
-        assert all(a < b for a, b in zip(got, got[1:]))
-        want = _connected_deletions(g, k)
-        assert set(want) <= set(got), (g, k)
-        graphs += g.is_multigraph
-        enumerated += len(got)
-        checked += len(want)
-    assert (graphs, enumerated, checked) == (30, 64248, 37943)  # comb(m, k) sums to 2483979
+        ends = _walk_ends(g)
+        degree = [0] * g.n
+        for pair in ends:
+            for v in pair:
+                degree[v] += 1
+        by_histogram: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for r in _connected_deletions(g, k):
+            by_histogram.setdefault(_kept_histogram(degree, ends, r), []).append(r)
+        for histogram, deletions in by_histogram.items():
+            got = list(stiso.oracle._fitting_subsets(g, k, ends, degree, list(histogram)))
+            assert all(len(s) == k and 0 <= s[0] and s[-1] < g.m for s in got)
+            assert all(a < b for s in got for a, b in zip(s, s[1:]))
+            assert all(a < b for a, b in zip(got, got[1:]))
+            assert all(_kept_histogram(degree, ends, s) == histogram for s in got), (g, k)
+            assert set(deletions) <= set(got), (g, k)
+            walks += 1
+            yielded += len(got)
+            checked += len(deletions)
+    assert (walks, yielded, checked) == (652, 63853, 37943)
+
+
+def _reference_walk(g: UGraph, k: int):
+    """The earlier enumeration, before the degree test moved into it: every
+    k-subset for k <= 1, else, in ``combinations`` order, the k-subsets of
+    core edges that take at most one edge of each kernel chain and cut no
+    anchor's last non-loop chain, on an explicit stack of position
+    iterators."""
+    if k < 2:
+        yield from combinations(range(g.m), k)
+        return
+    chains = make_contractible(g).chains
+    core = sorted((e, c) for c, chain in enumerate(chains) for e in chain.edge_ids)
+    edge_at = [e for e, _ in core]
+    chain_at = [c for _, c in core]
+    ends = [(chain.vertices[0], chain.vertices[-1]) for chain in chains]
+    live: dict[int, int] = {}  # anchor -> its non-loop chains not yet cut
+    for a, b in ends:
+        if a != b:
+            live[a] = live.get(a, 0) + 1
+            live[b] = live.get(b, 0) + 1
+    cut = [False] * len(chains)
+
+    def free(start: int, stop: int):
+        for i in range(start, stop):
+            c = chain_at[i]
+            if not cut[c]:
+                a, b = ends[c]
+                if a == b or (live[a] > 1 and live[b] > 1):
+                    yield i
+
+    stop = len(core) - k + 1
+    tries = [free(0, stop)]
+    taken: list[int] = []
+    while tries:
+        d = len(tries) - 1
+        if len(taken) > d:
+            c = chain_at[taken.pop()]
+            cut[c] = False
+            a, b = ends[c]
+            if a != b:
+                live[a] += 1
+                live[b] += 1
+        if d == k - 1:
+            prefix = tuple([edge_at[j] for j in taken])
+            for i in tries.pop():
+                yield prefix + (edge_at[i],)
+            continue
+        i = next(tries[-1], -1)
+        if i == -1:
+            tries.pop()
+            continue
+        c = chain_at[i]
+        cut[c] = True
+        a, b = ends[c]
+        if a != b:
+            live[a] -= 1
+            live[b] -= 1
+        taken.append(i)
+        tries.append(free(i + 1, stop + d + 1))
+
+
+def _reference_fits(ends, degree: list[int], want: list[int]):
+    """The earlier per-subset degree test: lower the kept degrees at the
+    subset's ends and compare the whole histogram with ``want``'s."""
+    target = sorted(want)
+
+    def fits(subset) -> bool:
+        kept = list(degree)
+        for i in subset:
+            for v in ends[i]:
+                kept[v] -= 1
+        return sorted(kept) == target
+
+    return fits
+
+
+def test_walk_is_the_filtered_chain_enumeration():
+    """On a seeded grid of 336 oracle inputs, n 5-16 and k 0-6, both
+    flavours, planted and random, the walk yields exactly, and in order,
+    the subsets of the earlier enumeration that pass the earlier degree
+    test: the target's degrees undirected, in-degrees 0 once and 1 elsewhere
+    directed.  Each undirected input is walked against its own target and
+    against a second seeded tree."""
+    walks = enumerated = yielded = 0
+    for directed in (False, True):
+        for n in range(5, 17):
+            for k in range(7):
+                if not directed and n - 1 + k > comb(n, 2):
+                    continue
+                for mode in ("planted-yes", "random"):
+                    seed = 4200 + 100 * n + 10 * k + directed
+                    inst = gen_instance(GenSpec(n=n, k=k, seed=seed, mode=mode, directed=directed))
+                    if directed:
+                        g = inst.graph.underlying()
+                        ends = [(head,) for _, head in inst.graph.arcs]
+                        wants = [[0] + [1] * (n - 1)]
+                    else:
+                        g = inst.graph
+                        ends = list(g.edges)
+                        wants = [inst.target_graph.degrees(), gen_tree(n, seed).degrees()]
+                    degree = [0] * n
+                    for pair in ends:
+                        for v in pair:
+                            degree[v] += 1
+                    for want in wants:
+                        reference = list(_reference_walk(g, k))
+                        fits = _reference_fits(ends, degree, want)
+                        got = list(stiso.oracle._fitting_subsets(g, k, ends, degree, want))
+                        assert got == [s for s in reference if fits(s)], (directed, n, k, mode)
+                        walks += 1
+                        enumerated += len(reference)
+                        yielded += len(got)
+    assert (walks, enumerated, yielded) == (504, 184402, 28002)
 
 
 def test_invalid_neighbors_tree():
@@ -293,30 +436,37 @@ def _count_builds(monkeypatch, name: str) -> list[int]:
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_oracle_builds_only_degree_fitting_subsets(monkeypatch, directed):
-    """A k = 5 NO builds a graph for no subset that fails the degree test,
-    counted here by kept degrees, and so for far fewer than comb(m, k)."""
+    """At k = 5 the oracle builds a graph for no subset that fails the degree
+    test, counted here by kept degrees: on a NO, where that is far fewer than
+    comb(m, k) and the tests ahead of the build may leave none to build, and
+    on a planted YES, which builds at least its witness."""
     k = 5
-    inst = gen_instance(GenSpec(n=10, k=k, seed=0, mode="random", directed=directed))
-    g = inst.graph
-    pairs = g.arcs if directed else g.edges
-    want = sorted(map(len, inst.target.tree.incidence))
-    fitting = 0
-    for subset in combinations(range(g.m), k):
-        deg = [0] * g.n
-        for i, (u, v) in enumerate(pairs):
-            if i not in subset:
-                deg[v] += 1
-                if not directed:
-                    deg[u] += 1
-        fitting += max(deg) <= 1 if directed else sorted(deg) == want
     built = _count_builds(monkeypatch, "DiGraph" if directed else "UGraph")
-    if directed:
-        verdict = oracle_directed(g, inst.target)
-    else:
-        verdict = oracle_undirected(g, inst.target_graph)
-    assert not verdict.is_yes
-    assert 0 < len(built) <= fitting
-    assert 20 * fitting < comb(g.m, k)
+    for mode in ("random", "planted-yes"):
+        inst = gen_instance(GenSpec(n=10, k=k, seed=0, mode=mode, directed=directed))
+        g = inst.graph
+        pairs = g.arcs if directed else g.edges
+        want = sorted(map(len, inst.target.tree.incidence))
+        fitting = 0
+        for subset in combinations(range(g.m), k):
+            deg = [0] * g.n
+            for i, (u, v) in enumerate(pairs):
+                if i not in subset:
+                    deg[v] += 1
+                    if not directed:
+                        deg[u] += 1
+            fitting += max(deg) <= 1 if directed else sorted(deg) == want
+        built.clear()
+        if directed:
+            verdict = oracle_directed(g, inst.target)
+        else:
+            verdict = oracle_undirected(g, inst.target_graph)
+        assert verdict.is_yes == (mode == "planted-yes")
+        assert len(built) <= fitting
+        if verdict.is_yes:
+            assert len(built) >= 1
+        else:
+            assert 20 * fitting < comb(g.m, k)
 
 
 def test_oracles_answer_long_paths():

@@ -1,7 +1,8 @@
 """The two solvers check each other, and the oracle checks both, past desk scale.
 
-The oracle enumerates one edge per kernel chain, so it gives ground truth at
-n 30-300 for k up to 4, on YES and NO alike.  Past that, two exact
+The oracle enumerates one edge per kernel chain and rejects most subsets
+before it builds a graph, so it gives ground truth at n 30-1000 for k up to
+4, on YES and NO alike.  Past that, two exact
 implications between the flavours stand in for it, each of which tests one
 solver's completeness on the other's YES:
 
@@ -116,8 +117,8 @@ def _rehung(t: UGraph | DiGraph, rng: random.Random) -> UGraph | DiGraph:
 
 def _past_desk_scale(directed: bool):
     """Two planted instances per (n, k), n 30-300 and k 2-4, shuffled, as
-    ``(seed, graph, planted target graph, re-hung target graph)``; None for an
-    instance on which the oracle would enumerate over 30 000 subsets."""
+    ``(seed, graph, planted target graph, re-hung target graph)``.  The
+    oracle's walk may visit up to 332 047 subsets on one of them."""
     for n in (30, 60, 100, 200, 300):
         for k in (2, 3, 4):
             for s in range(2):
@@ -125,9 +126,6 @@ def _past_desk_scale(directed: bool):
                 spec = GenSpec(n=n, k=k, seed=seed, mode="planted-yes", directed=directed)
                 inst = gen_instance(spec)
                 g = _shuffled(inst, seed)
-                if subsets_enumerated(g) > 30_000:
-                    yield None
-                    continue
                 yield seed, g, inst.target_graph, _rehung(inst.target_graph, random.Random(seed))
 
 
@@ -143,11 +141,7 @@ def test_solvers_agree_with_the_oracle_past_desk_scale():
             solve, oracle, certify = solve_directed, oracle_directed, certify_directed
         else:
             solve, oracle, certify = solve_undirected, oracle_undirected, certify_undirected
-        for case in _past_desk_scale(directed):
-            if case is None:
-                seen["skipped"] += 1
-                continue
-            seed, g, planted, rehung = case
+        for seed, g, planted, rehung in _past_desk_scale(directed):
             for kind, t in (("planted", planted), ("re-hung", rehung)):
                 target = target_tree_from_digraph(t) if directed else t
                 truth, verdict = oracle(g, target), solve(g, target)
@@ -157,11 +151,50 @@ def test_solvers_agree_with_the_oracle_past_desk_scale():
                 decided_by = "screen" if "screen" in (verdict.note or "") else "search"
                 seen["DU"[not directed], kind, truth.answer, decided_by] += 1
     assert seen == {
-        "skipped": 8,
-        ("U", "planted", "YES", "search"): 26,
-        ("U", "re-hung", "NO", "search"): 24,
-        ("U", "re-hung", "NO", "screen"): 2,
-        ("D", "planted", "YES", "search"): 26,
-        ("D", "re-hung", "NO", "search"): 21,
-        ("D", "re-hung", "NO", "screen"): 5,
+        ("U", "planted", "YES", "search"): 30,
+        ("U", "re-hung", "NO", "search"): 27,
+        ("U", "re-hung", "NO", "screen"): 3,
+        ("D", "planted", "YES", "search"): 30,
+        ("D", "re-hung", "NO", "search"): 24,
+        ("D", "re-hung", "NO", "screen"): 6,
     }
+
+
+def test_solvers_agree_with_the_oracle_at_n_1000():
+    """Both solvers answer as the oracle does at n = 1000, k 3-4, on three
+    planted instances per (flavour, k), shuffled, against the planted target
+    and against it with one leaf re-hung.  Every YES of either side
+    certifies.  The oracle's guard counts 1.4e4 to 3.9e6 subsets on these
+    instances, so this is ground truth at n = 1000, which the degree test
+    along the walk and the profile and out-degree tests ahead of any build
+    make affordable; most re-hung NOs pass the solvers' degree screens."""
+    seen: Counter = Counter()
+    walked = []
+    for directed in (False, True):
+        if directed:
+            solve, oracle, certify = solve_directed, oracle_directed, certify_directed
+        else:
+            solve, oracle, certify = solve_undirected, oracle_undirected, certify_undirected
+        for k in (3, 4):
+            for s in range(3):
+                seed = 9000 + 10 * k + s
+                inst = gen_instance(GenSpec(n=1000, k=k, seed=seed, mode="planted-yes", directed=directed))
+                g = _shuffled(inst, seed)
+                walked.append(subsets_enumerated(g))
+                planted = inst.target_graph
+                for kind, t in (("planted", planted), ("re-hung", _rehung(planted, random.Random(seed)))):
+                    target = target_tree_from_digraph(t) if directed else t
+                    truth, verdict = oracle(g, target), solve(g, target)
+                    assert verdict.answer == truth.answer, (directed, seed, kind)
+                    if truth.is_yes:
+                        assert certify(g, target, truth) and certify(g, target, verdict), seed
+                    decided_by = "screen" if "screen" in (verdict.note or "") else "search"
+                    seen["DU"[not directed], kind, truth.answer, decided_by] += 1
+    assert seen == {
+        ("U", "planted", "YES", "search"): 6,
+        ("U", "re-hung", "NO", "search"): 6,
+        ("D", "planted", "YES", "search"): 6,
+        ("D", "re-hung", "NO", "search"): 5,
+        ("D", "re-hung", "NO", "screen"): 1,
+    }
+    assert min(walked) > 10**4 and max(walked) > 10**6

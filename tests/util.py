@@ -11,9 +11,10 @@ at are the package's.  The graph constructors and the text parser
 are judged against straightforward one-edge-at-a-time and
 one-line-at-a-time versions.  The reference certifiers are the package's
 earlier ones, which compare sets of edge tuples.  The reference oracles are the package
-oracles' subset loops without their degree test, so they share the
-oracles' bijection search on purpose: equal verdicts then show that the
-test drops no subset the loops would accept.
+oracles' subset loops over every k-subset, without the chain walk and the
+tests that reject a subset before its build, so they share the oracles'
+bijection search on purpose: equal verdicts then show that those tests drop
+no subset the loops would accept.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def reference_parse(text: str) -> UGraph | DiGraph:
 
 
 def reference_oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdict:
-    """``oracle_undirected`` without its degree test: every k-subset, in
+    """``oracle_undirected`` without its walk and tests: every k-subset, in
     ``combinations`` order, goes to the connectivity check and the reference
     rooted code, :func:`subtree_codes`, at the kept tree's first centre, which
     picks the target centre the search pins there."""
@@ -330,7 +331,7 @@ def reference_oracle_undirected(g: UGraph, target: TargetTree | UGraph) -> Verdi
 
 
 def reference_oracle_directed(d: DiGraph, target: TargetTree) -> Verdict:
-    """``oracle_directed`` without its in-degree test: every k-subset, in
+    """``oracle_directed`` without its walk and tests: every k-subset, in
     ``combinations`` order, is built and checked as an arborescence."""
     if not d.underlying().is_connected():
         return Verdict("NO", note="graph is weakly disconnected: no spanning tree exists")
